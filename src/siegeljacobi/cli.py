@@ -24,8 +24,8 @@ from .jsonio import (decode_complex, decode_jacobi_point, decode_matrix,
                      encode_jacobi_point, encode_matrix, encode_siegel_point,
                      encode_symplectic)
 from .minkowski import ReductionError, is_minkowski_reduced, minkowski_reduce
-from .siegel import (SiegelReductionError, resolve_candidates,
-                     siegel_membership, siegel_reduce)
+from .siegel import (SiegelReductionError, encode_candidates,
+                     resolve_candidates, siegel_membership, siegel_reduce)
 from .torus_spectral import (FourierIndex, QuadratureGridError,
                              character_table, eigenvalue_E, eval_E_omega,
                              frequency_indices, torus_grid)
@@ -53,6 +53,10 @@ def _read_json(path):
         return json.loads(raw), digest
     except json.JSONDecodeError as exc:
         raise _InputError("malformed JSON: %s" % exc) from None
+
+
+def _sha256_json(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
 def _report(args, digest, outputs, tolerances, t0):
@@ -85,7 +89,7 @@ def _cmd_reduce(ns, argv, t0):
     elif ns.siegel:
         p = decode_siegel_point(obj)
         cands = resolve_candidates(p.g, ns.candidates)
-        cert = siegel_reduce(p, cands, eps=ns.eps)
+        cert = siegel_reduce(p, cands, eps=ns.eps, bound=ns.bound)
         out = {"reduced": encode_siegel_point(cert.reduced),
                "gamma": encode_symplectic(cert.gamma),
                "iterations": cert.iterations,
@@ -93,7 +97,7 @@ def _cmd_reduce(ns, argv, t0):
     else:
         p = decode_jacobi_point(obj)
         cands = resolve_candidates(p.g, ns.candidates)
-        cert = jacobi_reduce(p, cands, eps=ns.eps)
+        cert = jacobi_reduce(p, cands, eps=ns.eps, bound=ns.bound)
         out = {"reduced": encode_jacobi_point(cert.reduced),
                "gammaJ": encode_jacobi_element(cert.gammaJ),
                "on_boundary": cert.on_boundary}
@@ -110,7 +114,7 @@ def _cmd_member(ns, argv, t0):
     elif ns.siegel:
         p = decode_siegel_point(obj)
         cands = resolve_candidates(p.g, ns.candidates)
-        member, boundary = siegel_membership(p, cands, eps=ns.eps)
+        member, boundary = siegel_membership(p, cands, eps=ns.eps, bound=ns.bound)
         out = {"member": member, "on_boundary": boundary}
     elif ns.p_omega:
         if ns.omega is None:
@@ -125,7 +129,7 @@ def _cmd_member(ns, argv, t0):
     else:
         p = decode_jacobi_point(obj)
         cands = resolve_candidates(p.g, ns.candidates)
-        member = in_F_gh(p, cands, eps=ns.eps)
+        member = in_F_gh(p, cands, eps=ns.eps, bound=ns.bound)
         res = in_P_omega(p.Z, p.omega, eps=ns.eps)
         out = {"member": member, "on_boundary": member and res.on_boundary}
     _report(argv, digest, out, tol, t0)
@@ -135,6 +139,8 @@ def _cmd_member(ns, argv, t0):
 def _cmd_volume(ns, argv, t0):
     tol = {"eps": ns.eps}
     target = VOLUME_TARGETS.get(ns.g)
+    inputs = {"g": ns.g, "samples": ns.samples, "seed": ns.seed,
+              "eps": ns.eps, "bound": ns.bound}
     if ns.samples is None:
         if ns.g != 1:
             raise _InputError("deterministic quadrature is only available for --g 1; "
@@ -142,18 +148,18 @@ def _cmd_volume(ns, argv, t0):
         est = volume_f1(ns.nodes)
         out = {"estimate": est, "stderr": 0.0, "target": target,
                "sigmas": None, "method": "quadrature", "nodes": ns.nodes}
+        inputs["nodes"] = ns.nodes
     else:
         cands = resolve_candidates(ns.g, ns.candidates)
         res = volume_fg_mc(ns.g, ns.samples, ns.seed, threads=ns.threads,
-                           eps=ns.eps, cands=cands)
+                           eps=ns.eps, bound=ns.bound, cands=cands)
+        inputs["candidates"] = {"source": cands.source,
+                                "sha256": _sha256_json(encode_candidates(cands))}
         sig = abs(res.estimate - target) / res.stderr if (target and res.stderr) else None
         out = {"estimate": res.estimate, "stderr": res.stderr, "target": target,
                "sigmas": sig, "method": "monte-carlo", "samples": ns.samples,
                "seed": ns.seed, "acceptance_rate": res.acceptance_rate}
-    digest = hashlib.sha256(json.dumps(
-        {"g": ns.g, "samples": ns.samples, "seed": ns.seed}, sort_keys=True
-    ).encode()).hexdigest()
-    _report(argv, digest, out, tol, t0)
+    _report(argv, _sha256_json(inputs), out, tol, t0)
     return 0
 
 

@@ -334,7 +334,7 @@ def _operator_terms(kind, chart):
     # metric the operator is the pure second-order form sum G^{ij} d_i d_j,
     # so the coefficient table is the inverse of the real metric matrix.
     # (The five-trace-term closed form reproduces this at g = 1 but its
-    # fiber block deviates for g >= 2; see _jacobi_trace_form_terms.)
+    # fiber block deviates for g >= 2; tests/test_geometry.py keeps it.)
     gmat = _jacobi_metric_matrix(chart)
     ginv = np.linalg.inv(gmat)
     d = len(chart.dirs)
@@ -373,64 +373,6 @@ def _jacobi_metric_matrix(chart) -> np.ndarray:
         for j in range(i, d):
             gmat[i, j] = gmat[j, i] = metric_jacobi(p, tangents[i], tangents[j])
     return gmat
-
-
-def _jacobi_trace_form_terms(chart):
-    """Second-order table of the five-trace-term closed form.
-
-    Kept for comparison: it agrees with the inverse-metric assembly when
-    g = 1 and differs in the fiber block for g >= 2 (its fiber coefficient
-    (I + V Y^{-1} tV) x Y is not the Schur complement of the metric there);
-    the tests pin down both facts.
-    """
-    second = {}
-
-    def add2(i, j, c):
-        key = (i, j) if i <= j else (j, i)
-        second[key] = second.get(key, 0.0) + c
-
-    y, v = chart.y, chart.v
-    g = y.shape[0]
-    h = v.shape[0]
-    _add_siegel_terms(chart, add2, y)
-    _add_fiber_terms(chart, add2, y, scale=1.0)
-    yi = np.linalg.inv(y)
-    wmat = v @ yi @ v.T
-    for k in range(h):
-        for l in range(h):
-            for a in range(g):
-                for c in range(g):
-                    coeff = wmat[k, l] * y[a, c]
-                    iu_lc, iv_lc = chart.cid("U", l, c), chart.cid("V", l, c)
-                    iu_ka, iv_ka = chart.cid("U", k, a), chart.cid("V", k, a)
-                    add2(iu_lc, iu_ka, coeff)
-                    add2(iv_lc, iv_ka, coeff)
-                    add2(iv_lc, iu_ka, 1j * coeff)
-                    add2(iu_lc, iv_ka, -1j * coeff)
-    wgt = lambda a, b: 0.5 * (1.0 + (a == b))
-    for k in range(h):
-        for a in range(g):
-            for b in range(g):
-                for c in range(g):
-                    coeff = v[k, a] * y[b, c] * wgt(c, a)
-                    ix, iy = chart.cid("X", c, a), chart.cid("Y", c, a)
-                    iu, iv_ = chart.cid("U", k, b), chart.cid("V", k, b)
-                    add2(ix, iu, coeff)
-                    add2(iy, iv_, coeff)
-                    add2(iy, iu, 1j * coeff)
-                    add2(ix, iv_, -1j * coeff)
-    for k in range(h):
-        for a in range(g):
-            for b in range(g):
-                for c in range(g):
-                    coeff = v[k, a] * y[b, c] * wgt(b, a)
-                    iu, iv_ = chart.cid("U", k, c), chart.cid("V", k, c)
-                    ix, iy = chart.cid("X", b, a), chart.cid("Y", b, a)
-                    add2(iu, ix, coeff)
-                    add2(iv_, iy, coeff)
-                    add2(iv_, ix, 1j * coeff)
-                    add2(iu, iy, -1j * coeff)
-    return second
 
 
 def _add_siegel_terms(chart, add2, y):

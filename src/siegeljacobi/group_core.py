@@ -33,7 +33,9 @@ def _check_symmetric(m: np.ndarray, what: str, eps: float = EPS_SYM) -> np.ndarr
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("%s must be square" % what)
-    drift = np.max(np.abs(m - m.T)) if m.size else 0.0
+    if not np.isfinite(m).all():
+        raise ValueError("%s has a non-finite entry" % what)
+    drift = np.abs(m - m.T).max() if m.size else 0.0
     if drift > eps:
         raise ValueError("%s not symmetric (drift %.3g > %.3g)" % (what, drift, eps))
     return 0.5 * (m + m.T)
@@ -443,10 +445,3 @@ def act_jacobi(x: JacobiGroupElement, p: JacobiPoint) -> JacobiPoint:
     w = p.Z + to_float(x.heis.lam) @ p.omega.omega + to_float(x.heis.mu)
     z_new = np.linalg.solve(k.T, w.T).T
     return JacobiPoint.from_z(new_omega, z_new)
-
-
-def det_im_ratio(m, p: SiegelPoint) -> float:
-    """|det(C Omega + D)|^{-2} = det Im(M.Omega) / det Im(Omega)."""
-    _, _, c, d = _blocks_float(m)
-    k = c @ p.omega + d
-    return float(1.0 / abs(np.linalg.det(k)) ** 2)

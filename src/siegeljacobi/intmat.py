@@ -93,10 +93,6 @@ def int_inv_unimodular(a: np.ndarray) -> np.ndarray:
     return adj * d if d == -1 else adj
 
 
-def is_unimodular(a: np.ndarray) -> bool:
-    return int_det(a) in (1, -1)
-
-
 def complete_primitive(v) -> np.ndarray:
     """Extend a primitive integer vector to a unimodular matrix.
 
@@ -129,8 +125,8 @@ def complete_primitive(v) -> np.ndarray:
     if w[0] == -1:
         uinv[:, 0] = -uinv[:, 0]
         w[0] = 1
-    assert w[0] == 1
-    assert all(int(uinv[i, 0]) == v[i] for i in range(m))
+    if w[0] != 1 or any(int(uinv[i, 0]) != v[i] for i in range(m)):
+        raise ValueError("completion of %r lost its first column" % (v,))
     return uinv
 
 

@@ -134,15 +134,3 @@ def jacobi_reduce(p: JacobiPoint, cands: CandidateSet = None,
     on_boundary = scert.on_boundary or bool(np.any(near_face <= eps))
     return JacobiCertificate(reduced, gj, on_boundary)
 
-
-def canonicalize_cell_coords(a: np.ndarray, b: np.ndarray):
-    """Map fractional cell coefficients to the canonical member of the pair."""
-    afrac = np.asarray(a, dtype=float) % 1.0
-    bfrac = np.asarray(b, dtype=float) % 1.0
-    acomp = (-afrac) % 1.0
-    bcomp = (-bfrac) % 1.0
-    plain = np.concatenate([afrac.ravel(), bfrac.ravel()])
-    comp = np.concatenate([acomp.ravel(), bcomp.ravel()])
-    if _lex_smaller(comp, plain):
-        return acomp, bcomp
-    return afrac, bfrac

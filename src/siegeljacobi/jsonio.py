@@ -37,7 +37,13 @@ def decode_matrix(obj, where: str = "matrix") -> np.ndarray:
     data = obj["data"]
     if len(data) != r * c:
         raise ValueError("%s.data has %d entries, expected %d" % (where, len(data), r * c))
-    return np.asarray(data, dtype=float).reshape(r, c)
+    try:
+        m = np.asarray(data, dtype=float).reshape(r, c)
+    except (TypeError, ValueError):
+        raise ValueError("%s.data holds a non-number" % where) from None
+    if not np.all(np.isfinite(m)):
+        raise ValueError("%s.data holds a non-finite entry" % where)
+    return m
 
 
 def encode_complex(m) -> dict:

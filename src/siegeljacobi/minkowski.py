@@ -28,6 +28,9 @@ from .group_core import as_pd_array
 DEFAULT_BOUND = 3
 DEFAULT_EPS = 1e-9
 
+#: matrices per block in the batched masks; bounds their peak memory
+ROW_BLOCK = 65_536
+
 
 class ReductionError(RuntimeError):
     """Reduction failed to converge; carries the best iterate seen."""
@@ -93,38 +96,75 @@ def _candidate_arrays(g: int, bound: int):
     return to_float(vecs), tails
 
 
+@lru_cache(maxsize=8)
+def _triu(g: int):
+    return np.triu_indices(g)
+
+
+def _form_features(ys: np.ndarray) -> np.ndarray:
+    """Entries y_ij (i <= j) of each symmetrized matrix, shape (g(g+1)/2, n)."""
+    iu, ju = _triu(ys.shape[-1])
+    return 0.5 * (ys[:, iu, ju] + ys[:, ju, iu]).T
+
+
+@lru_cache(maxsize=32)
+def _column_tables(g: int, bound: int):
+    """Per column k: the primitive-tail candidates a in lexicographic order
+    and their monomials a_i a_j (doubled for i < j), shape (nvec, g(g+1)/2),
+    so that monomials @ _form_features(ys) is every a Y t(a) at once.
+
+    a and -a give the same form, so only the lexicographically smaller of
+    the two (first nonzero entry negative) is kept.
+    """
+    vecs, tails = _candidate_arrays(g, bound)
+    lead = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
+    iu, ju = _triu(g)
+    out = []
+    for k in range(g):
+        cand = vecs[tails[:, k] & (lead < 0)]
+        cand = cand[np.lexsort(cand.T[::-1])]
+        out.append((cand, np.where(iu == ju, 1.0, 2.0) * cand[:, iu] * cand[:, ju]))
+    return tuple(out)
+
+
 def is_minkowski_reduced(y, bound: int = DEFAULT_BOUND, eps: float = DEFAULT_EPS) -> bool:
     """Membership test for the reduced domain, with slack eps on every inequality."""
-    y = as_pd_array(y)
-    g = y.shape[0]
-    vecs, tails = _candidate_arrays(g, bound)
-    quad = np.einsum("nv,vw,nw->n", vecs, y, vecs)
-    for k in range(g):
-        mask = tails[:, k]
-        if np.any(quad[mask] < y[k, k] - eps):
-            return False
-    for k in range(g - 1):
-        if y[k, k + 1] < -eps:
-            return False
-    return True
+    return bool(membership_mask(as_pd_array(y)[None], bound, eps)[0])
 
 
 def membership_mask(ys: np.ndarray, bound: int = DEFAULT_BOUND,
                     eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Vectorized is_minkowski_reduced over a stack of matrices (n, g, g).
+    """Minkowski membership over a stack of matrices (n, g, g).
 
-    Same candidate set and slack as the scalar test.
+    Every quadratic form a Y t(a) is one entry of a (nvec x g(g+1)/2) @
+    (g(g+1)/2 x n) product, taken in blocks of ROW_BLOCK matrices.
     """
     ys = np.asarray(ys, dtype=float)
     g = ys.shape[-1]
-    vecs, tails = _candidate_arrays(g, bound)
-    quad = np.einsum("cv,nvw,cw->nc", vecs, ys, vecs)
-    ok = np.ones(ys.shape[0], dtype=bool)
-    for k in range(g):
-        ok &= quad[:, tails[:, k]].min(axis=1) >= ys[:, k, k] - eps
-    for k in range(g - 1):
-        ok &= ys[:, k, k + 1] >= -eps
+    tables = _column_tables(g, bound)
+    ok = np.all(ys[:, np.arange(g - 1), np.arange(1, g)] >= -eps, axis=1)
+    for start in range(0, ys.shape[0], ROW_BLOCK):
+        block = ys[start:start + ROW_BLOCK]
+        feats = _form_features(block)
+        part = ok[start:start + ROW_BLOCK]
+        for k, (_, mono) in enumerate(tables):
+            part &= (mono @ feats).min(axis=0) >= block[:, k, k] - eps
     return ok
+
+
+def on_minkowski_boundary(y: np.ndarray, bound: int = DEFAULT_BOUND,
+                          eps: float = DEFAULT_EPS) -> bool:
+    """Does (M.1) or (M.2) hold with equality, up to eps?  For (M.1) the
+    candidate e_k, which meets it with equality trivially, is left out."""
+    y = np.asarray(y, dtype=float)
+    g = y.shape[0]
+    feats = _form_features(y[None])
+    for k, (vecs, mono) in enumerate(_column_tables(g, bound)):
+        quad = (mono @ feats)[:, 0]
+        other = np.any(vecs[:, np.arange(g) != k] != 0, axis=1) | (np.abs(vecs[:, k]) != 1)
+        if other.any() and np.min(np.abs(quad[other] - y[k, k])) <= eps:
+            return True
+    return bool(np.any(np.abs(y[np.arange(g - 1), np.arange(1, g)]) <= eps))
 
 
 def _lll_transform(y: np.ndarray, delta: float = 0.99, max_steps: int = 10000):
@@ -167,24 +207,20 @@ def minkowski_reduce(y, bound: int = DEFAULT_BOUND, eps: float = DEFAULT_EPS,
         return ReductionCertificate(y0.copy(), UnimodularInt(ieye(g)), 0)
 
     u = _lll_transform(y0)
-    vecs_i, tails = primitive_candidates(g, bound)
-    vecs = to_float(vecs_i)
+    tables = _column_tables(g, bound)
 
     passes = 0
     while passes < max_iters:
         passes += 1
         cur = to_float(u.T) @ y0 @ to_float(u)
         changed = False
-        for k in range(g):
-            mask = tails[:, k]
-            quad = np.einsum("nv,vw,nw->n", vecs[mask], cur, vecs[mask])
+        for k, (vecs, mono) in enumerate(tables):
+            quad = (mono @ _form_features(cur[None]))[:, 0]
             best_val = quad.min()
             if best_val >= cur[k, k] * (1 - 1e-12):
                 continue  # e_k already minimal for this column
             # lexicographically smallest among the near-minimal candidates
-            order = np.lexsort(vecs_i[mask].T[::-1])
-            near = quad[order] <= best_val * (1 + 1e-12)
-            a = vecs_i[mask][order[np.argmax(near)]]
+            a = vecs[np.argmax(quad <= best_val * (1 + 1e-12))]
             u = u @ _column_step(g, k, a)
             cur = to_float(u.T) @ y0 @ to_float(u)
             changed = True
@@ -215,7 +251,8 @@ def _column_step(g: int, k: int, a: np.ndarray) -> np.ndarray:
             step[i, j] = w[i - k, j - k]
     for i in range(k):
         step[i, k] = a[i]
-    assert int_det(step) in (1, -1)
+    if int_det(step) not in (1, -1):
+        raise ReductionError("column step for k=%d is not unimodular" % k)
     return step
 
 

@@ -14,6 +14,12 @@ modular group; it is certified here against a finite candidate set:
 
 Candidate sets can be overridden from JSON files (``--candidates`` in the
 CLI, or the SJK_CANDIDATE_DIR environment variable).
+
+Every |det(C Omega + D)|^2 comes from one kernel, _det_sq_batch.  For g <= 2
+it is a polynomial in the entries of Omega whose integer coefficients are
+computed once per set (CandidateSet.det_table), so n points cost two
+(ncand x 5) @ (5 x n) real products; g >= 3 takes one batched determinant.
+det_sq is the kernel on a batch of one.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from itertools import combinations
 
@@ -30,7 +36,8 @@ import numpy as np
 from .group_core import SiegelPoint, SymplecticInt, act_siegel
 from .intmat import ieye, izeros, to_float
 from .jsonio import decode_symplectic, encode_symplectic
-from .minkowski import DEFAULT_BOUND, DEFAULT_EPS, is_minkowski_reduced, minkowski_reduce
+from .minkowski import (DEFAULT_BOUND, DEFAULT_EPS, ROW_BLOCK, is_minkowski_reduced,
+                        membership_mask, minkowski_reduce, on_minkowski_boundary)
 
 ENV_CANDIDATE_DIR = "SJK_CANDIDATE_DIR"
 
@@ -69,11 +76,17 @@ class CandidateSet:
     def __len__(self):
         return len(self.elements)
 
-    def block_arrays(self):
-        """Stacked float (C, D) blocks, shape (ncand, g, g) each."""
-        cs = np.stack([to_float(m.C) for m in self.elements])
-        ds = np.stack([to_float(m.D) for m in self.elements])
-        return cs, ds
+    @cached_property
+    def det_table(self):
+        """g <= 2: the exact integer coefficients of det(C Omega + D) over
+        _omega_monomials, as floats (ncand, nmono); g >= 3: the stacked float
+        (C, D) blocks, (ncand, g, g) each."""
+        n, g = len(self), self.g
+        if g >= 3:
+            return (np.array([to_float(m.C) for m in self.elements]).reshape(n, g, g),
+                    np.array([to_float(m.D) for m in self.elements]).reshape(n, g, g))
+        rows = [_det_coefficients(m.C, m.D) for m in self.elements]
+        return np.array(rows, dtype=float).reshape(n, 3 * g - 1)
 
 
 @dataclass(frozen=True)
@@ -133,11 +146,14 @@ def load_candidates(path) -> CandidateSet:
         return _decode_candidates(json.load(fh), source=str(path))
 
 
+def encode_candidates(cands: CandidateSet) -> dict:
+    return {"g": cands.g,
+            "elements": [encode_symplectic(m) for m in cands.elements]}
+
+
 def save_candidates(cands: CandidateSet, path) -> None:
-    obj = {"g": cands.g,
-           "elements": [encode_symplectic(m) for m in cands.elements]}
     with open(path, "w") as fh:
-        json.dump(obj, fh)
+        json.dump(encode_candidates(cands), fh)
 
 
 def resolve_candidates(g: int, path=None) -> CandidateSet:
@@ -156,13 +172,53 @@ def resolve_candidates(g: int, path=None) -> CandidateSet:
 # membership
 # ---------------------------------------------------------------------------
 
+def _det_coefficients(c, d):
+    """det(C Omega + D) = c w + d (g = 1) or detC detOmega + l11 w11 +
+    l12 w12 + l22 w22 + detD (g = 2): the coefficients, in exact integers."""
+    if c.shape[0] == 1:
+        return c[0, 0], d[0, 0]
+    return (c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0],
+            c[0, 0] * d[1, 1] - c[1, 0] * d[0, 1],
+            c[0, 1] * d[1, 1] + c[1, 0] * d[0, 0] - c[0, 0] * d[1, 0] - c[1, 1] * d[0, 1],
+            d[0, 0] * c[1, 1] - c[0, 1] * d[1, 0],
+            d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0])
+
+
+def _omega_monomials(xs, ys):
+    """Real and imaginary parts of [w, 1] (g = 1) or [det Omega, w11, w12,
+    w22, 1] (g = 2), one column per point: shape (nmono, n) each."""
+    n = xs.shape[0]
+    one, zero = np.ones(n), np.zeros(n)
+    if xs.shape[-1] == 1:
+        return np.stack([xs[:, 0, 0], one]), np.stack([ys[:, 0, 0], zero])
+    x11, x12, x22 = xs[:, 0, 0], xs[:, 0, 1], xs[:, 1, 1]
+    y11, y12, y22 = ys[:, 0, 0], ys[:, 0, 1], ys[:, 1, 1]
+    return (np.stack([x11 * x22 - x12 * x12 - y11 * y22 + y12 * y12,
+                      x11, x12, x22, one]),
+            np.stack([x11 * y22 + y11 * x22 - 2.0 * x12 * y12,
+                      y11, y12, y22, zero]))
+
+
+def _det_sq_batch(cands: CandidateSet, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """|det(C Omega + D)|^2 for each candidate (row) at each point (column)."""
+    table = cands.det_table
+    if cands.g <= 2:
+        fr, fi = _omega_monomials(xs, ys)
+        re = table @ fr
+        im = table @ fi
+        re *= re
+        im *= im
+        re += im
+        return re
+    cs, ds = table
+    det = np.linalg.det(np.matmul(cs, (xs + 1j * ys)[:, None]) + ds)
+    return (det.real ** 2 + det.imag ** 2).T
+
+
 def det_sq(cands: CandidateSet, omega: np.ndarray) -> np.ndarray:
     """|det(C Omega + D)|^2 for every candidate at one point."""
-    out = np.empty(len(cands))
-    for i, m in enumerate(cands.elements):
-        k = to_float(m.C) @ omega + to_float(m.D)
-        out[i] = abs(np.linalg.det(k)) ** 2
-    return out
+    omega = np.asarray(omega, dtype=complex)
+    return _det_sq_batch(cands, omega.real[None], omega.imag[None])[:, 0]
 
 
 def siegel_membership(p: SiegelPoint, cands: CandidateSet = None,
@@ -177,7 +233,7 @@ def siegel_membership(p: SiegelPoint, cands: CandidateSet = None,
     if member:
         on_boundary = bool(np.min(np.abs(vals - 1.0)) <= eps
                            or np.max(np.abs(np.abs(p.X) - 0.5)) <= eps
-                           or _mink_on_boundary(p.Y, bound, eps))
+                           or on_minkowski_boundary(p.Y, bound, eps))
     return member, on_boundary
 
 
@@ -186,54 +242,24 @@ def is_siegel_reduced(p: SiegelPoint, cands: CandidateSet = None,
     return siegel_membership(p, cands, eps, bound)[0]
 
 
-def _mink_on_boundary(y: np.ndarray, bound: int, eps: float) -> bool:
-    from .minkowski import _candidate_arrays
-    g = y.shape[0]
-    vecs, tails = _candidate_arrays(g, bound)
-    quad = np.einsum("nv,vw,nw->n", vecs, y, vecs)
-    for k in range(g):
-        mask = tails[:, k].copy()
-        # +-e_k achieves equality trivially and says nothing about the boundary
-        unit = np.zeros(g)
-        unit[k] = 1.0
-        mask &= ~np.all(np.abs(vecs) == unit, axis=1)
-        if mask.any() and np.min(np.abs(quad[mask] - y[k, k])) <= eps:
-            return True
-    for k in range(g - 1):
-        if abs(y[k, k + 1]) <= eps:
-            return True
-    return False
-
-
 def membership_mask_points(xs: np.ndarray, ys: np.ndarray,
                            cands: CandidateSet, eps: float = DEFAULT_EPS,
                            bound: int = DEFAULT_BOUND) -> np.ndarray:
-    """Vectorized is_siegel_reduced over stacks of (X, Y) pairs.
+    """is_siegel_reduced over stacks of (X, Y) pairs, shape (n, g, g) each.
 
-    Same conditions, candidate family and slacks as the scalar test; used by
-    the Monte Carlo volume integrator and cross-checked against the scalar
-    path in the tests.
+    Same conditions, candidate family and slacks as siegel_membership; the
+    determinant test runs on the points that pass the box and Minkowski
+    conditions, ROW_BLOCK points at a time.
     """
-    from .minkowski import membership_mask
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     ok = np.max(np.abs(xs), axis=(1, 2)) <= 0.5 + eps
     ok &= membership_mask(ys, bound, eps)
-    omega = xs + 1j * ys
-    cs, ds = cands.block_arrays()
-    g = xs.shape[-1]
-    for c, d in zip(cs, ds):
-        live = np.nonzero(ok)[0]
-        if live.size == 0:
-            break
-        k = np.matmul(c, omega[live]) + d
-        if g == 1:
-            det = k[:, 0, 0]
-        elif g == 2:
-            det = k[:, 0, 0] * k[:, 1, 1] - k[:, 0, 1] * k[:, 1, 0]
-        else:
-            det = np.linalg.det(k)
-        ok[live] &= (det.real ** 2 + det.imag ** 2) >= 1.0 - eps
+    live = np.nonzero(ok)[0]
+    for start in range(0, live.size, ROW_BLOCK):
+        rows = live[start:start + ROW_BLOCK]
+        vals = _det_sq_batch(cands, xs[rows], ys[rows])
+        ok[rows] = vals.min(axis=0, initial=np.inf) >= 1.0 - eps
     return ok
 
 
@@ -288,7 +314,10 @@ def siegel_reduce(p: SiegelPoint, cands: CandidateSet = None,
         nxt, step = highest_point_step(cur, cands, eps, bound)
         if step.is_identity():
             member, on_boundary = siegel_membership(cur, cands, eps, bound)
-            assert member, "stalled highest-point step must leave a member"
+            if not member:
+                raise SiegelReductionError(
+                    "highest-point step stalled on a non-member",
+                    best=cur, trace=trace)
             return SiegelCertificate(cur, gamma, it, on_boundary)
         gamma = step * gamma
         cur = nxt

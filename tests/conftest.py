@@ -6,7 +6,7 @@ import pytest
 from siegeljacobi.group_core import (HeisenbergInt, JacobiGroupElement,
                                      JacobiPoint, SiegelPoint, SymplecticInt,
                                      act_jacobi, act_siegel)
-from siegeljacobi.jacobi_domain import canonicalize_cell_coords
+from siegeljacobi.jacobi_domain import _lex_smaller
 from siegeljacobi.siegel import builtin_candidates, siegel_membership
 
 
@@ -86,6 +86,19 @@ def rand_interior_siegel(g, rng, margin=1e-6):
         member, boundary = siegel_membership(p, cands, eps=margin)
         if member and not boundary:
             return p
+
+
+def canonicalize_cell_coords(a: np.ndarray, b: np.ndarray):
+    """Map fractional cell coefficients to the canonical member of the pair."""
+    afrac = np.asarray(a, dtype=float) % 1.0
+    bfrac = np.asarray(b, dtype=float) % 1.0
+    acomp = (-afrac) % 1.0
+    bcomp = (-bfrac) % 1.0
+    plain = np.concatenate([afrac.ravel(), bfrac.ravel()])
+    comp = np.concatenate([acomp.ravel(), bcomp.ravel()])
+    if _lex_smaller(comp, plain):
+        return acomp, bcomp
+    return afrac, bfrac
 
 
 def rand_interior_jacobi(g, h, rng):

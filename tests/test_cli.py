@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from siegeljacobi.cli import main
+from siegeljacobi.group_core import SiegelPoint
 from siegeljacobi.jsonio import (decode_jacobi_element, decode_jacobi_point,
                                  decode_matrix, decode_siegel_point,
                                  encode_complex, encode_jacobi_element,
@@ -44,6 +45,16 @@ class TestJsonCodecs:
         jp = rand_jacobi_point(2, 2, rng)
         jq = decode_jacobi_point(encode_jacobi_point(jp))
         assert np.allclose(jq.Z, jp.Z) and np.allclose(jq.omega.omega, jp.omega.omega)
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_entry_names_field(self, bad):
+        obj = json.loads('{"rows": 1, "cols": 2, "data": [1, %s]}' % bad)
+        with pytest.raises(ValueError, match="Y.data holds a non-finite entry"):
+            decode_matrix(obj, "Y")
+
+    def test_non_number_entry_names_field(self):
+        with pytest.raises(ValueError, match="Y.data holds a non-number"):
+            decode_matrix({"rows": 1, "cols": 2, "data": [1, {"a": 1}]}, "Y")
 
     def test_group_element_round_trip(self, rng):
         x = rand_jacobi_element(2, 2, rng)
@@ -123,7 +134,68 @@ class TestMemberCommand:
         assert "--omega" in err
 
 
+class TestNonFiniteInput:
+    """NaN or inf anywhere in X or Y exits 2 naming the field, never a verdict."""
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_minkowski_y(self, tmp_path, capsys, bad):
+        path = tmp_path / "y.json"
+        path.write_text('{"Y": {"rows": 2, "cols": 2, "data": [1, 0, 0, %s]}}' % bad)
+        for cmd in ("member", "reduce"):
+            code, out, err = run_cli(capsys, [cmd, "--minkowski", "--point", str(path)])
+            assert code == 2 and out == ""
+            assert "point.Y.data holds a non-finite entry" in err
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_siegel_x_and_y(self, tmp_path, capsys, part, bad):
+        obj = encode_siegel_point(SiegelPoint.from_omega(2j * np.eye(2)))
+        obj["omega"][part]["data"][3] = "BAD"
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(obj).replace('"BAD"', bad))
+        for cmd in ("member", "reduce"):
+            code, out, err = run_cli(capsys, [cmd, "--siegel", "--point", str(path)])
+            assert code == 2 and out == ""
+            assert "point.omega.%s.data holds a non-finite entry" % part in err
+
+
+class TestBoundFlag:
+    """--bound reaches every reduction and membership call: 0 is refused."""
+
+    @pytest.mark.parametrize("args", [["reduce", "--siegel"], ["reduce", "--jacobi"],
+                                      ["member", "--siegel"], ["member", "--jacobi"]])
+    def test_bound_reaches_library(self, tmp_path, capsys, rng, args):
+        from conftest import rand_interior_jacobi
+        # a Jacobi point file serves the --siegel modes too (Z is ignored)
+        path = write_json(tmp_path / "p.json",
+                          encode_jacobi_point(rand_interior_jacobi(2, 1, rng)))
+        code, _, _ = run_cli(capsys, args + ["--point", path])
+        assert code == 0
+        code, _, err = run_cli(capsys, args + ["--point", path, "--bound", "0"])
+        assert code == 2 and "bound must be >= 1" in err
+
+    def test_bound_reaches_volume(self, capsys):
+        code, _, err = run_cli(capsys, ["volume", "--g", "2", "--samples", "500",
+                                        "--bound", "0"])
+        assert code == 2 and "bound must be >= 1" in err
+
+
 class TestVolumeCommand:
+    def test_digest_covers_eps_bound_candidates_and_nodes(self, tmp_path, capsys):
+        def digest(args):
+            code, out, _ = run_cli(capsys, ["volume"] + args)
+            assert code == 0
+            return json.loads(out)["inputs_digest"]
+
+        mc = ["--g", "2", "--samples", "2000", "--seed", "3"]
+        plain = digest(mc)
+        assert digest(mc) == plain
+        assert digest(mc + ["--eps", "1e-8"]) != plain
+        assert digest(mc + ["--bound", "2"]) != plain
+        save_candidates(builtin_candidates(2), tmp_path / "c.json")
+        assert digest(mc + ["--candidates", str(tmp_path / "c.json")]) != plain
+        assert digest(["--g", "1", "--nodes", "32"]) != digest(["--g", "1"])
+
     def test_quadrature_report(self, capsys):
         code, out, _ = run_cli(capsys, ["volume", "--g", "1"])
         assert code == 0

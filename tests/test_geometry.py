@@ -8,13 +8,72 @@ from siegeljacobi.geometry import (TangentJacobi, TangentP, TangentSiegel,
                                    metric_siegel, push_tangent_jacobi,
                                    push_tangent_p, push_tangent_siegel,
                                    siegel_density, volume_f1, volume_fg_mc)
-from siegeljacobi.geometry import _Chart, _jacobi_trace_form_terms, _operator_terms
+from siegeljacobi.geometry import (_Chart, _add_fiber_terms, _add_siegel_terms,
+                                   _operator_terms)
 from siegeljacobi.group_core import (JacobiPoint, SiegelPoint, act_jacobi,
                                      act_siegel)
 from siegeljacobi.siegel import is_siegel_reduced
 from conftest import (fd_push_jacobi, fd_push_siegel, rand_jacobi_element,
                       rand_jacobi_point, rand_pd, rand_siegel_point,
                       rand_sym_complex, rand_symplectic)
+
+
+def _jacobi_trace_form_terms(chart):
+    """Second-order table of the five-trace-term closed form.
+
+    A test oracle: it agrees with the library's inverse-metric assembly when
+    g = 1 and differs in the fiber block for g >= 2 (its fiber coefficient
+    (I + V Y^{-1} tV) x Y is not the Schur complement of the metric there);
+    the tests pin down both facts.
+    """
+    second = {}
+
+    def add2(i, j, c):
+        key = (i, j) if i <= j else (j, i)
+        second[key] = second.get(key, 0.0) + c
+
+    y, v = chart.y, chart.v
+    g = y.shape[0]
+    h = v.shape[0]
+    _add_siegel_terms(chart, add2, y)
+    _add_fiber_terms(chart, add2, y, scale=1.0)
+    yi = np.linalg.inv(y)
+    wmat = v @ yi @ v.T
+    for k in range(h):
+        for l in range(h):
+            for a in range(g):
+                for c in range(g):
+                    coeff = wmat[k, l] * y[a, c]
+                    iu_lc, iv_lc = chart.cid("U", l, c), chart.cid("V", l, c)
+                    iu_ka, iv_ka = chart.cid("U", k, a), chart.cid("V", k, a)
+                    add2(iu_lc, iu_ka, coeff)
+                    add2(iv_lc, iv_ka, coeff)
+                    add2(iv_lc, iu_ka, 1j * coeff)
+                    add2(iu_lc, iv_ka, -1j * coeff)
+    wgt = lambda a, b: 0.5 * (1.0 + (a == b))
+    for k in range(h):
+        for a in range(g):
+            for b in range(g):
+                for c in range(g):
+                    coeff = v[k, a] * y[b, c] * wgt(c, a)
+                    ix, iy = chart.cid("X", c, a), chart.cid("Y", c, a)
+                    iu, iv_ = chart.cid("U", k, b), chart.cid("V", k, b)
+                    add2(ix, iu, coeff)
+                    add2(iy, iv_, coeff)
+                    add2(iy, iu, 1j * coeff)
+                    add2(ix, iv_, -1j * coeff)
+    for k in range(h):
+        for a in range(g):
+            for b in range(g):
+                for c in range(g):
+                    coeff = v[k, a] * y[b, c] * wgt(b, a)
+                    iu, iv_ = chart.cid("U", k, c), chart.cid("V", k, c)
+                    ix, iy = chart.cid("X", b, a), chart.cid("Y", b, a)
+                    add2(iu, ix, coeff)
+                    add2(iv_, iy, coeff)
+                    add2(iv_, ix, 1j * coeff)
+                    add2(iu, iy, -1j * coeff)
+    return second
 
 
 def rand_sym_real(g, rng):

@@ -190,3 +190,14 @@ class TestValidation:
         mu = np.array([[0, 0], [1, 0]])
         with pytest.raises(ValueError):
             HeisenbergInt(lam, mu, np.zeros((2, 2), dtype=int))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_point_rejected(bad):
+    from siegeljacobi.group_core import PosDefMatrix
+    with pytest.raises(ValueError, match="Y has a non-finite entry"):
+        SiegelPoint(np.zeros((2, 2)), np.array([[1.0, 0.0], [0.0, bad]]))
+    with pytest.raises(ValueError, match="X has a non-finite entry"):
+        SiegelPoint(np.array([[bad, 0.0], [0.0, 0.0]]), np.eye(2))
+    with pytest.raises(ValueError, match="PosDefMatrix has a non-finite entry"):
+        PosDefMatrix(np.array([[bad]]))

@@ -69,6 +69,24 @@ class TestMembership:
         for y, m in zip(ys, mask):
             assert m == is_minkowski_reduced(y)
 
+    def test_mask_matches_direct_forms(self, rng):
+        # reference: every a Y t(a) over the full +-a box, one einsum per Y;
+        # reduced matrices with some diagonal entries cut by 10% mix members
+        # and non-members
+        for g in (1, 2, 3):
+            vecs, tails = primitive_candidates(g, 3)
+            vecs = vecs.astype(float)
+            ys = np.stack([minkowski_reduce(rand_pd(g, rng)).reduced
+                           * rng.choice([1.0, 0.9], size=(g, g)) ** np.eye(g)
+                           for _ in range(150)])
+            want = []
+            for y in ys:
+                quad = np.einsum("nv,vw,nw->n", vecs, y, vecs)
+                want.append(all(quad[tails[:, k]].min() >= y[k, k] - 1e-9 for k in range(g))
+                            and all(y[k, k + 1] >= -1e-9 for k in range(g - 1)))
+            assert membership_mask(ys).tolist() == want
+            assert 0 < sum(want) < len(want) or g == 1
+
 
 class TestReduce:
     def test_already_reduced_short_circuit(self):
@@ -157,3 +175,4 @@ class TestReduce:
     def test_unimodular_type_validates(self):
         with pytest.raises(ValueError):
             UnimodularInt(np.array([[2, 0], [0, 1]]))
+

@@ -1,12 +1,22 @@
-import numpy as np
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from siegeljacobi.geometry import volume_fg_mc
 from siegeljacobi.group_core import SiegelPoint, SymplecticInt, act_siegel
-from siegeljacobi.siegel import (CandidateSet, builtin_candidates,
-                                 det_sq, heuristic_candidates,
-                                 is_siegel_reduced, highest_point_step,
-                                 load_candidates, membership_mask_points,
-                                 resolve_candidates, save_candidates,
-                                 siegel_membership, siegel_reduce)
+from siegeljacobi.intmat import as_imat
+from siegeljacobi.siegel import (CandidateSet, _det_coefficients, _det_sq_batch,
+                                 builtin_candidates, det_sq,
+                                 heuristic_candidates, is_siegel_reduced,
+                                 highest_point_step, load_candidates,
+                                 membership_mask_points, resolve_candidates,
+                                 save_candidates, siegel_membership,
+                                 siegel_reduce)
 from conftest import (boundary_equivalent, rand_interior_siegel,
                       rand_siegel_point, sl2z_reduce_oracle)
 
@@ -185,3 +195,79 @@ def test_det_sq_matches_action(rng):
             q = act_siegel(m, p)
             ratio = np.linalg.det(q.Y) / np.linalg.det(p.Y)
             assert abs(ratio - 1.0 / v) < 1e-8 * max(1.0, 1.0 / v)
+
+
+class TestDeterminantKernel:
+    """The polynomial kernel against the direct determinant as oracle."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(g=st.integers(1, 2), data=st.data())
+    def test_matches_direct_determinant(self, g, data):
+        def draw(elems):
+            flat = data.draw(st.lists(elems, min_size=g * g, max_size=g * g))
+            return np.array(flat).reshape(g, g)
+        c, d = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        x, a = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+        omega = 0.5 * (x + x.T) + 1j * (a @ a.T + 0.1 * np.eye(g))
+        # any integer blocks, not only symplectic ones, obey the identity
+        table = np.array([_det_coefficients(as_imat(c), as_imat(d))], dtype=float)
+        kernel = SimpleNamespace(g=g, det_table=table)
+        got = _det_sq_batch(kernel, omega.real[None], omega.imag[None])[0, 0]
+        want = abs(np.linalg.det(c @ omega + d)) ** 2
+        assert abs(got - want) <= 1e-10 * max(1.0, want)
+
+    def test_g3_batched_determinant(self, rng):
+        cands = builtin_candidates(3)
+        p = rand_siegel_point(3, rng)
+        want = [abs(np.linalg.det(np.asarray(m.C, float) @ p.omega
+                                  + np.asarray(m.D, float))) ** 2
+                for m in cands.elements]
+        assert np.allclose(det_sq(cands, p.omega), want, rtol=1e-12)
+
+    def test_table_built_once(self):
+        cands = builtin_candidates(2)
+        assert cands.det_table is cands.det_table
+        assert cands.det_table.shape == (len(cands), 5)
+
+    def test_mc_volume_pinned_to_reference(self):
+        # accepted count and estimate of the matmul-per-candidate mask this
+        # kernel replaced, recorded before the change; the kernel must keep
+        # every sample's verdict
+        res = volume_fg_mc(2, 200_000, seed=123)
+        assert round(res.acceptance_rate * 200_000) == 116798
+        assert res.estimate == 0.11506186120898841
+
+
+def test_control_flow_checks_survive_optimize():
+    # each check that guards a reduction result is forced to fail, under
+    # `python -O`, which would strip an assert
+    code = """
+import numpy as np
+from siegeljacobi import intmat, minkowski, siegel
+intmat._xgcd = lambda a, b: (2, 0, 0)
+minkowski.complete_primitive = lambda tail: 2 * intmat.ieye(len(tail))
+siegel.siegel_membership = lambda *a: (False, False)
+calls = ((lambda: intmat.complete_primitive([1, 1]), ValueError),
+         (lambda: minkowski._column_step(3, 1, [0, 1, 0]), minkowski.ReductionError),
+         (lambda: siegel.siegel_reduce(siegel.SiegelPoint.from_omega(2j * np.eye(2))),
+          siegel.SiegelReductionError))
+for call, exc in calls:
+    try:
+        call()
+    except exc:
+        print('raised')
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert out.stdout.split() == ["raised"] * 3, out.stderr
+
+
+def test_empty_candidate_set_leaves_box_and_minkowski_mask():
+    empty = CandidateSet(2, (SymplecticInt.identity(2),))
+    assert len(empty) == 0
+    xs = np.zeros((3, 2, 2))
+    ys = np.stack([np.eye(2), np.eye(2), [[1.0, 0.6], [0.6, 1.0]]])
+    xs[1, 0, 0] = 0.7
+    assert membership_mask_points(xs, ys, empty).tolist() == [True, False, False]
+    assert det_sq(empty, 1j * np.eye(2)).shape == (0,)
