@@ -23,7 +23,8 @@ from .jsonio import (decode_complex, decode_jacobi_point, decode_matrix,
                      decode_siegel_point, encode_jacobi_element,
                      encode_jacobi_point, encode_matrix, encode_siegel_point,
                      encode_symplectic)
-from .minkowski import ReductionError, is_minkowski_reduced, minkowski_reduce
+from .minkowski import (DEFAULT_BOUND, ReductionError, is_minkowski_reduced,
+                        minkowski_reduce)
 from .siegel import (SiegelReductionError, encode_candidates,
                      resolve_candidates, siegel_membership, siegel_reduce)
 from .torus_spectral import (FourierIndex, QuadratureGridError,
@@ -106,6 +107,10 @@ def _cmd_reduce(ns, argv, t0):
 
 
 def _cmd_member(ns, argv, t0):
+    if ns.bound is not None and ns.p_omega:
+        raise _InputError("--bound does not apply to --p-omega: "
+                          "the fiber cell test has no Minkowski step")
+    ns.bound = DEFAULT_BOUND if ns.bound is None else ns.bound
     obj, digest = _read_json(ns.point)
     tol = {"eps": ns.eps}
     if ns.minkowski:
@@ -244,11 +249,12 @@ def _build_parser():
     ap = argparse.ArgumentParser(prog="sjk", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, with_cands=True):
+    def common(p, with_cands=True, bound=DEFAULT_BOUND):
         p.add_argument("--eps", type=float, default=1e-9,
                        help="membership tolerance fed to every inequality")
-        p.add_argument("--bound", type=int, default=3,
-                       help="candidate box bound for the Minkowski conditions")
+        p.add_argument("--bound", type=int, default=bound,
+                       help="candidate box bound for the Minkowski conditions "
+                            "(default %d)" % DEFAULT_BOUND)
         if with_cands:
             p.add_argument("--candidates", default=None,
                            help="JSON file overriding the built-in candidate set")
@@ -270,7 +276,8 @@ def _build_parser():
     mode.add_argument("--p-omega", dest="p_omega", action="store_true")
     p.add_argument("--point", default=None)
     p.add_argument("--omega", default=None, help="base point file for --p-omega")
-    common(p)
+    # None until given, so that --p-omega can refuse an explicit --bound
+    common(p, bound=None)
     p.set_defaults(func=_cmd_member)
 
     p = sub.add_parser("volume", help="fundamental domain volume")

@@ -1,11 +1,11 @@
 """Invariant metrics, Laplacians and volume computations.
 
 Metrics are evaluated from their polarized closed forms (trace polynomials);
-Laplacians are applied to user-supplied functions through central finite
-differences assembled per the exact trace formulas, with Richardson
-extrapolation over step and step/2.  Volumes of the g = 1 and g = 2
-fundamental domains come from deterministic quadrature and importance-
-sampled Monte Carlo respectively.
+Laplacians are applied to user-supplied functions by central second
+differences along the principal directions of each operator's coefficient
+matrix, frozen at the point, with Richardson extrapolation over step and
+step/2.  Volumes of the g = 1 and g = 2 fundamental domains come from
+deterministic quadrature and importance-sampled Monte Carlo respectively.
 """
 
 from __future__ import annotations
@@ -183,66 +183,51 @@ def _sym_pairs(g):
     return [(a, b) for a in range(g) for b in range(a, g)]
 
 
-def _sym_dir(g, a, b):
-    d = np.zeros((g, g))
-    d[a, b] = 1.0
-    d[b, a] = 1.0
-    if a == b:
-        d[a, a] = 1.0
-    return d
+#: moving blocks of the point, in chart order, per operator kind
+_CHART_BLOCKS = {"P": "Y", "siegel": "XY", "jacobi": "XYUV", "omega": "UV"}
 
 
 class _Chart:
-    """Real coordinate chart around the evaluation point of one operator kind."""
+    """Real coordinate chart around the evaluation point of one operator kind.
+
+    Coordinate i moves one symmetric (X or Y) entry pair or one U or V entry;
+    ``dirs[i]`` is its (block, unit matrix).  The moving blocks are held as
+    one flat vector ``base`` (blocks in chart order, each raveled), and row i
+    of ``basis`` is coordinate i's displacement of that vector.
+    """
 
     def __init__(self, kind, point):
+        if kind not in _CHART_BLOCKS:
+            raise ValueError("unknown operator kind %r" % kind)
         self.kind = kind
         if kind == "P":
-            y = np.asarray(point.entries if hasattr(point, "entries") else point,
-                           dtype=float)
-            self.y = y
-            g = y.shape[0]
-            self.dirs = [("Y", _sym_dir(g, a, b)) for a, b in _sym_pairs(g)]
-            self.coord_id = {("Y", a, b): i for i, (a, b) in enumerate(_sym_pairs(g))}
+            self.y = np.asarray(point.entries if hasattr(point, "entries") else point,
+                                dtype=float)
         elif kind == "siegel":
             self.x, self.y = point.X, point.Y
-            g = self.y.shape[0]
-            pairs = _sym_pairs(g)
-            self.dirs = ([("X", _sym_dir(g, a, b)) for a, b in pairs]
-                         + [("Y", _sym_dir(g, a, b)) for a, b in pairs])
-            self.coord_id = {}
-            for i, (a, b) in enumerate(pairs):
-                self.coord_id[("X", a, b)] = i
-                self.coord_id[("Y", a, b)] = len(pairs) + i
-        elif kind in ("jacobi", "omega"):
+        else:
             self.x, self.y = point.omega.X, point.omega.Y
             self.u, self.v = point.U, point.V
-            g = self.y.shape[0]
-            h = self.u.shape[0]
-            pairs = _sym_pairs(g)
-            self.coord_id = {}
-            self.dirs = []
-            if kind == "jacobi":
-                for a, b in pairs:
-                    self.coord_id[("X", a, b)] = len(self.dirs)
-                    self.dirs.append(("X", _sym_dir(g, a, b)))
-                for a, b in pairs:
-                    self.coord_id[("Y", a, b)] = len(self.dirs)
-                    self.dirs.append(("Y", _sym_dir(g, a, b)))
-            for k in range(h):
-                for l in range(g):
-                    e = np.zeros((h, g))
-                    e[k, l] = 1.0
-                    self.coord_id[("U", k, l)] = len(self.dirs)
-                    self.dirs.append(("U", e))
-            for k in range(h):
-                for l in range(g):
-                    e = np.zeros((h, g))
-                    e[k, l] = 1.0
-                    self.coord_id[("V", k, l)] = len(self.dirs)
-                    self.dirs.append(("V", e))
-        else:
-            raise ValueError("unknown operator kind %r" % kind)
+        g = self.y.shape[0]
+        blocks = _CHART_BLOCKS[kind]
+        mats = [getattr(self, b.lower()) for b in blocks]
+        self.base = np.concatenate([m.ravel() for m in mats]).astype(float)
+        self.slices, self.dirs, self.coord_id, rows = {}, [], {}, []
+        start = 0
+        for block, m in zip(blocks, mats):
+            sl = self.slices[block] = slice(start, start + m.size)
+            start += m.size
+            sym = block in "XY"
+            for a, b in (_sym_pairs(g) if sym else np.ndindex(m.shape)):
+                e = np.zeros(m.shape)
+                e[a, b] = 1.0
+                if sym:
+                    e[b, a] = 1.0
+                self.coord_id[(block, a, b)] = len(self.dirs)
+                self.dirs.append((block, e))
+                rows.append(np.zeros(self.base.size))
+                rows[-1][sl] = e.ravel()
+        self.basis = np.array(rows)
 
     def cid(self, block, a, b):
         if block in ("X", "Y") and a > b:
@@ -250,39 +235,30 @@ class _Chart:
         return self.coord_id[(block, a, b)]
 
     def evaluator(self, f):
-        kind = self.kind
+        """``f`` at the point moved by one flat displacement of ``base``.
 
-        def at(offsets):
-            dx = dy = du = dv = None
-            for i, s in offsets:
-                block, mat = self.dirs[i]
-                if block == "X":
-                    dx = (dx if dx is not None else 0) + s * mat
-                elif block == "Y":
-                    dy = (dy if dy is not None else 0) + s * mat
-                elif block == "U":
-                    du = (du if du is not None else 0) + s * mat
-                else:
-                    dv = (dv if dv is not None else 0) + s * mat
+        ``None`` is the point itself; every displacement that moves Y checks
+        that Y stays positive definite.
+        """
+        kind, base, sl = self.kind, self.base, self.slices
+        g = self.y.shape[0]
+        sy = sl.get("Y")
+        fiber = self.u.shape if kind in ("jacobi", "omega") else None
+
+        def at(disp):
+            s = base if disp is None else base + disp
+            if sy is not None:
+                y = s[sy].reshape(g, g)
+                if disp is not None and disp[sy].any():
+                    _require_posdef(y)
             if kind == "P":
-                y = self.y + (dy if dy is not None else 0)
-                _require_posdef(y)
                 return f(y)
             if kind == "siegel":
-                y = self.y + (dy if dy is not None else 0)
-                _require_posdef(y)
-                x = self.x + (dx if dx is not None else 0)
-                return f(x + 1j * y)
-            y = self.y + (dy if dy is not None else 0)
-            if dy is not None:
-                _require_posdef(y)
-            x = self.x + (dx if dx is not None else 0)
-            u = self.u + (du if du is not None else 0)
-            v = self.v + (dv if dv is not None else 0)
-            z = u + 1j * v
+                return f(s[sl["X"]].reshape(g, g) + 1j * y)
+            z = s[sl["U"]].reshape(fiber) + 1j * s[sl["V"]].reshape(fiber)
             if kind == "omega":
                 return f(z)
-            return f(x + 1j * y, z)
+            return f(s[sl["X"]].reshape(g, g) + 1j * y, z)
 
         return at
 
@@ -408,33 +384,32 @@ def _add_fiber_terms(chart, add2, y, scale):
                 add2(iv_kb, iu_ka, -1j * coeff)
 
 
-def _apply_once(at, second, first, step):
-    f0 = at(())
-    cache = {}
+def _second_order_matrix(second, d):
+    """Real symmetric S with sum_(i<=j) c_ij d_i d_j = sum_(i,j) S_ij d_i d_j.
 
-    def d1(i):
-        if ("1", i) not in cache:
-            cache[("1", i)] = (at(((i, step),)) - at(((i, -step),))) / (2 * step)
-        return cache[("1", i)]
+    The tables of the complex-coordinate operators carry +-i terms that must
+    cancel; a table whose imaginary parts do not cancel is refused rather
+    than silently truncated to its real part.
+    """
+    c = np.array(list(second.values()), dtype=complex)
+    if np.max(np.abs(c.imag)) > 1e-12 * np.max(np.abs(c)):
+        raise ValueError("operator coefficients are not real: imaginary parts "
+                         "up to %.3g do not cancel" % np.max(np.abs(c.imag)))
+    i, j = np.array(list(second), dtype=np.intp).T
+    s = np.zeros((d, d))
+    s[i, j] = 0.5 * c.real
+    return s + s.T
 
-    def d2(i, j):
-        key = ("2", i, j)
-        if key not in cache:
-            if i == j:
-                cache[key] = (at(((i, step),)) - 2 * f0 + at(((i, -step),))) / step ** 2
-            else:
-                cache[key] = (at(((i, step), (j, step))) - at(((i, step), (j, -step)))
-                              - at(((i, -step), (j, step))) + at(((i, -step), (j, -step)))
-                              ) / (4 * step ** 2)
-        return cache[key]
 
-    total = 0.0 + 0.0j
-    for (i, j), c in second.items():
-        if c != 0:
-            total += c * d2(i, j)
-    for i, c in first.items():
-        if c != 0:
-            total += c * d1(i)
+def _apply_once(at, second_dirs, first_dirs, step):
+    """One stencil application at one step: ``second_dirs`` holds
+    (sign lambda_k, sqrt|lambda_k| q_k), ``first_dirs`` (b_i, coordinate i)."""
+    f0 = at(None)
+    total = 0j
+    for sign, disp in second_dirs:
+        total += sign * (at(step * disp) - 2 * f0 + at(-step * disp)) / step ** 2
+    for b, disp in first_dirs:
+        total += b * (at(step * disp) - at(-step * disp)) / (2 * step)
     return total
 
 
@@ -446,21 +421,35 @@ def laplacian_apply(kind: str, f, point, fd_step: float = DEFAULT_FD_STEP,
 
     * ``"P"``      cone operator tr((Y d/dY)^2);            f(Y)
     * ``"siegel"`` 4 tr(Y t(Y d/dOmegabar) d/dOmega);       f(omega)
-    * ``"jacobi"`` the five-term Siegel-Jacobi operator;    f(omega, z)
+    * ``"jacobi"`` the Laplace-Beltrami operator of the
+      invariant Kaehler metric;                             f(omega, z)
     * ``"omega"``  tr(Im(Omega) d/dZ t(d/dZbar)), the fiber
       operator at fixed Omega (no factor 4, as printed);    f(z)
 
-    The operator is assembled from central differences of first and mixed
-    second partials; with ``richardson`` the step and half-step values are
-    extrapolated, giving O(step^4) truncation error.
+    Each operator is sum c_ij d_i d_j + sum b_i d_i in the real chart, with
+    coefficients frozen at the point.  The second-order part is applied along
+    the eigenvectors q_k of its symmetric coefficient matrix S = Q Lambda tQ:
+    with w_k = sqrt|lambda_k| q_k it is
+    sum sign(lambda_k) (f(p + h w_k) - 2 f(p) + f(p - h w_k)) / h^2.  S is the
+    inverse of the invariant metric's matrix (a quarter of it for "omega"),
+    so ``fd_step`` h is a length in that metric (half of one for "omega"),
+    and a chart of dimension d costs 2d + 1 evaluations per step.  Only the
+    cone operator has first-order terms, applied as coordinate central
+    differences of step h.  With ``richardson`` the step and half-step values
+    are extrapolated, giving O(step^4) truncation error.
     """
     chart = _Chart(kind, point)
     second, first = _operator_terms(kind, chart)
+    lam, q = np.linalg.eigh(_second_order_matrix(second, len(chart.dirs)))
+    # one step length along every q_k leaves a rounding error that grows with
+    # trace(S); scaling q_k by sqrt|lambda_k| makes it grow with d instead
+    second_dirs = list(zip(np.sign(lam), (np.sqrt(np.abs(lam)) * q).T @ chart.basis))
+    first_dirs = [(b, chart.basis[i]) for i, b in first.items() if b != 0]
     at = chart.evaluator(f)
-    coarse = _apply_once(at, second, first, fd_step)
+    coarse = _apply_once(at, second_dirs, first_dirs, fd_step)
     if not richardson:
         return coarse
-    fine = _apply_once(at, second, first, fd_step / 2)
+    fine = _apply_once(at, second_dirs, first_dirs, fd_step / 2)
     return (4.0 * fine - coarse) / 3.0
 
 

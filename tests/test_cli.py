@@ -133,6 +133,20 @@ class TestMemberCommand:
         assert code == 2
         assert "--omega" in err
 
+    def test_p_omega_refuses_bound(self, tmp_path, capsys):
+        # the fiber cell test has no Minkowski step, so a bound would be ignored
+        zpath = write_json(tmp_path / "z.json",
+                           {"Z": encode_complex(np.array([[0.25 + 0.5j]]))})
+        opath = write_json(tmp_path / "om.json",
+                           {"omega": encode_complex(np.array([[2j]]))})
+        args = ["member", "--p-omega", "--point", zpath, "--omega", opath]
+        code, out, _ = run_cli(capsys, args)
+        assert code == 0 and json.loads(out)["outputs"]["member"] is True
+        for bound in ("0", "3"):
+            code, out, err = run_cli(capsys, args + ["--bound", bound])
+            assert code == 2 and out == ""
+            assert "--bound does not apply to --p-omega" in err
+
 
 class TestNonFiniteInput:
     """NaN or inf anywhere in X or Y exits 2 naming the field, never a verdict."""
@@ -173,6 +187,14 @@ class TestBoundFlag:
         assert code == 0
         code, _, err = run_cli(capsys, args + ["--point", path, "--bound", "0"])
         assert code == 2 and "bound must be >= 1" in err
+
+    def test_default_bound_is_three(self, capsys):
+        def digest(args):
+            code, out, _ = run_cli(capsys, ["volume", "--g", "2", "--samples", "500"] + args)
+            assert code == 0
+            return json.loads(out)["inputs_digest"]
+
+        assert digest([]) == digest(["--bound", "3"]) != digest(["--bound", "2"])
 
     def test_bound_reaches_volume(self, capsys):
         code, _, err = run_cli(capsys, ["volume", "--g", "2", "--samples", "500",

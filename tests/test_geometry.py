@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from math import pi
 
-from siegeljacobi.geometry import (TangentJacobi, TangentP, TangentSiegel,
-                                   VOLUME_TARGETS, jacobi_density,
+from siegeljacobi.geometry import (DEFAULT_FD_STEP, TangentJacobi, TangentP,
+                                   TangentSiegel, VOLUME_TARGETS, jacobi_density,
                                    laplacian_apply, metric_jacobi, metric_p,
                                    metric_siegel, push_tangent_jacobi,
                                    push_tangent_p, push_tangent_siegel,
                                    siegel_density, volume_f1, volume_fg_mc)
 from siegeljacobi.geometry import (_Chart, _add_fiber_terms, _add_siegel_terms,
-                                   _operator_terms)
+                                   _operator_terms, _second_order_matrix)
 from siegeljacobi.group_core import (JacobiPoint, SiegelPoint, act_jacobi,
                                      act_siegel)
 from siegeljacobi.siegel import is_siegel_reduced
@@ -74,6 +75,57 @@ def _jacobi_trace_form_terms(chart):
                     add2(iv_, ix, 1j * coeff)
                     add2(iu, iy, -1j * coeff)
     return second
+
+
+def _pairwise_laplacian(kind, f, point, step=DEFAULT_FD_STEP):
+    """The pairwise stencil the principal-direction one replaced, as an oracle.
+
+    One central difference per first-order term, one 3-point second
+    difference per diagonal and one 4-point mixed difference per off-diagonal
+    coefficient of the table, Richardson-extrapolated over step and step/2.
+    """
+    chart = _Chart(kind, point)
+    second, first = _operator_terms(kind, chart)
+    ev = chart.evaluator(f)
+
+    def at(offsets):
+        return ev(sum(s * chart.basis[i] for i, s in offsets) if offsets else None)
+
+    def once(step):
+        f0 = at(())
+
+        def d1(i):
+            return (at(((i, step),)) - at(((i, -step),))) / (2 * step)
+
+        def d2(i, j):
+            if i == j:
+                return (at(((i, step),)) - 2 * f0 + at(((i, -step),))) / step ** 2
+            return (at(((i, step), (j, step))) - at(((i, step), (j, -step)))
+                    - at(((i, -step), (j, step))) + at(((i, -step), (j, -step)))
+                    ) / (4 * step ** 2)
+
+        total = sum(c * d2(i, j) for (i, j), c in second.items() if c != 0)
+        return total + sum(c * d1(i) for i, c in first.items() if c != 0)
+
+    return (4.0 * once(step / 2) - once(step)) / 3.0
+
+
+def _kind_point(kind, p):
+    """The argument ``laplacian_apply`` takes for ``kind`` at the Jacobi point p."""
+    return p.omega.Y if kind == "P" else (p.omega if kind == "siegel" else p)
+
+
+def _chart_blocks(kind, args):
+    """Real blocks of the point a test function of ``kind`` is called at."""
+    if kind == "P":
+        return {"Y": args[0]}
+    if kind == "siegel":
+        return {"X": args[0].real, "Y": args[0].imag}
+    z = args[-1]
+    blocks = {"U": z.real, "V": z.imag}
+    if kind == "jacobi":
+        blocks.update(X=args[0].real, Y=args[0].imag)
+    return blocks
 
 
 def rand_sym_real(g, rng):
@@ -303,6 +355,88 @@ class TestLaplacians:
         dev = max(abs(complex(second.get(k, 0)) - complex(printed.get(k, 0)))
                   for k in keys)
         assert dev > 1e-3
+
+
+class TestPrincipalStencil:
+    KINDS = ("P", "siegel", "jacobi", "omega")
+
+    def test_tables_are_real(self, rng):
+        for kind in self.KINDS:
+            for g in (1, 2, 3):
+                for h in (1, 2):
+                    chart = _Chart(kind, _kind_point(kind, rand_jacobi_point(g, h, rng)))
+                    second, _ = _operator_terms(kind, chart)
+                    s = _second_order_matrix(second, len(chart.dirs))
+                    assert np.array_equal(s, s.T)
+
+    def test_non_cancelling_table_raises(self):
+        second = {(0, 0): 1.0, (0, 1): 0.5 + 1e-6j, (1, 1): 2.0}
+        with pytest.raises(ValueError, match="imaginary parts"):
+            _second_order_matrix(second, 2)
+        second[(0, 1)] = 0.5 + 1e-14j
+        assert np.allclose(_second_order_matrix(second, 2), [[1.0, 0.25], [0.25, 2.0]])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(KINDS), g=st.integers(1, 2), h=st.integers(1, 2),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_exact_on_quadratics(self, kind, g, h, seed):
+        # central differences are exact on a quadratic in the chart coordinates
+        rng = np.random.default_rng(seed)
+        point = _kind_point(kind, rand_jacobi_point(g, h, rng, floor=0.5))
+        chart = _Chart(kind, point)
+        d = len(chart.dirs)
+        a = rng.uniform(-1.0, 1.0, (d, d))
+        a = a + a.T
+        b = rng.uniform(-1.0, 1.0, d)
+
+        def coords(blocks):
+            t = np.zeros(d)
+            for (block, i, j), k in chart.coord_id.items():
+                t[k] = blocks[block][i, j]
+            return t
+
+        ev = chart.evaluator(lambda *args: _chart_blocks(kind, args))
+        t0 = coords(ev(None))
+
+        def f(*args):
+            t = coords(_chart_blocks(kind, args)) - t0
+            return 0.5 * t @ a @ t + b @ t
+
+        second, first = _operator_terms(kind, chart)
+        want = (sum(c * a[i, j] for (i, j), c in second.items())
+                + sum(c * b[i] for i, c in first.items()))
+        got = laplacian_apply(kind, f, point)
+        assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
+
+    def test_jacobi_evaluation_count(self, rng):
+        # d = 10 chart coordinates at (g, h) = (2, 1): 2d + 1 calls per step
+        p = rand_jacobi_point(2, 1, rng, floor=0.7)
+        calls = []
+
+        def f(om, z):
+            calls.append(1)
+            return np.sin(om[0, 1].real) + np.log(np.linalg.det(om.imag)) + z[0, 0].imag ** 3
+
+        laplacian_apply("jacobi", f, p)
+        assert len(calls) == 42
+
+    def test_matches_pairwise_stencil(self, rng):
+        funcs = {
+            "P": lambda y: np.linalg.det(y) ** 0.7 + np.sin(y[0, -1]),
+            "siegel": lambda om: (np.sin(np.real(np.trace(om @ om)))
+                                  + np.log(np.linalg.det(om.imag))),
+            "omega": lambda z: np.exp(1j * z[0, 0]) * np.cos(np.sum(z.imag)),
+            "jacobi": lambda om, z: (np.sin(np.real(np.sum(z)) + np.real(np.trace(om)))
+                                     + np.cos(np.imag(np.sum(z)))
+                                     + np.log(np.linalg.det(om.imag))),
+        }
+        for kind, f in funcs.items():
+            for _ in range(5):
+                g, h = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+                point = _kind_point(kind, rand_jacobi_point(g, h, rng, floor=0.6))
+                new = laplacian_apply(kind, f, point)
+                old = _pairwise_laplacian(kind, f, point)
+                assert abs(new - old) < 1e-5 * max(1.0, abs(old))
 
 
 class TestVolumeElements:
