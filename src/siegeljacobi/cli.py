@@ -212,7 +212,7 @@ def _cmd_spectral_check(ns, argv, t0):
     out = {"orthonormality_max_dev": orth_dev,
            "periodicity_max_dev": per_dev,
            "eigen_residuals": eig_residuals}
-    _report(argv, digest, out, {"eps": ns.eps}, t0)
+    _report(argv, digest, out, {}, t0)
     return 0
 
 
@@ -241,7 +241,7 @@ def _cmd_metric_eval(ns, argv, t0):
             tangents.append((decode_complex(obj[key]["dOmega"], key + ".dOmega"),
                              decode_complex(obj[key]["dZ"], key + ".dZ")))
         val = metric_jacobi(p, tangents[0], tangents[1])
-    _report(argv, digest, {"value": val}, {"eps": ns.eps}, t0)
+    _report(argv, digest, {"value": val}, {}, t0)
     return 0
 
 
@@ -249,15 +249,14 @@ def _build_parser():
     ap = argparse.ArgumentParser(prog="sjk", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, with_cands=True, bound=DEFAULT_BOUND):
+    def common(p, bound=DEFAULT_BOUND):
         p.add_argument("--eps", type=float, default=1e-9,
                        help="membership tolerance fed to every inequality")
         p.add_argument("--bound", type=int, default=bound,
                        help="candidate box bound for the Minkowski conditions "
                             "(default %d)" % DEFAULT_BOUND)
-        if with_cands:
-            p.add_argument("--candidates", default=None,
-                           help="JSON file overriding the built-in candidate set")
+        p.add_argument("--candidates", default=None,
+                       help="JSON file overriding the built-in candidate set")
 
     p = sub.add_parser("reduce", help="reduce a point into its fundamental domain")
     mode = p.add_mutually_exclusive_group(required=True)
@@ -298,13 +297,11 @@ def _build_parser():
     p.add_argument("--nodes", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eigen-checks", dest="eigen_checks", type=int, default=5)
-    common(p, with_cands=False)
     p.set_defaults(func=_cmd_spectral_check)
 
     p = sub.add_parser("metric-eval", help="evaluate an invariant metric")
     p.add_argument("--kind", choices=("P", "siegel", "jacobi"), required=True)
     p.add_argument("--point", default=None)
-    common(p, with_cands=False)
     p.set_defaults(func=_cmd_metric_eval)
     return ap
 

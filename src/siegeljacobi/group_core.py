@@ -2,6 +2,8 @@
 
 Group elements (symplectic, Heisenberg, Jacobi) carry exact Python-int
 entries; the defining relations are checked exactly, never with tolerances.
+Every SymplecticInt, products included, is checked when it is built, by
+comparing t(M) J M with J above the diagonal in plain Python ints.
 Points carry float matrices in split real form: Omega = X + iY, Z = U + iV.
 Everything here is a pure function on immutable values.
 """
@@ -9,6 +11,8 @@ Everything here is a pure function on immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -156,13 +160,23 @@ def j_matrix(g: int) -> np.ndarray:
 
 
 def symplectic_check(m) -> bool:
-    """Exact test of the defining relation t(M) J M = J."""
+    """Exact test of the defining relation t(M) J M = J, in Python ints.
+
+    Entry (i, j) of t(M) J M is sum_k M_ki M_(g+k)j - M_(g+k)i M_kj; it is
+    antisymmetric for every M, so only the entries i < j are compared.
+    """
     m = as_imat(m)
     n = m.shape[0]
     if m.shape[1] != n or n % 2 != 0 or n == 0:
         raise ValueError("not 2gx2g")
-    j = j_matrix(n // 2)
-    return bool(np.array_equal(m.T @ j @ m, j))
+    g = n // 2
+    top, bot = m[:g].T.tolist(), m[g:].T.tolist()  # column halves
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (sum(map(mul, top[i], bot[j])) - sum(map(mul, bot[i], top[j]))
+                    != (j == i + g)):
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -229,15 +243,15 @@ class SymplecticInt:
         u = as_imat(u)
         return cls(u.T, izeros(*u.shape), izeros(*u.shape), int_inv_unimodular(u))
 
+    @cached_property
+    def float_blocks(self):
+        """(A, B, C, D) as float arrays, converted once per element."""
+        return tuple(to_float(b) for b in (self.A, self.B, self.C, self.D))
+
     def __mul__(self, other: "SymplecticInt") -> "SymplecticInt":
         if not isinstance(other, SymplecticInt):
             return NotImplemented
-        return SymplecticInt(
-            self.A @ other.A + self.B @ other.C,
-            self.A @ other.B + self.B @ other.D,
-            self.C @ other.A + self.D @ other.C,
-            self.C @ other.B + self.D @ other.D,
-        )
+        return SymplecticInt.from_matrix(self.matrix @ other.matrix)
 
     def __neg__(self) -> "SymplecticInt":
         return SymplecticInt(-self.A, -self.B, -self.C, -self.D)
@@ -253,7 +267,9 @@ class SymplecticInt:
                    for n in "ABCD")
 
     def is_identity(self) -> bool:
-        return self == SymplecticInt.identity(self.g)
+        eye = ieye(self.g)
+        return (np.array_equal(self.A, eye) and np.array_equal(self.D, eye)
+                and not self.B.any() and not self.C.any())
 
     def is_plus_minus_identity(self) -> bool:
         return self.is_identity() or (-self).is_identity()
@@ -400,7 +416,7 @@ def jacobi_mul(x: JacobiGroupElement, y: JacobiGroupElement) -> JacobiGroupEleme
 
 def _blocks_float(m):
     if isinstance(m, SymplecticInt):
-        return (to_float(m.A), to_float(m.B), to_float(m.C), to_float(m.D))
+        return m.float_blocks
     m = np.asarray(m, dtype=float)
     n = m.shape[0]
     if m.ndim != 2 or m.shape[1] != n or n % 2 != 0:
@@ -440,7 +456,7 @@ def act_jacobi(x: JacobiGroupElement, p: JacobiPoint) -> JacobiPoint:
     if x.g != p.g or x.h != p.h:
         raise ValueError("shape mismatch between element and point")
     new_omega = act_siegel(x.m, p.omega)
-    c, d = to_float(x.m.C), to_float(x.m.D)
+    _, _, c, d = x.m.float_blocks
     k = _cocycle(c, d, p.omega.omega)
     w = p.Z + to_float(x.heis.lam) @ p.omega.omega + to_float(x.heis.mu)
     z_new = np.linalg.solve(k.T, w.T).T

@@ -2,12 +2,13 @@
 
 Matrices are numpy arrays with dtype=object holding Python ints, so every
 product, determinant and inverse below is exact (Python ints never overflow).
-All functions return fresh arrays; nothing is mutated in place.
+All functions return fresh arrays; nothing is mutated in place.  as_imat coerces
+in one pass over ``tolist()``, so numpy scalars arrive as Python values.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isfinite
 
 import numpy as np
 
@@ -15,27 +16,29 @@ import numpy as np
 def as_imat(data) -> np.ndarray:
     """Coerce ``data`` to a 2-d object array of Python ints.
 
-    Float entries are accepted only when they are exactly integral.
+    Float entries are accepted only when they are finite and exactly integral;
+    bools (also inside an int list) and every other type raise ValueError.
     """
-    arr = np.asarray(data)
+    arr = np.asarray(data, dtype=object)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2:
         raise ValueError("expected a matrix, got ndim=%d" % arr.ndim)
-    out = np.empty(arr.shape, dtype=object)
-    for i in range(arr.shape[0]):
-        for j in range(arr.shape[1]):
-            v = arr[i, j]
+    rows = arr.tolist()
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if type(v) is int:
+                continue
             if isinstance(v, (bool, np.bool_)):
-                raise ValueError("boolean entry in integer matrix")
-            if isinstance(v, (int, np.integer)):
-                out[i, j] = int(v)
-            elif isinstance(v, (float, np.floating)):
-                if v != round(v):
-                    raise ValueError("non-integer entry %r" % v)
-                out[i, j] = int(round(v))
-            else:
-                raise ValueError("non-integer entry %r" % (v,))
+                raise ValueError("boolean entry in integer matrix at (%d, %d)" % (i, j))
+            if isinstance(v, (float, np.floating)) and not isfinite(v):
+                raise ValueError("non-finite entry %r at (%d, %d)" % (v, i, j))
+            if not isinstance(v, (int, np.integer, float, np.floating)) or v != round(v):
+                raise ValueError("non-integer entry %r at (%d, %d)" % (v, i, j))
+            row[j] = int(v)
+    out = np.empty(arr.shape, dtype=object)
+    if out.size:
+        out[...] = rows
     return out
 
 

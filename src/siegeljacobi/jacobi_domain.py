@@ -88,6 +88,14 @@ def _lex_smaller(x: np.ndarray, y: np.ndarray, tol: float = 1e-12) -> bool:
     return False
 
 
+def _split_unit(x: np.ndarray):
+    """x = n + f, n integral, f in [0, 1) even where x - floor(x) rounds to 1.0."""
+    n = np.floor(x)
+    f = x - n
+    top = f >= 1.0
+    return n + top, np.where(top, 0.0, f)
+
+
 def jacobi_reduce(p: JacobiPoint, cands: CandidateSet = None,
                   eps: float = DEFAULT_EPS, bound: int = DEFAULT_BOUND) -> JacobiCertificate:
     """Reduce (Omega~, Z~) into the fundamental domain.
@@ -105,16 +113,14 @@ def jacobi_reduce(p: JacobiPoint, cands: CandidateSet = None,
     k = to_float(gamma.C) @ om.omega + to_float(gamma.D)
     w = p.Z @ k
     coords = decompose_in_omega_basis(w, om)
-    mu = np.floor(coords.a)
-    lam = np.floor(coords.b)
-    afrac = coords.a - mu
-    bfrac = coords.b - lam
+    mu, afrac = _split_unit(coords.a)
+    lam, bfrac = _split_unit(coords.b)
     heis = HeisenbergInt.from_lam_mu(lam.astype(int), mu.astype(int))
     gj = JacobiGroupElement(gamma, heis)
 
     # canonical representative of the central pair
-    acomp = (-afrac) % 1.0
-    bcomp = (-bfrac) % 1.0
+    acomp = _split_unit(-afrac)[1]
+    bcomp = _split_unit(-bfrac)[1]
     plain = np.concatenate([afrac.ravel(), bfrac.ravel()])
     comp = np.concatenate([acomp.ravel(), bcomp.ravel()])
     if _lex_smaller(comp, plain):

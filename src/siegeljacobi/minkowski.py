@@ -203,7 +203,7 @@ def minkowski_reduce(y, bound: int = DEFAULT_BOUND, eps: float = DEFAULT_EPS,
     """Reduce Y into the Minkowski domain with an exact unimodular certificate."""
     y0 = as_pd_array(y)
     g = y0.shape[0]
-    if is_minkowski_reduced(y0, bound, eps):
+    if membership_mask(y0[None], bound, eps)[0]:
         return ReductionCertificate(y0.copy(), UnimodularInt(ieye(g)), 0)
 
     u = _lll_transform(y0)

@@ -273,33 +273,33 @@ def highest_point_step(p: SiegelPoint, cands: CandidateSet = None,
     then apply the best det-raising candidate if any fires.
 
     Returns (new_point, gamma_step) with act_siegel(gamma_step, p) = new_point;
-    the step is the identity exactly when p is reduced.
+    the step is the identity exactly when p is reduced.  Only the sub-steps
+    that fire are composed.
     """
     cands = builtin_candidates(p.g) if cands is None else cands
-    g = p.g
-    gamma = SymplecticInt.identity(g)
+    gamma = None
     cur = p
 
     cert = minkowski_reduce(cur.Y, bound, eps)
     if cert.iterations > 0:
         step = SymplecticInt.gl_embed(cert.transform.entries)
         cur = act_siegel(step, cur)
-        gamma = step * gamma
+        gamma = step if gamma is None else step * gamma
 
     shift = -np.round(cur.X)
     if np.any(shift != 0):
         step = SymplecticInt.translation(shift.astype(int))
         cur = act_siegel(step, cur)
-        gamma = step * gamma
+        gamma = step if gamma is None else step * gamma
 
     vals = det_sq(cands, cur.omega)
     best = int(np.argmin(vals))
     if vals[best] < 1.0 / (1.0 + eps):
         step = cands.elements[best]
         cur = act_siegel(step, cur)
-        gamma = step * gamma
+        gamma = step if gamma is None else step * gamma
 
-    return cur, gamma
+    return cur, SymplecticInt.identity(p.g) if gamma is None else gamma
 
 
 def siegel_reduce(p: SiegelPoint, cands: CandidateSet = None,
@@ -307,7 +307,7 @@ def siegel_reduce(p: SiegelPoint, cands: CandidateSet = None,
                   max_iters: int = 1000) -> SiegelCertificate:
     """Move p into the fundamental domain by the highest-point method."""
     cands = builtin_candidates(p.g) if cands is None else cands
-    gamma = SymplecticInt.identity(p.g)
+    gamma = None
     cur = p
     trace = [float(np.linalg.det(p.Y))]
     for it in range(max_iters):
@@ -318,8 +318,10 @@ def siegel_reduce(p: SiegelPoint, cands: CandidateSet = None,
                 raise SiegelReductionError(
                     "highest-point step stalled on a non-member",
                     best=cur, trace=trace)
+            if gamma is None:
+                gamma = SymplecticInt.identity(p.g)
             return SiegelCertificate(cur, gamma, it, on_boundary)
-        gamma = step * gamma
+        gamma = step if gamma is None else step * gamma
         cur = nxt
         trace.append(float(np.linalg.det(cur.Y)))
     raise SiegelReductionError("siegel_reduce hit the iteration cap",

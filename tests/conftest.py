@@ -88,12 +88,19 @@ def rand_interior_siegel(g, rng, margin=1e-6):
             return p
 
 
+def _frac(x):
+    """x mod 1 in [0, 1): a tiny negative x, whose x % 1.0 rounds to 1.0,
+    maps to 0.0."""
+    f = np.asarray(x, dtype=float) % 1.0
+    return np.where(f >= 1.0, 0.0, f)
+
+
 def canonicalize_cell_coords(a: np.ndarray, b: np.ndarray):
     """Map fractional cell coefficients to the canonical member of the pair."""
-    afrac = np.asarray(a, dtype=float) % 1.0
-    bfrac = np.asarray(b, dtype=float) % 1.0
-    acomp = (-afrac) % 1.0
-    bcomp = (-bfrac) % 1.0
+    afrac = _frac(a)
+    bfrac = _frac(b)
+    acomp = _frac(-afrac)
+    bcomp = _frac(-bfrac)
     plain = np.concatenate([afrac.ravel(), bfrac.ravel()])
     comp = np.concatenate([acomp.ravel(), bcomp.ravel()])
     if _lex_smaller(comp, plain):

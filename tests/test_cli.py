@@ -261,6 +261,37 @@ class TestSpectralCheckCommand:
         assert "infeasible" in err
 
 
+class TestUnappliedFlags:
+    """spectral-check and metric-eval apply no tolerance or bound, so they
+    refuse --eps and --bound, and report no tolerance."""
+
+    @pytest.mark.parametrize("flag", [["--bound", "0"], ["--eps", "5"]])
+    def test_spectral_check_refuses(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectral-check", "--g", "1", "--h", "1"] + flag)
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--bound", "0"], ["--eps", "5"]])
+    def test_metric_eval_refuses(self, tmp_path, capsys, flag):
+        path = write_json(tmp_path / "m.json", {"Y": encode_matrix(np.eye(1)),
+                                                "H1": encode_matrix(np.eye(1)),
+                                                "H2": encode_matrix(np.eye(1))})
+        with pytest.raises(SystemExit) as exc:
+            main(["metric-eval", "--kind", "P", "--point", path] + flag)
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
+    def test_no_tolerance_reported(self, tmp_path, capsys):
+        path = write_json(tmp_path / "m.json", {"Y": encode_matrix(np.eye(1)),
+                                                "H1": encode_matrix(np.eye(1)),
+                                                "H2": encode_matrix(np.eye(1))})
+        for argv in (["spectral-check", "--g", "1", "--h", "1", "--eigen-checks", "1"],
+                     ["metric-eval", "--kind", "P", "--point", path]):
+            code, out, _ = run_cli(capsys, argv)
+            assert code == 0 and json.loads(out)["tolerances"] == {}
+
+
 class TestMetricEvalCommand:
     def test_p_kind(self, tmp_path, capsys):
         obj = {"Y": encode_matrix(np.eye(2)),

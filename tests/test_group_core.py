@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from siegeljacobi.intmat import as_imat
 from siegeljacobi.group_core import (HeisenbergInt, JacobiGroupElement,
                                      SiegelPoint, SymplecticInt,
                                      act_jacobi, act_siegel, heisenberg_mul,
@@ -24,6 +26,54 @@ class TestSymplecticCheck:
     def test_dimension_error(self):
         with pytest.raises(ValueError, match="not 2gx2g"):
             symplectic_check(np.eye(3, dtype=int))
+
+
+def _product_check(m):
+    """The reference: t(M) J M = J as object-array products."""
+    m = as_imat(m)
+    j = j_matrix(m.shape[0] // 2)
+    return bool(np.array_equal(m.T @ j @ m, j))
+
+
+class TestGroupLawProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(g=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_check_agrees_with_product_oracle(self, g, seed, data):
+        m = rand_symplectic(g, np.random.default_rng(seed)).matrix
+        assert symplectic_check(m) and _product_check(m)
+        i = data.draw(st.integers(0, 2 * g - 1))
+        j = data.draw(st.integers(0, 2 * g - 1))
+        bad = m.copy()
+        bad[i, j] += data.draw(st.sampled_from([-1, 1]))
+        # a one-entry change usually breaks the relation, but not always
+        # (on the identity, entry (0, g) makes a translation)
+        assert symplectic_check(bad) == _product_check(bad)
+
+    def test_one_entry_changes_are_mostly_rejected(self, rng):
+        verdicts = []
+        for g in (1, 2, 3):
+            for _ in range(20):
+                m = rand_symplectic(g, rng).matrix
+                i, j = rng.integers(0, 2 * g, 2)
+                m[i, j] += 1
+                verdicts.append(symplectic_check(m))
+                assert verdicts[-1] == _product_check(m)
+        assert verdicts.count(False) > 0.8 * len(verdicts)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(g=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_products_inverses_and_identity(self, g, seed):
+        rng = np.random.default_rng(seed)
+        a, b = rand_symplectic(g, rng), rand_symplectic(g, rng)
+        ab = a * b
+        assert np.array_equal(ab.matrix, a.matrix @ b.matrix)
+        assert symplectic_check(ab.matrix) and _product_check(ab.matrix)
+        assert (a * a.inverse()).is_identity() and (a.inverse() * a).is_identity()
+        eye = SymplecticInt.identity(g)
+        s = rng.integers(-2, 3, (g, g))
+        for m in (a, ab, eye, -eye, a * a.inverse(), SymplecticInt.translation(s + s.T),
+                  SymplecticInt.inversion(g)):
+            assert m.is_identity() == (m == eye)
 
 
 class TestActSiegel:

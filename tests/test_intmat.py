@@ -62,3 +62,36 @@ def test_complete_primitive_rejects_imprimitive():
 def test_as_imat_rejects_fractions():
     with pytest.raises(ValueError):
         as_imat([[1.5, 0], [0, 1]])
+
+
+def _one_row(*entries):
+    """A 1 x n object matrix holding exactly the given objects."""
+    out = np.empty((1, len(entries)), dtype=object)
+    out[0, :] = entries
+    return out
+
+
+@pytest.mark.parametrize("bad", [True, np.bool_(True), 2.5, np.float64(2.5), np.nan,
+                                 np.inf, -np.inf, "1", 1j])
+def test_as_imat_rejects_and_names_entry(bad):
+    with pytest.raises(ValueError, match=r"at \(0, 1\)"):
+        as_imat(_one_row(1, bad))
+
+
+@pytest.mark.parametrize("arr", [np.array([[True]]), np.array([[2.5]]),
+                                 np.array([[np.nan]]), np.array([[np.inf]]),
+                                 np.array([["1"]]), [[1, True]], [[1, 2], [3]]])
+def test_as_imat_rejects_typed_arrays(arr):
+    # inf used to raise OverflowError, which callers catching ValueError missed
+    with pytest.raises(ValueError):
+        as_imat(arr)
+
+
+@pytest.mark.parametrize("data", [np.array([[1, -2], [3, 4]], dtype=np.int64),
+                                  np.array([[1, 2], [3, 255]], dtype=np.uint8),
+                                  _one_row(np.int64(-7), 2 ** 70, np.uint8(3), 4.0)])
+def test_as_imat_gives_python_ints(data):
+    out = as_imat(data)
+    assert out.dtype == object and out.shape == np.shape(data)
+    assert all(type(v) is int for v in out.ravel())
+    assert [int(v) for v in np.ravel(data)] == list(out.ravel())

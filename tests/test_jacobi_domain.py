@@ -1,11 +1,12 @@
 import numpy as np
+import pytest
 
 from siegeljacobi.group_core import (JacobiGroupElement, JacobiPoint,
                                      SiegelPoint, SymplecticInt, act_jacobi)
 from siegeljacobi.jacobi_domain import (decompose_in_omega_basis, in_F_gh,
                                         in_P_omega, jacobi_reduce)
 from siegeljacobi.siegel import siegel_membership
-from conftest import (rand_heisenberg, rand_interior_jacobi,
+from conftest import (canonicalize_cell_coords, rand_heisenberg, rand_interior_jacobi,
                       rand_jacobi_element, rand_jacobi_point,
                       rand_siegel_point)
 
@@ -135,6 +136,22 @@ class TestJacobiReduce:
             c = decompose_in_omega_basis(cert.reduced.Z, cert.reduced.omega)
             flat = np.concatenate([c.a.ravel(), c.b.ravel()])
             assert np.all(flat >= -1e-12) and np.all(flat < 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("z", [0.3 - 1e-17j, 0.7 + 1e-17j])
+    def test_coefficient_rounding_to_one_is_folded(self, z):
+        # b = -1e-17 has floor -1 and fraction 1.0 in floating point; in the
+        # second point the complement of b = 1e-17, (-b) % 1, rounds to 1.0
+        p = JacobiPoint.from_z(SiegelPoint.from_omega(1j * np.eye(1)),
+                               np.array([[z]]))
+        cert = jacobi_reduce(p)
+        c = decompose_in_omega_basis(cert.reduced.Z, cert.reduced.omega)
+        flat = np.concatenate([c.a.ravel(), c.b.ravel()])
+        assert np.all(flat >= 0.0) and np.all(flat < 1.0)
+        back = act_jacobi(cert.gammaJ, cert.reduced)
+        assert np.max(np.abs(back.Z - p.Z)) < 1e-12
+        assert np.max(np.abs(back.omega.omega - p.omega.omega)) < 1e-12
+        a, b = canonicalize_cell_coords(np.array([[z.real]]), np.array([[z.imag]]))
+        assert 0.0 <= a[0, 0] < 1.0 and 0.0 <= b[0, 0] < 1.0
 
     def test_essential_uniqueness_sampling(self, rng):
         # interior point mapped into the domain by a nontrivial element must
