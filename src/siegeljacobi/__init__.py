@@ -21,7 +21,7 @@ from .siegel import (CandidateSet, SiegelCertificate, builtin_candidates,
                      save_candidates, siegel_membership, siegel_reduce)
 from .jacobi_domain import (JacobiCertificate, OmegaBasisCoords,
                             decompose_in_omega_basis, in_F_gh, in_P_omega,
-                            jacobi_reduce)
+                            jacobi_membership, jacobi_reduce)
 from .geometry import (VOLUME_TARGETS, laplacian_apply, metric_fiber,
                        metric_jacobi, metric_p, metric_siegel,
                        push_tangent_jacobi, push_tangent_p,

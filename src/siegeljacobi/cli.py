@@ -18,7 +18,7 @@ import numpy as np
 from .geometry import (VOLUME_TARGETS, laplacian_apply, metric_jacobi,
                        metric_p, metric_siegel, volume_f1, volume_fg_mc)
 from .group_core import IllConditionedActionError, JacobiPoint, SiegelPoint
-from .jacobi_domain import in_F_gh, in_P_omega, jacobi_reduce
+from .jacobi_domain import in_P_omega, jacobi_membership, jacobi_reduce
 from .jsonio import (decode_complex, decode_jacobi_point, decode_matrix,
                      decode_siegel_point, encode_jacobi_element,
                      encode_jacobi_point, encode_matrix, encode_siegel_point,
@@ -134,9 +134,8 @@ def _cmd_member(ns, argv, t0):
     else:
         p = decode_jacobi_point(obj)
         cands = resolve_candidates(p.g, ns.candidates)
-        member = in_F_gh(p, cands, eps=ns.eps, bound=ns.bound)
-        res = in_P_omega(p.Z, p.omega, eps=ns.eps)
-        out = {"member": member, "on_boundary": member and res.on_boundary}
+        member, boundary = jacobi_membership(p, cands, eps=ns.eps, bound=ns.bound)
+        out = {"member": member, "on_boundary": boundary}
     _report(argv, digest, out, tol, t0)
     return 0
 

@@ -5,6 +5,8 @@ entries; the defining relations are checked exactly, never with tolerances.
 Every SymplecticInt, products included, is checked when it is built, by
 comparing t(M) J M with J above the diagonal in plain Python ints.
 Points carry float matrices in split real form: Omega = X + iY, Z = U + iV.
+The actions refuse C Omega + D with condition number above COND_LIMIT: by an
+SVD, or for C = 0 by the exact bound cond(D) <= |D|_F |A|_F (D^{-1} = t(A)).
 Everything here is a pure function on immutable values.
 """
 
@@ -98,6 +100,17 @@ class SiegelPoint:
             omega = omega.reshape(1, 1)
         return cls(omega.real.copy(), omega.imag.copy())
 
+    @classmethod
+    def _from_symmetric(cls, x: np.ndarray, y: np.ndarray) -> "SiegelPoint":
+        """X, Y exactly symmetric already: finiteness and Cholesky checks only."""
+        for name, m in (("X", x), ("Y", y)):
+            if not np.isfinite(m).all():
+                raise ValueError("%s has a non-finite entry" % name)
+        _check_posdef(y, "Im(Omega)")
+        p = object.__new__(cls)
+        p.__dict__.update(X=x, Y=y)
+        return p
+
     @property
     def omega(self) -> np.ndarray:
         return self.X + 1j * self.Y
@@ -189,14 +202,15 @@ class SymplecticInt:
     D: np.ndarray
 
     def __post_init__(self):
-        blocks = [as_imat(b) for b in (self.A, self.B, self.C, self.D)]
-        g = blocks[0].shape[0]
-        for b in blocks:
-            if b.shape != (g, g):
-                raise ValueError("blocks must all be g x g")
-        for name, b in zip("ABCD", blocks):
-            object.__setattr__(self, name, b)
-        if not symplectic_check(self.matrix):
+        blocks = [np.asarray(b, dtype=object) for b in (self.A, self.B, self.C, self.D)]
+        shape = blocks[0].shape
+        if len(shape) != 2 or shape[0] != shape[1] or any(b.shape != shape for b in blocks):
+            raise ValueError("blocks must all be g x g")
+        m = as_imat(np.concatenate([np.concatenate(blocks[:2], axis=1),
+                                    np.concatenate(blocks[2:], axis=1)]))
+        g = shape[0]
+        self.__dict__.update(A=m[:g, :g], B=m[:g, g:], C=m[g:, :g], D=m[g:, g:])
+        if not symplectic_check(m):
             raise ValueError("blocks do not satisfy the symplectic relation")
 
     @property
@@ -248,10 +262,20 @@ class SymplecticInt:
         """(A, B, C, D) as float arrays, converted once per element."""
         return tuple(to_float(b) for b in (self.A, self.B, self.C, self.D))
 
+    @cached_property
+    def cond_bounded(self) -> bool:
+        """Whether C = 0 and |D|_F |A|_F <= COND_LIMIT / 2, in Python ints;
+        the factor 2 keeps clear of the limit, where SVD rounding decides."""
+        if self.C.any():
+            return False
+        fro_sq = sum(v * v for v in self.A.flat) * sum(v * v for v in self.D.flat)
+        return fro_sq <= (COND_LIMIT / 2) ** 2
+
     def __mul__(self, other: "SymplecticInt") -> "SymplecticInt":
         if not isinstance(other, SymplecticInt):
             return NotImplemented
-        return SymplecticInt.from_matrix(self.matrix @ other.matrix)
+        m, g = self.matrix @ other.matrix, self.g
+        return SymplecticInt(m[:g, :g], m[:g, g:], m[g:, :g], m[g:, g:])
 
     def __neg__(self) -> "SymplecticInt":
         return SymplecticInt(-self.A, -self.B, -self.C, -self.D)
@@ -425,22 +449,25 @@ def _blocks_float(m):
     return m[:g, :g], m[:g, g:], m[g:, :g], m[g:, g:]
 
 
-def _cocycle(c, d, omega_c) -> np.ndarray:
-    """C Omega + D, guarded against near-singularity."""
+def _cocycle(c, d, omega_c, bounded: bool) -> np.ndarray:
+    """C Omega + D, guarded by an SVD unless ``bounded`` (cond_bounded)."""
     k = c @ omega_c + d
-    if np.linalg.cond(k) > COND_LIMIT:
-        raise IllConditionedActionError("ill-conditioned action")
+    if not bounded:
+        s = np.linalg.svd(k, compute_uv=False)
+        if not (s[-1] > 0 and s[0] / s[-1] <= COND_LIMIT):
+            raise IllConditionedActionError("ill-conditioned action")
     return k
 
 
 def act_siegel(m, p: SiegelPoint) -> SiegelPoint:
     """Moebius action Omega -> (A Omega + B)(C Omega + D)^{-1}.
 
-    The result is re-symmetrized; a drift beyond EPS_SYM raises.
+    The result is re-symmetrized (a drift beyond EPS_SYM raises), then
+    checked for finite entries and a positive-definite Im only.
     """
     a, b, c, d = _blocks_float(m)
     omega = p.omega
-    k = _cocycle(c, d, omega)
+    k = _cocycle(c, d, omega, isinstance(m, SymplecticInt) and m.cond_bounded)
     num = a @ omega + b
     res = np.linalg.solve(k.T, num.T).T
     drift = np.max(np.abs(res - res.T))
@@ -448,7 +475,7 @@ def act_siegel(m, p: SiegelPoint) -> SiegelPoint:
         raise IllConditionedActionError(
             "action result lost symmetry (drift %.3g)" % drift)
     res = 0.5 * (res + res.T)
-    return SiegelPoint(res.real, res.imag)
+    return SiegelPoint._from_symmetric(res.real.copy(), res.imag.copy())
 
 
 def act_jacobi(x: JacobiGroupElement, p: JacobiPoint) -> JacobiPoint:
@@ -457,7 +484,7 @@ def act_jacobi(x: JacobiGroupElement, p: JacobiPoint) -> JacobiPoint:
         raise ValueError("shape mismatch between element and point")
     new_omega = act_siegel(x.m, p.omega)
     _, _, c, d = x.m.float_blocks
-    k = _cocycle(c, d, p.omega.omega)
+    k = _cocycle(c, d, p.omega.omega, x.m.cond_bounded)
     w = p.Z + to_float(x.heis.lam) @ p.omega.omega + to_float(x.heis.mu)
     z_new = np.linalg.solve(k.T, w.T).T
     return JacobiPoint.from_z(new_omega, z_new)

@@ -82,18 +82,23 @@ def int_det(a: np.ndarray) -> int:
 
 
 def int_inv_unimodular(a: np.ndarray) -> np.ndarray:
-    """Exact inverse of a matrix with determinant +-1 (adjugate method)."""
+    """Exact inverse of a matrix with determinant +-1 (adjugate method); the
+    minors are Python-int lists, in closed form up to 2 x 2."""
     a = np.asarray(a, dtype=object)
     n = a.shape[0]
     d = int_det(a)
     if d not in (1, -1):
         raise ValueError("matrix is not unimodular (det=%s)" % d)
+    rows = a.tolist()
     adj = np.empty((n, n), dtype=object)
     for i in range(n):
+        others = rows[:i] + rows[i + 1:]
         for j in range(n):
-            minor = np.delete(np.delete(a, i, axis=0), j, axis=1)
-            adj[j, i] = (-1) ** (i + j) * int_det(minor)
-    return adj * d if d == -1 else adj
+            m = [r[:j] + r[j + 1:] for r in others]
+            det = (1 if n == 1 else m[0][0] if n == 2
+                   else m[0][0] * m[1][1] - m[0][1] * m[1][0] if n == 3 else int_det(m))
+            adj[j, i] = -d * det if (i + j) % 2 else d * det
+    return adj
 
 
 def complete_primitive(v) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from .group_core import (HeisenbergInt, JacobiGroupElement, JacobiPoint,
                          SiegelPoint, SymplecticInt)
 from .minkowski import DEFAULT_BOUND, DEFAULT_EPS
-from .siegel import CandidateSet, builtin_candidates, is_siegel_reduced, siegel_reduce
+from .siegel import CandidateSet, builtin_candidates, siegel_membership, siegel_reduce
 
 
 @dataclass(frozen=True)
@@ -72,13 +72,20 @@ def in_P_omega(z, omega: SiegelPoint, eps: float = DEFAULT_EPS) -> POmegaResult:
     return POmegaResult(inside, inside and bool(np.any(near_face <= eps)))
 
 
+def jacobi_membership(p: JacobiPoint, cands: CandidateSet = None,
+                      eps: float = DEFAULT_EPS, bound: int = DEFAULT_BOUND):
+    """Return (member, on_boundary): reduced base and Z in P_Omega, on the
+    boundary when the base point or Z is."""
+    member, on_boundary = siegel_membership(p.omega, cands, eps, bound)
+    cell = in_P_omega(p.Z, p.omega, eps)
+    member = member and cell.inside
+    return member, member and (on_boundary or cell.on_boundary)
+
+
 def in_F_gh(p: JacobiPoint, cands: CandidateSet = None,
             eps: float = DEFAULT_EPS, bound: int = DEFAULT_BOUND) -> bool:
     """Membership in the Jacobi fundamental domain: reduced base, Z in P_Omega."""
-    cands = builtin_candidates(p.g) if cands is None else cands
-    if not is_siegel_reduced(p.omega, cands, eps, bound):
-        return False
-    return in_P_omega(p.Z, p.omega, eps).inside
+    return jacobi_membership(p, cands, eps, bound)[0]
 
 
 def _lex_smaller(x: np.ndarray, y: np.ndarray, tol: float = 1e-12) -> bool:

@@ -33,10 +33,12 @@ def decode_matrix(obj, where: str = "matrix") -> np.ndarray:
     for key in ("rows", "cols", "data"):
         if key not in obj:
             raise ValueError("%s.%s missing" % (where, key))
-    r, c = int(obj["rows"]), int(obj["cols"])
-    data = obj["data"]
-    if len(data) != r * c:
-        raise ValueError("%s.data has %d entries, expected %d" % (where, len(data), r * c))
+    r, c, data = obj["rows"], obj["cols"], obj["data"]
+    for key, v in (("rows", r), ("cols", c)):
+        if type(v) is not int or v < 0:  # bool, float and str are refused
+            raise ValueError("%s.%s: expected an integer >= 0, got %r" % (where, key, v))
+    if not isinstance(data, list) or len(data) != r * c:
+        raise ValueError("%s.data: expected a list of %d entries" % (where, r * c))
     try:
         m = np.asarray(data, dtype=float).reshape(r, c)
     except (TypeError, ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from siegeljacobi.cli import main
-from siegeljacobi.group_core import SiegelPoint
+from siegeljacobi.group_core import JacobiPoint, SiegelPoint
 from siegeljacobi.jsonio import (decode_jacobi_element, decode_jacobi_point,
                                  decode_matrix, decode_siegel_point,
                                  encode_complex, encode_jacobi_element,
@@ -55,6 +55,20 @@ class TestJsonCodecs:
     def test_non_number_entry_names_field(self):
         with pytest.raises(ValueError, match="Y.data holds a non-number"):
             decode_matrix({"rows": 1, "cols": 2, "data": [1, {"a": 1}]}, "Y")
+
+    @pytest.mark.parametrize("key", ["rows", "cols"])
+    @pytest.mark.parametrize("bad", [1.7, True, "2", -1, 1.0, None])
+    def test_shape_field_must_be_an_integer(self, key, bad):
+        # int(1.7) and int(True) used to read these as 1
+        obj = {"rows": 1, "cols": 1, "data": [1]}
+        obj[key] = bad
+        with pytest.raises(ValueError, match=r"Y\.%s: expected an integer >= 0" % key):
+            decode_matrix(obj, "Y")
+
+    @pytest.mark.parametrize("data", [5, "ab", {"a": 1}])
+    def test_data_must_be_a_list(self, data):
+        with pytest.raises(ValueError, match="Y.data: expected a list of 2 entries"):
+            decode_matrix({"rows": 1, "cols": 2, "data": data}, "Y")
 
     def test_group_element_round_trip(self, rng):
         x = rand_jacobi_element(2, 2, rng)
@@ -115,6 +129,26 @@ class TestMemberCommand:
         code, out, _ = run_cli(capsys, ["member", "--siegel", "--point", path])
         assert code == 0
         assert json.loads(out)["outputs"]["member"] is True
+
+    def test_siegel_fractional_shape_exits_2(self, tmp_path, capsys):
+        obj = {"omega": encode_complex(np.array([[1j]]))}
+        obj["omega"]["re"].update(rows=1.7, cols=True)
+        path = write_json(tmp_path / "p.json", obj)
+        code, out, err = run_cli(capsys, ["member", "--siegel", "--point", path])
+        assert code == 2 and out == ""
+        assert "point.omega.re.rows" in err
+
+    def test_jacobi_boundary_agrees_with_reduce(self, tmp_path, capsys):
+        # Omega = i lies on |det(C Omega + D)| = 1; Z is inside the cell
+        obj = encode_jacobi_point(JacobiPoint.from_z(SiegelPoint.from_omega([[1j]]),
+                                                     [[0.3 + 0.4j]]))
+        path = write_json(tmp_path / "p.json", obj)
+        flags = []
+        for cmd in ("member", "reduce"):
+            code, out, _ = run_cli(capsys, [cmd, "--jacobi", "--point", path])
+            assert code == 0
+            flags.append(json.loads(out)["outputs"]["on_boundary"])
+        assert flags == [True, True]
 
     def test_p_omega_two_e11_outside(self, tmp_path, capsys):
         zpath = write_json(tmp_path / "z.json",

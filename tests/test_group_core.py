@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from siegeljacobi.intmat import as_imat
-from siegeljacobi.group_core import (HeisenbergInt, JacobiGroupElement,
+from siegeljacobi.group_core import (HeisenbergInt, IllConditionedActionError,
+                                     JacobiGroupElement, JacobiPoint,
                                      SiegelPoint, SymplecticInt,
                                      act_jacobi, act_siegel, heisenberg_mul,
                                      j_matrix, jacobi_mul, kappa_fix,
                                      symplectic_check)
 from conftest import (rand_heisenberg, rand_jacobi_element, rand_jacobi_point,
-                      rand_siegel_point, rand_symplectic)
+                      rand_siegel_point, rand_symplectic, rand_unimodular)
 
 
 class TestSymplecticCheck:
@@ -240,6 +241,49 @@ class TestValidation:
         mu = np.array([[0, 0], [1, 0]])
         with pytest.raises(ValueError):
             HeisenbergInt(lam, mu, np.zeros((2, 2), dtype=int))
+
+
+class TestConditionGuard:
+    """IllConditionedActionError fires where cond(C Omega + D) > COND_LIMIT."""
+
+    # [[1, k], [0, 1]] has cond(D) = s_max / s_min = s_max^2 with
+    # s_max^2 + s_min^2 = k^2 + 2: about 1e8, 1.000e12 - 2e6, 1.000e12 + 2, 1e14
+    @pytest.mark.parametrize("k, fires", [(10 ** 4, False), (10 ** 6 - 1, False),
+                                          (10 ** 6, True), (10 ** 7, True)])
+    def test_c_zero_on_both_sides_of_the_limit(self, k, fires):
+        m = SymplecticInt.gl_embed([[1, k], [0, 1]])
+        assert m.cond_bounded == (k == 10 ** 4)  # beyond the bound the SVD decides
+        p = SiegelPoint.from_omega(1j * np.eye(2))
+        jp = JacobiPoint.from_z(p, [[0.3 + 0.1j, 0.2j]])
+        x = JacobiGroupElement(m, HeisenbergInt.identity(2, 1))
+        for act in (lambda: act_siegel(m, p), lambda: act_siegel(m.matrix.astype(float), p),
+                    lambda: act_jacobi(x, jp)):
+            if fires:
+                with pytest.raises(IllConditionedActionError):
+                    act()
+            else:
+                act()
+
+    @pytest.mark.parametrize("y22, fires", [(1e-10, False), (1e-14, True)])
+    def test_near_singular_c_nonzero(self, y22, fires):
+        m = SymplecticInt.inversion(2)
+        assert not m.cond_bounded
+        p = SiegelPoint(np.zeros((2, 2)), np.diag([1.0, y22]))
+        if fires:
+            with pytest.raises(IllConditionedActionError):
+                act_siegel(m, p)
+        else:
+            act_siegel(m, p)
+
+    def test_bound_holds_for_c_zero_words(self, rng):
+        for g in (1, 2, 3):
+            for _ in range(20):
+                s = rng.integers(-3, 4, (g, g))
+                m = (SymplecticInt.translation(s + s.T)
+                     * SymplecticInt.gl_embed(rand_unimodular(g, rng, steps=6, span=3)))
+                d = m.float_blocks[3]
+                assert not m.C.any() and m.cond_bounded
+                assert np.linalg.cond(d) <= np.linalg.norm(d) * np.linalg.norm(m.float_blocks[0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from siegeljacobi.intmat import (as_imat, complete_primitive, int_det,
                                  int_inv_unimodular, ieye)
+from conftest import rand_unimodular
 
 
 def test_det_known_values():
@@ -33,6 +35,41 @@ def test_unimodular_inverse(rng):
 def test_inverse_rejects_non_unimodular():
     with pytest.raises(ValueError):
         int_inv_unimodular(as_imat([[2, 0], [0, 1]]))
+
+
+def _adjugate_inverse(a):
+    """The reference: the adjugate over np.delete minors, each by int_det."""
+    a = np.asarray(a, dtype=object)
+    n = a.shape[0]
+    d = int_det(a)
+    if d not in (1, -1):
+        raise ValueError("matrix is not unimodular (det=%s)" % d)
+    adj = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            minor = np.delete(np.delete(a, i, axis=0), j, axis=1)
+            adj[j, i] = (-1) ** (i + j) * int_det(minor)
+    return adj * d if d == -1 else adj
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_inverse_agrees_with_adjugate_oracle(n, seed, data):
+    u = as_imat(rand_unimodular(n, np.random.default_rng(seed), steps=8, span=3))
+    if data.draw(st.booleans()):
+        u[:, 0] = -u[:, 0]
+    inv = int_inv_unimodular(u)
+    assert all(type(v) is int for v in inv.ravel())
+    assert np.array_equal(inv, _adjugate_inverse(u))
+    assert np.array_equal(u @ inv, ieye(n))
+    # a random small matrix: the same inverse, or the same rejection
+    m = as_imat(np.reshape(data.draw(st.lists(st.integers(-2, 2), min_size=n * n,
+                                              max_size=n * n)), (n, n)))
+    if int_det(m) in (1, -1):
+        assert np.array_equal(int_inv_unimodular(m), _adjugate_inverse(m))
+    else:
+        with pytest.raises(ValueError, match="not unimodular"):
+            int_inv_unimodular(m)
 
 
 def test_complete_primitive(rng):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from siegeljacobi.group_core import (JacobiGroupElement, JacobiPoint,
                                      SiegelPoint, SymplecticInt, act_jacobi)
 from siegeljacobi.jacobi_domain import (decompose_in_omega_basis, in_F_gh,
-                                        in_P_omega, jacobi_reduce)
+                                        in_P_omega, jacobi_membership,
+                                        jacobi_reduce)
 from siegeljacobi.siegel import siegel_membership
 from conftest import (canonicalize_cell_coords, rand_heisenberg, rand_interior_jacobi,
                       rand_jacobi_element, rand_jacobi_point,
@@ -80,6 +82,17 @@ class TestInFgh:
     def test_half_cell_point(self):
         p = JacobiPoint.from_z(SiegelPoint.from_omega([[2j]]), [[0.5 + 1j]])
         assert in_F_gh(p)
+
+    def test_membership_flags_take_the_base_boundary(self):
+        def at(omega, z):
+            return jacobi_membership(JacobiPoint.from_z(SiegelPoint.from_omega(omega), z))
+
+        # Omega = i lies on |det(C Omega + D)| = 1, Omega = 2i does not
+        assert at([[1j]], [[0.3 + 0.4j]]) == (True, True)
+        assert at([[2j]], [[0.3 + 0.4j]]) == (True, False)
+        assert at([[2j]], [[0.0]]) == (True, True)
+        assert at([[2j]], [[2.0]]) == (False, False)
+        assert at([[0.3 + 0.05j]], [[0.0]]) == (False, False)
 
 
 class TestJacobiReduce:
@@ -186,3 +199,23 @@ def test_certificate_inverse_direction(rng):
     forward = act_jacobi(cert.transform_to_domain(), p)
     assert np.max(np.abs(forward.Z - cert.reduced.Z)) < 1e-8
     assert np.max(np.abs(forward.omega.omega - cert.reduced.omega.omega)) < 1e-8
+
+
+class TestReducedPointProperties:
+    """A reduced (2, 2) point off the boundary is a fixed point of the reducer."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_certificate_and_idempotence(self, seed):
+        p = rand_jacobi_point(2, 2, np.random.default_rng(seed))
+        cert = jacobi_reduce(p)
+        back = act_jacobi(cert.gammaJ, cert.reduced)
+        assert np.max(np.abs(back.omega.omega - p.omega.omega)) < 1e-8
+        assert np.max(np.abs(back.Z - p.Z)) / max(1.0, np.max(np.abs(p.Z))) < 1e-8
+        if cert.on_boundary:
+            return
+        again = jacobi_reduce(cert.reduced)
+        assert again.gammaJ == JacobiGroupElement.identity(2, 2)
+        assert not again.on_boundary
+        assert again.reduced.omega.omega.tobytes() == cert.reduced.omega.omega.tobytes()
+        assert np.max(np.abs(again.reduced.Z - cert.reduced.Z)) < 1e-12

@@ -185,6 +185,19 @@ class TestReduce:
         assert np.allclose(nxt.omega, p.omega)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(g=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_reduced_interior_point_is_a_fixed_point(g, seed):
+    cert = siegel_reduce(rand_siegel_point(g, np.random.default_rng(seed)))
+    if cert.on_boundary:
+        return
+    again = siegel_reduce(cert.reduced)
+    assert again.iterations == 0 and again.gamma.is_identity()
+    assert not again.on_boundary
+    for a, b in ((again.reduced.X, cert.reduced.X), (again.reduced.Y, cert.reduced.Y)):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_det_sq_matches_action(rng):
     # |det(C omega + D)|^{-2} equals the det Im ratio of the action
     cands = builtin_candidates(2)
