@@ -1,11 +1,16 @@
 """Invariant metrics, Laplacians and volume computations.
 
-Metrics are evaluated from their polarized closed forms (trace polynomials);
-Laplacians are applied to user-supplied functions by central second
-differences along the principal directions of each operator's coefficient
-matrix, frozen at the point, with Richardson extrapolation over step and
-step/2.  Volumes of the g = 1 and g = 2 fundamental domains come from
-deterministic quadrature and importance-sampled Monte Carlo respectively.
+Metrics are evaluated from their polarized closed forms (trace polynomials),
+for one pair of tangents or for stacks of them.  Laplacians are applied to
+user-supplied functions by central second differences along the principal
+directions of each operator's coefficient matrix S, frozen at the point, with
+Richardson extrapolation over step and step/2.  The Siegel, fiber and
+Siegel-Jacobi operators are the Laplace-Beltrami operators of the invariant
+Kaehler metrics, so their S is scale x inv(G), with G the metric's matrix in
+the real chart from one stacked metric call; only the cone operator has its
+own coefficient table.  Volumes of the g = 1 and g = 2 fundamental domains
+come from deterministic quadrature and importance-sampled Monte Carlo
+respectively.
 """
 
 from __future__ import annotations
@@ -95,46 +100,76 @@ def _t_j(t):
 # metrics
 # ---------------------------------------------------------------------------
 
-def metric_p(y, t1, t2) -> float:
-    """Polarization of ds^2 = tr((Y^{-1} dY)^2) on the positive cone."""
+def _tr(m):
+    """Trace over the last two axes."""
+    return np.trace(m, axis1=-2, axis2=-1)
+
+
+def _real(t):
+    """Real part; a float for one pair of tangents."""
+    t = np.real(t)
+    return float(t) if t.ndim == 0 else t
+
+
+def _tp(m):
+    """Transpose over the last two axes."""
+    return np.swapaxes(m, -1, -2)
+
+
+def metric_p(y, t1, t2):
+    """Polarization of ds^2 = tr((Y^{-1} dY)^2) on the positive cone.
+
+    Accepts stacks of tangents, whose leading axes broadcast; one pair of
+    tangents gives a float.
+    """
     y = np.asarray(y, dtype=float)
     h1, h2 = _t_p(t1), _t_p(t2)
     yi = np.linalg.inv(y)
-    return float(np.trace(yi @ h1 @ yi @ h2).real)
+    return _real(_tr(yi @ h1 @ yi @ h2))
 
 
-def metric_siegel(p: SiegelPoint, t1, t2) -> float:
-    """Polarization of ds^2 = tr(Y^{-1} dOmega Y^{-1} conj(dOmega))."""
+def metric_siegel(p: SiegelPoint, t1, t2):
+    """Polarization of ds^2 = tr(Y^{-1} dOmega Y^{-1} conj(dOmega)).
+
+    Accepts stacks of tangents, whose leading axes broadcast; one pair of
+    tangents gives a float.
+    """
     d1, d2 = _t_s(t1), _t_s(t2)
     yi = np.linalg.inv(p.Y)
-    return float(np.real(np.trace(yi @ d1 @ yi @ d2.conj())))
+    return _real(_tr(yi @ d1 @ yi @ d2.conj()))
 
 
-def metric_jacobi(p: JacobiPoint, t1, t2) -> float:
-    """Polarized Kaehler metric on the Siegel-Jacobi space (four trace terms)."""
+def metric_jacobi(p: JacobiPoint, t1, t2):
+    """Polarized Kaehler metric on the Siegel-Jacobi space (four trace terms).
+
+    Accepts stacks of tangents, whose leading axes broadcast; one pair of
+    tangents gives a float.
+    """
     do1, dz1 = _t_j(t1)
     do2, dz2 = _t_j(t2)
     y, v = p.omega.Y, p.V
     yi = np.linalg.inv(y)
-    base = np.trace(yi @ do1 @ yi @ do2.conj())
-    twist = np.trace(yi @ v.T @ v @ yi @ do1 @ yi @ do2.conj())
-    fiber = np.trace(yi @ dz1.T @ dz2.conj())
-    cross = (np.trace(v @ yi @ do1 @ yi @ dz2.conj().T)
-             + np.trace(v @ yi @ do2 @ yi @ dz1.conj().T))
-    return float(np.real(base + twist + fiber - cross))
+    base = _tr(yi @ do1 @ yi @ do2.conj())
+    twist = _tr(yi @ v.T @ v @ yi @ do1 @ yi @ do2.conj())
+    fiber = _tr(yi @ _tp(dz1) @ dz2.conj())
+    cross = (_tr(v @ yi @ do1 @ yi @ _tp(dz2.conj()))
+             + _tr(v @ yi @ do2 @ yi @ _tp(dz1.conj())))
+    return _real(base + twist + fiber - cross)
 
 
-def metric_fiber(omega: SiegelPoint, t1, t2) -> float:
+def metric_fiber(omega: SiegelPoint, t1, t2):
     """Kaehler metric tr((Im Omega)^{-1} t(dZ) conj(dZ)) on the fiber torus.
 
     This is the dZ-only restriction of the full Siegel-Jacobi metric; it is
     invariant under the group action at fixed base point, with the fiber
-    tangent pushing forward by dZ -> dZ (C Omega + D)^{-1}.
+    tangent pushing forward by dZ -> dZ (C Omega + D)^{-1}.  Accepts stacks
+    of tangents, whose leading axes broadcast; one pair of tangents gives a
+    float.
     """
     d1 = np.asarray(t1, dtype=complex)
     d2 = np.asarray(t2, dtype=complex)
     yi = np.linalg.inv(omega.Y)
-    return float(np.real(np.trace(yi @ d1.T @ d2.conj())))
+    return _real(_tr(yi @ _tp(d1) @ d2.conj()))
 
 
 def push_tangent_p(gmat, t):
@@ -165,16 +200,6 @@ def push_tangent_jacobi(x: JacobiGroupElement, p: JacobiPoint, t):
     return dom_new, dz_new
 
 
-def siegel_density(p: SiegelPoint) -> float:
-    """Invariant volume density det(Y)^{-(g+1)} in (x_ij, y_ij) coordinates."""
-    return float(np.linalg.det(p.Y) ** (-(p.g + 1)))
-
-
-def jacobi_density(p: JacobiPoint) -> float:
-    """Invariant volume density det(Y)^{-(g+h+1)} in (x, y, u, v) coordinates."""
-    return float(np.linalg.det(p.omega.Y) ** (-(p.g + p.h + 1)))
-
-
 # ---------------------------------------------------------------------------
 # Laplacians by finite differences
 # ---------------------------------------------------------------------------
@@ -191,15 +216,16 @@ class _Chart:
     """Real coordinate chart around the evaluation point of one operator kind.
 
     Coordinate i moves one symmetric (X or Y) entry pair or one U or V entry;
-    ``dirs[i]`` is its (block, unit matrix).  The moving blocks are held as
-    one flat vector ``base`` (blocks in chart order, each raveled), and row i
-    of ``basis`` is coordinate i's displacement of that vector.
+    ``coord_id`` maps (block, a, b) to i, and there are ``d`` coordinates.
+    The moving blocks are held as one flat vector ``base`` (blocks in chart
+    order, each raveled), and row i of ``basis`` is coordinate i's
+    displacement of that vector.  ``point`` is the point as given.
     """
 
     def __init__(self, kind, point):
         if kind not in _CHART_BLOCKS:
             raise ValueError("unknown operator kind %r" % kind)
-        self.kind = kind
+        self.kind, self.point = kind, point
         if kind == "P":
             self.y = np.asarray(point.entries if hasattr(point, "entries") else point,
                                 dtype=float)
@@ -212,22 +238,28 @@ class _Chart:
         blocks = _CHART_BLOCKS[kind]
         mats = [getattr(self, b.lower()) for b in blocks]
         self.base = np.concatenate([m.ravel() for m in mats]).astype(float)
-        self.slices, self.dirs, self.coord_id, rows = {}, [], {}, []
+        self.slices, self.coord_id, rows = {}, {}, []
         start = 0
         for block, m in zip(blocks, mats):
-            sl = self.slices[block] = slice(start, start + m.size)
-            start += m.size
+            self.slices[block] = slice(start, start + m.size)
             sym = block in "XY"
             for a, b in (_sym_pairs(g) if sym else np.ndindex(m.shape)):
-                e = np.zeros(m.shape)
-                e[a, b] = 1.0
+                self.coord_id[(block, a, b)] = len(rows)
+                row = np.zeros(self.base.size)
+                row[start + a * g + b] = 1.0
                 if sym:
-                    e[b, a] = 1.0
-                self.coord_id[(block, a, b)] = len(self.dirs)
-                self.dirs.append((block, e))
-                rows.append(np.zeros(self.base.size))
-                rows[-1][sl] = e.ravel()
+                    row[start + b * g + a] = 1.0
+                rows.append(row)
+            start += m.size
         self.basis = np.array(rows)
+        self.d = len(rows)
+
+    def tangents(self, blocks):
+        """Stack of the d coordinate tangents to the complex block re + i im:
+        dOmega for ``blocks`` "XY", dZ for "UV"."""
+        re, im = (self.slices[b] for b in blocks)
+        t = self.basis[:, re] + 1j * self.basis[:, im]
+        return t.reshape(self.d, -1, self.y.shape[0])
 
     def cid(self, block, a, b):
         if block in ("X", "Y") and a > b:
@@ -272,133 +304,52 @@ def _require_posdef(y):
 
 
 def _operator_terms(kind, chart):
-    """Coefficient tables: dict {(i, j): coeff} for d^2/dt_i dt_j and {i: coeff}."""
-    second = {}
-    first = {}
-
-    def add2(i, j, c):
-        key = (i, j) if i <= j else (j, i)
-        second[key] = second.get(key, 0.0) + c
-
+    """Real symmetric second-order coefficients S (d x d), with the operator
+    sum_(i,j) S_ij d_i d_j, and the first-order table {i: b_i}."""
     if kind == "P":
-        y = chart.y
-        g = y.shape[0]
-        w = lambda a, b: 0.5 * (1.0 + (a == b))
-        for i in range(g):
-            for j in range(g):
-                cid = chart.cid("Y", j, i)
-                first[cid] = first.get(cid, 0.0) + 0.5 * (g + 1) * y[i, j] * w(j, i)
-        for i in range(g):
-            for j in range(g):
-                for k in range(g):
-                    for m in range(g):
-                        c = y[i, j] * y[k, m] * w(j, k) * w(m, i)
-                        add2(chart.cid("Y", j, k), chart.cid("Y", m, i), c)
-        return second, first
-
+        return _cone_terms(chart)
+    # A Kaehler metric's Laplace-Beltrami operator in the holomorphic-splitting
+    # chart (x, y, u, v) is the pure second-order form sum G^{ij} d_i d_j, so S
+    # is scale x inv(G), G taken with one stacked call over the chart tangents
+    # (1 or i) x (unit matrix) of every coordinate.  (The printed five-trace
+    # form of the Jacobi operator agrees only at g = 1; tests/test_geometry.py
+    # keeps it.)  Each metric is called by its module name, not through a
+    # table, so a wrapper installed on the module by a profiler sees the call.
     if kind == "siegel":
-        _add_siegel_terms(chart, add2, chart.y)
-        return second, first
-
-    if kind == "omega":
-        y = chart.y
-        _add_fiber_terms(chart, add2, y, scale=0.25)
-        return second, first
-
-    # kind == "jacobi": Laplace-Beltrami operator of the invariant Kaehler
-    # metric.  In the holomorphic-splitting chart (x, y, u, v) of a Kaehler
-    # metric the operator is the pure second-order form sum G^{ij} d_i d_j,
-    # so the coefficient table is the inverse of the real metric matrix.
-    # (The five-trace-term closed form reproduces this at g = 1 but its
-    # fiber block deviates for g >= 2; tests/test_geometry.py keeps it.)
-    gmat = _jacobi_metric_matrix(chart)
-    ginv = np.linalg.inv(gmat)
-    d = len(chart.dirs)
-    for i in range(d):
-        add2(i, i, ginv[i, i])
-        for j in range(i + 1, d):
-            add2(i, j, 2.0 * ginv[i, j])
-    return second, first
-
-
-def _chart_tangent(chart, i):
-    """Coordinate direction i of a jacobi chart as a (dOmega, dZ) pair."""
-    g = chart.y.shape[0]
-    h = chart.u.shape[0]
-    block, mat = chart.dirs[i]
-    dom = np.zeros((g, g), dtype=complex)
-    dz = np.zeros((h, g), dtype=complex)
-    if block == "X":
-        dom = mat.astype(complex)
-    elif block == "Y":
-        dom = 1j * mat
-    elif block == "U":
-        dz = mat.astype(complex)
+        t = chart.tangents("XY")
+        gm, scale = metric_siegel(chart.point, t[:, None], t[None]), 1.0
+    elif kind == "omega":
+        t = chart.tangents("UV")
+        gm, scale = metric_fiber(chart.point.omega, t[:, None], t[None]), 0.25
     else:
-        dz = 1j * mat
-    return dom, dz
+        dom, dz = chart.tangents("XY"), chart.tangents("UV")
+        gm, scale = metric_jacobi(chart.point, (dom[:, None], dz[:, None]),
+                                  (dom[None], dz[None])), 1.0
+    s = scale * np.linalg.inv(gm)
+    return 0.5 * (s + s.T), {}   # inv(G) is symmetric only up to rounding
 
 
-def _jacobi_metric_matrix(chart) -> np.ndarray:
-    """Real metric matrix of the Kaehler metric in the chart coordinates."""
-    p = JacobiPoint(SiegelPoint(chart.x, chart.y), chart.u, chart.v)
-    d = len(chart.dirs)
-    tangents = [_chart_tangent(chart, i) for i in range(d)]
-    gmat = np.empty((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            gmat[i, j] = gmat[j, i] = metric_jacobi(p, tangents[i], tangents[j])
-    return gmat
-
-
-def _add_siegel_terms(chart, add2, y):
-    """4 tr(Y t(Y dOmegabar) dOmega) over the real (x, y) chart."""
+def _cone_terms(chart):
+    """Coefficients of the cone operator tr((Y d/dY)^2), the one kind with a
+    first-order part; d/dY halves each off-diagonal coordinate derivative."""
+    y = chart.y
     g = y.shape[0]
+    d = chart.d
     w = lambda a, b: 0.5 * (1.0 + (a == b))
-    for a in range(g):
-        for b in range(g):
-            for c in range(g):
-                for d in range(g):
-                    coeff = y[a, b] * y[c, d] * w(d, b) * w(c, a)
-                    ix_db, iy_db = chart.cid("X", d, b), chart.cid("Y", d, b)
-                    ix_ca, iy_ca = chart.cid("X", c, a), chart.cid("Y", c, a)
-                    add2(ix_db, ix_ca, coeff)
-                    add2(iy_db, iy_ca, coeff)
-                    add2(iy_db, ix_ca, 1j * coeff)
-                    add2(ix_db, iy_ca, -1j * coeff)
-
-
-def _add_fiber_terms(chart, add2, y, scale):
-    """4s tr(Y dZ t(dZbar)), the flat fiber term; scale 1/4 gives the torus form."""
-    g = y.shape[0]
-    h = chart.u.shape[0]
-    for a in range(g):
-        for b in range(g):
-            for k in range(h):
-                coeff = scale * y[a, b]
-                iu_kb, iv_kb = chart.cid("U", k, b), chart.cid("V", k, b)
-                iu_ka, iv_ka = chart.cid("U", k, a), chart.cid("V", k, a)
-                add2(iu_kb, iu_ka, coeff)
-                add2(iv_kb, iv_ka, coeff)
-                add2(iu_kb, iv_ka, 1j * coeff)
-                add2(iv_kb, iu_ka, -1j * coeff)
-
-
-def _second_order_matrix(second, d):
-    """Real symmetric S with sum_(i<=j) c_ij d_i d_j = sum_(i,j) S_ij d_i d_j.
-
-    The tables of the complex-coordinate operators carry +-i terms that must
-    cancel; a table whose imaginary parts do not cancel is refused rather
-    than silently truncated to its real part.
-    """
-    c = np.array(list(second.values()), dtype=complex)
-    if np.max(np.abs(c.imag)) > 1e-12 * np.max(np.abs(c)):
-        raise ValueError("operator coefficients are not real: imaginary parts "
-                         "up to %.3g do not cancel" % np.max(np.abs(c.imag)))
-    i, j = np.array(list(second), dtype=np.intp).T
-    s = np.zeros((d, d))
-    s[i, j] = 0.5 * c.real
-    return s + s.T
+    first = {}
+    upper = np.zeros((d, d))
+    for i in range(g):
+        for j in range(g):
+            cid = chart.cid("Y", j, i)
+            first[cid] = first.get(cid, 0.0) + 0.5 * (g + 1) * y[i, j] * w(j, i)
+    for i in range(g):
+        for j in range(g):
+            for k in range(g):
+                for m in range(g):
+                    a, b = sorted((chart.cid("Y", j, k), chart.cid("Y", m, i)))
+                    upper[a, b] += y[i, j] * y[k, m] * w(j, k) * w(m, i)
+    s = 0.5 * upper
+    return s + s.T, first
 
 
 def _apply_once(at, second_dirs, first_dirs, step):
@@ -426,21 +377,23 @@ def laplacian_apply(kind: str, f, point, fd_step: float = DEFAULT_FD_STEP,
     * ``"omega"``  tr(Im(Omega) d/dZ t(d/dZbar)), the fiber
       operator at fixed Omega (no factor 4, as printed);    f(z)
 
-    Each operator is sum c_ij d_i d_j + sum b_i d_i in the real chart, with
+    Each operator is sum S_ij d_i d_j + sum b_i d_i in the real chart, with
     coefficients frozen at the point.  The second-order part is applied along
     the eigenvectors q_k of its symmetric coefficient matrix S = Q Lambda tQ:
     with w_k = sqrt|lambda_k| q_k it is
-    sum sign(lambda_k) (f(p + h w_k) - 2 f(p) + f(p - h w_k)) / h^2.  S is the
-    inverse of the invariant metric's matrix (a quarter of it for "omega"),
-    so ``fd_step`` h is a length in that metric (half of one for "omega"),
-    and a chart of dimension d costs 2d + 1 evaluations per step.  Only the
-    cone operator has first-order terms, applied as coordinate central
-    differences of step h.  With ``richardson`` the step and half-step values
-    are extrapolated, giving O(step^4) truncation error.
+    sum sign(lambda_k) (f(p + h w_k) - 2 f(p) + f(p - h w_k)) / h^2.  For the
+    three Kaehler kinds S = scale x inv(G), scale 1 ("siegel", "jacobi") or
+    1/4 ("omega"), where G is the matrix of the invariant metric in the chart
+    from one stacked metric call; so ``fd_step`` h is a length in that metric
+    (half of one for "omega"), and a chart of dimension d costs 2d + 1
+    evaluations per step.  Only the cone operator has first-order terms,
+    applied as coordinate central differences of step h.  With
+    ``richardson`` the step and half-step values are extrapolated, giving
+    O(step^4) truncation error.
     """
     chart = _Chart(kind, point)
-    second, first = _operator_terms(kind, chart)
-    lam, q = np.linalg.eigh(_second_order_matrix(second, len(chart.dirs)))
+    s, first = _operator_terms(kind, chart)
+    lam, q = np.linalg.eigh(s)
     # one step length along every q_k leaves a rounding error that grows with
     # trace(S); scaling q_k by sqrt|lambda_k| makes it grow with d instead
     second_dirs = list(zip(np.sign(lam), (np.sqrt(np.abs(lam)) * q).T @ chart.basis))

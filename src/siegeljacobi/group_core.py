@@ -295,9 +295,6 @@ class SymplecticInt:
         return (np.array_equal(self.A, eye) and np.array_equal(self.D, eye)
                 and not self.B.any() and not self.C.any())
 
-    def is_plus_minus_identity(self) -> bool:
-        return self.is_identity() or (-self).is_identity()
-
 
 # ---------------------------------------------------------------------------
 # Heisenberg and Jacobi group elements
@@ -449,25 +446,20 @@ def _blocks_float(m):
     return m[:g, :g], m[:g, g:], m[g:, :g], m[g:, g:]
 
 
-def _cocycle(c, d, omega_c, bounded: bool) -> np.ndarray:
-    """C Omega + D, guarded by an SVD unless ``bounded`` (cond_bounded)."""
-    k = c @ omega_c + d
-    if not bounded:
-        s = np.linalg.svd(k, compute_uv=False)
-        if not (s[-1] > 0 and s[0] / s[-1] <= COND_LIMIT):
-            raise IllConditionedActionError("ill-conditioned action")
-    return k
-
-
 def act_siegel(m, p: SiegelPoint) -> SiegelPoint:
     """Moebius action Omega -> (A Omega + B)(C Omega + D)^{-1}.
 
+    C Omega + D is guarded by an SVD unless the element is cond_bounded.
     The result is re-symmetrized (a drift beyond EPS_SYM raises), then
     checked for finite entries and a positive-definite Im only.
     """
     a, b, c, d = _blocks_float(m)
     omega = p.omega
-    k = _cocycle(c, d, omega, isinstance(m, SymplecticInt) and m.cond_bounded)
+    k = c @ omega + d
+    if not (isinstance(m, SymplecticInt) and m.cond_bounded):
+        s = np.linalg.svd(k, compute_uv=False)
+        if not (s[-1] > 0 and s[0] / s[-1] <= COND_LIMIT):
+            raise IllConditionedActionError("ill-conditioned action")
     num = a @ omega + b
     res = np.linalg.solve(k.T, num.T).T
     drift = np.max(np.abs(res - res.T))
@@ -482,9 +474,10 @@ def act_jacobi(x: JacobiGroupElement, p: JacobiPoint) -> JacobiPoint:
     """Jacobi action (Omega, Z) -> (M.Omega, (Z + lam Omega + mu)(C Omega + D)^{-1})."""
     if x.g != p.g or x.h != p.h:
         raise ValueError("shape mismatch between element and point")
-    new_omega = act_siegel(x.m, p.omega)
+    new_omega = act_siegel(x.m, p.omega)   # has guarded C Omega + D
     _, _, c, d = x.m.float_blocks
-    k = _cocycle(c, d, p.omega.omega, x.m.cond_bounded)
-    w = p.Z + to_float(x.heis.lam) @ p.omega.omega + to_float(x.heis.mu)
+    omega = p.omega.omega
+    k = c @ omega + d
+    w = p.Z + to_float(x.heis.lam) @ omega + to_float(x.heis.mu)
     z_new = np.linalg.solve(k.T, w.T).T
     return JacobiPoint.from_z(new_omega, z_new)

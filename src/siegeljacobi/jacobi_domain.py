@@ -24,8 +24,7 @@ from .minkowski import DEFAULT_BOUND, DEFAULT_EPS
 from .siegel import CandidateSet, builtin_candidates, siegel_membership, siegel_reduce
 
 
-@dataclass(frozen=True)
-class OmegaBasisCoords:
+class OmegaBasisCoords(NamedTuple):
     """Coefficients of W = a + b Omega in the basis {E_kj} u {E_kj Omega}."""
 
     a: np.ndarray
@@ -68,8 +67,12 @@ def in_P_omega(z, omega: SiegelPoint, eps: float = DEFAULT_EPS) -> POmegaResult:
     coords = decompose_in_omega_basis(z, omega)
     flat = np.concatenate([coords.a.ravel(), coords.b.ravel()])
     inside = bool(np.all(flat >= -eps) and np.all(flat <= 1.0 + eps))
-    near_face = np.minimum(np.abs(flat), np.abs(flat - 1.0))
-    return POmegaResult(inside, inside and bool(np.any(near_face <= eps)))
+    return POmegaResult(inside, inside and _near_face(flat, eps))
+
+
+def _near_face(flat: np.ndarray, eps: float) -> bool:
+    """Is some cell coefficient within eps of a face (0 or 1)?"""
+    return bool(np.any(np.minimum(np.abs(flat), np.abs(flat - 1.0)) <= eps))
 
 
 def jacobi_membership(p: JacobiPoint, cands: CandidateSet = None,
@@ -143,7 +146,6 @@ def jacobi_reduce(p: JacobiPoint, cands: CandidateSet = None,
     z_red = afrac + bfrac @ om.omega
     reduced = JacobiPoint.from_z(om, z_red)
     flat = np.concatenate([afrac.ravel(), bfrac.ravel()])
-    near_face = np.minimum(np.abs(flat), np.abs(flat - 1.0))
-    on_boundary = scert.on_boundary or bool(np.any(near_face <= eps))
+    on_boundary = scert.on_boundary or _near_face(flat, eps)
     return JacobiCertificate(reduced, gj, on_boundary)
 

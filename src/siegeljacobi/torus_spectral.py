@@ -24,7 +24,7 @@ from itertools import product
 import numpy as np
 
 from .group_core import SiegelPoint
-from .jacobi_domain import decompose_in_omega_basis
+from .jacobi_domain import _split_unit, decompose_in_omega_basis
 
 #: hard cap on the tensor quadrature dimension 2*h*g
 MAX_GRID_DIM = 8
@@ -66,8 +66,8 @@ class TorusPoint:
     Q: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.P, dtype=float) % 1.0
-        q = np.asarray(self.Q, dtype=float) % 1.0
+        p = _split_unit(np.asarray(self.P, dtype=float))[1]
+        q = _split_unit(np.asarray(self.Q, dtype=float))[1]
         if p.shape != q.shape or p.ndim != 2:
             raise ValueError("P and Q must be equal-shape h x g matrices")
         object.__setattr__(self, "P", p)
@@ -103,14 +103,6 @@ class AbelianPoint:
     @property
     def Z(self) -> np.ndarray:
         return self.U + 1j * self.V
-
-
-def abelian_canonical(z: AbelianPoint, omega: SiegelPoint) -> AbelianPoint:
-    """Canonical lattice representative: basis coefficients in [0, 1)."""
-    coords = decompose_in_omega_basis(z.Z, omega)
-    a = coords.a % 1.0
-    b = coords.b % 1.0
-    return AbelianPoint.from_z(a + b @ omega.omega)
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +144,7 @@ def phi_omega(t, omega: SiegelPoint) -> AbelianPoint:
 
 def phi_omega_inv(z: AbelianPoint, omega: SiegelPoint) -> TorusPoint:
     """Inverse diffeomorphism (U, V) -> (U - V Y^{-1} X) + i V Y^{-1}."""
-    q = np.linalg.solve(omega.Y.T, z.V.T).T
-    p = z.U - q @ omega.X
-    return TorusPoint(p, q)
+    return TorusPoint(*decompose_in_omega_basis(z.Z, omega))
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,21 @@ def rand_interior_jacobi(g, h, rng):
 # independent oracles
 # ---------------------------------------------------------------------------
 
+def is_plus_minus_identity(m: SymplecticInt) -> bool:
+    """Is the symplectic element +I or -I (the kernel of the action)?"""
+    return m.is_identity() or (-m).is_identity()
+
+
+def siegel_density(p: SiegelPoint) -> float:
+    """Invariant volume density det(Y)^{-(g+1)} in (x_ij, y_ij) coordinates."""
+    return float(np.linalg.det(p.Y) ** (-(p.g + 1)))
+
+
+def jacobi_density(p: JacobiPoint) -> float:
+    """Invariant volume density det(Y)^{-(g+h+1)} in (x, y, u, v) coordinates."""
+    return float(np.linalg.det(p.omega.Y) ** (-(p.g + p.h + 1)))
+
+
 def sl2z_reduce_oracle(tau: complex, eps: float = 1e-9) -> complex:
     """Classical upper-half-plane reduction by translations and inversion."""
     for _ in range(100000):

@@ -11,8 +11,8 @@ from siegeljacobi.jsonio import (decode_jacobi_element, decode_jacobi_point,
                                  encode_jacobi_point, encode_matrix,
                                  encode_siegel_point)
 from siegeljacobi.siegel import builtin_candidates, save_candidates
-from conftest import (rand_jacobi_element, rand_jacobi_point,
-                      rand_siegel_point, sl2z_reduce_oracle,
+from conftest import (is_plus_minus_identity, rand_jacobi_element,
+                      rand_jacobi_point, rand_siegel_point, sl2z_reduce_oracle,
                       boundary_equivalent)
 
 
@@ -96,7 +96,7 @@ class TestReduceCommand:
         assert code == 0
         rep = json.loads(out)
         gj = decode_jacobi_element(rep["outputs"]["gammaJ"])
-        assert gj.m.is_plus_minus_identity()
+        assert is_plus_minus_identity(gj.m)
         assert np.all(gj.heis.lam == 0) and np.all(gj.heis.mu == 0)
 
     def test_minkowski(self, tmp_path, capsys):

@@ -4,19 +4,78 @@ from hypothesis import given, settings, strategies as st
 from math import pi
 
 from siegeljacobi.geometry import (DEFAULT_FD_STEP, TangentJacobi, TangentP,
-                                   TangentSiegel, VOLUME_TARGETS, jacobi_density,
-                                   laplacian_apply, metric_jacobi, metric_p,
-                                   metric_siegel, push_tangent_jacobi,
+                                   TangentSiegel, VOLUME_TARGETS,
+                                   laplacian_apply, metric_fiber, metric_jacobi,
+                                   metric_p, metric_siegel, push_tangent_jacobi,
                                    push_tangent_p, push_tangent_siegel,
-                                   siegel_density, volume_f1, volume_fg_mc)
-from siegeljacobi.geometry import (_Chart, _add_fiber_terms, _add_siegel_terms,
-                                   _operator_terms, _second_order_matrix)
+                                   volume_f1, volume_fg_mc)
+from siegeljacobi.geometry import _Chart, _operator_terms
 from siegeljacobi.group_core import (JacobiPoint, SiegelPoint, act_jacobi,
                                      act_siegel)
 from siegeljacobi.siegel import is_siegel_reduced
-from conftest import (fd_push_jacobi, fd_push_siegel, rand_jacobi_element,
-                      rand_jacobi_point, rand_pd, rand_siegel_point,
-                      rand_sym_complex, rand_symplectic)
+from conftest import (fd_push_jacobi, fd_push_siegel, jacobi_density,
+                      rand_jacobi_element, rand_jacobi_point, rand_pd,
+                      rand_siegel_point, rand_sym_complex, rand_symplectic,
+                      siegel_density)
+
+
+# ---------------------------------------------------------------------------
+# printed operators: hand-expanded {(i <= j): coeff} tables of the complex
+# coordinate forms, the oracle for the library's S = scale x inv(G)
+# ---------------------------------------------------------------------------
+
+def _new_table():
+    second = {}
+
+    def add2(i, j, c):
+        key = (i, j) if i <= j else (j, i)
+        second[key] = second.get(key, 0.0) + c
+
+    return second, add2
+
+
+def _table_matrix(second, d):
+    """Real symmetric S with sum_(i<=j) c_ij d_i d_j = sum_(i,j) S_ij d_i d_j;
+    the +-i terms of a printed table must cancel."""
+    c = np.array(list(second.values()), dtype=complex)
+    assert np.max(np.abs(c.imag)) <= 1e-12 * np.max(np.abs(c))
+    i, j = np.array(list(second), dtype=np.intp).T
+    s = np.zeros((d, d))
+    s[i, j] = 0.5 * c.real
+    return s + s.T
+
+
+def _add_siegel_terms(chart, add2, y):
+    """4 tr(Y t(Y dOmegabar) dOmega) over the real (x, y) chart."""
+    g = y.shape[0]
+    w = lambda a, b: 0.5 * (1.0 + (a == b))
+    for a in range(g):
+        for b in range(g):
+            for c in range(g):
+                for d in range(g):
+                    coeff = y[a, b] * y[c, d] * w(d, b) * w(c, a)
+                    ix_db, iy_db = chart.cid("X", d, b), chart.cid("Y", d, b)
+                    ix_ca, iy_ca = chart.cid("X", c, a), chart.cid("Y", c, a)
+                    add2(ix_db, ix_ca, coeff)
+                    add2(iy_db, iy_ca, coeff)
+                    add2(iy_db, ix_ca, 1j * coeff)
+                    add2(ix_db, iy_ca, -1j * coeff)
+
+
+def _add_fiber_terms(chart, add2, y, scale):
+    """4s tr(Y dZ t(dZbar)), the flat fiber term; scale 1/4 gives the torus form."""
+    g = y.shape[0]
+    h = chart.u.shape[0]
+    for a in range(g):
+        for b in range(g):
+            for k in range(h):
+                coeff = scale * y[a, b]
+                iu_kb, iv_kb = chart.cid("U", k, b), chart.cid("V", k, b)
+                iu_ka, iv_ka = chart.cid("U", k, a), chart.cid("V", k, a)
+                add2(iu_kb, iu_ka, coeff)
+                add2(iv_kb, iv_ka, coeff)
+                add2(iu_kb, iv_ka, 1j * coeff)
+                add2(iv_kb, iu_ka, -1j * coeff)
 
 
 def _jacobi_trace_form_terms(chart):
@@ -27,12 +86,7 @@ def _jacobi_trace_form_terms(chart):
     (I + V Y^{-1} tV) x Y is not the Schur complement of the metric there);
     the tests pin down both facts.
     """
-    second = {}
-
-    def add2(i, j, c):
-        key = (i, j) if i <= j else (j, i)
-        second[key] = second.get(key, 0.0) + c
-
+    second, add2 = _new_table()
     y, v = chart.y, chart.v
     g = y.shape[0]
     h = v.shape[0]
@@ -82,10 +136,11 @@ def _pairwise_laplacian(kind, f, point, step=DEFAULT_FD_STEP):
 
     One central difference per first-order term, one 3-point second
     difference per diagonal and one 4-point mixed difference per off-diagonal
-    coefficient of the table, Richardson-extrapolated over step and step/2.
+    pair (i < j) of S, Richardson-extrapolated over step and step/2.
     """
     chart = _Chart(kind, point)
-    second, first = _operator_terms(kind, chart)
+    s, first = _operator_terms(kind, chart)
+    d = chart.d
     ev = chart.evaluator(f)
 
     def at(offsets):
@@ -104,7 +159,8 @@ def _pairwise_laplacian(kind, f, point, step=DEFAULT_FD_STEP):
                     - at(((i, -step), (j, step))) + at(((i, -step), (j, -step)))
                     ) / (4 * step ** 2)
 
-        total = sum(c * d2(i, j) for (i, j), c in second.items() if c != 0)
+        total = sum((1 + (i != j)) * s[i, j] * d2(i, j)
+                    for i in range(d) for j in range(i, d) if s[i, j] != 0)
         return total + sum(c * d1(i) for i, c in first.items() if c != 0)
 
     return (4.0 * once(step / 2) - once(step)) / 3.0
@@ -271,6 +327,32 @@ class TestMetricJacobi:
             TangentP(np.array([[0, 1], [0, 0]], dtype=float))
 
 
+class TestStackedMetrics:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(g=st.integers(1, 3), h=st.integers(1, 2), n=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_stack_matches_scalar_calls(self, g, h, n, seed):
+        # one stacked call gives the n x n matrix of the scalar calls
+        rng = np.random.default_rng(seed)
+        p = rand_jacobi_point(g, h, rng)
+        cone = np.array([rand_sym_real(g, rng) for _ in range(n)])
+        dom = np.array([rand_sym_complex(g, rng) for _ in range(n)])
+        dz = rng.normal(size=(n, h, g)) + 1j * rng.normal(size=(n, h, g))
+        # each case: the metric and the tangent (or stack) at an index
+        cases = [(lambda a, b: metric_p(p.omega.Y, a, b), lambda ix: cone[ix]),
+                 (lambda a, b: metric_siegel(p.omega, a, b), lambda ix: dom[ix]),
+                 (lambda a, b: metric_fiber(p.omega, a, b), lambda ix: dz[ix]),
+                 (lambda a, b: metric_jacobi(p, a, b), lambda ix: (dom[ix], dz[ix]))]
+        for metric, at in cases:
+            stacked = metric(at(np.s_[:, None]), at(np.s_[None]))
+            assert stacked.shape == (n, n)
+            for i in range(n):
+                for j in range(n):
+                    one = metric(at(i), at(j))
+                    assert type(one) is float
+                    assert abs(stacked[i, j] - one) <= 1e-12 * max(1.0, abs(one))
+
+
 class TestLaplacians:
     def test_constants_vanish(self, rng):
         p = rand_jacobi_point(2, 1, rng)
@@ -336,12 +418,9 @@ class TestLaplacians:
         for h in (1, 2):
             p = rand_jacobi_point(1, h, rng, floor=0.7)
             chart = _Chart("jacobi", p)
-            second, first = _operator_terms("jacobi", chart)
-            printed = _jacobi_trace_form_terms(chart)
-            keys = set(second) | set(printed)
-            dev = max(abs(complex(second.get(k, 0)) - complex(printed.get(k, 0)))
-                      for k in keys)
-            assert dev < 1e-10
+            s, first = _operator_terms("jacobi", chart)
+            printed = _table_matrix(_jacobi_trace_form_terms(chart), chart.d)
+            assert np.max(np.abs(s - printed)) < 1e-10
             assert not first
 
     def test_trace_form_deviates_for_g2(self, rng):
@@ -349,12 +428,9 @@ class TestLaplacians:
         # implementation follows the invariant operator (see decisions log)
         p = rand_jacobi_point(2, 1, rng, floor=0.7)
         chart = _Chart("jacobi", p)
-        second, _ = _operator_terms("jacobi", chart)
-        printed = _jacobi_trace_form_terms(chart)
-        keys = set(second) | set(printed)
-        dev = max(abs(complex(second.get(k, 0)) - complex(printed.get(k, 0)))
-                  for k in keys)
-        assert dev > 1e-3
+        s, _ = _operator_terms("jacobi", chart)
+        printed = _table_matrix(_jacobi_trace_form_terms(chart), chart.d)
+        assert np.max(np.abs(s - printed)) > 1e-3
 
 
 class TestPrincipalStencil:
@@ -365,16 +441,25 @@ class TestPrincipalStencil:
             for g in (1, 2, 3):
                 for h in (1, 2):
                     chart = _Chart(kind, _kind_point(kind, rand_jacobi_point(g, h, rng)))
-                    second, _ = _operator_terms(kind, chart)
-                    s = _second_order_matrix(second, len(chart.dirs))
-                    assert np.array_equal(s, s.T)
+                    s, _ = _operator_terms(kind, chart)
+                    assert s.dtype == float and np.array_equal(s, s.T)
 
-    def test_non_cancelling_table_raises(self):
-        second = {(0, 0): 1.0, (0, 1): 0.5 + 1e-6j, (1, 1): 2.0}
-        with pytest.raises(ValueError, match="imaginary parts"):
-            _second_order_matrix(second, 2)
-        second[(0, 1)] = 0.5 + 1e-14j
-        assert np.allclose(_second_order_matrix(second, 2), [[1.0, 0.25], [0.25, 2.0]])
+    def test_matches_printed_tables(self, rng):
+        # S = scale x inv(G) reproduces the hand-expanded printed operators
+        cases = [("siegel", g, 1) for g in (1, 2, 3)]
+        cases += [("omega", g, h) for g in (1, 2, 3) for h in (1, 2)]
+        for kind, g, h in cases:
+            for _ in range(3):
+                chart = _Chart(kind, _kind_point(kind, rand_jacobi_point(g, h, rng)))
+                second, add2 = _new_table()
+                if kind == "siegel":
+                    _add_siegel_terms(chart, add2, chart.y)
+                else:
+                    _add_fiber_terms(chart, add2, chart.y, scale=0.25)
+                printed = _table_matrix(second, chart.d)
+                s, first = _operator_terms(kind, chart)
+                assert np.max(np.abs(s - printed)) <= 1e-12 * np.max(np.abs(printed))
+                assert not first
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(kind=st.sampled_from(KINDS), g=st.integers(1, 2), h=st.integers(1, 2),
@@ -384,7 +469,7 @@ class TestPrincipalStencil:
         rng = np.random.default_rng(seed)
         point = _kind_point(kind, rand_jacobi_point(g, h, rng, floor=0.5))
         chart = _Chart(kind, point)
-        d = len(chart.dirs)
+        d = chart.d
         a = rng.uniform(-1.0, 1.0, (d, d))
         a = a + a.T
         b = rng.uniform(-1.0, 1.0, d)
@@ -402,9 +487,8 @@ class TestPrincipalStencil:
             t = coords(_chart_blocks(kind, args)) - t0
             return 0.5 * t @ a @ t + b @ t
 
-        second, first = _operator_terms(kind, chart)
-        want = (sum(c * a[i, j] for (i, j), c in second.items())
-                + sum(c * b[i] for i, c in first.items()))
+        s, first = _operator_terms(kind, chart)
+        want = np.sum(s * a) + sum(c * b[i] for i, c in first.items())
         got = laplacian_apply(kind, f, point)
         assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
 

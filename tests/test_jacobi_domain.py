@@ -8,7 +8,8 @@ from siegeljacobi.jacobi_domain import (decompose_in_omega_basis, in_F_gh,
                                         in_P_omega, jacobi_membership,
                                         jacobi_reduce)
 from siegeljacobi.siegel import siegel_membership
-from conftest import (canonicalize_cell_coords, rand_heisenberg, rand_interior_jacobi,
+from conftest import (canonicalize_cell_coords, is_plus_minus_identity,
+                      rand_heisenberg, rand_interior_jacobi,
                       rand_jacobi_element, rand_jacobi_point,
                       rand_siegel_point)
 
@@ -103,7 +104,7 @@ class TestJacobiReduce:
             cert = jacobi_reduce(p)
             assert np.max(np.abs(cert.reduced.Z - p.Z)) < 1e-10
             assert np.max(np.abs(cert.reduced.omega.omega - p.omega.omega)) < 1e-10
-            assert cert.gammaJ.m.is_plus_minus_identity()
+            assert is_plus_minus_identity(cert.gammaJ.m)
             assert not cert.on_boundary
 
     def test_heisenberg_recovery_exact(self, rng):
@@ -185,7 +186,7 @@ class TestJacobiReduce:
             if res.on_boundary or boundary:
                 continue
             hits += 1
-            assert x.m.is_plus_minus_identity()
+            assert is_plus_minus_identity(x.m)
             if x.m.is_identity():
                 assert np.all(x.heis.lam == 0) and np.all(x.heis.mu == 0)
             else:

@@ -17,8 +17,9 @@ from siegeljacobi.siegel import (CandidateSet, _det_coefficients, _det_sq_batch,
                                  membership_mask_points, resolve_candidates,
                                  save_candidates, siegel_membership,
                                  siegel_reduce)
-from conftest import (boundary_equivalent, rand_interior_siegel,
-                      rand_siegel_point, sl2z_reduce_oracle)
+from conftest import (boundary_equivalent, is_plus_minus_identity,
+                      rand_interior_siegel, rand_siegel_point,
+                      sl2z_reduce_oracle)
 
 
 class TestCandidateSets:
@@ -101,7 +102,7 @@ class TestReduce:
             p = rand_interior_siegel(g, rng)
             cert = siegel_reduce(p)
             assert cert.iterations <= 1
-            assert cert.gamma.is_plus_minus_identity()
+            assert is_plus_minus_identity(cert.gamma)
             assert np.allclose(cert.reduced.omega, p.omega, atol=1e-12)
 
     def test_translation_only(self, rng):

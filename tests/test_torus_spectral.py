@@ -5,7 +5,7 @@ from siegeljacobi.group_core import JacobiPoint, SiegelPoint
 from siegeljacobi.geometry import laplacian_apply
 from siegeljacobi.torus_spectral import (AbelianPoint, FourierIndex,
                                          QuadratureGridError, TorusPoint,
-                                         abelian_canonical, character_table,
+                                         character_table,
                                          eigenvalue_E, eval_E_omega,
                                          eval_E_torus, frequency_indices,
                                          inner_product, phi_omega,
@@ -58,6 +58,14 @@ class TestPhiOmega:
             back = phi_omega_inv(phi_omega(t, om), om)
             assert np.max(np.abs(back.P - t.P)) < 1e-12
             assert np.max(np.abs(back.Q - t.Q)) < 1e-12
+
+    def test_coefficients_stay_below_one(self):
+        # a tiny negative coefficient folds to 0.0, where x % 1.0 gives 1.0
+        t = TorusPoint([[-1e-17]], [[0.2]])
+        assert 0.0 <= t.P[0, 0] < 1.0 and t.Q[0, 0] == 0.2
+        om = SiegelPoint.from_omega([[1j]])
+        back = phi_omega_inv(AbelianPoint.from_z([[0.3 - 1e-17j]]), om)
+        assert 0.0 <= back.P[0, 0] < 1.0 and 0.0 <= back.Q[0, 0] < 1.0
 
     def test_integer_shifts_map_to_lattice(self, rng):
         om = rand_siegel_point(2, rng)
@@ -117,9 +125,9 @@ class TestCharacters:
         om = rand_siegel_point(2, rng)
         z = AbelianPoint.from_z(rng.normal(size=(1, 2)) + 1j * rng.normal(size=(1, 2)))
         idx = FourierIndex(rng.integers(-2, 3, (1, 2)), rng.integers(-2, 3, (1, 2)))
-        canon = abelian_canonical(z, om)
+        canon = phi_omega(phi_omega_inv(z, om), om)
         assert abs(eval_E_omega(idx, canon.Z, om) - eval_E_omega(idx, z.Z, om)) < 1e-11
-        again = abelian_canonical(canon, om)
+        again = phi_omega(phi_omega_inv(canon, om), om)
         assert np.max(np.abs(again.Z - canon.Z)) < 1e-12
 
 
