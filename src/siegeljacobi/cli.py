@@ -60,7 +60,9 @@ def _sha256_json(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
-def _report(args, digest, outputs, tolerances, t0):
+def _report(args, digest, outputs, tolerances, t0, guarantee=None):
+    """Write the RunReport; ``guarantee`` goes beside ``outputs`` on every
+    report whose verdict rests on a candidate set."""
     rep = {
         "command": " ".join(args),
         "inputs_digest": digest,
@@ -68,6 +70,8 @@ def _report(args, digest, outputs, tolerances, t0):
         "tolerances": tolerances,
         "timing_s": round(time.perf_counter() - t0, 6),
     }
+    if guarantee is not None:
+        rep["guarantee"] = guarantee
     json.dump(rep, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
 
@@ -102,7 +106,7 @@ def _cmd_reduce(ns, argv, t0):
         out = {"reduced": encode_jacobi_point(cert.reduced),
                "gammaJ": encode_jacobi_element(cert.gammaJ),
                "on_boundary": cert.on_boundary}
-    _report(argv, digest, out, tol, t0)
+    _report(argv, digest, out, tol, t0, None if ns.minkowski else cert.guarantee)
     return 0
 
 
@@ -113,6 +117,7 @@ def _cmd_member(ns, argv, t0):
     ns.bound = DEFAULT_BOUND if ns.bound is None else ns.bound
     obj, digest = _read_json(ns.point)
     tol = {"eps": ns.eps}
+    cands = None
     if ns.minkowski:
         y = _decode_pd(obj)
         out = {"member": bool(is_minkowski_reduced(y, bound=ns.bound, eps=ns.eps))}
@@ -136,13 +141,14 @@ def _cmd_member(ns, argv, t0):
         cands = resolve_candidates(p.g, ns.candidates)
         member, boundary = jacobi_membership(p, cands, eps=ns.eps, bound=ns.bound)
         out = {"member": member, "on_boundary": boundary}
-    _report(argv, digest, out, tol, t0)
+    _report(argv, digest, out, tol, t0, None if cands is None else cands.guarantee)
     return 0
 
 
 def _cmd_volume(ns, argv, t0):
     tol = {"eps": ns.eps}
     target = VOLUME_TARGETS.get(ns.g)
+    guarantee = None
     inputs = {"g": ns.g, "samples": ns.samples, "seed": ns.seed,
               "eps": ns.eps, "bound": ns.bound}
     if ns.samples is None:
@@ -157,13 +163,14 @@ def _cmd_volume(ns, argv, t0):
         cands = resolve_candidates(ns.g, ns.candidates)
         res = volume_fg_mc(ns.g, ns.samples, ns.seed, threads=ns.threads,
                            eps=ns.eps, bound=ns.bound, cands=cands)
+        guarantee = cands.guarantee
         inputs["candidates"] = {"source": cands.source,
                                 "sha256": _sha256_json(encode_candidates(cands))}
         sig = abs(res.estimate - target) / res.stderr if (target and res.stderr) else None
         out = {"estimate": res.estimate, "stderr": res.stderr, "target": target,
                "sigmas": sig, "method": "monte-carlo", "samples": ns.samples,
                "seed": ns.seed, "acceptance_rate": res.acceptance_rate}
-    _report(argv, _sha256_json(inputs), out, tol, t0)
+    _report(argv, _sha256_json(inputs), out, tol, t0, guarantee)
     return 0
 
 

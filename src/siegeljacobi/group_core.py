@@ -209,7 +209,8 @@ class SymplecticInt:
         m = as_imat(np.concatenate([np.concatenate(blocks[:2], axis=1),
                                     np.concatenate(blocks[2:], axis=1)]))
         g = shape[0]
-        self.__dict__.update(A=m[:g, :g], B=m[:g, g:], C=m[g:, :g], D=m[g:, g:])
+        # the blocks are views of _matrix, which products reuse
+        self.__dict__.update(A=m[:g, :g], B=m[:g, g:], C=m[g:, :g], D=m[g:, g:], _matrix=m)
         if not symplectic_check(m):
             raise ValueError("blocks do not satisfy the symplectic relation")
 
@@ -219,9 +220,8 @@ class SymplecticInt:
 
     @property
     def matrix(self) -> np.ndarray:
-        top = np.concatenate([self.A, self.B], axis=1)
-        bot = np.concatenate([self.C, self.D], axis=1)
-        return np.concatenate([top, bot], axis=0)
+        """(A, B; C, D) as a new 2g x 2g object array."""
+        return self._matrix.copy()
 
     @classmethod
     def from_matrix(cls, m) -> "SymplecticInt":
@@ -274,7 +274,7 @@ class SymplecticInt:
     def __mul__(self, other: "SymplecticInt") -> "SymplecticInt":
         if not isinstance(other, SymplecticInt):
             return NotImplemented
-        m, g = self.matrix @ other.matrix, self.g
+        m, g = self._matrix @ other._matrix, self.g
         return SymplecticInt(m[:g, :g], m[:g, g:], m[g:, :g], m[g:, g:])
 
     def __neg__(self) -> "SymplecticInt":

@@ -33,11 +33,13 @@ class OmegaBasisCoords(NamedTuple):
 
 @dataclass(frozen=True)
 class JacobiCertificate:
-    """act_jacobi(gammaJ, reduced) reproduces the input point."""
+    """act_jacobi(gammaJ, reduced) reproduces the input point; ``guarantee``
+    is the base reduction's (SiegelCertificate)."""
 
     reduced: JacobiPoint
     gammaJ: JacobiGroupElement
     on_boundary: bool
+    guarantee: str
 
     def transform_to_domain(self) -> JacobiGroupElement:
         """The inverse direction: maps the input point onto ``reduced``."""
@@ -147,5 +149,5 @@ def jacobi_reduce(p: JacobiPoint, cands: CandidateSet = None,
     reduced = JacobiPoint.from_z(om, z_red)
     flat = np.concatenate([afrac.ravel(), bfrac.ravel()])
     on_boundary = scert.on_boundary or _near_face(flat, eps)
-    return JacobiCertificate(reduced, gj, on_boundary)
+    return JacobiCertificate(reduced, gj, on_boundary, scert.guarantee)
 

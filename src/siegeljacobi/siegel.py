@@ -3,17 +3,21 @@
 A point is reduced when (S.1) no candidate symplectic element raises
 det Im(Omega), (S.2) Im(Omega) is Minkowski reduced, and (S.3) the entries
 of Re(Omega) lie in [-1/2, 1/2].  Condition (S.1) quantifies over the whole
-modular group; it is certified here against a finite candidate set:
+modular group; it is decided here on a finite candidate set:
 
 * g = 1: the single inversion J_1 (exact, classical),
-* g = 2: a determinant-test family shipped as package data, generated by
-  enumerating symplectic words and deduplicating bottom-row classes
-  (C, D) under left GL(2, Z); membership is exact relative to this set,
+* g = 2: a family of 49 bottom-row classes (C, D) with entries in
+  {-1, 0, 1}, shipped as package data.  All 49 pick the highest-point
+  step; membership is decided on the 19 among them whose determinants are
+  Gottschling's (Math. Ann. 138 (1959) 103-124), which with (S.2) and (S.3)
+  cut out F_2 exactly (CandidateSet.certifying),
 * g >= 3: a heuristic set of embedded lower-rank inversions; membership is
-  certified relative to the provided set only.
+  relative to the provided set only.
 
-Candidate sets can be overridden from JSON files (``--candidates`` in the
-CLI, or the SJK_CANDIDATE_DIR environment variable).
+CandidateSet.guarantee says which case holds: "exact" or
+"relative-to-family".  Candidate sets can be overridden from JSON files
+(``--candidates`` in the CLI, or the SJK_CANDIDATE_DIR environment
+variable); a g = 2 set that contains Gottschling's 19 stays exact.
 
 Every |det(C Omega + D)|^2 comes from one kernel, _det_sq_batch.  For g <= 2
 it is a polynomial in the entries of Omega whose integer coefficients are
@@ -88,15 +92,75 @@ class CandidateSet:
         rows = [_det_coefficients(m.C, m.D) for m in self.elements]
         return np.array(rows, dtype=float).reshape(n, 3 * g - 1)
 
+    @cached_property
+    def certifying(self) -> "CandidateSet":
+        """The sub-family that decides membership.
+
+        At g = 2: the first element whose det_table row is each of
+        GOTTSCHLING_ROWS up to sign, in set order.  Every other element is
+        then redundant for membership.  self when one of the 19 is missing,
+        and at every other g.
+        """
+        if self.g != 2:
+            return self
+        wanted = {_up_to_sign(r) for r in GOTTSCHLING_ROWS}
+        kept = []
+        for m, row in zip(self.elements, self.det_table):
+            key = _up_to_sign(row)
+            if key in wanted:
+                wanted.discard(key)
+                kept.append(m)
+        if wanted:
+            return self
+        return CandidateSet(2, tuple(kept), self.source)
+
+    @property
+    def guarantee(self) -> str:
+        """What a membership verdict over this set proves: "exact" when it is
+        membership in F_g by a theorem (g = 1 with the inversion, whose row is
+        +-w; g = 2 with Gottschling's 19), else "relative-to-family"."""
+        if self.g == 1:
+            exact = (1, 0) in {_up_to_sign(r) for r in self.det_table}
+        else:
+            exact = self.g == 2 and self.certifying is not self
+        return "exact" if exact else "relative-to-family"
+
+
+def _up_to_sign(row) -> tuple:
+    """An integer coefficient row with its first nonzero entry made positive."""
+    row = [int(v) for v in row]
+    lead = next((v for v in row if v), 1)
+    return tuple(v if lead > 0 else -v for v in row)
+
+
+def _gottschling_rows() -> tuple:
+    """det(C Omega + D) for Gottschling's 19 pairs (C, D), as coefficient
+    rows over (det Omega, w11, w12, w22, 1): w11, w22, w11 + w22 - 2 w12 +- 1
+    and det(Omega + S) for 15 integer symmetric S."""
+    rows = [(0, 1, 0, 0, 0), (0, 0, 0, 1, 0), (0, 1, -2, 1, 1), (0, 1, -2, 1, -1)]
+    # S = +-[[s11, s12], [s12, s22]]; S = 0 comes twice
+    for s11, s12, s22 in ((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1), (1, 0, -1),
+                          (0, 1, 0), (1, 1, 0), (0, 1, 1)):
+        for a, b, c in ((s11, s12, s22), (-s11, -s12, -s22)):
+            rows.append((1, c, -2 * b, a, a * c - b * b))
+    return tuple(dict.fromkeys(rows))
+
+
+GOTTSCHLING_ROWS = _gottschling_rows()
+
 
 @dataclass(frozen=True)
 class SiegelCertificate:
-    """act_siegel(gamma, original) equals reduced; det Im never decreased."""
+    """act_siegel(gamma, original) equals reduced; det Im never decreased.
+
+    ``guarantee`` is the candidate set's: whether the final membership check
+    proves membership in F_g or only in the domain the set cuts out."""
 
     reduced: SiegelPoint
     gamma: SymplecticInt
     iterations: int
     on_boundary: bool
+    guarantee: str
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +287,9 @@ def det_sq(cands: CandidateSet, omega: np.ndarray) -> np.ndarray:
 
 def siegel_membership(p: SiegelPoint, cands: CandidateSet = None,
                       eps: float = DEFAULT_EPS, bound: int = DEFAULT_BOUND):
-    """Return (member, on_boundary) for the domain cut out by the candidate set."""
-    cands = builtin_candidates(p.g) if cands is None else cands
+    """Return (member, on_boundary) for the domain cut out by the candidate
+    set, decided on its certifying sub-family."""
+    cands = (builtin_candidates(p.g) if cands is None else cands).certifying
     vals = det_sq(cands, p.omega)
     member = bool(np.all(vals >= 1.0 - eps))
     member = member and is_minkowski_reduced(p.Y, bound, eps)
@@ -247,10 +312,11 @@ def membership_mask_points(xs: np.ndarray, ys: np.ndarray,
                            bound: int = DEFAULT_BOUND) -> np.ndarray:
     """is_siegel_reduced over stacks of (X, Y) pairs, shape (n, g, g) each.
 
-    Same conditions, candidate family and slacks as siegel_membership; the
+    Same conditions, certifying family and slacks as siegel_membership; the
     determinant test runs on the points that pass the box and Minkowski
     conditions, ROW_BLOCK points at a time.
     """
+    cands = cands.certifying
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     ok = np.max(np.abs(xs), axis=(1, 2)) <= 0.5 + eps
@@ -320,7 +386,7 @@ def siegel_reduce(p: SiegelPoint, cands: CandidateSet = None,
                     best=cur, trace=trace)
             if gamma is None:
                 gamma = SymplecticInt.identity(p.g)
-            return SiegelCertificate(cur, gamma, it, on_boundary)
+            return SiegelCertificate(cur, gamma, it, on_boundary, cands.guarantee)
         gamma = step if gamma is None else step * gamma
         cur = nxt
         trace.append(float(np.linalg.det(cur.Y)))

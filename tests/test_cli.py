@@ -10,7 +10,7 @@ from siegeljacobi.jsonio import (decode_jacobi_element, decode_jacobi_point,
                                  encode_complex, encode_jacobi_element,
                                  encode_jacobi_point, encode_matrix,
                                  encode_siegel_point)
-from siegeljacobi.siegel import builtin_candidates, save_candidates
+from siegeljacobi.siegel import CandidateSet, builtin_candidates, save_candidates
 from conftest import (is_plus_minus_identity, rand_jacobi_element,
                       rand_jacobi_point, rand_siegel_point, sl2z_reduce_oracle,
                       boundary_equivalent)
@@ -369,3 +369,58 @@ class TestCandidateOverride:
                           {"omega": encode_complex(np.array([[0.3 + 0.05j]]))})
         code, out, _ = run_cli(capsys, ["reduce", "--siegel", "--point", path])
         assert code == 0
+
+
+class TestGuarantee:
+    """Reports whose verdict rests on a candidate set say what it proves,
+    beside ``outputs`` (which must stay equal to the library's dicts)."""
+
+    @pytest.fixture
+    def points(self, tmp_path):
+        om2 = SiegelPoint.from_omega([[0.1 + 1.2j, 0.2 + 0.3j], [0.2 + 0.3j, 0.3 + 1.5j]])
+        om3 = SiegelPoint.from_omega(1j * np.eye(3))
+        jp = JacobiPoint.from_z(om2, [[0.3 + 0.4j, 0.1 + 0.2j]])
+        return {"g2": write_json(tmp_path / "g2.json", encode_siegel_point(om2)),
+                "g3": write_json(tmp_path / "g3.json", encode_siegel_point(om3)),
+                "jac": write_json(tmp_path / "jac.json", encode_jacobi_point(jp)),
+                "y": write_json(tmp_path / "y.json", {"Y": encode_matrix(np.eye(2))})}
+
+    def report(self, capsys, args):
+        code, out, _ = run_cli(capsys, args)
+        assert code == 0
+        rep = json.loads(out)
+        assert "guarantee" not in rep["outputs"]
+        return rep
+
+    def test_membership_claims_carry_it(self, capsys, points):
+        for args in (["reduce", "--siegel", "--point", points["g2"]],
+                     ["reduce", "--jacobi", "--point", points["jac"]],
+                     ["member", "--siegel", "--point", points["g2"]],
+                     ["member", "--jacobi", "--point", points["jac"]],
+                     ["volume", "--g", "2", "--samples", "2000"],
+                     ["volume", "--g", "1", "--samples", "2000"]):
+            assert self.report(capsys, args)["guarantee"] == "exact", args
+        for cmd in ("reduce", "member"):
+            rep = self.report(capsys, [cmd, "--siegel", "--point", points["g3"]])
+            assert rep["guarantee"] == "relative-to-family"
+
+    def test_other_reports_omit_it(self, capsys, points, tmp_path):
+        opath = write_json(tmp_path / "om.json", encode_siegel_point(
+            SiegelPoint.from_omega([[2j]])))
+        zpath = write_json(tmp_path / "z.json", {"Z": encode_complex(np.array([[0.5 + 0j]]))})
+        for args in (["reduce", "--minkowski", "--point", points["y"]],
+                     ["member", "--minkowski", "--point", points["y"]],
+                     ["member", "--p-omega", "--point", zpath, "--omega", opath],
+                     ["volume", "--g", "1"]):
+            assert "guarantee" not in self.report(capsys, args), args
+
+    def test_family_without_the_19_is_relative(self, capsys, points, tmp_path):
+        full = builtin_candidates(2)
+        keep = tuple(m for m, row in zip(full.elements, full.det_table)
+                     if tuple(abs(row).astype(int)) != (0, 0, 0, 1, 0))
+        save_candidates(CandidateSet(2, keep), tmp_path / "c.json")
+        for args in (["member", "--siegel", "--point", points["g2"]],
+                     ["reduce", "--siegel", "--point", points["g2"]],
+                     ["volume", "--g", "2", "--samples", "2000"]):
+            rep = self.report(capsys, args + ["--candidates", str(tmp_path / "c.json")])
+            assert rep["guarantee"] == "relative-to-family", args

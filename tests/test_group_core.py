@@ -76,6 +76,14 @@ class TestGroupLawProperties:
                   SymplecticInt.inversion(g)):
             assert m.is_identity() == (m == eye)
 
+    def test_matrix_is_a_copy(self, rng):
+        # products read the stored matrix, so .matrix must hand out a copy
+        for g in (1, 2, 3):
+            a, b = rand_symplectic(g, rng), rand_symplectic(g, rng)
+            ab = a * b
+            a.matrix[0, 0] += 7
+            assert a * b == ab and symplectic_check(a.matrix)
+
 
 class TestActSiegel:
     def test_identity_fixes_everything(self, rng):

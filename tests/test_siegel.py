@@ -199,6 +199,16 @@ def test_reduced_interior_point_is_a_fixed_point(g, seed):
         assert a.tobytes() == b.tobytes()
 
 
+def test_certificates_carry_the_guarantee(rng):
+    from siegeljacobi.jacobi_domain import jacobi_reduce
+    from conftest import rand_jacobi_point
+    for g, want in ((1, "exact"), (2, "exact"), (3, "relative-to-family")):
+        assert siegel_reduce(rand_siegel_point(g, rng)).guarantee == want
+    assert jacobi_reduce(rand_jacobi_point(2, 1, rng)).guarantee == "exact"
+    g2 = CandidateSet(2, heuristic_candidates(2).elements)
+    assert siegel_reduce(rand_siegel_point(2, rng), g2).guarantee == "relative-to-family"
+
+
 def test_det_sq_matches_action(rng):
     # |det(C omega + D)|^{-2} equals the det Im ratio of the action
     cands = builtin_candidates(2)
