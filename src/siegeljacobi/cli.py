@@ -17,12 +17,13 @@ import numpy as np
 
 from .geometry import (VOLUME_TARGETS, laplacian_apply, metric_jacobi,
                        metric_p, metric_siegel, volume_f1, volume_fg_mc)
-from .group_core import IllConditionedActionError, JacobiPoint, SiegelPoint
+from .group_core import (IllConditionedActionError, JacobiPoint, SiegelPoint,
+                         _check_symmetric)
 from .jacobi_domain import in_P_omega, jacobi_membership, jacobi_reduce
 from .jsonio import (decode_complex, decode_jacobi_point, decode_matrix,
                      decode_siegel_point, encode_jacobi_element,
                      encode_jacobi_point, encode_matrix, encode_siegel_point,
-                     encode_symplectic)
+                     encode_symplectic, get_field)
 from .minkowski import (DEFAULT_BOUND, ReductionError, is_minkowski_reduced,
                         minkowski_reduce)
 from .siegel import (SiegelReductionError, encode_candidates,
@@ -77,9 +78,7 @@ def _report(args, digest, outputs, tolerances, t0, guarantee=None):
 
 
 def _decode_pd(obj):
-    if "Y" not in obj:
-        raise _InputError("point.Y missing")
-    return decode_matrix(obj["Y"], "point.Y")
+    return decode_matrix(get_field(obj, "Y", "point"), "point.Y")
 
 
 def _cmd_reduce(ns, argv, t0):
@@ -130,10 +129,8 @@ def _cmd_member(ns, argv, t0):
         if ns.omega is None:
             raise _InputError("--omega FILE is required for --p-omega")
         om_obj, _ = _read_json(ns.omega)
-        omega = decode_siegel_point(om_obj)
-        if "Z" not in obj:
-            raise _InputError("point.Z missing")
-        z = decode_complex(obj["Z"], "point.Z")
+        omega = decode_siegel_point(om_obj, "omega")
+        z = decode_complex(get_field(obj, "Z", "point"), "point.Z")
         res = in_P_omega(z, omega, eps=ns.eps)
         out = {"member": res.inside, "on_boundary": res.on_boundary}
     else:
@@ -222,31 +219,43 @@ def _cmd_spectral_check(ns, argv, t0):
     return 0
 
 
+def _tangent(obj, key, where, decode, shape, symmetric=True):
+    """Tangent ``key`` of the object at ``where``, checked for its shape and,
+    for H, T and dOmega, for symmetry of its real and imaginary parts."""
+    field = "%s.%s" % (where, key)
+    t = decode(get_field(obj, key, where), field)
+    if t.shape != shape:
+        raise _InputError("%s: expected a %d x %d matrix, got %d x %d"
+                          % ((field,) + shape + t.shape))
+    if symmetric:
+        parts = (((field + ".re", t.real), (field + ".im", t.imag))
+                 if np.iscomplexobj(t) else ((field, t),))
+        for name, m in parts:
+            _check_symmetric(m, name)
+    return t
+
+
 def _cmd_metric_eval(ns, argv, t0):
     obj, digest = _read_json(ns.point)
     if ns.kind == "P":
         y = _decode_pd(obj)
-        for key in ("H1", "H2"):
-            if key not in obj:
-                raise _InputError("point.%s missing" % key)
-        val = metric_p(y, decode_matrix(obj["H1"], "point.H1"),
-                       decode_matrix(obj["H2"], "point.H2"))
+        g = y.shape[0]
+        val = metric_p(y, *(_tangent(obj, key, "point", decode_matrix, (g, g))
+                            for key in ("H1", "H2")))
     elif ns.kind == "siegel":
         p = decode_siegel_point(obj)
-        for key in ("T1", "T2"):
-            if key not in obj:
-                raise _InputError("point.%s missing" % key)
-        val = metric_siegel(p, decode_complex(obj["T1"], "point.T1"),
-                            decode_complex(obj["T2"], "point.T2"))
+        val = metric_siegel(p, *(_tangent(obj, key, "point", decode_complex, (p.g, p.g))
+                                 for key in ("T1", "T2")))
     else:
         p = decode_jacobi_point(obj)
         tangents = []
         for key in ("T1", "T2"):
-            if key not in obj or "dOmega" not in obj[key] or "dZ" not in obj[key]:
-                raise _InputError("point.%s.dOmega/dZ missing" % key)
-            tangents.append((decode_complex(obj[key]["dOmega"], key + ".dOmega"),
-                             decode_complex(obj[key]["dZ"], key + ".dZ")))
-        val = metric_jacobi(p, tangents[0], tangents[1])
+            t = get_field(obj, key, "point")
+            where = "point." + key
+            tangents.append((_tangent(t, "dOmega", where, decode_complex, (p.g, p.g)),
+                             _tangent(t, "dZ", where, decode_complex, (p.h, p.g),
+                                      symmetric=False)))
+        val = metric_jacobi(p, *tangents)
     _report(argv, digest, {"value": val}, {}, t0)
     return 0
 

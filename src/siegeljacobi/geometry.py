@@ -1,22 +1,25 @@
 """Invariant metrics, Laplacians and volume computations.
 
 Metrics are evaluated from their polarized closed forms (trace polynomials),
-for one pair of tangents or for stacks of them.  Laplacians are applied to
-user-supplied functions by central second differences along the principal
-directions of each operator's coefficient matrix S, frozen at the point, with
-Richardson extrapolation over step and step/2.  The Siegel, fiber and
-Siegel-Jacobi operators are the Laplace-Beltrami operators of the invariant
-Kaehler metrics, so their S is scale x inv(G), with G the metric's matrix in
-the real chart from one stacked metric call; only the cone operator has its
-own coefficient table.  Volumes of the g = 1 and g = 2 fundamental domains
-come from deterministic quadrature and importance-sampled Monte Carlo
+for one pair of tangents or for stacks of them.  Tangents are plain arrays: a
+real symmetric H on the cone, a complex symmetric dOmega on the Siegel space
+and a pair (dOmega, dZ) on the Siegel-Jacobi space; symmetry is the caller's
+to ensure (``sjk metric-eval`` checks the tangents it reads).  Laplacians are
+applied to user-supplied functions by central second differences along the
+principal directions of each operator's coefficient matrix S, frozen at the
+point, with Richardson extrapolation over step and step/2.  Every operator's
+S is scale x inv(G), with G the matrix of its invariant metric in the real
+chart from one stacked metric call: the Siegel, fiber and Siegel-Jacobi
+operators are Laplace-Beltrami operators of Kaehler metrics, and the cone
+operator adds a first-order term.  Volumes of the g = 1 and g = 2 fundamental
+domains come from deterministic quadrature and importance-sampled Monte Carlo
 respectively.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import pi
 
 import numpy as np
@@ -33,67 +36,10 @@ DEFAULT_FD_STEP = 1e-3
 #: closed-form volumes of the first two Siegel fundamental domains
 VOLUME_TARGETS = {1: pi / 3.0, 2: pi ** 3 / 270.0}
 
-
-# ---------------------------------------------------------------------------
-# tangent containers
-# ---------------------------------------------------------------------------
-
-def _sym(t, what):
-    t = np.asarray(t)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise ValueError("%s must be square" % what)
-    if np.max(np.abs(t - t.T)) > 1e-12 * max(1.0, np.max(np.abs(t))):
-        raise ValueError("%s must be symmetric" % what)
-    return t
-
-
-@dataclass(frozen=True)
-class TangentP:
-    """Tangent to the positive cone at Y: a real symmetric matrix."""
-
-    H: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "H", _sym(np.asarray(self.H, dtype=float), "H"))
-
-
-@dataclass(frozen=True)
-class TangentSiegel:
-    """Tangent to the Siegel space: a complex symmetric matrix."""
-
-    dOmega: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "dOmega",
-                           _sym(np.asarray(self.dOmega, dtype=complex), "dOmega"))
-
-
-@dataclass(frozen=True)
-class TangentJacobi:
-    """Tangent to the Siegel-Jacobi space: (dOmega, dZ)."""
-
-    dOmega: np.ndarray
-    dZ: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "dOmega",
-                           _sym(np.asarray(self.dOmega, dtype=complex), "dOmega"))
-        object.__setattr__(self, "dZ", np.asarray(self.dZ, dtype=complex))
-
-
-def _t_p(t):
-    return t.H if isinstance(t, TangentP) else np.asarray(t, dtype=float)
-
-
-def _t_s(t):
-    return t.dOmega if isinstance(t, TangentSiegel) else np.asarray(t, dtype=complex)
-
-
-def _t_j(t):
-    if isinstance(t, TangentJacobi):
-        return t.dOmega, t.dZ
-    dom, dz = t
-    return np.asarray(dom, dtype=complex), np.asarray(dz, dtype=complex)
+#: Monte Carlo samples per chunk.  Fixed, not a parameter: chunk i draws its
+#: samples from the (seed, i) stream, so the chunk size decides which samples
+#: a seed yields, and with them every estimate.
+MC_CHUNK = 500_000
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +69,7 @@ def metric_p(y, t1, t2):
     tangents gives a float.
     """
     y = np.asarray(y, dtype=float)
-    h1, h2 = _t_p(t1), _t_p(t2)
+    h1, h2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
     yi = np.linalg.inv(y)
     return _real(_tr(yi @ h1 @ yi @ h2))
 
@@ -134,7 +80,7 @@ def metric_siegel(p: SiegelPoint, t1, t2):
     Accepts stacks of tangents, whose leading axes broadcast; one pair of
     tangents gives a float.
     """
-    d1, d2 = _t_s(t1), _t_s(t2)
+    d1, d2 = np.asarray(t1, dtype=complex), np.asarray(t2, dtype=complex)
     yi = np.linalg.inv(p.Y)
     return _real(_tr(yi @ d1 @ yi @ d2.conj()))
 
@@ -145,8 +91,7 @@ def metric_jacobi(p: JacobiPoint, t1, t2):
     Accepts stacks of tangents, whose leading axes broadcast; one pair of
     tangents gives a float.
     """
-    do1, dz1 = _t_j(t1)
-    do2, dz2 = _t_j(t2)
+    do1, dz1, do2, dz2 = (np.asarray(t, dtype=complex) for t in (*t1, *t2))
     y, v = p.omega.Y, p.V
     yi = np.linalg.inv(y)
     base = _tr(yi @ do1 @ yi @ do2.conj())
@@ -175,7 +120,7 @@ def metric_fiber(omega: SiegelPoint, t1, t2):
 def push_tangent_p(gmat, t):
     """Pushforward of a cone tangent along Y -> g Y t(g)."""
     gmat = np.asarray(gmat, dtype=float)
-    return gmat @ _t_p(t) @ gmat.T
+    return gmat @ np.asarray(t, dtype=float) @ gmat.T
 
 
 def push_tangent_siegel(m, p: SiegelPoint, t):
@@ -183,12 +128,12 @@ def push_tangent_siegel(m, p: SiegelPoint, t):
     _, _, c, d = _blocks_float(m)
     k = c @ p.omega + d
     ki = np.linalg.inv(k)
-    return ki.T @ _t_s(t) @ ki
+    return ki.T @ np.asarray(t, dtype=complex) @ ki
 
 
 def push_tangent_jacobi(x: JacobiGroupElement, p: JacobiPoint, t):
     """Analytic differential of the Jacobi action on (dOmega, dZ)."""
-    dom, dz = _t_j(t)
+    dom, dz = (np.asarray(b, dtype=complex) for b in t)
     c, d = to_float(x.m.C), to_float(x.m.D)
     lam, mu = to_float(x.heis.lam), to_float(x.heis.mu)
     omega = p.omega.omega
@@ -255,10 +200,12 @@ class _Chart:
         self.d = len(rows)
 
     def tangents(self, blocks):
-        """Stack of the d coordinate tangents to the complex block re + i im:
-        dOmega for ``blocks`` "XY", dZ for "UV"."""
-        re, im = (self.slices[b] for b in blocks)
-        t = self.basis[:, re] + 1j * self.basis[:, im]
+        """Stack of the d coordinate tangents to one block: the real dY for
+        ``blocks`` "Y", the complex dOmega = dX + i dY for "XY" and
+        dZ = dU + i dV for "UV"."""
+        t = self.basis[:, self.slices[blocks[0]]]
+        if len(blocks) == 2:
+            t = t + 1j * self.basis[:, self.slices[blocks[1]]]
         return t.reshape(self.d, -1, self.y.shape[0])
 
     def cid(self, block, a, b):
@@ -306,16 +253,19 @@ def _require_posdef(y):
 def _operator_terms(kind, chart):
     """Real symmetric second-order coefficients S (d x d), with the operator
     sum_(i,j) S_ij d_i d_j, and the first-order table {i: b_i}."""
+    # Every second-order part is sum G^{ij} d_i d_j up to a scale: for the
+    # Kaehler kinds the Laplace-Beltrami operator in the holomorphic-splitting
+    # chart (x, y, u, v), for the cone the second-order part of tr((Y d/dY)^2).
+    # So S is scale x inv(G), G taken with one stacked call over the chart
+    # tangents (1 or i) x (unit matrix) of every coordinate.  (The printed
+    # five-trace form of the Jacobi operator agrees only at g = 1;
+    # tests/test_geometry.py keeps it.)  Each metric is called by its module
+    # name, not through a table, so a wrapper installed on the module by a
+    # profiler sees the call.
     if kind == "P":
-        return _cone_terms(chart)
-    # A Kaehler metric's Laplace-Beltrami operator in the holomorphic-splitting
-    # chart (x, y, u, v) is the pure second-order form sum G^{ij} d_i d_j, so S
-    # is scale x inv(G), G taken with one stacked call over the chart tangents
-    # (1 or i) x (unit matrix) of every coordinate.  (The printed five-trace
-    # form of the Jacobi operator agrees only at g = 1; tests/test_geometry.py
-    # keeps it.)  Each metric is called by its module name, not through a
-    # table, so a wrapper installed on the module by a profiler sees the call.
-    if kind == "siegel":
+        t = chart.tangents("Y")
+        gm, scale = metric_p(chart.y, t[:, None], t[None]), 1.0
+    elif kind == "siegel":
         t = chart.tangents("XY")
         gm, scale = metric_siegel(chart.point, t[:, None], t[None]), 1.0
     elif kind == "omega":
@@ -326,30 +276,21 @@ def _operator_terms(kind, chart):
         gm, scale = metric_jacobi(chart.point, (dom[:, None], dz[:, None]),
                                   (dom[None], dz[None])), 1.0
     s = scale * np.linalg.inv(gm)
-    return 0.5 * (s + s.T), {}   # inv(G) is symmetric only up to rounding
+    first = _cone_first_order(chart) if kind == "P" else {}
+    return 0.5 * (s + s.T), first   # inv(G) is symmetric only up to rounding
 
 
-def _cone_terms(chart):
-    """Coefficients of the cone operator tr((Y d/dY)^2), the one kind with a
-    first-order part; d/dY halves each off-diagonal coordinate derivative."""
+def _cone_first_order(chart):
+    """First-order part (g+1)/2 tr(Y d/dY) of the cone operator, the one kind
+    that has one; d/dY halves each off-diagonal coordinate derivative."""
     y = chart.y
     g = y.shape[0]
-    d = chart.d
-    w = lambda a, b: 0.5 * (1.0 + (a == b))
     first = {}
-    upper = np.zeros((d, d))
     for i in range(g):
         for j in range(g):
             cid = chart.cid("Y", j, i)
-            first[cid] = first.get(cid, 0.0) + 0.5 * (g + 1) * y[i, j] * w(j, i)
-    for i in range(g):
-        for j in range(g):
-            for k in range(g):
-                for m in range(g):
-                    a, b = sorted((chart.cid("Y", j, k), chart.cid("Y", m, i)))
-                    upper[a, b] += y[i, j] * y[k, m] * w(j, k) * w(m, i)
-    s = 0.5 * upper
-    return s + s.T, first
+            first[cid] = first.get(cid, 0.0) + 0.25 * (g + 1) * y[i, j] * (1.0 + (i == j))
+    return first
 
 
 def _apply_once(at, second_dirs, first_dirs, step):
@@ -364,8 +305,7 @@ def _apply_once(at, second_dirs, first_dirs, step):
     return total
 
 
-def laplacian_apply(kind: str, f, point, fd_step: float = DEFAULT_FD_STEP,
-                    richardson: bool = True) -> complex:
+def laplacian_apply(kind: str, f, point, fd_step: float = DEFAULT_FD_STEP) -> complex:
     """Apply one of the invariant Laplacians to a function at a point.
 
     Kinds and the matching signature of ``f``:
@@ -381,15 +321,14 @@ def laplacian_apply(kind: str, f, point, fd_step: float = DEFAULT_FD_STEP,
     coefficients frozen at the point.  The second-order part is applied along
     the eigenvectors q_k of its symmetric coefficient matrix S = Q Lambda tQ:
     with w_k = sqrt|lambda_k| q_k it is
-    sum sign(lambda_k) (f(p + h w_k) - 2 f(p) + f(p - h w_k)) / h^2.  For the
-    three Kaehler kinds S = scale x inv(G), scale 1 ("siegel", "jacobi") or
-    1/4 ("omega"), where G is the matrix of the invariant metric in the chart
-    from one stacked metric call; so ``fd_step`` h is a length in that metric
-    (half of one for "omega"), and a chart of dimension d costs 2d + 1
-    evaluations per step.  Only the cone operator has first-order terms,
-    applied as coordinate central differences of step h.  With
-    ``richardson`` the step and half-step values are extrapolated, giving
-    O(step^4) truncation error.
+    sum sign(lambda_k) (f(p + h w_k) - 2 f(p) + f(p - h w_k)) / h^2.  For
+    every kind S = scale x inv(G), scale 1/4 for "omega" and 1 otherwise,
+    where G is the matrix of the invariant metric in the chart from one
+    stacked metric call; so ``fd_step`` h is a length in that metric (half of
+    one for "omega"), and a chart of dimension d costs 2d + 1 evaluations per
+    step.  Only the cone operator has first-order terms, applied as coordinate
+    central differences of step h.  The step and half-step values are
+    Richardson-extrapolated, giving O(step^4) truncation error.
     """
     chart = _Chart(kind, point)
     s, first = _operator_terms(kind, chart)
@@ -400,8 +339,6 @@ def laplacian_apply(kind: str, f, point, fd_step: float = DEFAULT_FD_STEP,
     first_dirs = [(b, chart.basis[i]) for i, b in first.items() if b != 0]
     at = chart.evaluator(f)
     coarse = _apply_once(at, second_dirs, first_dirs, fd_step)
-    if not richardson:
-        return coarse
     fine = _apply_once(at, second_dirs, first_dirs, fd_step / 2)
     return (4.0 * fine - coarse) / 3.0
 
@@ -430,21 +367,19 @@ class VolumeEstimate:
     g: int
     seed: int
     acceptance_rate: float
-    accepted_examples: tuple = field(default=(), repr=False)
 
 
-def _chunk_g1(rng, n, a, eps, bound, cands, keep):
+def _chunk_g1(rng, n, a, eps, bound, cands):
     x = rng.uniform(-0.5, 0.5, size=n)
     y = a / (1.0 - rng.random(n))
     xs = x.reshape(n, 1, 1)
     ys = y.reshape(n, 1, 1)
     ok = membership_mask_points(xs, ys, cands, eps, bound)
     w = np.where(ok, 1.0 / a, 0.0)
-    examples = [(xs[i].copy(), ys[i].copy()) for i in np.nonzero(ok)[0][:keep]]
-    return w.sum(), (w * w).sum(), int(ok.sum()), examples
+    return w.sum(), (w * w).sum(), int(ok.sum())
 
 
-def _chunk_g2(rng, n, a, eps, bound, cands, keep):
+def _chunk_g2(rng, n, a, eps, bound, cands):
     t1 = a * (1.0 - rng.random(n)) ** (-1.0 / 3.0)
     t2 = t1 * (1.0 - rng.random(n)) ** (-1.0 / 2.0)
     s = rng.random(n)
@@ -463,26 +398,21 @@ def _chunk_g2(rng, n, a, eps, bound, cands, keep):
     q1 = 3.0 * a ** 3 * t1 ** -4
     q2 = 2.0 * t1 ** 2 * t2 ** -3
     w = np.where(ok, det_y ** -3 * (0.5 * t1) / (q1 * q2), 0.0)
-    examples = [(xs[i].copy(), ys[i].copy()) for i in np.nonzero(ok)[0][:keep]]
-    return w.sum(), (w * w).sum(), int(ok.sum()), examples
+    return w.sum(), (w * w).sum(), int(ok.sum())
 
 
-def volume_fg_mc(g: int, n_samples: int, seed: int, chunk_size: int = 500_000,
-                 threads: int = 1, eps: float = DEFAULT_EPS,
-                 bound: int = DEFAULT_BOUND, cands: CandidateSet = None,
-                 keep_samples: int = 0) -> VolumeEstimate:
+def volume_fg_mc(g: int, n_samples: int, seed: int, threads: int = 1,
+                 eps: float = DEFAULT_EPS, bound: int = DEFAULT_BOUND,
+                 cands: CandidateSet = None) -> VolumeEstimate:
     """Importance-sampled Monte Carlo volume of the g = 1 or 2 domain.
 
     X is uniform over the unit box; Y uses a Pareto-tail proposal matched to
     the invariant density (no truncation, so no tail bias): for g = 1 the
     density a/y^2 on [a, inf) with a = 0.8, for g = 2 the diagonal gets
     Pareto tails with exponents (3, 2) and the off-diagonal entry is uniform
-    over the reduced wedge [0, y11/2].  Samples split into chunks seeded by
-    (seed, chunk_index), so results are reproducible and independent of
-    ``threads``; chunk sums merge in index order.
-
-    ``keep_samples`` retains up to that many accepted (X, Y) pairs for
-    external cross-checks against the scalar membership test.
+    over the reduced wedge [0, y11/2].  Samples split into chunks of
+    MC_CHUNK seeded by (seed, chunk_index), so results are reproducible and
+    independent of ``threads``; chunk sums merge in index order.
     """
     if g not in (1, 2):
         raise ValueError("Monte Carlo volume supports g in {1, 2}")
@@ -495,14 +425,13 @@ def volume_fg_mc(g: int, n_samples: int, seed: int, chunk_size: int = 500_000,
     sizes = []
     rest = n_samples
     while rest > 0:
-        sizes.append(min(chunk_size, rest))
+        sizes.append(min(MC_CHUNK, rest))
         rest -= sizes[-1]
 
     def run(idx_size):
         idx, size = idx_size
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), idx]))
-        keep = keep_samples if idx == 0 else 0
-        return worker(rng, size, a, eps, bound, cands, keep)
+        return worker(rng, size, a, eps, bound, cands)
 
     jobs = list(enumerate(sizes))
     if threads > 1:
@@ -514,9 +443,7 @@ def volume_fg_mc(g: int, n_samples: int, seed: int, chunk_size: int = 500_000,
     sum_w = sum(r[0] for r in results)
     sum_w2 = sum(r[1] for r in results)
     n_acc = sum(r[2] for r in results)
-    examples = tuple(ex for r in results for ex in r[3])[:keep_samples]
     est = sum_w / n_samples
     var = max(sum_w2 / n_samples - est * est, 0.0)
     stderr = float(np.sqrt(var / n_samples))
-    return VolumeEstimate(float(est), stderr, n_samples, g, seed,
-                          n_acc / n_samples, examples)
+    return VolumeEstimate(float(est), stderr, n_samples, g, seed, n_acc / n_samples)

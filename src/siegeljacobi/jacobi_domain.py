@@ -19,7 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .group_core import (HeisenbergInt, JacobiGroupElement, JacobiPoint,
-                         SiegelPoint, SymplecticInt)
+                         SiegelPoint, SymplecticInt, jacobi_mul)
+from .intmat import to_float
 from .minkowski import DEFAULT_BOUND, DEFAULT_EPS
 from .siegel import CandidateSet, builtin_candidates, siegel_membership, siegel_reduce
 
@@ -40,10 +41,6 @@ class JacobiCertificate:
     gammaJ: JacobiGroupElement
     on_boundary: bool
     guarantee: str
-
-    def transform_to_domain(self) -> JacobiGroupElement:
-        """The inverse direction: maps the input point onto ``reduced``."""
-        return self.gammaJ.inverse()
 
 
 class POmegaResult(NamedTuple):
@@ -121,7 +118,6 @@ def jacobi_reduce(p: JacobiPoint, cands: CandidateSet = None,
     scert = siegel_reduce(p.omega, cands, eps, bound)
     om = scert.reduced
     gamma = scert.gamma.inverse()      # gamma . om = input omega
-    from .intmat import to_float
     k = to_float(gamma.C) @ om.omega + to_float(gamma.D)
     w = p.Z @ k
     coords = decompose_in_omega_basis(w, om)
@@ -141,7 +137,6 @@ def jacobi_reduce(p: JacobiPoint, cands: CandidateSet = None,
         flip = JacobiGroupElement(
             -SymplecticInt.identity(p.g),
             HeisenbergInt.from_lam_mu(lam_w, mu_w))
-        from .group_core import jacobi_mul
         gj = jacobi_mul(gj, flip)
         afrac, bfrac = acomp, bcomp
 

@@ -27,22 +27,28 @@ def encode_matrix(m) -> dict:
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 
-def decode_matrix(obj, where: str = "matrix") -> np.ndarray:
+def get_field(obj, key: str, where: str):
+    """obj[key] from a decoded JSON object; ``where`` names obj in errors."""
     if not isinstance(obj, dict):
-        raise ValueError("%s: expected an object with rows/cols/data" % where)
-    for key in ("rows", "cols", "data"):
-        if key not in obj:
-            raise ValueError("%s.%s missing" % (where, key))
-    r, c, data = obj["rows"], obj["cols"], obj["data"]
+        raise ValueError("%s: expected an object, got %s" % (where, type(obj).__name__))
+    if key not in obj:
+        raise ValueError("%s.%s missing" % (where, key))
+    return obj[key]
+
+
+def decode_matrix(obj, where: str = "matrix") -> np.ndarray:
+    r, c, data = (get_field(obj, key, where) for key in ("rows", "cols", "data"))
     for key, v in (("rows", r), ("cols", c)):
         if type(v) is not int or v < 0:  # bool, float and str are refused
             raise ValueError("%s.%s: expected an integer >= 0, got %r" % (where, key, v))
     if not isinstance(data, list) or len(data) != r * c:
         raise ValueError("%s.data: expected a list of %d entries" % (where, r * c))
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in data):
+        raise ValueError("%s.data holds a non-number" % where)
     try:
-        m = np.asarray(data, dtype=float).reshape(r, c)
-    except (TypeError, ValueError):
-        raise ValueError("%s.data holds a non-number" % where) from None
+        m = np.array(data, dtype=float).reshape(r, c)
+    except OverflowError:  # an integer beyond the float range
+        m = np.full((r, c), np.inf)
     if not np.all(np.isfinite(m)):
         raise ValueError("%s.data holds a non-finite entry" % where)
     return m
@@ -54,10 +60,8 @@ def encode_complex(m) -> dict:
 
 
 def decode_complex(obj, where: str = "matrix") -> np.ndarray:
-    if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
-        raise ValueError("%s: expected {re, im}" % where)
-    re = decode_matrix(obj["re"], where + ".re")
-    im = decode_matrix(obj["im"], where + ".im")
+    re = decode_matrix(get_field(obj, "re", where), where + ".re")
+    im = decode_matrix(get_field(obj, "im", where), where + ".im")
     if re.shape != im.shape:
         raise ValueError("%s: re/im shapes differ" % where)
     return re + 1j * im
@@ -68,11 +72,8 @@ def encode_symplectic(m: SymplecticInt) -> dict:
 
 
 def decode_symplectic(obj, where: str = "gamma") -> SymplecticInt:
-    for name in "ABCD":
-        if not isinstance(obj, dict) or name not in obj:
-            raise ValueError("%s.%s missing" % (where, name))
-    blocks = [decode_matrix(obj[name], "%s.%s" % (where, name)) for name in "ABCD"]
-    return SymplecticInt(*blocks)
+    return SymplecticInt(*(decode_matrix(get_field(obj, name, where), "%s.%s" % (where, name))
+                           for name in "ABCD"))
 
 
 def encode_jacobi_element(x: JacobiGroupElement) -> dict:
@@ -85,14 +86,8 @@ def encode_jacobi_element(x: JacobiGroupElement) -> dict:
 
 def decode_jacobi_element(obj, where: str = "gammaJ") -> JacobiGroupElement:
     m = decode_symplectic(obj, where)
-    for name in ("lambda", "mu", "kappa"):
-        if name not in obj:
-            raise ValueError("%s.%s missing" % (where, name))
-    heis = HeisenbergInt(
-        decode_matrix(obj["lambda"], where + ".lambda"),
-        decode_matrix(obj["mu"], where + ".mu"),
-        decode_matrix(obj["kappa"], where + ".kappa"),
-    )
+    heis = HeisenbergInt(*(decode_matrix(get_field(obj, name, where), "%s.%s" % (where, name))
+                           for name in ("lambda", "mu", "kappa")))
     return JacobiGroupElement(m, heis)
 
 
@@ -101,9 +96,8 @@ def encode_siegel_point(p: SiegelPoint) -> dict:
 
 
 def decode_siegel_point(obj, where: str = "point") -> SiegelPoint:
-    if not isinstance(obj, dict) or "omega" not in obj:
-        raise ValueError("%s.omega missing" % where)
-    return SiegelPoint.from_omega(decode_complex(obj["omega"], where + ".omega"))
+    return SiegelPoint.from_omega(decode_complex(get_field(obj, "omega", where),
+                                                 where + ".omega"))
 
 
 def encode_jacobi_point(p: JacobiPoint) -> dict:
@@ -111,9 +105,6 @@ def encode_jacobi_point(p: JacobiPoint) -> dict:
 
 
 def decode_jacobi_point(obj, where: str = "point") -> JacobiPoint:
-    if not isinstance(obj, dict) or "omega" not in obj:
-        raise ValueError("%s.omega missing" % where)
-    if "Z" not in obj:
-        raise ValueError("%s.Z missing" % where)
-    omega = SiegelPoint.from_omega(decode_complex(obj["omega"], where + ".omega"))
-    return JacobiPoint.from_z(omega, decode_complex(obj["Z"], where + ".Z"))
+    omega = SiegelPoint.from_omega(decode_complex(get_field(obj, "omega", where),
+                                                  where + ".omega"))
+    return JacobiPoint.from_z(omega, decode_complex(get_field(obj, "Z", where), where + ".Z"))

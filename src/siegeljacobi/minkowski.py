@@ -21,8 +21,7 @@ from math import gcd
 
 import numpy as np
 
-from .intmat import (as_imat, complete_primitive, ieye, int_det,
-                     int_inv_unimodular, to_float)
+from .intmat import as_imat, complete_primitive, ieye, int_det, to_float
 from .group_core import as_pd_array
 
 DEFAULT_BOUND = 3
@@ -30,6 +29,9 @@ DEFAULT_EPS = 1e-9
 
 #: matrices per block in the batched masks; bounds their peak memory
 ROW_BLOCK = 65_536
+
+#: successive-minima passes minkowski_reduce makes before it gives up
+MAX_ITERS = 32
 
 
 class ReductionError(RuntimeError):
@@ -55,9 +57,6 @@ class UnimodularInt:
     @property
     def g(self) -> int:
         return self.entries.shape[0]
-
-    def inverse(self) -> "UnimodularInt":
-        return UnimodularInt(int_inv_unimodular(self.entries))
 
 
 @dataclass(frozen=True)
@@ -198,8 +197,8 @@ def _lll_transform(y: np.ndarray, delta: float = 0.99, max_steps: int = 10000):
     return u
 
 
-def minkowski_reduce(y, bound: int = DEFAULT_BOUND, eps: float = DEFAULT_EPS,
-                     max_iters: int = 32) -> ReductionCertificate:
+def minkowski_reduce(y, bound: int = DEFAULT_BOUND,
+                     eps: float = DEFAULT_EPS) -> ReductionCertificate:
     """Reduce Y into the Minkowski domain with an exact unimodular certificate."""
     y0 = as_pd_array(y)
     g = y0.shape[0]
@@ -210,7 +209,7 @@ def minkowski_reduce(y, bound: int = DEFAULT_BOUND, eps: float = DEFAULT_EPS,
     tables = _column_tables(g, bound)
 
     passes = 0
-    while passes < max_iters:
+    while passes < MAX_ITERS:
         passes += 1
         cur = to_float(u.T) @ y0 @ to_float(u)
         changed = False

@@ -39,11 +39,14 @@ import numpy as np
 
 from .group_core import SiegelPoint, SymplecticInt, act_siegel
 from .intmat import ieye, izeros, to_float
-from .jsonio import decode_symplectic, encode_symplectic
+from .jsonio import decode_symplectic, encode_symplectic, get_field
 from .minkowski import (DEFAULT_BOUND, DEFAULT_EPS, ROW_BLOCK, is_minkowski_reduced,
                         membership_mask, minkowski_reduce, on_minkowski_boundary)
 
 ENV_CANDIDATE_DIR = "SJK_CANDIDATE_DIR"
+
+#: highest-point steps siegel_reduce takes before it gives up
+MAX_ITERS = 1000
 
 
 class SiegelReductionError(RuntimeError):
@@ -198,11 +201,12 @@ def builtin_candidates(g: int) -> CandidateSet:
 
 
 def _decode_candidates(obj, source: str) -> CandidateSet:
-    if "g" not in obj or "elements" not in obj:
-        raise ValueError("candidates.g or candidates.elements missing")
+    g, elements = (get_field(obj, key, "candidates") for key in ("g", "elements"))
+    if type(g) is not int or not isinstance(elements, list):
+        raise ValueError("candidates: expected an integer g and a list of elements")
     elems = tuple(decode_symplectic(e, "candidates.elements[%d]" % i)
-                  for i, e in enumerate(obj["elements"]))
-    return CandidateSet(int(obj["g"]), elems, source=source)
+                  for i, e in enumerate(elements))
+    return CandidateSet(g, elems, source=source)
 
 
 def load_candidates(path) -> CandidateSet:
@@ -288,7 +292,9 @@ def det_sq(cands: CandidateSet, omega: np.ndarray) -> np.ndarray:
 def siegel_membership(p: SiegelPoint, cands: CandidateSet = None,
                       eps: float = DEFAULT_EPS, bound: int = DEFAULT_BOUND):
     """Return (member, on_boundary) for the domain cut out by the candidate
-    set, decided on its certifying sub-family."""
+    set, decided on its certifying sub-family.  A member is on the boundary
+    when some |det(C Omega + D)|^2, some |x_ij| or some Minkowski inequality
+    is within eps of equality."""
     cands = (builtin_candidates(p.g) if cands is None else cands).certifying
     vals = det_sq(cands, p.omega)
     member = bool(np.all(vals >= 1.0 - eps))
@@ -297,7 +303,7 @@ def siegel_membership(p: SiegelPoint, cands: CandidateSet = None,
     on_boundary = False
     if member:
         on_boundary = bool(np.min(np.abs(vals - 1.0)) <= eps
-                           or np.max(np.abs(np.abs(p.X) - 0.5)) <= eps
+                           or np.min(np.abs(np.abs(p.X) - 0.5)) <= eps
                            or on_minkowski_boundary(p.Y, bound, eps))
     return member, on_boundary
 
@@ -369,14 +375,13 @@ def highest_point_step(p: SiegelPoint, cands: CandidateSet = None,
 
 
 def siegel_reduce(p: SiegelPoint, cands: CandidateSet = None,
-                  eps: float = DEFAULT_EPS, bound: int = DEFAULT_BOUND,
-                  max_iters: int = 1000) -> SiegelCertificate:
+                  eps: float = DEFAULT_EPS, bound: int = DEFAULT_BOUND) -> SiegelCertificate:
     """Move p into the fundamental domain by the highest-point method."""
     cands = builtin_candidates(p.g) if cands is None else cands
     gamma = None
     cur = p
     trace = [float(np.linalg.det(p.Y))]
-    for it in range(max_iters):
+    for it in range(MAX_ITERS):
         nxt, step = highest_point_step(cur, cands, eps, bound)
         if step.is_identity():
             member, on_boundary = siegel_membership(cur, cands, eps, bound)

@@ -1,7 +1,11 @@
+import copy
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from siegeljacobi.cli import main
 from siegeljacobi.group_core import JacobiPoint, SiegelPoint
@@ -424,3 +428,198 @@ class TestGuarantee:
                      ["volume", "--g", "2", "--samples", "2000"]):
             rep = self.report(capsys, args + ["--candidates", str(tmp_path / "c.json")])
             assert rep["guarantee"] == "relative-to-family", args
+
+
+# ---------------------------------------------------------------------------
+# malformed input: every input path, one bad field at a time
+# ---------------------------------------------------------------------------
+
+def _input_paths():
+    """(argv, {document name: valid document}) for every sjk input path; a
+    document named n is passed as --n FILE."""
+    om = SiegelPoint.from_omega(np.array([[0.1 + 1.5j, 0.2 + 0.3j],
+                                          [0.2 + 0.3j, -0.1 + 1.8j]]))
+    jp = JacobiPoint.from_z(om, np.array([[0.3 + 0.4j, 0.1 + 0.2j]]))
+    y = {"Y": encode_matrix(om.Y)}
+    t = encode_complex(np.array([[1.0 + 0.5j, 0.2], [0.2, 1.0 - 0.25j]]))
+    tj = {"dOmega": t, "dZ": encode_complex(np.array([[0.5 + 1j, 0.25]]))}
+    siegel, jacobi = encode_siegel_point(om), encode_jacobi_point(jp)
+    paths = []
+    for cmd in ("reduce", "member"):
+        paths += [([cmd, "--minkowski"], {"point": y}),
+                  ([cmd, "--siegel"], {"point": siegel}),
+                  ([cmd, "--jacobi"], {"point": jacobi})]
+    paths += [(["member", "--p-omega"], {"point": {"Z": jacobi["Z"]}, "omega": siegel}),
+              (["metric-eval", "--kind", "P"],
+               {"point": dict(y, H1=encode_matrix(om.X), H2=encode_matrix(om.Y))}),
+              (["metric-eval", "--kind", "siegel"], {"point": dict(siegel, T1=t, T2=t)}),
+              (["metric-eval", "--kind", "jacobi"], {"point": dict(jacobi, T1=tj, T2=tj)})]
+    return json.loads(json.dumps(paths))    # no two fields share an object
+
+
+INPUT_PATHS = _input_paths()
+
+
+def _fields(node, path, keys=()):
+    """(field path, key sequence, node) for node and everything below it; a
+    list entry goes by the path of its list, which is what errors name."""
+    yield path, keys, node
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _fields(v, "%s.%s" % (path, k), keys + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _fields(v, path, keys + (i,))
+
+
+def _bad_values(key, node):
+    if isinstance(node, dict):
+        return ["Yes", 5, None, [1, 2], True]           # a non-object
+    if key in ("rows", "cols"):
+        return [1.5, -1, 2.0, "2", None, True, [2]]     # fractional, negative, wrong type
+    if isinstance(node, list):
+        return ["ab", {"a": 1}, 5, None]                # data of the wrong type
+    return [True, False, "2", None, [1.0],              # bool, string or other entry,
+            float("inf"), -float("inf"), float("nan")]  # and Infinity/NaN tokens
+
+
+def _replaced(doc, keys, value):
+    if not keys:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for k in keys[:-1]:
+        node = node[k]
+    node[keys[-1]] = value
+    return doc
+
+
+def _run_documents(workdir, argv, docs):
+    """Exit code, stdout and stderr of sjk on the documents, run in process."""
+    args = list(argv)
+    for name, doc in docs.items():
+        path = workdir / ("%s.json" % name)
+        path.write_text(json.dumps(doc))       # inf and nan become Infinity/NaN
+        args += ["--" + name, str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestMalformedInput:
+    """A bad field in any input document exits 2 with empty stdout and the
+    field's path on stderr: never a report (0), never a traceback (1)."""
+
+    @pytest.mark.parametrize("argv, docs", INPUT_PATHS,
+                             ids=[" ".join(argv) for argv, _ in INPUT_PATHS])
+    def test_valid_documents_run(self, tmp_path, argv, docs):
+        code, out, _ = _run_documents(tmp_path, argv, docs)
+        assert code == 0 and json.loads(out)["outputs"]
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_one_bad_field_exits_2_naming_it(self, tmp_path_factory, data):
+        argv, docs = data.draw(st.sampled_from(INPUT_PATHS))
+        name = data.draw(st.sampled_from(sorted(docs)))
+        path, keys, node = data.draw(st.sampled_from(list(_fields(docs[name], name))))
+        key = next((k for k in reversed(keys) if isinstance(k, str)), None)
+        bad = data.draw(st.sampled_from(_bad_values(key, node)))
+        docs = dict(docs, **{name: _replaced(docs[name], keys, bad)})
+        code, out, err = _run_documents(tmp_path_factory.mktemp("bad"), argv, docs)
+        assert (code, out) == (2, ""), (path, bad, err)
+        assert path in err, (path, bad, err)
+
+    @pytest.mark.parametrize("cmd", ["member", "reduce"])
+    @pytest.mark.parametrize("doc", ["Yes", 5, None])
+    def test_minkowski_document_not_an_object(self, tmp_path, cmd, doc):
+        code, out, err = _run_documents(tmp_path, [cmd, "--minkowski"], {"point": doc})
+        assert (code, out) == (2, "") and "point: expected an object" in err
+
+    @pytest.mark.parametrize("entry", [True, "2"])
+    def test_minkowski_entry_not_a_number(self, tmp_path, entry):
+        y = encode_matrix(np.eye(2))
+        y["data"][0] = entry
+        code, out, err = _run_documents(tmp_path, ["reduce", "--minkowski"], {"point": {"Y": y}})
+        assert (code, out) == (2, "") and "point.Y.data holds a non-number" in err
+
+    def test_p_omega_point_not_an_object(self, tmp_path):
+        argv, docs = INPUT_PATHS[6]
+        assert argv == ["member", "--p-omega"]
+        code, out, err = _run_documents(tmp_path, argv, dict(docs, point=[1, 2]))
+        assert (code, out) == (2, "") and "point: expected an object" in err
+
+    def test_jacobi_tangent_not_an_object(self, tmp_path):
+        argv, docs = INPUT_PATHS[-1]
+        docs = {"point": dict(docs["point"], T1=3)}
+        code, out, err = _run_documents(tmp_path, argv, docs)
+        assert (code, out) == (2, "") and "point.T1: expected an object" in err
+
+    def test_integer_beyond_float_range(self):
+        with pytest.raises(ValueError, match="Y.data holds a non-finite entry"):
+            decode_matrix({"rows": 1, "cols": 1, "data": [10 ** 400]}, "Y")
+
+
+class TestMetricEvalTangents:
+    """metric-eval checks each tangent's shape (g x g for H, T and dOmega,
+    h x g for dZ) and the symmetry of H, T and dOmega, part by part."""
+
+    def run(self, tmp_path, kind, point):
+        return _run_documents(tmp_path, ["metric-eval", "--kind", kind], {"point": point})
+
+    @staticmethod
+    def docs(kind):
+        return next(d["point"] for a, d in INPUT_PATHS if a[-1] == kind)
+
+    UPPER = np.array([[1.0, 2.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("kind, key, t, field", [
+        ("P", "H1", UPPER, "point.H1 not symmetric"),
+        ("siegel", "T1", UPPER + 0.5j * np.eye(2), "point.T1.re not symmetric"),
+        ("siegel", "T2", np.eye(2) + 1j * UPPER, "point.T2.im not symmetric"),
+        ("jacobi", "T1", UPPER + 0.5j * np.eye(2), "point.T1.dOmega.re not symmetric"),
+        ("jacobi", "T2", np.eye(2) + 1j * UPPER, "point.T2.dOmega.im not symmetric")])
+    def test_non_symmetric_tangent(self, tmp_path, kind, key, t, field):
+        point = copy.deepcopy(self.docs(kind))
+        if kind == "P":
+            point[key] = encode_matrix(t)
+        elif kind == "siegel":
+            point[key] = encode_complex(t)
+        else:
+            point[key]["dOmega"] = encode_complex(t)
+        code, out, err = self.run(tmp_path, kind, point)
+        assert (code, out) == (2, "") and field in err
+
+    def test_siegel_value_of_non_symmetric_tangent_refused(self, tmp_path):
+        # this tangent used to give the value 2.0 at Omega = i I
+        t = encode_complex(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        point = dict(encode_siegel_point(SiegelPoint.from_omega(1j * np.eye(2))), T1=t, T2=t)
+        code, out, err = self.run(tmp_path, "siegel", point)
+        assert (code, out) == (2, "") and "point.T1.re not symmetric" in err
+
+    @pytest.mark.parametrize("kind, key, field", [
+        ("P", "H2", "point.H2: expected a 1 x 1 matrix, got 2 x 2"),
+        ("siegel", "T1", "point.T1: expected a 1 x 1 matrix, got 2 x 2"),
+        ("jacobi", "dOmega", "point.T1.dOmega: expected a 1 x 1 matrix, got 2 x 2"),
+        ("jacobi", "dZ", "point.T1.dZ: expected a 2 x 1 matrix, got 1 x 2")])
+    def test_wrong_shape(self, tmp_path, kind, key, field):
+        # a g = 1 point (h = 2 for jacobi) with 2 x 2 or 1 x 2 tangents
+        om = SiegelPoint.from_omega([[0.1 + 1.2j]])
+        if kind == "P":
+            point = dict(self.docs("P"), Y=encode_matrix(om.Y), H1=encode_matrix([[1.0]]))
+        elif kind == "siegel":
+            point = dict(self.docs("siegel"), **encode_siegel_point(om))
+        else:
+            point = dict(self.docs("jacobi"), **encode_jacobi_point(
+                JacobiPoint.from_z(om, [[0.2 + 0.1j], [0.3 - 0.2j]])))
+            good = {"dOmega": encode_complex([[1.0]]), "dZ": encode_complex([[1.0], [0.5j]])}
+            point["T2"] = good
+            point["T1"] = dict(good, **{key: self.docs("jacobi")["T1"][key]})
+        code, out, err = self.run(tmp_path, kind, point)
+        assert (code, out) == (2, "") and field in err
+
+    def test_rounding_level_asymmetry_accepted(self, tmp_path):
+        point = copy.deepcopy(self.docs("siegel"))
+        point["T1"]["re"]["data"][1] += 1e-13
+        code, out, _ = self.run(tmp_path, "siegel", point)
+        assert code == 0 and np.isfinite(json.loads(out)["outputs"]["value"])

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from math import pi
 
-from siegeljacobi.geometry import (DEFAULT_FD_STEP, TangentJacobi, TangentP,
-                                   TangentSiegel, VOLUME_TARGETS,
+from siegeljacobi.geometry import (DEFAULT_FD_STEP, VOLUME_TARGETS,
                                    laplacian_apply, metric_fiber, metric_jacobi,
                                    metric_p, metric_siegel, push_tangent_jacobi,
                                    push_tangent_p, push_tangent_siegel,
@@ -12,7 +11,6 @@ from siegeljacobi.geometry import (DEFAULT_FD_STEP, TangentJacobi, TangentP,
 from siegeljacobi.geometry import _Chart, _operator_terms
 from siegeljacobi.group_core import (JacobiPoint, SiegelPoint, act_jacobi,
                                      act_siegel)
-from siegeljacobi.siegel import is_siegel_reduced
 from conftest import (fd_push_jacobi, fd_push_siegel, jacobi_density,
                       rand_jacobi_element, rand_jacobi_point, rand_pd,
                       rand_siegel_point, rand_sym_complex, rand_symplectic,
@@ -60,6 +58,19 @@ def _add_siegel_terms(chart, add2, y):
                     add2(iy_db, iy_ca, coeff)
                     add2(iy_db, ix_ca, 1j * coeff)
                     add2(ix_db, iy_ca, -1j * coeff)
+
+
+def _add_cone_terms(chart, add2, y):
+    """Second-order part of the cone operator tr((Y d/dY)^2) over the real y
+    chart; d/dY halves each off-diagonal coordinate derivative."""
+    g = y.shape[0]
+    w = lambda a, b: 0.5 * (1.0 + (a == b))
+    for i in range(g):
+        for j in range(g):
+            for k in range(g):
+                for m in range(g):
+                    add2(chart.cid("Y", j, k), chart.cid("Y", m, i),
+                         y[i, j] * y[k, m] * w(j, k) * w(m, i))
 
 
 def _add_fiber_terms(chart, add2, y, scale):
@@ -315,17 +326,6 @@ class TestMetricJacobi:
             assert np.max(np.abs(o1[0] - p1[0])) < 1e-7 * max(1.0, np.max(np.abs(p1[0])))
             assert np.max(np.abs(o1[1] - p1[1])) < 1e-7 * max(1.0, np.max(np.abs(p1[1])))
 
-    def test_tangent_dataclasses(self, rng):
-        p = rand_jacobi_point(2, 1, rng)
-        dom = rand_sym_complex(2, rng)
-        dz = rng.normal(size=(1, 2)) + 1j * rng.normal(size=(1, 2))
-        t = TangentJacobi(dom, dz)
-        assert abs(metric_jacobi(p, t, t) - metric_jacobi(p, (dom, dz), (dom, dz))) < 1e-14
-        with pytest.raises(ValueError):
-            TangentSiegel(np.array([[0, 1], [0, 0]], dtype=complex))
-        with pytest.raises(ValueError):
-            TangentP(np.array([[0, 1], [0, 0]], dtype=float))
-
 
 class TestStackedMetrics:
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -448,18 +448,21 @@ class TestPrincipalStencil:
         # S = scale x inv(G) reproduces the hand-expanded printed operators
         cases = [("siegel", g, 1) for g in (1, 2, 3)]
         cases += [("omega", g, h) for g in (1, 2, 3) for h in (1, 2)]
+        cases += [("P", g, 1) for g in (1, 2, 3)]
         for kind, g, h in cases:
             for _ in range(3):
                 chart = _Chart(kind, _kind_point(kind, rand_jacobi_point(g, h, rng)))
                 second, add2 = _new_table()
-                if kind == "siegel":
+                if kind == "P":
+                    _add_cone_terms(chart, add2, chart.y)
+                elif kind == "siegel":
                     _add_siegel_terms(chart, add2, chart.y)
                 else:
                     _add_fiber_terms(chart, add2, chart.y, scale=0.25)
                 printed = _table_matrix(second, chart.d)
                 s, first = _operator_terms(kind, chart)
                 assert np.max(np.abs(s - printed)) <= 1e-12 * np.max(np.abs(printed))
-                assert not first
+                assert bool(first) == (kind == "P")
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(kind=st.sampled_from(KINDS), g=st.integers(1, 2), h=st.integers(1, 2),
@@ -612,17 +615,13 @@ class TestVolumes:
         assert abs(volume_f1(64) - volume_f1(128)) < 1e-10
 
     def test_mc_g1_small(self):
-        res = volume_fg_mc(1, 200_000, seed=123, keep_samples=50)
+        res = volume_fg_mc(1, 200_000, seed=123)
         assert abs(res.estimate - pi / 3.0) < 4 * res.stderr
         assert res.stderr < 0.01 * (pi / 3.0)
-        for x, y in res.accepted_examples:
-            assert is_siegel_reduced(SiegelPoint(x, y))
 
     def test_mc_g2_small(self):
-        res = volume_fg_mc(2, 200_000, seed=123, keep_samples=20)
+        res = volume_fg_mc(2, 200_000, seed=123)
         assert abs(res.estimate - VOLUME_TARGETS[2]) < 4 * res.stderr
-        for x, y in res.accepted_examples:
-            assert is_siegel_reduced(SiegelPoint(x, y))
 
     def test_mc_deterministic_across_threads(self):
         a = volume_fg_mc(2, 300_000, seed=9, threads=1)

@@ -4,12 +4,19 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import json
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from siegeljacobi import geometry
+from siegeljacobi.cli import main
 from siegeljacobi.geometry import volume_fg_mc
 from siegeljacobi.group_core import SiegelPoint, SymplecticInt, act_siegel
 from siegeljacobi.intmat import as_imat
+from siegeljacobi.jsonio import encode_siegel_point
+from siegeljacobi.minkowski import DEFAULT_EPS
 from siegeljacobi.siegel import (CandidateSet, _det_coefficients, _det_sq_batch,
                                  builtin_candidates, det_sq,
                                  heuristic_candidates, is_siegel_reduced,
@@ -83,17 +90,26 @@ class TestMembership:
         member, boundary = siegel_membership(SiegelPoint.from_omega([[0.1 + 5j]]))
         assert member and not boundary
 
-    def test_vectorized_matches_scalar(self, rng):
-        cands = builtin_candidates(2)
-        xs, ys = [], []
-        for _ in range(150):
-            p = rand_siegel_point(2, rng, x_scale=0.4, floor=0.8)
-            xs.append(p.X)
-            ys.append(p.Y)
-        xs, ys = np.stack(xs), np.stack(ys)
-        mask = membership_mask_points(xs, ys, cands)
-        for x, y, m in zip(xs, ys, mask):
-            assert bool(m) == is_siegel_reduced(SiegelPoint(x, y), cands)
+    def test_vectorized_matches_scalar(self, rng, monkeypatch):
+        # random g = 2 points, then the proposal samples of volume_fg_mc at
+        # g = 1 and 2, taken from the calls its chunks make
+        pts = [rand_siegel_point(2, rng, x_scale=0.4, floor=0.8) for _ in range(150)]
+        batches = [(np.stack([p.X for p in pts]), np.stack([p.Y for p in pts]),
+                    builtin_candidates(2))]
+
+        def spy(xs, ys, cands, *args):
+            batches.append((xs, ys, cands))
+            return membership_mask_points(xs, ys, cands, *args)
+
+        monkeypatch.setattr(geometry, "membership_mask_points", spy)
+        for g in (1, 2):
+            volume_fg_mc(g, 1000, seed=123)
+        assert [xs.shape[1:] for xs, _, _ in batches[1:]] == [(1, 1), (2, 2)]
+        for xs, ys, cands in batches:
+            mask = membership_mask_points(xs, ys, cands)
+            assert mask.any() and not mask.all()
+            for x, y, m in zip(xs, ys, mask):
+                assert bool(m) == is_siegel_reduced(SiegelPoint(x, y), cands)
 
 
 class TestReduce:
@@ -295,3 +311,75 @@ def test_empty_candidate_set_leaves_box_and_minkowski_mask():
     xs[1, 0, 0] = 0.7
     assert membership_mask_points(xs, ys, empty).tolist() == [True, False, False]
     assert det_sq(empty, 1j * np.eye(2)).shape == (0,)
+
+
+def _onto_det_surface(p, cands):
+    """p with Im scaled down to where the smallest candidate |det|^2 meets 1:
+    bisection keeps the upper end, where every candidate holds."""
+    lo, hi = 0.0, 1.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if det_sq(cands, p.X + 1j * mid * p.Y).min() >= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return SiegelPoint(p.X, hi * p.Y)
+
+
+def _x_face(p, i, j, value):
+    x = p.X.copy()
+    x[i, j] = x[j, i] = value
+    return SiegelPoint(x, p.Y)
+
+
+def _m2_face(p):
+    y = p.Y.copy()
+    y[0, 1] = y[1, 0] = 0.0
+    return SiegelPoint(p.X, y)
+
+
+class TestBoundaryFamilies:
+    """Seeded interior points moved onto one boundary family each: an X face
+    (one entry at +-1/2), an (M.2) face (y12 = 0) and a candidate det
+    surface.  Library, reducer and CLI all see a member on the boundary."""
+
+    def _moved(self, g, seed):
+        p = rand_interior_siegel(g, np.random.default_rng(seed))
+        assert siegel_membership(p) == (True, False)
+        moved = [_x_face(p, i, j, s * 0.5) for i in range(g) for j in range(i, g)
+                 for s in (1, -1)]
+        return moved + [_m2_face(p), _onto_det_surface(p, builtin_candidates(g))]
+
+    @pytest.mark.parametrize("g", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_library_and_reducer(self, g, seed):
+        for q in self._moved(g, seed):
+            assert siegel_membership(q) == (True, True)
+            cert = siegel_reduce(q)
+            assert cert.on_boundary and cert.iterations == 0
+            assert np.array_equal(cert.reduced.omega, q.omega)
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_cli_member(self, g, tmp_path, capsys):
+        for q in self._moved(g, 0):
+            path = tmp_path / "p.json"
+            path.write_text(json.dumps(encode_siegel_point(q)))
+            assert main(["member", "--siegel", "--point", str(path)]) == 0
+            out = json.loads(capsys.readouterr().out)["outputs"]
+            assert out == {"member": True, "on_boundary": True}
+
+    def test_one_x_entry_on_its_face(self):
+        # only x11 is at 1/2: the face is flagged all the same
+        y = np.array([[1.5, 0.3], [0.3, 1.8]])
+        for x in ([[0.5, 0.1], [0.1, 0.2]], [[0.5, 0.5], [0.5, -0.5]]):
+            p = SiegelPoint(np.array(x), y)
+            assert siegel_membership(p) == (True, True)
+            assert siegel_reduce(p).on_boundary
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_x_entry_past_the_face_is_outside(self, g):
+        p = rand_interior_siegel(g, np.random.default_rng(0))
+        for i, j in ((0, 0), (0, 1)):
+            for s in (1, -1):
+                q = _x_face(p, i, j, s * (0.5 + 2 * DEFAULT_EPS))
+                assert siegel_membership(q) == (False, False)
