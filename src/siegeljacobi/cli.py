@@ -18,7 +18,7 @@ import numpy as np
 from .geometry import (VOLUME_TARGETS, laplacian_apply, metric_jacobi,
                        metric_p, metric_siegel, volume_f1, volume_fg_mc)
 from .group_core import (IllConditionedActionError, JacobiPoint, SiegelPoint,
-                         _check_symmetric)
+                         _check_posdef, _check_symmetric)
 from .jacobi_domain import in_P_omega, jacobi_membership, jacobi_reduce
 from .jsonio import (decode_complex, decode_jacobi_point, decode_matrix,
                      decode_siegel_point, encode_jacobi_element,
@@ -78,7 +78,10 @@ def _report(args, digest, outputs, tolerances, t0, guarantee=None):
 
 
 def _decode_pd(obj):
-    return decode_matrix(get_field(obj, "Y", "point"), "point.Y")
+    """The cone point's Y, checked symmetric positive definite."""
+    y = _check_symmetric(decode_matrix(get_field(obj, "Y", "point"), "point.Y"), "point.Y")
+    _check_posdef(y, "point.Y")
+    return y
 
 
 def _cmd_reduce(ns, argv, t0):
@@ -260,12 +263,20 @@ def _cmd_metric_eval(ns, argv, t0):
     return 0
 
 
+def _eps(text):
+    """--eps: finite and >= 0 (a negative eps, the strict interior, is library-only)."""
+    eps = float(text)
+    if not (np.isfinite(eps) and eps >= 0):
+        raise argparse.ArgumentTypeError("must be finite and >= 0, got %r" % text)
+    return eps
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(prog="sjk", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def common(p, bound=DEFAULT_BOUND):
-        p.add_argument("--eps", type=float, default=1e-9,
+        p.add_argument("--eps", type=_eps, default=1e-9,
                        help="membership tolerance fed to every inequality")
         p.add_argument("--bound", type=int, default=bound,
                        help="candidate box bound for the Minkowski conditions "

@@ -1,9 +1,10 @@
 """Fundamental domain for the discrete Jacobi group on the Siegel-Jacobi space.
 
 Over a reduced Omega, the fiber cell is the parallelepiped P_Omega spanned by
-the lattice basis {E_kj, E_kj Omega} with coefficients in [0, 1].  Reduction
-of (Omega~, Z~) first reduces Omega~, then moves Z~ by the Heisenberg part
-so the basis coefficients land in [0, 1).
+the lattice basis {E_kj, E_kj Omega} with coefficients in [0, 1]; Z is on a
+face when it is inside at slack eps and not at -eps.  Reduction of
+(Omega~, Z~) first reduces Omega~, then moves Z~ by the Heisenberg part so
+the basis coefficients land in [0, 1).
 
 Interior points come in pairs under the central involution
 (Omega, Z) -> (Omega, (1-a) + (1-b)Omega) induced by -I with lambda = mu =
@@ -62,16 +63,17 @@ def decompose_in_omega_basis(w, omega: SiegelPoint) -> OmegaBasisCoords:
 
 
 def in_P_omega(z, omega: SiegelPoint, eps: float = DEFAULT_EPS) -> POmegaResult:
-    """Is Z inside the cell P_Omega (coefficients within [0, 1])?"""
+    """Is Z inside the cell P_Omega (coefficients within [0, 1]), and on a
+    face of it?"""
     coords = decompose_in_omega_basis(z, omega)
     flat = np.concatenate([coords.a.ravel(), coords.b.ravel()])
-    inside = bool(np.all(flat >= -eps) and np.all(flat <= 1.0 + eps))
-    return POmegaResult(inside, inside and _near_face(flat, eps))
+    inside = _in_cell(flat, eps)
+    return POmegaResult(inside, inside and not _in_cell(flat, -eps))
 
 
-def _near_face(flat: np.ndarray, eps: float) -> bool:
-    """Is some cell coefficient within eps of a face (0 or 1)?"""
-    return bool(np.any(np.minimum(np.abs(flat), np.abs(flat - 1.0)) <= eps))
+def _in_cell(flat: np.ndarray, eps: float) -> bool:
+    """Are the cell coefficients within [-eps, 1 + eps]?"""
+    return bool(np.all(flat >= -eps) and np.all(flat <= 1.0 + eps))
 
 
 def jacobi_membership(p: JacobiPoint, cands: CandidateSet = None,
@@ -143,6 +145,6 @@ def jacobi_reduce(p: JacobiPoint, cands: CandidateSet = None,
     z_red = afrac + bfrac @ om.omega
     reduced = JacobiPoint.from_z(om, z_red)
     flat = np.concatenate([afrac.ravel(), bfrac.ravel()])
-    on_boundary = scert.on_boundary or _near_face(flat, eps)
+    on_boundary = scert.on_boundary or not _in_cell(flat, -eps)
     return JacobiCertificate(reduced, gj, on_boundary, scert.guarantee)
 

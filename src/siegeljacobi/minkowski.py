@@ -2,15 +2,17 @@
 
 The reduced domain is cut out by the inequalities
 
-    (M.1)  a Y t(a) >= y_kk   for integer a with gcd(a_k, ..., a_g) = 1,
+    (M.1)  a Y t(a) >= y_kk   for integer a != +-e_k with gcd(a_k, ..., a_g) = 1,
     (M.2)  y_{k,k+1} >= 0,
 
 checked over a bounded candidate box (bound 3 covers g <= 3; the bound is a
 parameter for anyone pushing higher, with no exactness promise there).  The
-reducer is a greedy successive-minima pass: LLL pre-reduction keeps the true
-minimizers inside the search box, then column k is assigned the shortest
-primitive-tail vector, completed to a unimodular transform, and signs are
-fixed for (M.2).  All transforms are exact integer matrices.
+form of +-e_k is y_kk at every Y, so it is left out, and membership with
+slack -eps is the strict interior.  The reducer is a greedy successive-minima
+pass: LLL pre-reduction keeps the true minimizers inside the search box, then
+column k is assigned the shortest primitive-tail vector, completed to a
+unimodular transform, and signs are fixed for (M.2).  All transforms are
+exact integer matrices.
 """
 
 from __future__ import annotations
@@ -113,14 +115,14 @@ def _column_tables(g: int, bound: int):
     so that monomials @ _form_features(ys) is every a Y t(a) at once.
 
     a and -a give the same form, so only the lexicographically smaller of
-    the two (first nonzero entry negative) is kept.
+    the two (first nonzero entry negative) is kept, and -e_k is left out.
     """
     vecs, tails = _candidate_arrays(g, bound)
     lead = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
     iu, ju = _triu(g)
     out = []
     for k in range(g):
-        cand = vecs[tails[:, k] & (lead < 0)]
+        cand = vecs[tails[:, k] & (lead < 0) & np.any(vecs != -np.eye(g)[k], axis=1)]
         cand = cand[np.lexsort(cand.T[::-1])]
         out.append((cand, np.where(iu == ju, 1.0, 2.0) * cand[:, iu] * cand[:, ju]))
     return tuple(out)
@@ -147,23 +149,8 @@ def membership_mask(ys: np.ndarray, bound: int = DEFAULT_BOUND,
         feats = _form_features(block)
         part = ok[start:start + ROW_BLOCK]
         for k, (_, mono) in enumerate(tables):
-            part &= (mono @ feats).min(axis=0) >= block[:, k, k] - eps
+            part &= (mono @ feats).min(axis=0, initial=np.inf) >= block[:, k, k] - eps
     return ok
-
-
-def on_minkowski_boundary(y: np.ndarray, bound: int = DEFAULT_BOUND,
-                          eps: float = DEFAULT_EPS) -> bool:
-    """Does (M.1) or (M.2) hold with equality, up to eps?  For (M.1) the
-    candidate e_k, which meets it with equality trivially, is left out."""
-    y = np.asarray(y, dtype=float)
-    g = y.shape[0]
-    feats = _form_features(y[None])
-    for k, (vecs, mono) in enumerate(_column_tables(g, bound)):
-        quad = (mono @ feats)[:, 0]
-        other = np.any(vecs[:, np.arange(g) != k] != 0, axis=1) | (np.abs(vecs[:, k]) != 1)
-        if other.any() and np.min(np.abs(quad[other] - y[k, k])) <= eps:
-            return True
-    return bool(np.any(np.abs(y[np.arange(g - 1), np.arange(1, g)]) <= eps))
 
 
 def _lll_transform(y: np.ndarray, delta: float = 0.99, max_steps: int = 10000):

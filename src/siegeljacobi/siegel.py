@@ -24,6 +24,10 @@ it is a polynomial in the entries of Omega whose integer coefficients are
 computed once per set (CandidateSet.det_table), so n points cost two
 (ncand x 5) @ (5 x n) real products; g >= 3 takes one batched determinant.
 det_sq is the kernel on a batch of one.
+
+Membership has one test too, membership_mask_points; siegel_membership is it
+on a batch of one, and a member is on the boundary when it is not a member
+at -eps, the strict interior.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ import numpy as np
 from .group_core import SiegelPoint, SymplecticInt, act_siegel
 from .intmat import ieye, izeros, to_float
 from .jsonio import decode_symplectic, encode_symplectic, get_field
-from .minkowski import (DEFAULT_BOUND, DEFAULT_EPS, ROW_BLOCK, is_minkowski_reduced,
-                        membership_mask, minkowski_reduce, on_minkowski_boundary)
+from .minkowski import (DEFAULT_BOUND, DEFAULT_EPS, ROW_BLOCK, membership_mask,
+                        minkowski_reduce)
 
 ENV_CANDIDATE_DIR = "SJK_CANDIDATE_DIR"
 
@@ -225,15 +229,18 @@ def save_candidates(cands: CandidateSet, path) -> None:
 
 
 def resolve_candidates(g: int, path=None) -> CandidateSet:
-    """Explicit path wins, then $SJK_CANDIDATE_DIR/candidates_g{g}.json, then built-ins."""
-    if path is not None:
-        return load_candidates(path)
-    env_dir = os.environ.get(ENV_CANDIDATE_DIR)
-    if env_dir:
-        cand_path = os.path.join(env_dir, "candidates_g%d.json" % g)
-        if os.path.exists(cand_path):
-            return load_candidates(cand_path)
-    return builtin_candidates(g)
+    """Explicit path wins, then $SJK_CANDIDATE_DIR/candidates_g{g}.json, then
+    built-ins.  A file whose set is not for genus g is refused."""
+    if path is None:
+        env_dir = os.environ.get(ENV_CANDIDATE_DIR)
+        path = os.path.join(env_dir, "candidates_g%d.json" % g) if env_dir else None
+        if path is None or not os.path.exists(path):
+            return builtin_candidates(g)
+    cands = load_candidates(path)
+    if cands.g != g:
+        raise ValueError("candidates: %s has g=%d, the input has g=%d"
+                         % (path, cands.g, g))
+    return cands
 
 
 # ---------------------------------------------------------------------------
@@ -291,21 +298,13 @@ def det_sq(cands: CandidateSet, omega: np.ndarray) -> np.ndarray:
 
 def siegel_membership(p: SiegelPoint, cands: CandidateSet = None,
                       eps: float = DEFAULT_EPS, bound: int = DEFAULT_BOUND):
-    """Return (member, on_boundary) for the domain cut out by the candidate
-    set, decided on its certifying sub-family.  A member is on the boundary
-    when some |det(C Omega + D)|^2, some |x_ij| or some Minkowski inequality
-    is within eps of equality."""
-    cands = (builtin_candidates(p.g) if cands is None else cands).certifying
-    vals = det_sq(cands, p.omega)
-    member = bool(np.all(vals >= 1.0 - eps))
-    member = member and is_minkowski_reduced(p.Y, bound, eps)
-    member = member and bool(np.max(np.abs(p.X)) <= 0.5 + eps)
-    on_boundary = False
-    if member:
-        on_boundary = bool(np.min(np.abs(vals - 1.0)) <= eps
-                           or np.min(np.abs(np.abs(p.X) - 0.5)) <= eps
-                           or on_minkowski_boundary(p.Y, bound, eps))
-    return member, on_boundary
+    """Return (member, on_boundary): membership_mask_points on a batch of
+    one.  A member is on the boundary when it is not a member at -eps, the
+    strict interior, i.e. some inequality holds within eps of equality."""
+    cands = builtin_candidates(p.g) if cands is None else cands
+    xs, ys = p.X[None], p.Y[None]
+    member = bool(membership_mask_points(xs, ys, cands, eps, bound)[0])
+    return member, member and not membership_mask_points(xs, ys, cands, -eps, bound)[0]
 
 
 def is_siegel_reduced(p: SiegelPoint, cands: CandidateSet = None,
@@ -316,12 +315,9 @@ def is_siegel_reduced(p: SiegelPoint, cands: CandidateSet = None,
 def membership_mask_points(xs: np.ndarray, ys: np.ndarray,
                            cands: CandidateSet, eps: float = DEFAULT_EPS,
                            bound: int = DEFAULT_BOUND) -> np.ndarray:
-    """is_siegel_reduced over stacks of (X, Y) pairs, shape (n, g, g) each.
-
-    Same conditions, certifying family and slacks as siegel_membership; the
-    determinant test runs on the points that pass the box and Minkowski
-    conditions, ROW_BLOCK points at a time.
-    """
+    """Membership over stacks of (X, Y) pairs, shape (n, g, g) each, with
+    slack eps on every inequality; the determinant test runs on the points
+    that pass the box and Minkowski conditions, ROW_BLOCK points at a time."""
     cands = cands.certifying
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)

@@ -7,7 +7,8 @@ from siegeljacobi.group_core import (HeisenbergInt, JacobiGroupElement,
                                      JacobiPoint, SiegelPoint, SymplecticInt,
                                      act_jacobi, act_siegel)
 from siegeljacobi.jacobi_domain import _lex_smaller
-from siegeljacobi.siegel import builtin_candidates, siegel_membership
+from siegeljacobi.minkowski import DEFAULT_BOUND, DEFAULT_EPS, primitive_candidates
+from siegeljacobi.siegel import builtin_candidates, det_sq, siegel_membership
 
 
 def rand_unimodular(g, rng, steps=6, span=2):
@@ -134,6 +135,36 @@ def siegel_density(p: SiegelPoint) -> float:
 def jacobi_density(p: JacobiPoint) -> float:
     """Invariant volume density det(Y)^{-(g+h+1)} in (x, y, u, v) coordinates."""
     return float(np.linalg.det(p.omega.Y) ** (-(p.g + p.h + 1)))
+
+
+def siegel_flags_oracle(p: SiegelPoint, cands=None, eps=DEFAULT_EPS,
+                        bound=DEFAULT_BOUND):
+    """(member, on_boundary) from the inequalities one at a time: a member
+    is on the boundary when some |det(C Omega + D)|^2 is within eps of 1,
+    some |x_ij| within eps of 1/2, some (M.1) form a Y t(a) with a != +-e_k
+    within eps of y_kk, or some y_{k,k+1} within eps of 0."""
+    dets = det_sq((builtin_candidates(p.g) if cands is None else cands).certifying,
+                  p.omega)
+    x, y, g = p.X, p.Y, p.g
+    vecs, tails = primitive_candidates(g, bound)
+    unit = np.abs(vecs).sum(axis=1) == 1
+    m1 = []
+    for k in range(g):
+        a = vecs[tails[:, k] & ~(unit & (vecs[:, k] != 0))]
+        m1.append(np.einsum("ni,ij,nj->n", a, y, a) - y[k, k])
+    m1 = np.concatenate(m1)
+    m2 = y[np.arange(g - 1), np.arange(1, g)]
+    member = bool(np.all(dets >= 1.0 - eps) and np.max(np.abs(x)) <= 0.5 + eps
+                  and np.all(m1 >= -eps) and np.all(m2 >= -eps))
+    slack = np.concatenate([np.abs(dets - 1.0), np.abs(np.abs(x.ravel()) - 0.5),
+                            np.abs(m1), np.abs(m2)])
+    return member, member and bool(np.min(slack) <= eps)
+
+
+def cell_face_oracle(flat, eps=DEFAULT_EPS) -> bool:
+    """Is some cell coefficient within eps of a face, 0 or 1?"""
+    flat = np.asarray(flat)
+    return bool(np.any(np.minimum(np.abs(flat), np.abs(flat - 1.0)) <= eps))
 
 
 def sl2z_reduce_oracle(tau: complex, eps: float = 1e-9) -> complex:

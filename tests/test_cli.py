@@ -374,6 +374,63 @@ class TestCandidateOverride:
         code, out, _ = run_cli(capsys, ["reduce", "--siegel", "--point", path])
         assert code == 0
 
+    @pytest.mark.parametrize("how", ["flag", "env"])
+    def test_family_of_another_g_is_refused(self, tmp_path, capsys, monkeypatch, how):
+        # the g = 1 family on a g = 2 point used to fail inside numpy's matmul
+        save_candidates(builtin_candidates(1), tmp_path / "candidates_g2.json")
+        path = write_json(tmp_path / "p.json", {"omega": encode_complex(1j * np.eye(2))})
+        args = ["member", "--siegel", "--point", path]
+        if how == "flag":
+            args += ["--candidates", str(tmp_path / "candidates_g2.json")]
+        else:
+            monkeypatch.setenv("SJK_CANDIDATE_DIR", str(tmp_path))
+        code, out, err = run_cli(capsys, args)
+        assert code == 2 and out == ""
+        assert "has g=1, the input has g=2" in err
+
+
+class TestEpsFlag:
+    """--eps is a finite tolerance >= 0.  -1e-12 used to make member --siegel
+    say false and reduce --siegel stall with exit 3, nan to put a non-JSON
+    NaN in the report, inf to flag every point a boundary member."""
+
+    POINT = {"omega": encode_complex(np.array([[0.1 + 2j]]))}
+
+    @pytest.mark.parametrize("eps", ["-1e-12", "nan", "inf"])
+    @pytest.mark.parametrize("cmd", [["reduce", "--siegel"], ["member", "--siegel"],
+                                     ["volume", "--g", "2", "--samples", "100"]])
+    def test_refused(self, tmp_path, capsys, cmd, eps):
+        path = write_json(tmp_path / "p.json", self.POINT)
+        args = cmd + ([] if cmd[0] == "volume" else ["--point", path])
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--eps=" + eps])
+        assert exc.value.code == 2
+        assert "--eps" in capsys.readouterr().err
+
+    def test_zero_accepted(self, tmp_path, capsys):
+        path = write_json(tmp_path / "p.json", self.POINT)
+        code, out, _ = run_cli(capsys, ["member", "--siegel", "--point", path, "--eps", "0"])
+        assert code == 0
+        assert json.loads(out)["outputs"] == {"member": True, "on_boundary": False}
+
+
+class TestConePointY:
+    """A cone point's Y must be symmetric positive definite; the error names
+    point.Y.  metric-eval --kind P used to evaluate any Y."""
+
+    @pytest.mark.parametrize("y, msg", [([[1.0, 3.0], [0.0, -1.0]], "point.Y not symmetric"),
+                                        ([[1.0, 0.0], [0.0, -1.0]],
+                                         "point.Y is not positive definite")])
+    @pytest.mark.parametrize("cmd", [["metric-eval", "--kind", "P"],
+                                     ["reduce", "--minkowski"], ["member", "--minkowski"]])
+    def test_invalid_y_named(self, tmp_path, capsys, cmd, y, msg):
+        eye = encode_matrix(np.eye(2))
+        path = write_json(tmp_path / "y.json", {"Y": encode_matrix(np.array(y)),
+                                                "H1": eye, "H2": eye})
+        code, out, err = run_cli(capsys, cmd + ["--point", path])
+        assert code == 2 and out == ""
+        assert msg in err
+
 
 class TestGuarantee:
     """Reports whose verdict rests on a candidate set say what it proves,

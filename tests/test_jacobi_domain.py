@@ -7,11 +7,13 @@ from siegeljacobi.group_core import (JacobiGroupElement, JacobiPoint,
 from siegeljacobi.jacobi_domain import (decompose_in_omega_basis, in_F_gh,
                                         in_P_omega, jacobi_membership,
                                         jacobi_reduce)
+from siegeljacobi.minkowski import DEFAULT_EPS
 from siegeljacobi.siegel import siegel_membership
-from conftest import (canonicalize_cell_coords, is_plus_minus_identity,
-                      rand_heisenberg, rand_interior_jacobi,
+from conftest import (canonicalize_cell_coords, cell_face_oracle,
+                      is_plus_minus_identity, rand_heisenberg,
+                      rand_interior_jacobi, rand_interior_siegel,
                       rand_jacobi_element, rand_jacobi_point,
-                      rand_siegel_point)
+                      rand_siegel_point, siegel_flags_oracle)
 
 
 def unit_matrix(h, g, k, j):
@@ -66,6 +68,52 @@ class TestPOmega:
         om = SiegelPoint.from_omega([[2j]])
         res = in_P_omega([[2.0]], om)
         assert not res.inside
+
+
+class TestFlagsMatchOracle:
+    """in_P_omega, jacobi_membership and jacobi_reduce against the oracles:
+    a member is on the boundary when its base point is (siegel_flags_oracle)
+    or some cell coefficient is within eps of 0 or 1 (cell_face_oracle)."""
+
+    @staticmethod
+    def _flat(z, omega):
+        c = decompose_in_omega_basis(z, omega)
+        return np.concatenate([c.a.ravel(), c.b.ravel()])
+
+    @pytest.mark.parametrize("g, h", [(1, 1), (2, 1), (2, 2), (3, 1)])
+    @pytest.mark.parametrize("eps", [DEFAULT_EPS, 3e-2])
+    def test_reduced_points(self, g, h, eps):
+        rng = np.random.default_rng(10 * g + h)
+        flagged = 0
+        for _ in range(30):
+            cert = jacobi_reduce(rand_jacobi_point(g, h, rng), eps=eps)
+            om = cert.reduced.omega
+            face = cell_face_oracle(self._flat(cert.reduced.Z, om), eps)
+            want = siegel_flags_oracle(om, eps=eps)[1] or face
+            assert in_P_omega(cert.reduced.Z, om, eps) == (True, face)
+            assert jacobi_membership(cert.reduced, eps=eps) == (True, want)
+            assert cert.on_boundary == want
+            flagged += want
+        assert eps == DEFAULT_EPS or 0 < flagged < 30
+
+    @pytest.mark.parametrize("g, h", [(1, 1), (2, 1), (2, 2)])
+    def test_face_points_and_strict_interior(self, g, h):
+        rng = np.random.default_rng(g + h)
+        base = rand_interior_siegel(g, rng)
+        a = rng.uniform(0.1, 0.9, (h, g))
+        b = rng.uniform(0.1, 0.9, (h, g))
+        inner = a + b @ base.omega
+        assert in_P_omega(inner, base) == (True, False)
+        assert in_P_omega(inner, base, eps=-DEFAULT_EPS) == (True, False)
+        for coef in (a, b):
+            for value in (0.0, 1.0):
+                moved = coef.copy()
+                moved[-1, -1] = value
+                z = (moved + b @ base.omega) if coef is a else (a + moved @ base.omega)
+                assert cell_face_oracle(self._flat(z, base))
+                assert in_P_omega(z, base) == (True, True)
+                assert jacobi_membership(JacobiPoint.from_z(base, z)) == (True, True)
+                assert in_P_omega(z, base, eps=-DEFAULT_EPS) == (False, False)
 
 
 class TestInFgh:

@@ -16,7 +16,7 @@ from siegeljacobi.geometry import volume_fg_mc
 from siegeljacobi.group_core import SiegelPoint, SymplecticInt, act_siegel
 from siegeljacobi.intmat import as_imat
 from siegeljacobi.jsonio import encode_siegel_point
-from siegeljacobi.minkowski import DEFAULT_EPS
+from siegeljacobi.minkowski import DEFAULT_EPS, is_minkowski_reduced
 from siegeljacobi.siegel import (CandidateSet, _det_coefficients, _det_sq_batch,
                                  builtin_candidates, det_sq,
                                  heuristic_candidates, is_siegel_reduced,
@@ -26,7 +26,7 @@ from siegeljacobi.siegel import (CandidateSet, _det_coefficients, _det_sq_batch,
                                  siegel_reduce)
 from conftest import (boundary_equivalent, is_plus_minus_identity,
                       rand_interior_siegel, rand_siegel_point,
-                      sl2z_reduce_oracle)
+                      siegel_flags_oracle, sl2z_reduce_oracle)
 
 
 class TestCandidateSets:
@@ -383,3 +383,50 @@ class TestBoundaryFamilies:
             for s in (1, -1):
                 q = _x_face(p, i, j, s * (0.5 + 2 * DEFAULT_EPS))
                 assert siegel_membership(q) == (False, False)
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_flags_match_the_oracle(self, g):
+        for seed in range(3):
+            for q in self._moved(g, seed):
+                for eps in (DEFAULT_EPS, 1e-3):
+                    want = siegel_flags_oracle(q, eps=eps)
+                    assert want == siegel_membership(q, eps=eps) == (True, True)
+                    assert siegel_reduce(q, eps=eps).on_boundary
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_negative_eps_is_the_strict_interior(self, g):
+        p = rand_interior_siegel(g, np.random.default_rng(0))
+        assert siegel_membership(p, eps=-DEFAULT_EPS) == (True, False)
+        assert is_minkowski_reduced(p.Y, eps=-DEFAULT_EPS)
+        for q in self._moved(g, 0):
+            assert siegel_membership(q, eps=-DEFAULT_EPS) == (False, False)
+        # an (M.1) face: a = (1, -1) gives y11 - 2 y12 + y22 = y22
+        face = np.array([[1.0, 0.5], [0.5, 1.3]])
+        assert is_minkowski_reduced(face) and not is_minkowski_reduced(face, eps=-DEFAULT_EPS)
+
+    def test_negative_eps_at_g1(self):
+        inner = SiegelPoint.from_omega([[0.1 + 2j]])
+        assert siegel_membership(inner, eps=-DEFAULT_EPS) == (True, False)
+        for omega in (0.5 + 5j, -0.5 + 5j, 1j, 0.3 + np.sqrt(0.91) * 1j):
+            q = SiegelPoint.from_omega([[omega]])
+            assert siegel_membership(q) == (True, True)
+            assert siegel_membership(q, eps=-DEFAULT_EPS) == (False, False)
+
+
+class TestFlagsMatchOracle:
+    """siegel_membership and siegel_reduce against siegel_flags_oracle, the
+    inequality-by-inequality test, on seeded reduced points.  The wider eps
+    put many of them on the boundary."""
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    @pytest.mark.parametrize("eps", [DEFAULT_EPS, 3e-2, 1e-1])
+    def test_reduced_points(self, g, eps):
+        rng = np.random.default_rng(100 + g)
+        flagged = 0
+        for _ in range(60):
+            cert = siegel_reduce(rand_siegel_point(g, rng), eps=eps)
+            want = siegel_flags_oracle(cert.reduced, eps=eps)
+            assert want[0] and cert.on_boundary == want[1]
+            assert siegel_membership(cert.reduced, eps=eps) == want
+            flagged += want[1]
+        assert eps == DEFAULT_EPS or 0 < flagged < 60
