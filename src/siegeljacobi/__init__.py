@@ -17,8 +17,8 @@ from .minkowski import (ReductionCertificate, UnimodularInt,
                         primitive_candidates)
 from .siegel import (CandidateSet, SiegelCertificate, builtin_candidates,
                      heuristic_candidates, highest_point_step,
-                     is_siegel_reduced, load_candidates, resolve_candidates,
-                     save_candidates, siegel_membership, siegel_reduce)
+                     is_siegel_reduced, load_candidates, save_candidates,
+                     siegel_membership, siegel_reduce)
 from .jacobi_domain import (JacobiCertificate, OmegaBasisCoords,
                             decompose_in_omega_basis, in_F_gh, in_P_omega,
                             jacobi_membership, jacobi_reduce)

@@ -24,10 +24,10 @@ from .jsonio import (decode_complex, decode_jacobi_point, decode_matrix,
                      decode_siegel_point, encode_jacobi_element,
                      encode_jacobi_point, encode_matrix, encode_siegel_point,
                      encode_symplectic, get_field)
-from .minkowski import (DEFAULT_BOUND, ReductionError, is_minkowski_reduced,
-                        minkowski_reduce)
-from .siegel import (SiegelReductionError, encode_candidates,
-                     resolve_candidates, siegel_membership, siegel_reduce)
+from .minkowski import (DEFAULT_BOUND, DEFAULT_EPS, ReductionError,
+                        is_minkowski_reduced, minkowski_reduce)
+from .siegel import (SiegelReductionError, _decode_candidates, builtin_candidates,
+                     encode_candidates, siegel_membership, siegel_reduce)
 from .torus_spectral import (FourierIndex, QuadratureGridError,
                              character_table, eigenvalue_E, eval_E_omega,
                              frequency_indices, torus_grid)
@@ -77,6 +77,20 @@ def _report(args, digest, outputs, tolerances, t0, guarantee=None):
     sys.stdout.write("\n")
 
 
+def _candidates(g, path):
+    """The built-in candidate set for genus g, or the --candidates file's, read like
+    every input; a missing, malformed or wrong-genus file names flag and path."""
+    if path is None:
+        return builtin_candidates(g)
+    try:
+        cands = _decode_candidates(_read_json(path)[0], source=path)
+        if cands.g != g:
+            raise ValueError("the family has g=%d, the input has g=%d" % (cands.g, g))
+    except ValueError as exc:
+        raise _InputError("--candidates %s: %s" % (path, exc)) from None
+    return cands
+
+
 def _decode_pd(obj):
     """The cone point's Y, checked symmetric positive definite."""
     y = _check_symmetric(decode_matrix(get_field(obj, "Y", "point"), "point.Y"), "point.Y")
@@ -89,22 +103,22 @@ def _cmd_reduce(ns, argv, t0):
     tol = {"eps": ns.eps}
     if ns.minkowski:
         y = _decode_pd(obj)
-        cert = minkowski_reduce(y, bound=ns.bound, eps=ns.eps)
+        cert = minkowski_reduce(y, eps=ns.eps)
         out = {"reduced": encode_matrix(cert.reduced),
                "transform": encode_matrix(cert.transform.entries),
                "iterations": cert.iterations}
     elif ns.siegel:
         p = decode_siegel_point(obj)
-        cands = resolve_candidates(p.g, ns.candidates)
-        cert = siegel_reduce(p, cands, eps=ns.eps, bound=ns.bound)
+        cands = _candidates(p.g, ns.candidates)
+        cert = siegel_reduce(p, cands, eps=ns.eps)
         out = {"reduced": encode_siegel_point(cert.reduced),
                "gamma": encode_symplectic(cert.gamma),
                "iterations": cert.iterations,
                "on_boundary": cert.on_boundary}
     else:
         p = decode_jacobi_point(obj)
-        cands = resolve_candidates(p.g, ns.candidates)
-        cert = jacobi_reduce(p, cands, eps=ns.eps, bound=ns.bound)
+        cands = _candidates(p.g, ns.candidates)
+        cert = jacobi_reduce(p, cands, eps=ns.eps)
         out = {"reduced": encode_jacobi_point(cert.reduced),
                "gammaJ": encode_jacobi_element(cert.gammaJ),
                "on_boundary": cert.on_boundary}
@@ -113,20 +127,16 @@ def _cmd_reduce(ns, argv, t0):
 
 
 def _cmd_member(ns, argv, t0):
-    if ns.bound is not None and ns.p_omega:
-        raise _InputError("--bound does not apply to --p-omega: "
-                          "the fiber cell test has no Minkowski step")
-    ns.bound = DEFAULT_BOUND if ns.bound is None else ns.bound
     obj, digest = _read_json(ns.point)
     tol = {"eps": ns.eps}
     cands = None
     if ns.minkowski:
         y = _decode_pd(obj)
-        out = {"member": bool(is_minkowski_reduced(y, bound=ns.bound, eps=ns.eps))}
+        out = {"member": bool(is_minkowski_reduced(y, eps=ns.eps))}
     elif ns.siegel:
         p = decode_siegel_point(obj)
-        cands = resolve_candidates(p.g, ns.candidates)
-        member, boundary = siegel_membership(p, cands, eps=ns.eps, bound=ns.bound)
+        cands = _candidates(p.g, ns.candidates)
+        member, boundary = siegel_membership(p, cands, eps=ns.eps)
         out = {"member": member, "on_boundary": boundary}
     elif ns.p_omega:
         if ns.omega is None:
@@ -138,31 +148,45 @@ def _cmd_member(ns, argv, t0):
         out = {"member": res.inside, "on_boundary": res.on_boundary}
     else:
         p = decode_jacobi_point(obj)
-        cands = resolve_candidates(p.g, ns.candidates)
-        member, boundary = jacobi_membership(p, cands, eps=ns.eps, bound=ns.bound)
+        cands = _candidates(p.g, ns.candidates)
+        member, boundary = jacobi_membership(p, cands, eps=ns.eps)
         out = {"member": member, "on_boundary": boundary}
     _report(argv, digest, out, tol, t0, None if cands is None else cands.guarantee)
     return 0
 
 
+#: the volume flags each method applies, with their defaults
+_VOLUME_FLAGS = {"quadrature": {"nodes": 64},
+                 "monte-carlo": {"seed": 0, "threads": 1, "eps": DEFAULT_EPS,
+                                 "candidates": None}}
+
+
 def _cmd_volume(ns, argv, t0):
-    tol = {"eps": ns.eps}
+    method = "quadrature" if ns.samples is None else "monte-carlo"
+    if method == "quadrature" and ns.g != 1:
+        raise _InputError("deterministic quadrature is only available for --g 1; "
+                          "pass --samples for Monte Carlo")
+    for flags_of, flags in _VOLUME_FLAGS.items():
+        for name, default in flags.items():
+            if getattr(ns, name) is None:
+                setattr(ns, name, default)
+            elif flags_of != method:
+                raise _InputError("--%s does not apply to the %s volume" % (name, method))
+    tol = {"eps": ns.eps} if method == "monte-carlo" else {}
     target = VOLUME_TARGETS.get(ns.g)
     guarantee = None
+    # the fixed Minkowski box is an input of every estimate, so it is hashed
     inputs = {"g": ns.g, "samples": ns.samples, "seed": ns.seed,
-              "eps": ns.eps, "bound": ns.bound}
-    if ns.samples is None:
-        if ns.g != 1:
-            raise _InputError("deterministic quadrature is only available for --g 1; "
-                              "pass --samples for Monte Carlo")
+              "eps": ns.eps, "bound": DEFAULT_BOUND}
+    if method == "quadrature":
         est = volume_f1(ns.nodes)
         out = {"estimate": est, "stderr": 0.0, "target": target,
                "sigmas": None, "method": "quadrature", "nodes": ns.nodes}
         inputs["nodes"] = ns.nodes
     else:
-        cands = resolve_candidates(ns.g, ns.candidates)
+        cands = _candidates(ns.g, ns.candidates)
         res = volume_fg_mc(ns.g, ns.samples, ns.seed, threads=ns.threads,
-                           eps=ns.eps, bound=ns.bound, cands=cands)
+                           eps=ns.eps, cands=cands)
         guarantee = cands.guarantee
         inputs["candidates"] = {"source": cands.source,
                                 "sha256": _sha256_json(encode_candidates(cands))}
@@ -275,12 +299,9 @@ def _build_parser():
     ap = argparse.ArgumentParser(prog="sjk", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, bound=DEFAULT_BOUND):
-        p.add_argument("--eps", type=_eps, default=1e-9,
+    def common(p):
+        p.add_argument("--eps", type=_eps, default=DEFAULT_EPS,
                        help="membership tolerance fed to every inequality")
-        p.add_argument("--bound", type=int, default=bound,
-                       help="candidate box bound for the Minkowski conditions "
-                            "(default %d)" % DEFAULT_BOUND)
         p.add_argument("--candidates", default=None,
                        help="JSON file overriding the built-in candidate set")
 
@@ -301,19 +322,19 @@ def _build_parser():
     mode.add_argument("--p-omega", dest="p_omega", action="store_true")
     p.add_argument("--point", default=None)
     p.add_argument("--omega", default=None, help="base point file for --p-omega")
-    # None until given, so that --p-omega can refuse an explicit --bound
-    common(p, bound=None)
+    common(p)
     p.set_defaults(func=_cmd_member)
 
     p = sub.add_parser("volume", help="fundamental domain volume")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--samples", type=int, default=None,
                    help="Monte Carlo sample count (omit for g=1 quadrature)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--nodes", type=int, default=64)
+    p.add_argument("--seed", type=int, help="Monte Carlo seed (default 0)")
+    p.add_argument("--threads", type=int, help="Monte Carlo threads (default 1)")
+    p.add_argument("--nodes", type=int, help="quadrature nodes (default 64)")
     common(p)
-    p.set_defaults(func=_cmd_volume)
+    # None until given, so that a flag of the other method is refused
+    p.set_defaults(func=_cmd_volume, eps=None)
 
     p = sub.add_parser("spectral-check", help="orthonormality/periodicity/eigen report")
     p.add_argument("--g", type=int, default=1)

@@ -28,7 +28,7 @@ from numpy.polynomial.legendre import leggauss
 from .group_core import (JacobiGroupElement, JacobiPoint, SiegelPoint,
                          _blocks_float)
 from .intmat import to_float
-from .minkowski import DEFAULT_BOUND, DEFAULT_EPS
+from .minkowski import DEFAULT_EPS
 from .siegel import CandidateSet, builtin_candidates, membership_mask_points
 
 DEFAULT_FD_STEP = 1e-3
@@ -369,17 +369,17 @@ class VolumeEstimate:
     acceptance_rate: float
 
 
-def _chunk_g1(rng, n, a, eps, bound, cands):
+def _chunk_g1(rng, n, a, eps, cands):
     x = rng.uniform(-0.5, 0.5, size=n)
     y = a / (1.0 - rng.random(n))
     xs = x.reshape(n, 1, 1)
     ys = y.reshape(n, 1, 1)
-    ok = membership_mask_points(xs, ys, cands, eps, bound)
+    ok = membership_mask_points(xs, ys, cands, eps)
     w = np.where(ok, 1.0 / a, 0.0)
     return w.sum(), (w * w).sum(), int(ok.sum())
 
 
-def _chunk_g2(rng, n, a, eps, bound, cands):
+def _chunk_g2(rng, n, a, eps, cands):
     t1 = a * (1.0 - rng.random(n)) ** (-1.0 / 3.0)
     t2 = t1 * (1.0 - rng.random(n)) ** (-1.0 / 2.0)
     s = rng.random(n)
@@ -393,7 +393,7 @@ def _chunk_g2(rng, n, a, eps, bound, cands):
     xs[:, 0, 0] = xd[:, 0]
     xs[:, 1, 1] = xd[:, 1]
     xs[:, 0, 1] = xs[:, 1, 0] = xd[:, 2]
-    ok = membership_mask_points(xs, ys, cands, eps, bound)
+    ok = membership_mask_points(xs, ys, cands, eps)
     det_y = t1 * t2 - y12 * y12
     q1 = 3.0 * a ** 3 * t1 ** -4
     q2 = 2.0 * t1 ** 2 * t2 ** -3
@@ -402,8 +402,7 @@ def _chunk_g2(rng, n, a, eps, bound, cands):
 
 
 def volume_fg_mc(g: int, n_samples: int, seed: int, threads: int = 1,
-                 eps: float = DEFAULT_EPS, bound: int = DEFAULT_BOUND,
-                 cands: CandidateSet = None) -> VolumeEstimate:
+                 eps: float = DEFAULT_EPS, cands: CandidateSet = None) -> VolumeEstimate:
     """Importance-sampled Monte Carlo volume of the g = 1 or 2 domain.
 
     X is uniform over the unit box; Y uses a Pareto-tail proposal matched to
@@ -431,7 +430,7 @@ def volume_fg_mc(g: int, n_samples: int, seed: int, threads: int = 1,
     def run(idx_size):
         idx, size = idx_size
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), idx]))
-        return worker(rng, size, a, eps, bound, cands)
+        return worker(rng, size, a, eps, cands)
 
     jobs = list(enumerate(sizes))
     if threads > 1:

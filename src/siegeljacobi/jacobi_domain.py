@@ -22,7 +22,7 @@ import numpy as np
 from .group_core import (HeisenbergInt, JacobiGroupElement, JacobiPoint,
                          SiegelPoint, SymplecticInt, jacobi_mul)
 from .intmat import to_float
-from .minkowski import DEFAULT_BOUND, DEFAULT_EPS
+from .minkowski import DEFAULT_EPS
 from .siegel import CandidateSet, builtin_candidates, siegel_membership, siegel_reduce
 
 
@@ -77,19 +77,19 @@ def _in_cell(flat: np.ndarray, eps: float) -> bool:
 
 
 def jacobi_membership(p: JacobiPoint, cands: CandidateSet = None,
-                      eps: float = DEFAULT_EPS, bound: int = DEFAULT_BOUND):
+                      eps: float = DEFAULT_EPS):
     """Return (member, on_boundary): reduced base and Z in P_Omega, on the
     boundary when the base point or Z is."""
-    member, on_boundary = siegel_membership(p.omega, cands, eps, bound)
+    member, on_boundary = siegel_membership(p.omega, cands, eps)
     cell = in_P_omega(p.Z, p.omega, eps)
     member = member and cell.inside
     return member, member and (on_boundary or cell.on_boundary)
 
 
 def in_F_gh(p: JacobiPoint, cands: CandidateSet = None,
-            eps: float = DEFAULT_EPS, bound: int = DEFAULT_BOUND) -> bool:
+            eps: float = DEFAULT_EPS) -> bool:
     """Membership in the Jacobi fundamental domain: reduced base, Z in P_Omega."""
-    return jacobi_membership(p, cands, eps, bound)[0]
+    return jacobi_membership(p, cands, eps)[0]
 
 
 def _lex_smaller(x: np.ndarray, y: np.ndarray, tol: float = 1e-12) -> bool:
@@ -108,7 +108,7 @@ def _split_unit(x: np.ndarray):
 
 
 def jacobi_reduce(p: JacobiPoint, cands: CandidateSet = None,
-                  eps: float = DEFAULT_EPS, bound: int = DEFAULT_BOUND) -> JacobiCertificate:
+                  eps: float = DEFAULT_EPS) -> JacobiCertificate:
     """Reduce (Omega~, Z~) into the fundamental domain.
 
     Steps: reduce the base point, carry Z through the cocycle, split off the
@@ -117,7 +117,7 @@ def jacobi_reduce(p: JacobiPoint, cands: CandidateSet = None,
     certificate element maps the reduced point back onto the input.
     """
     cands = builtin_candidates(p.g) if cands is None else cands
-    scert = siegel_reduce(p.omega, cands, eps, bound)
+    scert = siegel_reduce(p.omega, cands, eps)
     om = scert.reduced
     gamma = scert.gamma.inverse()      # gamma . om = input omega
     k = to_float(gamma.C) @ om.omega + to_float(gamma.D)

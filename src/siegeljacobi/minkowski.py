@@ -5,14 +5,13 @@ The reduced domain is cut out by the inequalities
     (M.1)  a Y t(a) >= y_kk   for integer a != +-e_k with gcd(a_k, ..., a_g) = 1,
     (M.2)  y_{k,k+1} >= 0,
 
-checked over a bounded candidate box (bound 3 covers g <= 3; the bound is a
-parameter for anyone pushing higher, with no exactness promise there).  The
-form of +-e_k is y_kk at every Y, so it is left out, and membership with
-slack -eps is the strict interior.  The reducer is a greedy successive-minima
-pass: LLL pre-reduction keeps the true minimizers inside the search box, then
-column k is assigned the shortest primitive-tail vector, completed to a
-unimodular transform, and signs are fixed for (M.2).  All transforms are
-exact integer matrices.
+checked over the fixed box max|a_i| <= DEFAULT_BOUND = 3, which is exact for
+g <= 3 and carries no exactness promise beyond.  The form of +-e_k is y_kk
+at every Y, so it is left out, and membership with slack -eps is the strict
+interior.  The reducer is a greedy successive-minima pass: LLL pre-reduction
+keeps the true minimizers inside the search box, then column k is assigned
+the shortest primitive-tail vector, completed to a unimodular transform, and
+signs are fixed for (M.2).  All transforms are exact integer matrices.
 """
 
 from __future__ import annotations
@@ -109,7 +108,7 @@ def _form_features(ys: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _column_tables(g: int, bound: int):
+def _column_tables(g: int):
     """Per column k: the primitive-tail candidates a in lexicographic order
     and their monomials a_i a_j (doubled for i < j), shape (nvec, g(g+1)/2),
     so that monomials @ _form_features(ys) is every a Y t(a) at once.
@@ -117,7 +116,7 @@ def _column_tables(g: int, bound: int):
     a and -a give the same form, so only the lexicographically smaller of
     the two (first nonzero entry negative) is kept, and -e_k is left out.
     """
-    vecs, tails = _candidate_arrays(g, bound)
+    vecs, tails = _candidate_arrays(g, DEFAULT_BOUND)
     lead = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
     iu, ju = _triu(g)
     out = []
@@ -128,13 +127,12 @@ def _column_tables(g: int, bound: int):
     return tuple(out)
 
 
-def is_minkowski_reduced(y, bound: int = DEFAULT_BOUND, eps: float = DEFAULT_EPS) -> bool:
+def is_minkowski_reduced(y, *, eps: float = DEFAULT_EPS) -> bool:
     """Membership test for the reduced domain, with slack eps on every inequality."""
-    return bool(membership_mask(as_pd_array(y)[None], bound, eps)[0])
+    return bool(membership_mask(as_pd_array(y)[None], eps=eps)[0])
 
 
-def membership_mask(ys: np.ndarray, bound: int = DEFAULT_BOUND,
-                    eps: float = DEFAULT_EPS) -> np.ndarray:
+def membership_mask(ys: np.ndarray, *, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Minkowski membership over a stack of matrices (n, g, g).
 
     Every quadratic form a Y t(a) is one entry of a (nvec x g(g+1)/2) @
@@ -142,7 +140,7 @@ def membership_mask(ys: np.ndarray, bound: int = DEFAULT_BOUND,
     """
     ys = np.asarray(ys, dtype=float)
     g = ys.shape[-1]
-    tables = _column_tables(g, bound)
+    tables = _column_tables(g)
     ok = np.all(ys[:, np.arange(g - 1), np.arange(1, g)] >= -eps, axis=1)
     for start in range(0, ys.shape[0], ROW_BLOCK):
         block = ys[start:start + ROW_BLOCK]
@@ -184,16 +182,15 @@ def _lll_transform(y: np.ndarray, delta: float = 0.99, max_steps: int = 10000):
     return u
 
 
-def minkowski_reduce(y, bound: int = DEFAULT_BOUND,
-                     eps: float = DEFAULT_EPS) -> ReductionCertificate:
+def minkowski_reduce(y, *, eps: float = DEFAULT_EPS) -> ReductionCertificate:
     """Reduce Y into the Minkowski domain with an exact unimodular certificate."""
     y0 = as_pd_array(y)
     g = y0.shape[0]
-    if membership_mask(y0[None], bound, eps)[0]:
+    if membership_mask(y0[None], eps=eps)[0]:
         return ReductionCertificate(y0.copy(), UnimodularInt(ieye(g)), 0)
 
     u = _lll_transform(y0)
-    tables = _column_tables(g, bound)
+    tables = _column_tables(g)
 
     passes = 0
     while passes < MAX_ITERS:
@@ -212,8 +209,9 @@ def minkowski_reduce(y, bound: int = DEFAULT_BOUND,
             changed = True
         u = u @ _sign_fix(cur)
         cur = to_float(u.T) @ y0 @ to_float(u)
-        if is_minkowski_reduced(cur, bound, eps):
-            red = 0.5 * (cur + cur.T)
+        # test what is returned: the product's asymmetry can exceed 1e-9
+        red = 0.5 * (cur + cur.T)
+        if is_minkowski_reduced(red, eps=eps):
             return ReductionCertificate(red, UnimodularInt(u), passes)
         if not changed:
             raise ReductionError("minkowski_reduce stalled before membership",

@@ -15,9 +15,9 @@ modular group; it is decided here on a finite candidate set:
   relative to the provided set only.
 
 CandidateSet.guarantee says which case holds: "exact" or
-"relative-to-family".  Candidate sets can be overridden from JSON files
-(``--candidates`` in the CLI, or the SJK_CANDIDATE_DIR environment
-variable); a g = 2 set that contains Gottschling's 19 stays exact.
+"relative-to-family".  A candidate set can be read from a JSON file
+(``--candidates`` in the CLI); a g = 2 set that contains Gottschling's 19
+stays exact.
 
 Every |det(C Omega + D)|^2 comes from one kernel, _det_sq_batch.  For g <= 2
 it is a polynomial in the entries of Omega whose integer coefficients are
@@ -33,7 +33,6 @@ at -eps, the strict interior.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -44,10 +43,7 @@ import numpy as np
 from .group_core import SiegelPoint, SymplecticInt, act_siegel
 from .intmat import ieye, izeros, to_float
 from .jsonio import decode_symplectic, encode_symplectic, get_field
-from .minkowski import (DEFAULT_BOUND, DEFAULT_EPS, ROW_BLOCK, membership_mask,
-                        minkowski_reduce)
-
-ENV_CANDIDATE_DIR = "SJK_CANDIDATE_DIR"
+from .minkowski import DEFAULT_EPS, ROW_BLOCK, membership_mask, minkowski_reduce
 
 #: highest-point steps siegel_reduce takes before it gives up
 MAX_ITERS = 1000
@@ -228,21 +224,6 @@ def save_candidates(cands: CandidateSet, path) -> None:
         json.dump(encode_candidates(cands), fh)
 
 
-def resolve_candidates(g: int, path=None) -> CandidateSet:
-    """Explicit path wins, then $SJK_CANDIDATE_DIR/candidates_g{g}.json, then
-    built-ins.  A file whose set is not for genus g is refused."""
-    if path is None:
-        env_dir = os.environ.get(ENV_CANDIDATE_DIR)
-        path = os.path.join(env_dir, "candidates_g%d.json" % g) if env_dir else None
-        if path is None or not os.path.exists(path):
-            return builtin_candidates(g)
-    cands = load_candidates(path)
-    if cands.g != g:
-        raise ValueError("candidates: %s has g=%d, the input has g=%d"
-                         % (path, cands.g, g))
-    return cands
-
-
 # ---------------------------------------------------------------------------
 # membership
 # ---------------------------------------------------------------------------
@@ -297,24 +278,23 @@ def det_sq(cands: CandidateSet, omega: np.ndarray) -> np.ndarray:
 
 
 def siegel_membership(p: SiegelPoint, cands: CandidateSet = None,
-                      eps: float = DEFAULT_EPS, bound: int = DEFAULT_BOUND):
+                      eps: float = DEFAULT_EPS):
     """Return (member, on_boundary): membership_mask_points on a batch of
     one.  A member is on the boundary when it is not a member at -eps, the
     strict interior, i.e. some inequality holds within eps of equality."""
     cands = builtin_candidates(p.g) if cands is None else cands
     xs, ys = p.X[None], p.Y[None]
-    member = bool(membership_mask_points(xs, ys, cands, eps, bound)[0])
-    return member, member and not membership_mask_points(xs, ys, cands, -eps, bound)[0]
+    member = bool(membership_mask_points(xs, ys, cands, eps)[0])
+    return member, member and not membership_mask_points(xs, ys, cands, -eps)[0]
 
 
 def is_siegel_reduced(p: SiegelPoint, cands: CandidateSet = None,
-                      eps: float = DEFAULT_EPS, bound: int = DEFAULT_BOUND) -> bool:
-    return siegel_membership(p, cands, eps, bound)[0]
+                      eps: float = DEFAULT_EPS) -> bool:
+    return siegel_membership(p, cands, eps)[0]
 
 
 def membership_mask_points(xs: np.ndarray, ys: np.ndarray,
-                           cands: CandidateSet, eps: float = DEFAULT_EPS,
-                           bound: int = DEFAULT_BOUND) -> np.ndarray:
+                           cands: CandidateSet, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Membership over stacks of (X, Y) pairs, shape (n, g, g) each, with
     slack eps on every inequality; the determinant test runs on the points
     that pass the box and Minkowski conditions, ROW_BLOCK points at a time."""
@@ -322,7 +302,7 @@ def membership_mask_points(xs: np.ndarray, ys: np.ndarray,
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     ok = np.max(np.abs(xs), axis=(1, 2)) <= 0.5 + eps
-    ok &= membership_mask(ys, bound, eps)
+    ok &= membership_mask(ys, eps=eps)
     live = np.nonzero(ok)[0]
     for start in range(0, live.size, ROW_BLOCK):
         rows = live[start:start + ROW_BLOCK]
@@ -336,7 +316,7 @@ def membership_mask_points(xs: np.ndarray, ys: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def highest_point_step(p: SiegelPoint, cands: CandidateSet = None,
-                       eps: float = DEFAULT_EPS, bound: int = DEFAULT_BOUND):
+                       eps: float = DEFAULT_EPS):
     """One pass of the highest-point loop: Minkowski-reduce Im, center Re,
     then apply the best det-raising candidate if any fires.
 
@@ -348,7 +328,7 @@ def highest_point_step(p: SiegelPoint, cands: CandidateSet = None,
     gamma = None
     cur = p
 
-    cert = minkowski_reduce(cur.Y, bound, eps)
+    cert = minkowski_reduce(cur.Y, eps=eps)
     if cert.iterations > 0:
         step = SymplecticInt.gl_embed(cert.transform.entries)
         cur = act_siegel(step, cur)
@@ -362,7 +342,8 @@ def highest_point_step(p: SiegelPoint, cands: CandidateSet = None,
 
     vals = det_sq(cands, cur.omega)
     best = int(np.argmin(vals))
-    if vals[best] < 1.0 / (1.0 + eps):
+    # the threshold membership applies, so no non-member is left without a step
+    if vals[best] < 1.0 - eps:
         step = cands.elements[best]
         cur = act_siegel(step, cur)
         gamma = step if gamma is None else step * gamma
@@ -371,16 +352,16 @@ def highest_point_step(p: SiegelPoint, cands: CandidateSet = None,
 
 
 def siegel_reduce(p: SiegelPoint, cands: CandidateSet = None,
-                  eps: float = DEFAULT_EPS, bound: int = DEFAULT_BOUND) -> SiegelCertificate:
+                  eps: float = DEFAULT_EPS) -> SiegelCertificate:
     """Move p into the fundamental domain by the highest-point method."""
     cands = builtin_candidates(p.g) if cands is None else cands
     gamma = None
     cur = p
     trace = [float(np.linalg.det(p.Y))]
     for it in range(MAX_ITERS):
-        nxt, step = highest_point_step(cur, cands, eps, bound)
+        nxt, step = highest_point_step(cur, cands, eps)
         if step.is_identity():
-            member, on_boundary = siegel_membership(cur, cands, eps, bound)
+            member, on_boundary = siegel_membership(cur, cands, eps)
             if not member:
                 raise SiegelReductionError(
                     "highest-point step stalled on a non-member",

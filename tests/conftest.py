@@ -137,8 +137,21 @@ def jacobi_density(p: JacobiPoint) -> float:
     return float(np.linalg.det(p.omega.Y) ** (-(p.g + p.h + 1)))
 
 
-def siegel_flags_oracle(p: SiegelPoint, cands=None, eps=DEFAULT_EPS,
-                        bound=DEFAULT_BOUND):
+#: valid Y = t(U) (A tA + cI) U with entries in the thousands: the product
+#: t(U) Y U is symmetric only to about 1e-9 relative, so minkowski_reduce
+#: used to fail its own output's symmetry check ("PosDefMatrix not symmetric")
+SKEWED_YS = (np.array([[6830.957763578616, -4767.591793908003],
+                       [-4767.591793908003, 3327.4888898907666]]),
+             np.array([[326959.43819698, -138823.51886435],
+                       [-138823.51886435, 58942.9976294]]))
+
+#: |det|^2 = 0.9999999989999999 sits between the step's old threshold
+#: 1/(1 + 1e-9) and membership's 1 - 1e-9: no step fired, and reduction
+#: stalled on a non-member
+STALL_OMEGA = 0.9999999995j
+
+
+def siegel_flags_oracle(p: SiegelPoint, cands=None, eps=DEFAULT_EPS):
     """(member, on_boundary) from the inequalities one at a time: a member
     is on the boundary when some |det(C Omega + D)|^2 is within eps of 1,
     some |x_ij| within eps of 1/2, some (M.1) form a Y t(a) with a != +-e_k
@@ -146,7 +159,7 @@ def siegel_flags_oracle(p: SiegelPoint, cands=None, eps=DEFAULT_EPS,
     dets = det_sq((builtin_candidates(p.g) if cands is None else cands).certifying,
                   p.omega)
     x, y, g = p.X, p.Y, p.g
-    vecs, tails = primitive_candidates(g, bound)
+    vecs, tails = primitive_candidates(g, DEFAULT_BOUND)
     unit = np.abs(vecs).sum(axis=1) == 1
     m1 = []
     for k in range(g):

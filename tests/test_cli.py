@@ -8,16 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from siegeljacobi.cli import main
-from siegeljacobi.group_core import JacobiPoint, SiegelPoint
+from siegeljacobi.group_core import JacobiPoint, SiegelPoint, act_jacobi, act_siegel
+from siegeljacobi.jacobi_domain import in_F_gh
 from siegeljacobi.jsonio import (decode_jacobi_element, decode_jacobi_point,
                                  decode_matrix, decode_siegel_point,
-                                 encode_complex, encode_jacobi_element,
-                                 encode_jacobi_point, encode_matrix,
-                                 encode_siegel_point)
-from siegeljacobi.siegel import CandidateSet, builtin_candidates, save_candidates
-from conftest import (is_plus_minus_identity, rand_jacobi_element,
-                      rand_jacobi_point, rand_siegel_point, sl2z_reduce_oracle,
-                      boundary_equivalent)
+                                 decode_symplectic, encode_complex,
+                                 encode_jacobi_element, encode_jacobi_point,
+                                 encode_matrix, encode_siegel_point)
+from siegeljacobi.siegel import (CandidateSet, builtin_candidates, is_siegel_reduced,
+                                 save_candidates)
+from conftest import (SKEWED_YS, STALL_OMEGA, is_plus_minus_identity,
+                      rand_jacobi_element, rand_jacobi_point, rand_siegel_point,
+                      sl2z_reduce_oracle, boundary_equivalent)
 
 
 def write_json(path, obj):
@@ -125,6 +127,48 @@ class TestReduceCommand:
         assert code == 2
         assert "cols" in err or "omega" in err
 
+    def test_member_threshold_point(self, tmp_path, capsys):
+        # |det|^2 between 1/(1 + eps) and 1 - eps: both modes used to exit 3,
+        # "highest-point step stalled on a non-member"
+        om = SiegelPoint.from_omega([[STALL_OMEGA]])
+        spath = write_json(tmp_path / "p.json", encode_siegel_point(om))
+        code, out, _ = run_cli(capsys, ["member", "--siegel", "--point", spath])
+        assert code == 0 and json.loads(out)["outputs"]["member"] is False
+        code, out, _ = run_cli(capsys, ["reduce", "--siegel", "--point", spath])
+        assert code == 0
+        rep = json.loads(out)["outputs"]
+        red = decode_siegel_point(rep["reduced"])
+        assert rep["iterations"] == 1 and is_siegel_reduced(red)
+        gamma = decode_symplectic(rep["gamma"])
+        assert np.allclose(act_siegel(gamma, om).omega, red.omega)
+        jp = JacobiPoint.from_z(om, [[0.25 + 0.5j]])
+        jpath = write_json(tmp_path / "j.json", encode_jacobi_point(jp))
+        code, out, _ = run_cli(capsys, ["reduce", "--jacobi", "--point", jpath])
+        assert code == 0
+        rep = json.loads(out)["outputs"]
+        red = decode_jacobi_point(rep["reduced"])
+        assert in_F_gh(red)
+        back = act_jacobi(decode_jacobi_element(rep["gammaJ"]), red)
+        assert np.allclose(back.omega.omega, om.omega) and np.allclose(back.Z, jp.Z)
+
+    @pytest.mark.parametrize("y", SKEWED_YS)
+    def test_skewed_y(self, tmp_path, capsys, y):
+        # a valid Y with entries in the thousands used to exit 2,
+        # "PosDefMatrix not symmetric", from the reducer's own product
+        path = write_json(tmp_path / "y.json", {"Y": encode_matrix(y)})
+        code, out, _ = run_cli(capsys, ["reduce", "--minkowski", "--point", path])
+        assert code == 0
+        u = decode_matrix(json.loads(out)["outputs"]["transform"])
+        assert np.allclose(u.T @ y @ u, decode_matrix(json.loads(out)["outputs"]["reduced"]),
+                           rtol=0, atol=1e-5)
+
+    def test_skewed_im_omega(self, tmp_path, capsys):
+        om = SiegelPoint.from_omega(1j * SKEWED_YS[0])
+        path = write_json(tmp_path / "p.json", encode_siegel_point(om))
+        code, out, _ = run_cli(capsys, ["reduce", "--siegel", "--point", path])
+        assert code == 0
+        assert is_siegel_reduced(decode_siegel_point(json.loads(out)["outputs"]["reduced"]))
+
 
 class TestMemberCommand:
     def test_siegel_member(self, tmp_path, capsys):
@@ -172,7 +216,7 @@ class TestMemberCommand:
         assert "--omega" in err
 
     def test_p_omega_refuses_bound(self, tmp_path, capsys):
-        # the fiber cell test has no Minkowski step, so a bound would be ignored
+        # --bound is no option of any command; the Minkowski box is fixed at 3
         zpath = write_json(tmp_path / "z.json",
                            {"Z": encode_complex(np.array([[0.25 + 0.5j]]))})
         opath = write_json(tmp_path / "om.json",
@@ -181,9 +225,11 @@ class TestMemberCommand:
         code, out, _ = run_cli(capsys, args)
         assert code == 0 and json.loads(out)["outputs"]["member"] is True
         for bound in ("0", "3"):
-            code, out, err = run_cli(capsys, args + ["--bound", bound])
-            assert code == 2 and out == ""
-            assert "--bound does not apply to --p-omega" in err
+            with pytest.raises(SystemExit) as exc:
+                main(args + ["--bound", bound])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "--bound" in captured.err
 
 
 class TestNonFiniteInput:
@@ -212,32 +258,64 @@ class TestNonFiniteInput:
 
 
 class TestBoundFlag:
-    """--bound reaches every reduction and membership call: 0 is refused."""
+    """The Minkowski box bound is the constant minkowski.DEFAULT_BOUND = 3:
+    it reaches every Minkowski test, and --bound, which changed no answer,
+    is refused like any unknown option."""
+
+    @staticmethod
+    def bounds_used(monkeypatch, capsys, args):
+        """Box bounds the Minkowski tables are built from while sjk runs."""
+        from siegeljacobi import minkowski
+        seen = []
+        real = minkowski._candidate_arrays
+
+        def spy(g, bound):
+            seen.append(bound)
+            return real(g, bound)
+
+        monkeypatch.setattr(minkowski, "_candidate_arrays", spy)
+        minkowski._column_tables.cache_clear()
+        try:
+            code, _, _ = run_cli(capsys, args)
+        finally:
+            minkowski._column_tables.cache_clear()
+        assert code == 0
+        return set(seen)
+
+    @staticmethod
+    def assert_refused(capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--bound", "3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --bound 3" in captured.err
 
     @pytest.mark.parametrize("args", [["reduce", "--siegel"], ["reduce", "--jacobi"],
-                                      ["member", "--siegel"], ["member", "--jacobi"]])
-    def test_bound_reaches_library(self, tmp_path, capsys, rng, args):
+                                      ["member", "--siegel"], ["member", "--jacobi"],
+                                      ["reduce", "--minkowski"], ["member", "--minkowski"]])
+    def test_bound_reaches_library(self, tmp_path, capsys, rng, monkeypatch, args):
         from conftest import rand_interior_jacobi
-        # a Jacobi point file serves the --siegel modes too (Z is ignored)
-        path = write_json(tmp_path / "p.json",
-                          encode_jacobi_point(rand_interior_jacobi(2, 1, rng)))
-        code, _, _ = run_cli(capsys, args + ["--point", path])
-        assert code == 0
-        code, _, err = run_cli(capsys, args + ["--point", path, "--bound", "0"])
-        assert code == 2 and "bound must be >= 1" in err
+        # a Jacobi point file serves the --siegel modes too (Z is ignored),
+        # and the --minkowski modes through its Y
+        point = encode_jacobi_point(rand_interior_jacobi(2, 1, rng))
+        point["Y"] = point["omega"]["im"]
+        args = args + ["--point", write_json(tmp_path / "p.json", point)]
+        assert self.bounds_used(monkeypatch, capsys, args) == {3}
+        self.assert_refused(capsys, args)
 
     def test_default_bound_is_three(self, capsys):
-        def digest(args):
-            code, out, _ = run_cli(capsys, ["volume", "--g", "2", "--samples", "500"] + args)
-            assert code == 0
-            return json.loads(out)["inputs_digest"]
+        from siegeljacobi.minkowski import DEFAULT_BOUND
+        assert DEFAULT_BOUND == 3
+        # the digest of this report when --bound defaulted to 3
+        code, out, _ = run_cli(capsys, ["volume", "--g", "2", "--samples", "500"])
+        assert code == 0 and json.loads(out)["inputs_digest"] == (
+            "d057f15ea16d6d460821a64a4e18cf97288fbcd2548ba327537177675c1873ee")
 
-        assert digest([]) == digest(["--bound", "3"]) != digest(["--bound", "2"])
-
-    def test_bound_reaches_volume(self, capsys):
-        code, _, err = run_cli(capsys, ["volume", "--g", "2", "--samples", "500",
-                                        "--bound", "0"])
-        assert code == 2 and "bound must be >= 1" in err
+    def test_bound_reaches_volume(self, capsys, monkeypatch):
+        mc = ["volume", "--g", "2", "--samples", "500"]
+        assert self.bounds_used(monkeypatch, capsys, mc) == {3}
+        self.assert_refused(capsys, mc)
+        self.assert_refused(capsys, ["volume", "--g", "1"])
 
 
 class TestVolumeCommand:
@@ -251,10 +329,35 @@ class TestVolumeCommand:
         plain = digest(mc)
         assert digest(mc) == plain
         assert digest(mc + ["--eps", "1e-8"]) != plain
-        assert digest(mc + ["--bound", "2"]) != plain
         save_candidates(builtin_candidates(2), tmp_path / "c.json")
         assert digest(mc + ["--candidates", str(tmp_path / "c.json")]) != plain
         assert digest(["--g", "1", "--nodes", "32"]) != digest(["--g", "1"])
+
+    @pytest.mark.parametrize("args, want", [
+        (["--g", "1"], "8cd359e423d846aefae11edd2ae1b934d27b3b03eb3eb653256c38e9aec6e030"),
+        (["--g", "1", "--nodes", "32"],
+         "d8cded3c4620a30036ad1ef2c4892ce932d50ccbd954d8b4ab3732ca5055ecd9"),
+        (["--g", "2", "--samples", "2000", "--seed", "3"],
+         "d77dc809f7a820b4342a03e86aac85aad2e4d513331a151dc1ee506dccf12b11"),
+        (["--g", "2", "--samples", "500", "--threads", "2", "--eps", "1e-8"],
+         "6991b7fbacd98ff0d4977cfd2668f8a064295fbbe7465884d4b601a30314f11e")])
+    def test_digest_pinned(self, capsys, args, want):
+        # the digests these command lines had while --bound existed (default 3)
+        # and every volume flag had a default: both still enter the hash
+        code, out, _ = run_cli(capsys, ["volume"] + args)
+        assert code == 0 and json.loads(out)["inputs_digest"] == want
+
+    @pytest.mark.parametrize("args", [["--g", "1", "--seed", "0"],
+                                      ["--g", "1", "--threads", "2"],
+                                      ["--g", "1", "--eps", "0.3"],
+                                      ["--g", "1", "--candidates", "nonexistent.json"],
+                                      ["--g", "2", "--samples", "100", "--nodes", "64"]])
+    def test_flag_of_the_other_method_is_refused(self, capsys, args):
+        # quadrature used to accept these and report {"eps": 0.3} as its tolerance
+        code, out, err = run_cli(capsys, ["volume"] + args)
+        flag = next(a for a in args[2:] if a.startswith("--") and a != "--samples")
+        assert code == 2 and out == ""
+        assert "%s does not apply" % flag in err
 
     def test_quadrature_report(self, capsys):
         code, out, _ = run_cli(capsys, ["volume", "--g", "1"])
@@ -262,6 +365,7 @@ class TestVolumeCommand:
         rep = json.loads(out)
         assert abs(rep["outputs"]["estimate"] - np.pi / 3) < 1e-8
         assert rep["outputs"]["method"] == "quadrature"
+        assert rep["tolerances"] == {}
 
     def test_mc_report_and_determinism(self, capsys):
         args = ["volume", "--g", "1", "--samples", "100000", "--seed", "5"]
@@ -366,27 +470,34 @@ class TestCandidateOverride:
                                         "--candidates", str(tmp_path / "c.json")])
         assert code == 0
 
-    def test_env_dir(self, tmp_path, capsys, monkeypatch):
-        save_candidates(builtin_candidates(1), tmp_path / "candidates_g1.json")
-        monkeypatch.setenv("SJK_CANDIDATE_DIR", str(tmp_path))
-        path = write_json(tmp_path / "p.json",
-                          {"omega": encode_complex(np.array([[0.3 + 0.05j]]))})
-        code, out, _ = run_cli(capsys, ["reduce", "--siegel", "--point", path])
-        assert code == 0
-
-    @pytest.mark.parametrize("how", ["flag", "env"])
-    def test_family_of_another_g_is_refused(self, tmp_path, capsys, monkeypatch, how):
+    def test_family_of_another_g_is_refused(self, tmp_path, capsys):
         # the g = 1 family on a g = 2 point used to fail inside numpy's matmul
-        save_candidates(builtin_candidates(1), tmp_path / "candidates_g2.json")
+        cpath = str(tmp_path / "candidates_g2.json")
+        save_candidates(builtin_candidates(1), cpath)
         path = write_json(tmp_path / "p.json", {"omega": encode_complex(1j * np.eye(2))})
-        args = ["member", "--siegel", "--point", path]
-        if how == "flag":
-            args += ["--candidates", str(tmp_path / "candidates_g2.json")]
-        else:
-            monkeypatch.setenv("SJK_CANDIDATE_DIR", str(tmp_path))
-        code, out, err = run_cli(capsys, args)
+        code, out, err = run_cli(capsys, ["member", "--siegel", "--point", path,
+                                          "--candidates", cpath])
         assert code == 2 and out == ""
+        assert "--candidates %s: " % cpath in err
         assert "has g=1, the input has g=2" in err
+
+    @pytest.mark.parametrize("content, msg", [(None, "No such file"),
+                                              ("{not json", "malformed JSON")])
+    @pytest.mark.parametrize("args", [["reduce", "--siegel"], ["member", "--jacobi"],
+                                      ["volume", "--g", "1", "--samples", "100"]])
+    def test_unreadable_file_is_named(self, tmp_path, capsys, args, content, msg):
+        # a missing file used to escape as a FileNotFoundError traceback (exit 1),
+        # a malformed one to exit 2 without naming the file
+        cpath = tmp_path / "c.json"
+        if content is not None:
+            cpath.write_text(content)
+        if args[0] != "volume":
+            point = encode_jacobi_point(JacobiPoint.from_z(
+                SiegelPoint.from_omega([[2j]]), [[0.3 + 0.4j]]))
+            args = args + ["--point", write_json(tmp_path / "p.json", point)]
+        code, out, err = run_cli(capsys, args + ["--candidates", str(cpath)])
+        assert code == 2 and out == ""
+        assert "--candidates %s: " % cpath in err and msg in err
 
 
 class TestEpsFlag:

@@ -15,7 +15,7 @@ import pytest
 
 from siegeljacobi.group_core import SymplecticInt, symplectic_check
 from siegeljacobi.jsonio import decode_symplectic
-from siegeljacobi.minkowski import DEFAULT_BOUND, DEFAULT_EPS, membership_mask
+from siegeljacobi.minkowski import DEFAULT_EPS, membership_mask
 from siegeljacobi.siegel import (CandidateSet, _det_sq_batch, _omega_monomials,
                                  builtin_candidates, heuristic_candidates,
                                  load_candidates, membership_mask_points,
@@ -55,10 +55,10 @@ def draw_proposal(rng, n, a=0.8):
     return xs, ys
 
 
-def full_family_mask(cands, xs, ys, eps=DEFAULT_EPS, bound=DEFAULT_BOUND):
+def full_family_mask(cands, xs, ys, eps=DEFAULT_EPS):
     """Membership over every row of the family, without certifying."""
     ok = np.max(np.abs(xs), axis=(1, 2)) <= 0.5 + eps
-    ok &= membership_mask(ys, bound, eps)
+    ok &= membership_mask(ys, eps=eps)
     return ok & (_det_sq_batch(cands, xs, ys).min(axis=0) >= 1.0 - eps)
 
 

@@ -5,7 +5,7 @@ from siegeljacobi.intmat import int_det, as_imat, to_float
 from siegeljacobi.minkowski import (UnimodularInt, is_minkowski_reduced,
                                     membership_mask, minkowski_reduce,
                                     primitive_candidates)
-from conftest import rand_pd, rand_unimodular
+from conftest import SKEWED_YS, rand_pd, rand_unimodular
 
 
 def brute_force_reduce_2x2(y, span=3):
@@ -171,6 +171,17 @@ class TestReduce:
             r2 = minkowski_reduce(u.T @ y @ u).reduced
             assert np.allclose(r, r2, atol=1e-8)
         assert checked > 20
+
+    @pytest.mark.parametrize("y", SKEWED_YS)
+    def test_skewed_input(self, y):
+        # the same transform as for the scaled-down Y, whose product rounds less
+        cert = minkowski_reduce(y)
+        assert np.array_equal(cert.transform.entries,
+                              minkowski_reduce(y / 1000).transform.entries)
+        assert np.array_equal(cert.reduced, cert.reduced.T)
+        assert is_minkowski_reduced(cert.reduced)
+        u = to_float(cert.transform.entries)
+        assert np.allclose(u.T @ y @ u, cert.reduced, rtol=0, atol=1e-5)
 
     def test_unimodular_type_validates(self):
         with pytest.raises(ValueError):

@@ -1,19 +1,21 @@
 """The benchmark's tracer wraps library functions by name: each layer it
-declares must still exist, or ``perfbench/run.py --trace 1`` fails."""
+declares must still exist, or ``perfbench/run.py --trace 1`` fails.  Its
+set-up phase calls the library too, and must still run."""
 
 import importlib
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracer():
-    """The tracer module's names, run from its source: nothing is imported
+def _names(filename):
+    """A perfbench module's names, run from its source: nothing is imported
     from or written under perfbench/."""
-    names = {"__name__": "perfbench_tracer"}
-    exec(compile(TRACER.read_text(), str(TRACER), "exec"), names)
+    path = PERFBENCH / filename
+    names = {"__name__": "perfbench_" + path.stem}
+    exec(compile(path.read_text(), str(path), "exec"), names)
     return names
 
 
@@ -24,7 +26,7 @@ def _resolve(module, attr):
     return obj
 
 
-@pytest.mark.parametrize("module, attr", [t[:2] for t in _tracer()["TARGETS"]]
+@pytest.mark.parametrize("module, attr", [t[:2] for t in _names("tracer.py")["TARGETS"]]
                          + [("minkowski", "_candidate_arrays")])
 def test_traced_name_resolves(module, attr):
     # minkowski._candidate_arrays is warmed by perfbench/setup_child.py
@@ -33,6 +35,13 @@ def test_traced_name_resolves(module, attr):
 
 def test_jsonio_groups_match_functions():
     jsonio = importlib.import_module("siegeljacobi.jsonio")
-    for prefix, _ in _tracer()["JSONIO_GROUPS"]:
+    for prefix, _ in _names("tracer.py")["JSONIO_GROUPS"]:
         assert any(name.startswith(prefix) and callable(getattr(jsonio, name))
                    for name in dir(jsonio))
+
+
+@pytest.mark.parametrize("workload", sorted(_names("setup_child.py")["SETUP_GENERA"]))
+def test_setup_phase_runs(workload):
+    # siegel.builtin_candidates(g) and
+    # minkowski._candidate_arrays(g, minkowski.DEFAULT_BOUND), as the benchmark calls them
+    assert _names("setup_child.py")["setup"](workload) >= 0.0

@@ -21,12 +21,11 @@ from siegeljacobi.siegel import (CandidateSet, _det_coefficients, _det_sq_batch,
                                  builtin_candidates, det_sq,
                                  heuristic_candidates, is_siegel_reduced,
                                  highest_point_step, load_candidates,
-                                 membership_mask_points, resolve_candidates,
-                                 save_candidates, siegel_membership,
-                                 siegel_reduce)
-from conftest import (boundary_equivalent, is_plus_minus_identity,
-                      rand_interior_siegel, rand_siegel_point,
-                      siegel_flags_oracle, sl2z_reduce_oracle)
+                                 membership_mask_points, save_candidates,
+                                 siegel_membership, siegel_reduce)
+from conftest import (SKEWED_YS, STALL_OMEGA, boundary_equivalent,
+                      is_plus_minus_identity, rand_interior_siegel,
+                      rand_siegel_point, siegel_flags_oracle, sl2z_reduce_oracle)
 
 
 class TestCandidateSets:
@@ -56,13 +55,6 @@ class TestCandidateSets:
         c2 = load_candidates(path)
         assert c2.g == 2 and len(c2) == len(c)
         assert all(a == b for a, b in zip(c.elements, c2.elements))
-
-    def test_env_dir_resolution(self, tmp_path, monkeypatch):
-        small = CandidateSet(1, (SymplecticInt.inversion(1),), source="test")
-        save_candidates(small, tmp_path / "candidates_g1.json")
-        monkeypatch.setenv("SJK_CANDIDATE_DIR", str(tmp_path))
-        got = resolve_candidates(1)
-        assert got.source == str(tmp_path / "candidates_g1.json")
 
     def test_c_zero_candidates_dropped(self):
         ident = SymplecticInt.identity(2)
@@ -132,6 +124,25 @@ class TestReduce:
             # gamma is the inverse translation, up to sign
             m = cert.gamma
             assert np.array_equal(np.abs(np.asarray(m.B, dtype=int)), np.abs(s))
+
+    def test_member_threshold_point_takes_a_step(self):
+        # the step and membership share the threshold 1 - eps; the step used
+        # to test 1/(1 + eps) and stall here with SiegelReductionError
+        p = SiegelPoint.from_omega([[STALL_OMEGA]])
+        assert siegel_membership(p) == (False, False)
+        cert = siegel_reduce(p)
+        assert cert.iterations == 1
+        assert siegel_membership(cert.reduced)[0]
+        assert abs(cert.reduced.omega[0, 0] - 1.0000000005j) < 1e-15
+        assert np.allclose(act_siegel(cert.gamma, p).omega, cert.reduced.omega)
+
+    def test_skewed_im(self):
+        # Im Omega with entries in the thousands used to stop the Minkowski
+        # step with "PosDefMatrix not symmetric"
+        p = SiegelPoint.from_omega(1j * SKEWED_YS[0])
+        cert = siegel_reduce(p)
+        assert is_siegel_reduced(cert.reduced)
+        assert np.allclose(act_siegel(cert.gamma, p).omega, cert.reduced.omega, atol=1e-6)
 
     def test_classical_oracle_equivalence(self, rng):
         for _ in range(500):
