@@ -98,7 +98,15 @@ def _decode_pd(obj):
     return y
 
 
+def _refuse_candidates(ns, mode):
+    """--candidates names a Siegel candidate family, which mode never reads."""
+    if ns.candidates is not None:
+        raise _InputError("--candidates does not apply to %s" % mode)
+
+
 def _cmd_reduce(ns, argv, t0):
+    if ns.minkowski:
+        _refuse_candidates(ns, "--minkowski")
     obj, digest = _read_json(ns.point)
     tol = {"eps": ns.eps}
     if ns.minkowski:
@@ -127,6 +135,8 @@ def _cmd_reduce(ns, argv, t0):
 
 
 def _cmd_member(ns, argv, t0):
+    if ns.minkowski or ns.p_omega:
+        _refuse_candidates(ns, "--minkowski" if ns.minkowski else "--p-omega")
     obj, digest = _read_json(ns.point)
     tol = {"eps": ns.eps}
     cands = None

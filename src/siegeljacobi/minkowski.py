@@ -141,7 +141,9 @@ def membership_mask(ys: np.ndarray, *, eps: float = DEFAULT_EPS) -> np.ndarray:
     ys = np.asarray(ys, dtype=float)
     g = ys.shape[-1]
     tables = _column_tables(g)
-    ok = np.all(ys[:, np.arange(g - 1), np.arange(1, g)] >= -eps, axis=1)
+    ok = np.ones(ys.shape[0], dtype=bool)
+    for k in range(g - 1):
+        ok &= ys[:, k, k + 1] >= -eps
     for start in range(0, ys.shape[0], ROW_BLOCK):
         block = ys[start:start + ROW_BLOCK]
         feats = _form_features(block)

@@ -27,14 +27,19 @@ det_sq is the kernel on a batch of one.
 
 Membership has one test too, membership_mask_points; siegel_membership is it
 on a batch of one, and a member is on the boundary when it is not a member
-at -eps, the strict interior.
+at -eps, the strict interior.  The test is staged: at g <= 2 it first
+rejects on the rows of det_table that are a single entry w_ij of Omega (w at
+g = 1, w11 and w22 among Gottschling's 19; |w11|^2 >= 1 alone rejects 41 % of
+the Monte Carlo proposal), then runs the box, Minkowski and determinant
+tests on the survivors only.  The mask is bit for bit that of one pass of
+every test, because a unit row's determinant is its monomial exactly.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from importlib import resources
 from itertools import combinations
 
@@ -116,6 +121,18 @@ class CandidateSet:
         if wanted:
             return self
         return CandidateSet(2, tuple(kept), self.source)
+
+    @cached_property
+    def _unit_entries(self) -> tuple:
+        """Entries (i, j) of Omega whose monomial alone is a row of det_table
+        up to sign, so every member has |w_ij|^2 >= 1 - eps; empty at g >= 3.
+        det Omega is left out: on the g = 2 Monte Carlo proposal it rejects
+        0.4 % of the points beyond w11 and w22, for a dozen array operations."""
+        if self.g >= 3:
+            return ()
+        units = {tuple(row) for row in np.abs(self.det_table)}
+        eye = np.eye(3 * self.g - 1)
+        return tuple(ij for m, ij in _ENTRY_MONOMIALS[self.g] if tuple(eye[m]) in units)
 
     @property
     def guarantee(self) -> str:
@@ -240,19 +257,34 @@ def _det_coefficients(c, d):
             d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0])
 
 
+#: (index, (i, j)) of each monomial of _omega_monomials that is an entry w_ij
+_ENTRY_MONOMIALS = {1: ((0, (0, 0)),), 2: ((1, (0, 0)), (2, (0, 1)), (3, (1, 1)))}
+
+
 def _omega_monomials(xs, ys):
     """Real and imaginary parts of [w, 1] (g = 1) or [det Omega, w11, w12,
     w22, 1] (g = 2), one column per point: shape (nmono, n) each."""
-    n = xs.shape[0]
-    one, zero = np.ones(n), np.zeros(n)
-    if xs.shape[-1] == 1:
-        return np.stack([xs[:, 0, 0], one]), np.stack([ys[:, 0, 0], zero])
-    x11, x12, x22 = xs[:, 0, 0], xs[:, 0, 1], xs[:, 1, 1]
-    y11, y12, y22 = ys[:, 0, 0], ys[:, 0, 1], ys[:, 1, 1]
-    return (np.stack([x11 * x22 - x12 * x12 - y11 * y22 + y12 * y12,
-                      x11, x12, x22, one]),
-            np.stack([x11 * y22 + y11 * x22 - 2.0 * x12 * y12,
-                      y11, y12, y22, zero]))
+    n, g = xs.shape[0], xs.shape[-1]
+    fr, fi = np.empty((2, 3 * g - 1, n))
+    if g == 1:
+        fr[0], fi[0] = xs[:, 0, 0], ys[:, 0, 0]
+    else:
+        x11, x12, x22 = xs[:, 0, 0], xs[:, 0, 1], xs[:, 1, 1]
+        y11, y12, y22 = ys[:, 0, 0], ys[:, 0, 1], ys[:, 1, 1]
+        # x11 x22 - x12^2 - y11 y22 + y12^2 and x11 y22 + y11 x22 - 2 x12 y12,
+        # in place but left to right, so every bit is that of the expression
+        re, im = fr[0], fi[0]
+        np.multiply(x11, x22, out=re)
+        re -= x12 * x12
+        re -= y11 * y22
+        re += y12 * y12
+        np.multiply(x11, y22, out=im)
+        im += y11 * x22
+        im -= 2.0 * x12 * y12
+        fr[1], fr[2], fr[3] = x11, x12, x22
+        fi[1], fi[2], fi[3] = y11, y12, y22
+    fr[-1], fi[-1] = 1.0, 0.0
+    return fr, fi
 
 
 def _det_sq_batch(cands: CandidateSet, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -296,18 +328,51 @@ def is_siegel_reduced(p: SiegelPoint, cands: CandidateSet = None,
 def membership_mask_points(xs: np.ndarray, ys: np.ndarray,
                            cands: CandidateSet, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Membership over stacks of (X, Y) pairs, shape (n, g, g) each, with
-    slack eps on every inequality; the determinant test runs on the points
-    that pass the box and Minkowski conditions, ROW_BLOCK points at a time."""
+    slack eps on every inequality, in stages, each on the points the one
+    before kept:
+
+    1. |w_ij|^2 >= 1 - eps for each CandidateSet._unit_entries (+-w at g = 1,
+       w11 and w22 for Gottschling's 19), in _det_sq_batch's arithmetic;
+    2. one gather of the survivors, none when no point was dropped;
+    3. the X box, max |x_ij| <= 1/2 + eps, as a running maximum;
+    4. the Minkowski mask;
+    5. every row of _det_sq_batch, ROW_BLOCK points at a time, on slices
+       when stages 3 and 4 dropped no point.
+
+    The mask is bit for bit that of one pass of every test over every
+    point: a unit row's dot product with the monomials is the monomial
+    itself (0 m = 0 and 1 m = m), so every point stage 5 accepts passes
+    stage 1, and a non-finite monomial still fails stage 5.  This takes the
+    BLAS to give a column the same bits in any batch; numpy hands a
+    one-column product to a matrix-vector kernel whose last bit can differ,
+    so a point within an ulp of 1 - eps may be decided differently when
+    stage 5 sees it alone (as a batch of one always could).
+    """
     cands = cands.certifying
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    ok = np.max(np.abs(xs), axis=(1, 2)) <= 0.5 + eps
-    ok &= membership_mask(ys, eps=eps)
-    live = np.nonzero(ok)[0]
-    for start in range(0, live.size, ROW_BLOCK):
-        rows = live[start:start + ROW_BLOCK]
-        vals = _det_sq_batch(cands, xs[rows], ys[rows])
-        ok[rows] = vals.min(axis=0, initial=np.inf) >= 1.0 - eps
+    n, g = xs.shape[0], xs.shape[-1]
+    ok = live = None
+    for i, j in cands._unit_entries:
+        re, im = xs[:, i, j], ys[:, i, j]
+        sq = re * re
+        sq += im * im
+        hit = sq >= 1.0 - eps
+        ok = hit if ok is None else ok & hit
+    if ok is not None and np.count_nonzero(ok) < n:
+        live = np.flatnonzero(ok)
+        xs, ys = xs[live], ys[live]
+    part = reduce(np.maximum, np.abs(xs.reshape(len(xs), g * g)).T) <= 0.5 + eps
+    part &= membership_mask(ys, eps=eps)
+    kept = np.count_nonzero(part)
+    rows = np.flatnonzero(part) if kept < part.size else None
+    for start in range(0, kept, ROW_BLOCK):
+        sel = slice(start, start + ROW_BLOCK) if rows is None else rows[start:start + ROW_BLOCK]
+        vals = _det_sq_batch(cands, xs[sel], ys[sel])
+        part[sel] = vals.min(axis=0, initial=np.inf) >= 1.0 - eps
+    if live is None:
+        return part
+    ok[live] = part
     return ok
 
 

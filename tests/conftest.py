@@ -1,5 +1,7 @@
 """Shared random generators and independent oracles for the test suite."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from siegeljacobi.group_core import (HeisenbergInt, JacobiGroupElement,
                                      JacobiPoint, SiegelPoint, SymplecticInt,
                                      act_jacobi, act_siegel)
 from siegeljacobi.jacobi_domain import _lex_smaller
-from siegeljacobi.minkowski import DEFAULT_BOUND, DEFAULT_EPS, primitive_candidates
-from siegeljacobi.siegel import builtin_candidates, det_sq, siegel_membership
+from siegeljacobi.minkowski import (DEFAULT_BOUND, DEFAULT_EPS, ROW_BLOCK,
+                                    membership_mask, primitive_candidates)
+from siegeljacobi.siegel import (CandidateSet, _det_sq_batch, builtin_candidates,
+                                 det_sq, siegel_membership)
 
 
 def rand_unimodular(g, rng, steps=6, span=2):
@@ -172,6 +176,100 @@ def siegel_flags_oracle(p: SiegelPoint, cands=None, eps=DEFAULT_EPS):
     slack = np.concatenate([np.abs(dets - 1.0), np.abs(np.abs(x.ravel()) - 0.5),
                             np.abs(m1), np.abs(m2)])
     return member, member and bool(np.min(slack) <= eps)
+
+
+def membership_mask_oracle(xs, ys, cands, eps=DEFAULT_EPS):
+    """Membership as one pass of every test over every point: the X box and
+    the Minkowski mask on the whole batch, then every certifying |det|^2,
+    from monomials stacked as written, on the points that pass both,
+    ROW_BLOCK at a time.  membership_mask_points must equal it bit for bit."""
+    cands = cands.certifying
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    ok = np.max(np.abs(xs), axis=(1, 2)) <= 0.5 + eps
+    ok &= membership_mask(ys, eps=eps)
+    live = np.nonzero(ok)[0]
+    for start in range(0, live.size, ROW_BLOCK):
+        rows = live[start:start + ROW_BLOCK]
+        vals = _stacked_det_sq(cands, xs[rows], ys[rows])
+        ok[rows] = vals.min(axis=0, initial=np.inf) >= 1.0 - eps
+    return ok
+
+
+def _stacked_det_sq(cands, xs, ys):
+    if cands.g >= 3:
+        return _det_sq_batch(cands, xs, ys)
+    n = xs.shape[0]
+    one, zero = np.ones(n), np.zeros(n)
+    if cands.g == 1:
+        fr, fi = np.stack([xs[:, 0, 0], one]), np.stack([ys[:, 0, 0], zero])
+    else:
+        x11, x12, x22 = xs[:, 0, 0], xs[:, 0, 1], xs[:, 1, 1]
+        y11, y12, y22 = ys[:, 0, 0], ys[:, 0, 1], ys[:, 1, 1]
+        fr = np.stack([x11 * x22 - x12 * x12 - y11 * y22 + y12 * y12, x11, x12, x22, one])
+        fi = np.stack([x11 * y22 + y11 * x22 - 2.0 * x12 * y12, y11, y12, y22, zero])
+    re, im = cands.det_table @ fr, cands.det_table @ fi
+    return re * re + im * im
+
+
+@lru_cache(maxsize=None)
+def gottschling_surface_points(seed=0, n=600, keep=60, generations=25):
+    """For each of Gottschling's 19 rows k (in certifying order), a point on
+    its own surface |det_k|^2 = 1 where the other 18 rows, the X box and the
+    Minkowski conditions hold strictly.
+
+    A candidate is (X, Y) with |x_ij| < 1/2 and 0 < 2 y12 < y11 = 1 < y22
+    (the g = 2 Minkowski cone); scaling Y by the t that bisection finds puts
+    it on the surface.  The population keeps the candidates whose smallest
+    slack to every other condition is largest and mutates them.  Returns
+    (slack, X, Y below, Y above) per row, with |det_k|^2 = 1 -+ 5e-13 at the
+    two Y: far enough from 1 that no rounding of the products moves them
+    across it, and within 1e-12 of the surface.
+    """
+    cert = builtin_candidates(2).certifying
+    rng = np.random.default_rng(seed)
+
+    def points(u):
+        x = 0.5 * np.tanh(u[:, :3])
+        y12, y22 = 0.5 / (1.0 + np.exp(-u[:, 4])), 1.0 + np.exp(u[:, 3])
+        xs = np.stack([np.stack([x[:, 0], x[:, 2]], -1), np.stack([x[:, 2], x[:, 1]], -1)], -2)
+        ys = np.stack([np.stack([np.ones(len(u)), y12], -1), np.stack([y12, y22], -1)], -2)
+        return xs, ys
+
+    def onto_surface(row, xs, ys, steps, level=1.0):
+        def value(t):
+            return _det_sq_batch(row, xs, ys * t[:, None, None])[0] - level
+        lo, hi = np.full(len(xs), 1e-2), np.full(len(xs), 1e2)
+        bracket = (value(lo) < 0) & (value(hi) >= 0)
+        for _ in range(steps):
+            mid = np.sqrt(lo * hi)
+            below = value(mid) < 0
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        return bracket, ys * hi[:, None, None]
+
+    out = []
+    for k in range(len(cert)):
+        row = CandidateSet(2, cert.elements[k:k + 1])
+        others = CandidateSet(2, cert.elements[:k] + cert.elements[k + 1:])
+        u = rng.normal(size=(n, 5)) * [1.0, 1.0, 1.0, 1.5, 2.0]
+        step = 0.3
+        for _ in range(generations):
+            xs, ys = points(u)
+            bracket, ys = onto_surface(row, xs, ys, 30)
+            y11, y12, y22 = ys[:, 0, 0], ys[:, 0, 1], ys[:, 1, 1]
+            slack = np.min([_det_sq_batch(others, xs, ys).min(axis=0) - 1.0,
+                            0.5 - np.abs(xs).max(axis=(1, 2)),
+                            y12, y11 - 2.0 * y12, y22 - y11], axis=0)
+            slack = np.where(bracket, slack, -np.inf)
+            parents = u[np.argsort(-slack)[:keep]]
+            best = slack.max()
+            u = parents[rng.integers(0, keep, n)] + step * rng.normal(size=(n, 5))
+            u[:keep] = parents
+            step *= 0.9
+        xs, ys = points(parents[:1])
+        below, above = (onto_surface(row, xs, ys, 80, 1.0 + d)[1][0] for d in (-5e-13, 5e-13))
+        out.append((float(best), xs[0], below, above))
+    return tuple(out)
 
 
 def cell_face_oracle(flat, eps=DEFAULT_EPS) -> bool:

@@ -500,6 +500,24 @@ class TestCandidateOverride:
         assert "--candidates %s: " % cpath in err and msg in err
 
 
+    @pytest.mark.parametrize("mode", [["reduce", "--minkowski"], ["member", "--minkowski"],
+                                      ["member", "--p-omega"]])
+    def test_refused_where_no_family_is_read(self, tmp_path, capsys, mode):
+        # these modes read no candidate family: the flag used to be ignored,
+        # so even a file that does not exist exited 0
+        if mode[1] == "--p-omega":
+            opath = write_json(tmp_path / "om.json", {"omega": encode_complex(np.array([[2j]]))})
+            point = {"Z": encode_complex(np.array([[0.25 + 0.5j]]))}
+            mode = mode + ["--omega", opath]
+        else:
+            point = {"Y": encode_matrix(np.eye(2))}
+        args = mode + ["--point", write_json(tmp_path / "p.json", point)]
+        code, _, _ = run_cli(capsys, args)
+        assert code == 0
+        code, out, err = run_cli(capsys, args + ["--candidates", str(tmp_path / "none.json")])
+        assert code == 2 and out == ""
+        assert "--candidates does not apply to %s" % mode[1] in err
+
 class TestEpsFlag:
     """--eps is a finite tolerance >= 0.  -1e-12 used to make member --siegel
     say false and reduce --siegel stall with exit 3, nan to put a non-JSON

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from math import pi
 
-from siegeljacobi.geometry import (DEFAULT_FD_STEP, VOLUME_TARGETS,
+from siegeljacobi.geometry import (DEFAULT_FD_STEP, MC_CHUNK, VOLUME_TARGETS,
                                    laplacian_apply, metric_fiber, metric_jacobi,
                                    metric_p, metric_siegel, push_tangent_jacobi,
                                    push_tangent_p, push_tangent_siegel,
@@ -624,8 +624,11 @@ class TestVolumes:
         assert abs(res.estimate - VOLUME_TARGETS[2]) < 4 * res.stderr
 
     def test_mc_deterministic_across_threads(self):
-        a = volume_fg_mc(2, 300_000, seed=9, threads=1)
-        b = volume_fg_mc(2, 300_000, seed=9, threads=2)
+        # three chunks, the last one short: two threads run two chunks at
+        # once, and the sums must still merge in chunk order
+        n = 5 * MC_CHUNK // 2
+        a = volume_fg_mc(2, n, seed=9, threads=1)
+        b = volume_fg_mc(2, n, seed=9, threads=2)
         assert a.estimate == b.estimate and a.stderr == b.stderr
 
     def test_mc_rejects_bad_g(self):

@@ -20,7 +20,7 @@ from siegeljacobi.siegel import (CandidateSet, _det_sq_batch, _omega_monomials,
                                  builtin_candidates, heuristic_candidates,
                                  load_candidates, membership_mask_points,
                                  save_candidates)
-from conftest import rand_unimodular
+from conftest import gottschling_surface_points, rand_unimodular
 
 #: S of the 15 polynomials det(Omega + S)
 GOTTSCHLING_S = [np.zeros((2, 2), dtype=int)] + [
@@ -188,6 +188,35 @@ class TestRedundancy:
         if offset >= 0:
             assert accepted > 0
 
+
+
+class TestEssential:
+    """None of the 19 is redundant: each surface |det_k| = 1 meets the box
+    and the Minkowski region at a point where the other 18 hold strictly, so
+    just below it the other 18 accept a point that is not in F_2."""
+
+    def test_each_row_has_a_witness(self):
+        full = builtin_candidates(2)
+        cert = full.certifying
+        witnesses = gottschling_surface_points()
+        assert len(witnesses) == len(cert) == 19
+        for k, (slack, x, below, above) in enumerate(witnesses):
+            assert slack > 1e-3, k
+            row = CandidateSet(2, cert.elements[k:k + 1])
+            rest = CandidateSet(2, cert.elements[:k] + cert.elements[k + 1:])
+            assert rest.certifying is rest
+            xs, ys = np.stack([x, x]), np.stack([below, above])
+            vals = _det_sq_batch(row, xs, ys)[0]
+            assert 1.0 - 1e-12 < vals[0] < 1.0 - 1e-13, k
+            assert 1.0 + 1e-13 < vals[1] < 1.0 + 1e-12, k
+            assert membership_mask(ys, eps=-0.5 * slack).all()
+            assert np.max(np.abs(x)) < 0.5 - 0.5 * slack
+            assert membership_mask_points(xs, ys, full, 0.0).tolist() == [False, True], k
+            assert membership_mask_points(xs, ys, rest, 0.0).tolist() == [True, True], k
+            # the point above is a member on the boundary, strictly inside
+            # every condition but row k
+            assert membership_mask_points(xs, ys, full).tolist() == [True, True], k
+            assert not membership_mask_points(xs, ys, full, -DEFAULT_EPS).any(), k
 
 class TestShippedFamily:
     """The package-data family: what its generator script used to promise."""

@@ -1,0 +1,234 @@
+"""The staged membership mask equals one pass of every test, bit for bit.
+
+membership_mask_points rejects on the single-monomial rows first and runs
+the box, Minkowski and determinant tests only on the points that pass;
+membership_mask_oracle (conftest) runs every test on every point.  Each
+case is checked at eps and at -eps, the strict interior.
+"""
+
+import numpy as np
+import pytest
+
+from siegeljacobi import geometry
+from siegeljacobi.minkowski import DEFAULT_EPS, _column_tables
+from siegeljacobi.siegel import (CandidateSet, builtin_candidates, load_candidates,
+                                 membership_mask_points, save_candidates, siegel_reduce)
+from conftest import gottschling_surface_points, membership_mask_oracle, rand_siegel_point
+
+
+def assert_matches_oracle(xs, ys, cands):
+    """Both masks at eps and -eps; returns the number accepted at eps."""
+    for eps in (DEFAULT_EPS, -DEFAULT_EPS):
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = membership_mask_points(xs, ys, cands, eps)
+            want = membership_mask_oracle(xs, ys, cands, eps)
+        assert got.dtype == bool and got.shape == (len(xs),)
+        assert np.array_equal(got, want), (eps, np.flatnonzero(got != want))
+        if eps > 0:
+            accepted = int(got.sum())
+    return accepted
+
+
+def proposal_batches(g, seeds, n, monkeypatch):
+    """The (X, Y) batches volume_fg_mc's chunks hand to the mask."""
+    batches = []
+
+    def spy(xs, ys, cands, *args):
+        batches.append((xs, ys))
+        return membership_mask_points(xs, ys, cands, *args)
+
+    monkeypatch.setattr(geometry, "membership_mask_points", spy)
+    for seed in seeds:
+        geometry.volume_fg_mc(g, n, seed=seed)
+    monkeypatch.undo()
+    assert len(batches) == len(seeds)
+    return batches
+
+
+def members(g, count, seed):
+    """Reduced points: the domain's members, as (xs, ys) stacks."""
+    rng = np.random.default_rng(seed)
+    pts = [siegel_reduce(rand_siegel_point(g, rng)).reduced for _ in range(count)]
+    return np.stack([p.X for p in pts]), np.stack([p.Y for p in pts])
+
+
+def onto_box_faces(xs, ys):
+    """Each point with one entry pair x_ij = x_ji moved onto |x_ij| = 1/2,
+    onto the eps threshold, and one step beyond each."""
+    g = xs.shape[-1]
+    out_x, out_y = [], []
+    for v in (0.5, 0.5 + DEFAULT_EPS, 0.5 - DEFAULT_EPS, np.nextafter(0.5 + DEFAULT_EPS, 1.0)):
+        for sign in (1.0, -1.0):
+            for i in range(g):
+                for j in range(i, g):
+                    x = xs.copy()
+                    x[:, i, j] = x[:, j, i] = sign * v
+                    out_x.append(x)
+                    out_y.append(ys)
+    return np.concatenate(out_x), np.concatenate(out_y)
+
+
+def onto_minkowski_faces(xs, ys):
+    """Each Y moved along the face's normal onto each (M.1) face
+    a Y t(a) = y_kk of the mask's table, and onto each (M.2) face
+    y_{k,k+1} = 0."""
+    g = ys.shape[-1]
+    out_x, out_y = [], []
+    for k, (vecs, _) in enumerate(_column_tables(g)):
+        for a in vecs:
+            normal = np.outer(a, a)
+            normal[k, k] -= 1.0
+            form = np.einsum("i,nij,j->n", a, ys, a) - ys[:, k, k]
+            out_y.append(ys - (form / np.sum(normal * normal))[:, None, None] * normal)
+            out_x.append(xs)
+    for k in range(g - 1):
+        y = ys.copy()
+        y[:, k, k + 1] = y[:, k + 1, k] = 0.0
+        out_y.append(y)
+        out_x.append(xs)
+    return np.concatenate(out_x), np.concatenate(out_y)
+
+
+def with_non_finite(xs, ys):
+    """Each point with one entry of X or of Y made inf, -inf or nan."""
+    g = xs.shape[-1]
+    out_x, out_y = [], []
+    for bad in (np.inf, -np.inf, np.nan):
+        for i in range(g):
+            for j in range(g):
+                for target in (0, 1):
+                    x, y = xs.copy(), ys.copy()
+                    (x, y)[target][:, i, j] = bad
+                    out_x.append(x)
+                    out_y.append(y)
+    return np.concatenate(out_x), np.concatenate(out_y)
+
+
+def on_circle(level):
+    """(x, y), 0 <= x < 1/2, with x*x + y*y == level in floating point: a
+    monomial w = x + iy exactly at the threshold |w|^2 >= level."""
+    for x in np.arange(0.0, 0.5, 1.0 / 64):
+        y0 = np.sqrt(level - x * x)
+        for y in y0 + np.arange(-40, 41) * np.spacing(y0):
+            if x * x + y * y == level:
+                return x, y
+    raise AssertionError("no point found at level %r" % level)
+
+
+def unit_row_thresholds():
+    """g = 1 and g = 2 points with |w11|^2 or |w22|^2 exactly at 1 - eps,
+    1 and 1 + eps, and everything else strictly satisfied for w11."""
+    g1, g2 = [], []
+    for level in (1.0 - DEFAULT_EPS, 1.0, 1.0 + DEFAULT_EPS):
+        x, y = on_circle(level)
+        g1.append(([[x]], [[y]]))
+        g2.append(([[x, 0.0], [0.0, 0.0]], [[y, 0.1], [0.1, 2.0]]))
+        g2.append(([[0.5, 0.0], [0.0, x]], [[0.9, 0.1], [0.1, y]]))
+    return [tuple(np.array(v, dtype=float) for v in zip(*pts)) for pts in (g1, g2)]
+
+
+def witness_batch():
+    """Gottschling's 19 surface points, just below and just above each surface."""
+    pts = gottschling_surface_points()
+    xs = np.stack([x for _, x, _, _ in pts for _ in (0, 1)])
+    ys = np.stack([y for _, _, below, above in pts for y in (below, above)])
+    return xs, ys
+
+
+@pytest.fixture(scope="module")
+def member_pool():
+    return {g: members(g, 12, 100 + g) for g in (1, 2, 3)}
+
+
+class TestProposalBatches:
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_chunks_of_three_seeds(self, g, monkeypatch):
+        for xs, ys in proposal_batches(g, (123, 7, 2024), 30_000, monkeypatch):
+            accepted = assert_matches_oracle(xs, ys, builtin_candidates(g))
+            assert 0 < accepted < len(xs)
+
+    def test_batches_of_one(self, monkeypatch):
+        (xs, ys), = proposal_batches(2, (99,), 400, monkeypatch)
+        wx, wy = witness_batch()
+        xs, ys = np.concatenate([xs, wx]), np.concatenate([ys, wy])
+        cands = builtin_candidates(2)
+        accepted = sum(assert_matches_oracle(xs[i:i + 1], ys[i:i + 1], cands)
+                       for i in range(len(xs)))
+        assert 0 < accepted < len(xs)
+
+    def test_none_and_all_pass_the_prefilter(self, member_pool):
+        cands = builtin_candidates(2)
+        xs, ys = member_pool[2]
+        assert assert_matches_oracle(xs, ys, cands) == len(xs)
+        # |w11| < 1 everywhere: the prefilter drops every point
+        small = ys.copy()
+        small[:, 0, 0] = 0.5
+        small[:, 0, 1] = small[:, 1, 0] = 0.1
+        xs = xs.copy()
+        xs[:, 0, 0] = 0.25
+        assert assert_matches_oracle(xs, small, cands) == 0
+        assert assert_matches_oracle(xs[:0], small[:0], cands) == 0
+
+
+class TestGenera:
+    def test_g1_and_g3(self, member_pool, rng):
+        for g in (1, 3):
+            mx, my = member_pool[g]
+            pts = [rand_siegel_point(g, rng, x_scale=0.3, floor=0.6) for _ in range(200)]
+            xs = np.concatenate([mx, np.stack([p.X for p in pts])])
+            ys = np.concatenate([my, np.stack([p.Y for p in pts])])
+            accepted = assert_matches_oracle(xs, ys, builtin_candidates(g))
+            assert len(mx) <= accepted < len(xs)
+
+    def test_g3_has_no_prefilter(self):
+        assert builtin_candidates(3).certifying._unit_entries == ()
+        assert builtin_candidates(2).certifying._unit_entries == ((0, 0), (1, 1))
+        assert builtin_candidates(1).certifying._unit_entries == ((0, 0),)
+
+
+class TestFaces:
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_box_faces(self, g, member_pool):
+        xs, ys = onto_box_faces(*member_pool[g])
+        accepted = assert_matches_oracle(xs, ys, builtin_candidates(g))
+        assert 0 < accepted < len(xs)
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_minkowski_faces(self, g, member_pool):
+        xs, ys = onto_minkowski_faces(*member_pool[g])
+        accepted = assert_matches_oracle(xs, ys, builtin_candidates(g))
+        assert 0 < accepted < len(xs)
+
+    def test_unit_row_thresholds(self):
+        for (xs, ys), g in zip(unit_row_thresholds(), (1, 2)):
+            cands = builtin_candidates(g)
+            assert assert_matches_oracle(xs, ys, cands) >= 3
+            for i in range(len(xs)):
+                assert_matches_oracle(xs[i:i + 1], ys[i:i + 1], cands)
+
+    def test_gottschling_surfaces(self):
+        xs, ys = witness_batch()
+        assert assert_matches_oracle(xs, ys, builtin_candidates(2)) == len(xs)
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_non_finite_entries(self, g, member_pool):
+        xs, ys = with_non_finite(*member_pool[g])
+        assert_matches_oracle(xs, ys, builtin_candidates(g))
+
+
+def test_family_without_the_unit_rows(tmp_path, member_pool, monkeypatch):
+    # without +-w11 and +-w22 the family is not Gottschling's, certifying is
+    # the whole family, and no row gives a prefilter
+    full = builtin_candidates(2)
+    keep = tuple(m for m, row in zip(full.elements, full.det_table)
+                 if tuple(np.abs(row).astype(int)) not in {(0, 1, 0, 0, 0), (0, 0, 0, 1, 0)})
+    save_candidates(CandidateSet(2, keep), tmp_path / "c.json")
+    fam = load_candidates(tmp_path / "c.json")
+    assert len(fam) == len(full) - 2
+    assert fam.certifying is fam and fam.certifying._unit_entries == ()
+    (xs, ys), = proposal_batches(2, (5,), 20_000, monkeypatch)
+    for extra in (member_pool[2], onto_box_faces(*member_pool[2]),
+                  with_non_finite(*member_pool[2]), witness_batch()):
+        xs, ys = np.concatenate([xs, extra[0]]), np.concatenate([ys, extra[1]])
+    accepted = assert_matches_oracle(xs, ys, fam)
+    assert 0 < accepted < len(xs)
