@@ -4,6 +4,8 @@ Every command reads single-document JSON (file or stdin), writes a single
 RunReport JSON document to stdout, and keeps diagnostics on stderr.  Exit
 codes: 0 success, 2 parse/usage error, 3 numeric failure.  Reports are
 deterministic for fixed inputs and --seed; only the timing field varies.
+main(argv) may be called repeatedly in one process: the parser is built on
+the first call and reused, and each report goes out in a single write.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import hashlib
 import json
 import sys
 import time
+from functools import lru_cache
+
 import numpy as np
 
 from .geometry import (VOLUME_TARGETS, laplacian_apply, metric_jacobi,
@@ -73,8 +77,7 @@ def _report(args, digest, outputs, tolerances, t0, guarantee=None):
     }
     if guarantee is not None:
         rep["guarantee"] = guarantee
-    json.dump(rep, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(rep, sort_keys=True) + "\n")
 
 
 def _candidates(g, path):
@@ -305,6 +308,7 @@ def _eps(text):
     return eps
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
     ap = argparse.ArgumentParser(prog="sjk", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from math import pi
+from types import MappingProxyType
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -157,6 +159,26 @@ def _sym_pairs(g):
 _CHART_BLOCKS = {"P": "Y", "siegel": "XY", "jacobi": "XYUV", "omega": "UV"}
 
 
+@lru_cache(maxsize=None)
+def _chart_layout(kind, g, h):
+    """``slices``, ``coord_id`` and ``basis`` of a _Chart, which depend only on
+    (kind, g, h); every chart of that shape shares them, so all are read-only."""
+    slices, coord_id, ones = {}, {}, []
+    start = 0
+    for block in _CHART_BLOCKS[kind]:
+        sym = block in "XY"
+        rows = g if sym else h
+        slices[block] = slice(start, start + rows * g)
+        for a, b in (_sym_pairs(g) if sym else np.ndindex(rows, g)):
+            coord_id[(block, a, b)] = len(ones)
+            ones.append((start + a * g + b, start + (b * g + a if sym else a * g + b)))
+        start += rows * g
+    basis = np.zeros((len(ones), start))
+    basis[np.arange(len(ones))[:, None], ones] = 1.0
+    basis.flags.writeable = False
+    return MappingProxyType(slices), MappingProxyType(coord_id), basis
+
+
 class _Chart:
     """Real coordinate chart around the evaluation point of one operator kind.
 
@@ -164,7 +186,8 @@ class _Chart:
     ``coord_id`` maps (block, a, b) to i, and there are ``d`` coordinates.
     The moving blocks are held as one flat vector ``base`` (blocks in chart
     order, each raveled), and row i of ``basis`` is coordinate i's
-    displacement of that vector.  ``point`` is the point as given.
+    displacement of that vector; the layout (``slices``, ``coord_id``,
+    ``basis``) is built once per (kind, g, h).  ``point`` is the point as given.
     """
 
     def __init__(self, kind, point):
@@ -179,25 +202,12 @@ class _Chart:
         else:
             self.x, self.y = point.omega.X, point.omega.Y
             self.u, self.v = point.U, point.V
-        g = self.y.shape[0]
         blocks = _CHART_BLOCKS[kind]
-        mats = [getattr(self, b.lower()) for b in blocks]
-        self.base = np.concatenate([m.ravel() for m in mats]).astype(float)
-        self.slices, self.coord_id, rows = {}, {}, []
-        start = 0
-        for block, m in zip(blocks, mats):
-            self.slices[block] = slice(start, start + m.size)
-            sym = block in "XY"
-            for a, b in (_sym_pairs(g) if sym else np.ndindex(m.shape)):
-                self.coord_id[(block, a, b)] = len(rows)
-                row = np.zeros(self.base.size)
-                row[start + a * g + b] = 1.0
-                if sym:
-                    row[start + b * g + a] = 1.0
-                rows.append(row)
-            start += m.size
-        self.basis = np.array(rows)
-        self.d = len(rows)
+        h = self.u.shape[0] if "U" in blocks else 0
+        self.base = np.concatenate([getattr(self, b.lower()).ravel()
+                                    for b in blocks]).astype(float)
+        self.slices, self.coord_id, self.basis = _chart_layout(kind, self.y.shape[0], h)
+        self.d = len(self.basis)
 
     def tangents(self, blocks):
         """Stack of the d coordinate tangents to one block: the real dY for

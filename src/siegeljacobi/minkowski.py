@@ -136,12 +136,19 @@ def membership_mask(ys: np.ndarray, *, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Minkowski membership over a stack of matrices (n, g, g).
 
     Every quadratic form a Y t(a) is one entry of a (nvec x g(g+1)/2) @
-    (g(g+1)/2 x n) product, taken in blocks of ROW_BLOCK matrices.
+    (g(g+1)/2 x n) product, taken in blocks of ROW_BLOCK matrices.  At g = 1
+    there is no form to compare y_11 with, so 0 < y_11 < inf, the positive
+    half-line, is tested directly (the empty minimum is +inf, which an
+    infinite or negative y_11 would pass).
     """
     ys = np.asarray(ys, dtype=float)
     g = ys.shape[-1]
     tables = _column_tables(g)
-    ok = np.ones(ys.shape[0], dtype=bool)
+    if g == 1:
+        y = ys[:, 0, 0]
+        ok = (0.0 < y) & (y < np.inf)
+    else:
+        ok = np.ones(ys.shape[0], dtype=bool)
     for k in range(g - 1):
         ok &= ys[:, k, k + 1] >= -eps
     for start in range(0, ys.shape[0], ROW_BLOCK):

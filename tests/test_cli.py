@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from siegeljacobi.cli import main
+from siegeljacobi.cli import _build_parser, main
 from siegeljacobi.group_core import JacobiPoint, SiegelPoint, act_jacobi, act_siegel
 from siegeljacobi.jacobi_domain import in_F_gh
 from siegeljacobi.jsonio import (decode_jacobi_element, decode_jacobi_point,
@@ -680,16 +680,24 @@ def _replaced(doc, keys, value):
     return doc
 
 
-def _run_documents(workdir, argv, docs):
-    """Exit code, stdout and stderr of sjk on the documents, run in process."""
+def _with_files(workdir, argv, docs):
+    """argv with each document written to a new directory under workdir and
+    passed as --name FILE."""
+    workdir = workdir / str(len(list(workdir.iterdir())))
+    workdir.mkdir()
     args = list(argv)
     for name, doc in docs.items():
         path = workdir / ("%s.json" % name)
         path.write_text(json.dumps(doc))       # inf and nan become Infinity/NaN
         args += ["--" + name, str(path)]
+    return args
+
+
+def _run_documents(workdir, argv, docs):
+    """Exit code, stdout and stderr of sjk on the documents, run in process."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(args)
+        code = main(_with_files(workdir, argv, docs))
     return code, out.getvalue(), err.getvalue()
 
 
@@ -809,3 +817,91 @@ class TestMetricEvalTangents:
         point["T1"]["re"]["data"][1] += 1e-13
         code, out, _ = self.run(tmp_path, "siegel", point)
         assert code == 0 and np.isfinite(json.loads(out)["outputs"]["value"])
+
+
+# ---------------------------------------------------------------------------
+# one parser per process, one write per report
+# ---------------------------------------------------------------------------
+
+class _CountingWriter(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def _run_in_process(argv):
+    """Exit code (a SystemExit's included), stdout, its number of writes, stderr."""
+    out, err = _CountingWriter(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), out.writes, err.getvalue()
+
+
+class TestParserReuse:
+    """main() builds the parser on its first call and reuses it: no command
+    may see state left on it by the one before."""
+
+    def test_sequence_matches_a_fresh_parser(self, tmp_path):
+        docs = {" ".join(argv): d for argv, d in INPUT_PATHS}
+        sequence = [
+            ["volume", "--g", "1", "--nonsense"],
+            ["volume", "--g", "2", "--samples", "500", "--seed", "5"],
+            ["volume", "--g", "1"],
+            _with_files(tmp_path, ["member", "--p-omega"],
+                        {"point": docs["member --p-omega"]["point"]}),
+            _with_files(tmp_path, ["reduce", "--siegel"], docs["reduce --siegel"]),
+            _with_files(tmp_path, ["reduce", "--minkowski"], docs["reduce --minkowski"])]
+
+        def outcome(argv):
+            code, out, _, err = _run_in_process(argv)
+            rep = json.loads(out) if out else {}
+            return code, rep.get("outputs"), rep.get("inputs_digest"), err
+
+        fresh = []
+        for argv in sequence:
+            _build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        _build_parser.cache_clear()
+        reused = [outcome(argv) for argv in sequence]
+        assert _build_parser.cache_info().misses == 1
+        assert [r[0] for r in reused] == [2, 0, 0, 2, 0, 0]
+        assert "--nonsense" in reused[0][3]
+        assert "--omega FILE is required" in reused[3][3]
+        assert reused[2][1]["method"] == "quadrature"
+        assert reused == fresh
+
+
+REPORT_COMMANDS = INPUT_PATHS + [
+    (["volume", "--g", "1"], {}),
+    (["volume", "--g", "2", "--samples", "500", "--seed", "5"], {}),
+    (["spectral-check", "--g", "1", "--h", "1", "--eigen-checks", "2"], {})]
+
+
+class TestReportBytes:
+    """A report is json.dumps(rep, sort_keys=True) plus a newline in one
+    write; its bytes must be those of the streaming json.dump it replaced."""
+
+    @pytest.mark.parametrize("argv, docs", REPORT_COMMANDS,
+                             ids=[" ".join(argv) for argv, _ in REPORT_COMMANDS])
+    def test_matches_streaming_dump(self, tmp_path, monkeypatch, argv, docs):
+        reports, dumps = [], json.dumps
+
+        def spy(obj, **kw):
+            if isinstance(obj, dict) and "timing_s" in obj:
+                reports.append(obj)
+            return dumps(obj, **kw)
+
+        monkeypatch.setattr(json, "dumps", spy)
+        code, out, writes, _ = _run_in_process(_with_files(tmp_path, argv, docs))
+        assert code == 0 and writes == 1 and len(reports) == 1
+        oracle = io.StringIO()
+        json.dump(reports[0], oracle, sort_keys=True)
+        oracle.write("\n")
+        assert out == oracle.getvalue()

@@ -444,6 +444,26 @@ class TestPrincipalStencil:
                     s, _ = _operator_terms(kind, chart)
                     assert s.dtype == float and np.array_equal(s, s.T)
 
+    def test_chart_layout_is_shared_and_read_only(self, rng):
+        # one layout per (kind, g, h); row i of the basis moves exactly the
+        # entries of base that coordinate i names
+        for kind in self.KINDS:
+            for g in (1, 2, 3):
+                for h in (1, 2):
+                    a, b = (_Chart(kind, _kind_point(kind, rand_jacobi_point(g, h, rng)))
+                            for _ in range(2))
+                    assert a.basis is b.basis and not a.basis.flags.writeable
+                    with pytest.raises(TypeError):
+                        a.coord_id[("X", 0, 0)] = 0
+                    want = np.zeros((a.d, a.base.size))
+                    for (block, i, j), c in a.coord_id.items():
+                        start = a.slices[block].start
+                        want[c, start + i * g + j] = 1.0
+                        if block in "XY":
+                            want[c, start + j * g + i] = 1.0
+                    assert sorted(a.coord_id.values()) == list(range(a.d))
+                    assert np.array_equal(a.basis, want)
+
     def test_matches_printed_tables(self, rng):
         # S = scale x inv(G) reproduces the hand-expanded printed operators
         cases = [("siegel", g, 1) for g in (1, 2, 3)]

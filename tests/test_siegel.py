@@ -82,6 +82,39 @@ class TestMembership:
         member, boundary = siegel_membership(SiegelPoint.from_omega([[0.1 + 5j]]))
         assert member and not boundary
 
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_is_never_a_member(self, g, bad, rng):
+        # at g = 1 an infinite Y used to pass: the Minkowski table is empty
+        # there and |w|^2 = inf passes the determinant row.  SiegelPoint
+        # refuses such a point, so siegel_membership gets a bare (X, Y) pair
+        cands = builtin_candidates(g)
+        p = siegel_reduce(rand_siegel_point(g, rng)).reduced
+        xs, ys = [p.X], [p.Y]
+        for target in (0, 1):
+            for i in range(g):
+                for j in range(i, g):
+                    m = [p.X.copy(), p.Y.copy()]
+                    m[target][i, j] = m[target][j, i] = bad
+                    xs.append(m[0])
+                    ys.append(m[1])
+        with np.errstate(invalid="ignore", over="ignore"):
+            for eps in (DEFAULT_EPS, -DEFAULT_EPS):
+                mask = membership_mask_points(np.stack(xs), np.stack(ys), cands, eps)
+                assert mask[0] or eps < 0
+                assert not mask[1:].any()
+            for x, y in zip(xs[1:], ys[1:]):
+                with pytest.raises(ValueError):
+                    SiegelPoint(x, y)
+                pair = SimpleNamespace(g=g, X=x, Y=y)
+                assert siegel_membership(pair, cands) == (False, False)
+
+    def test_omega_i_infinity_and_lower_half_plane_at_g1(self):
+        cands = builtin_candidates(1)
+        for y in (np.inf, -np.inf, -2.0):
+            assert not membership_mask_points(np.zeros((1, 1, 1)), np.full((1, 1, 1), y),
+                                              cands)[0]
+
     def test_vectorized_matches_scalar(self, rng, monkeypatch):
         # random g = 2 points, then the proposal samples of volume_fg_mc at
         # g = 1 and 2, taken from the calls its chunks make
