@@ -19,13 +19,12 @@ def as_imat(data) -> np.ndarray:
     Float entries are accepted only when they are finite and exactly integral;
     bools (also inside an int list) and every other type raise ValueError.
     """
-    arr = np.asarray(data, dtype=object)
+    arr = np.array(data, dtype=object)  # a copy, also of an object array
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2:
         raise ValueError("expected a matrix, got ndim=%d" % arr.ndim)
-    rows = arr.tolist()
-    for i, row in enumerate(rows):
+    for i, row in enumerate(arr.tolist()):
         for j, v in enumerate(row):
             if type(v) is int:
                 continue
@@ -35,11 +34,8 @@ def as_imat(data) -> np.ndarray:
                 raise ValueError("non-finite entry %r at (%d, %d)" % (v, i, j))
             if not isinstance(v, (int, np.integer, float, np.floating)) or v != round(v):
                 raise ValueError("non-integer entry %r at (%d, %d)" % (v, i, j))
-            row[j] = int(v)
-    out = np.empty(arr.shape, dtype=object)
-    if out.size:
-        out[...] = rows
-    return out
+            arr[i, j] = int(v)
+    return arr
 
 
 def ieye(n: int) -> np.ndarray:

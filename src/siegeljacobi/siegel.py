@@ -22,17 +22,21 @@ stays exact.
 Every |det(C Omega + D)|^2 comes from one kernel, _det_sq_batch.  For g <= 2
 it is a polynomial in the entries of Omega whose integer coefficients are
 computed once per set (CandidateSet.det_table), so n points cost two
-(ncand x 5) @ (5 x n) real products; g >= 3 takes one batched determinant.
-det_sq is the kernel on a batch of one.
+(ncand x 5) @ (5 x n) real products, which give a point the same bits in any
+batch; g >= 3 takes one batched determinant.  det_sq is the kernel on a
+batch of one.
 
 Membership has one test too, membership_mask_points; siegel_membership is it
 on a batch of one, and a member is on the boundary when it is not a member
-at -eps, the strict interior.  The test is staged: at g <= 2 it first
-rejects on the rows of det_table that are a single entry w_ij of Omega (w at
-g = 1, w11 and w22 among Gottschling's 19; |w11|^2 >= 1 alone rejects 41 % of
-the Monte Carlo proposal), then runs the box, Minkowski and determinant
-tests on the survivors only.  The mask is bit for bit that of one pass of
-every test, because a unit row's determinant is its monomial exactly.
+at -eps, the strict interior.  The test runs ROW_BLOCK points at a time,
+every stage of a block while its data is in cache, and is staged: at g <= 2
+it first rejects on the rows of det_table that are a single entry w_ij of
+Omega (w at g = 1, w11 and w22 among Gottschling's 19; |w11|^2 >= 1 alone
+rejects 41 % of the Monte Carlo proposal), then runs the box, Minkowski and
+determinant tests on the survivors only.  The mask is bit for bit that of
+one pass of every test over the whole batch, because a unit row's
+determinant is its monomial exactly and every product gives a point the
+same bits in any batch.
 """
 
 from __future__ import annotations
@@ -263,9 +267,10 @@ _ENTRY_MONOMIALS = {1: ((0, (0, 0)),), 2: ((1, (0, 0)), (2, (0, 1)), (3, (1, 1))
 
 def _omega_monomials(xs, ys):
     """Real and imaginary parts of [w, 1] (g = 1) or [det Omega, w11, w12,
-    w22, 1] (g = 2), one column per point: shape (nmono, n) each."""
+    w22, 1] (g = 2), one column per point: shape (nmono, n) each, but two
+    equal columns for one point."""
     n, g = xs.shape[0], xs.shape[-1]
-    fr, fi = np.empty((2, 3 * g - 1, n))
+    fr, fi = np.empty((2, 3 * g - 1, 2 if n == 1 else n))
     if g == 1:
         fr[0], fi[0] = xs[:, 0, 0], ys[:, 0, 0]
     else:
@@ -288,7 +293,12 @@ def _omega_monomials(xs, ys):
 
 
 def _det_sq_batch(cands: CandidateSet, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """|det(C Omega + D)|^2 for each candidate (row) at each point (column)."""
+    """|det(C Omega + D)|^2 for each candidate (row) at each point (column).
+
+    At g <= 2 a point alone gets two monomial columns, since numpy hands a
+    one-column product to a matrix-vector kernel whose last bit can differ
+    from the batched kernel's; so a point gets the same bits in any batch.
+    """
     table = cands.det_table
     if cands.g <= 2:
         fr, fi = _omega_monomials(xs, ys)
@@ -297,7 +307,7 @@ def _det_sq_batch(cands: CandidateSet, xs: np.ndarray, ys: np.ndarray) -> np.nda
         re *= re
         im *= im
         re += im
-        return re
+        return re[:, :xs.shape[0]]
     cs, ds = table
     det = np.linalg.det(np.matmul(cs, (xs + 1j * ys)[:, None]) + ds)
     return (det.real ** 2 + det.imag ** 2).T
@@ -328,29 +338,35 @@ def is_siegel_reduced(p: SiegelPoint, cands: CandidateSet = None,
 def membership_mask_points(xs: np.ndarray, ys: np.ndarray,
                            cands: CandidateSet, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Membership over stacks of (X, Y) pairs, shape (n, g, g) each, with
-    slack eps on every inequality, in stages, each on the points the one
-    before kept:
+    slack eps on every inequality.  The points go ROW_BLOCK at a time, and
+    each block runs these stages, each on the points the one before kept:
 
     1. |w_ij|^2 >= 1 - eps for each CandidateSet._unit_entries (+-w at g = 1,
        w11 and w22 for Gottschling's 19), in _det_sq_batch's arithmetic;
     2. one gather of the survivors, none when no point was dropped;
     3. the X box, max |x_ij| <= 1/2 + eps, as a running maximum;
     4. the Minkowski mask;
-    5. every row of _det_sq_batch, ROW_BLOCK points at a time, on slices
-       when stages 3 and 4 dropped no point.
+    5. every row of _det_sq_batch, on a slice when stages 3 and 4 dropped
+       no point.
 
     The mask is bit for bit that of one pass of every test over every
-    point: a unit row's dot product with the monomials is the monomial
-    itself (0 m = 0 and 1 m = m), so every point stage 5 accepts passes
-    stage 1, and a non-finite monomial still fails stage 5.  This takes the
-    BLAS to give a column the same bits in any batch; numpy hands a
-    one-column product to a matrix-vector kernel whose last bit can differ,
-    so a point within an ulp of 1 - eps may be decided differently when
-    stage 5 sees it alone (as a batch of one always could).
+    point, in any block size: a unit row's dot product with the monomials
+    is the monomial itself (0 m = 0 and 1 m = m), so every point stage 5
+    accepts passes stage 1, a non-finite monomial still fails stage 5, and
+    every product gives a point the same bits in any batch.
     """
     cands = cands.certifying
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    ok = np.empty(xs.shape[0], dtype=bool)
+    for start in range(0, len(ok), ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
+        ok[block] = _mask_block(xs[block], ys[block], cands, eps)
+    return ok
+
+
+def _mask_block(xs, ys, cands, eps):
+    """membership_mask_points' stages on one block; cands is certifying."""
     n, g = xs.shape[0], xs.shape[-1]
     ok = live = None
     for i, j in cands._unit_entries:
@@ -365,9 +381,8 @@ def membership_mask_points(xs: np.ndarray, ys: np.ndarray,
     part = reduce(np.maximum, np.abs(xs.reshape(len(xs), g * g)).T) <= 0.5 + eps
     part &= membership_mask(ys, eps=eps)
     kept = np.count_nonzero(part)
-    rows = np.flatnonzero(part) if kept < part.size else None
-    for start in range(0, kept, ROW_BLOCK):
-        sel = slice(start, start + ROW_BLOCK) if rows is None else rows[start:start + ROW_BLOCK]
+    if kept:
+        sel = np.flatnonzero(part) if kept < part.size else slice(None)
         vals = _det_sq_batch(cands, xs[sel], ys[sel])
         part[sel] = vals.min(axis=0, initial=np.inf) >= 1.0 - eps
     if live is None:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from siegeljacobi.geometry import (DEFAULT_FD_STEP, MC_CHUNK, VOLUME_TARGETS,
 from siegeljacobi.geometry import _Chart, _operator_terms
 from siegeljacobi.group_core import (JacobiPoint, SiegelPoint, act_jacobi,
                                      act_siegel)
+from siegeljacobi.siegel import builtin_candidates
 from conftest import (fd_push_jacobi, fd_push_siegel, jacobi_density,
                       rand_jacobi_element, rand_jacobi_point, rand_pd,
                       rand_siegel_point, rand_sym_complex, rand_symplectic,
@@ -650,6 +653,18 @@ class TestVolumes:
         a = volume_fg_mc(2, n, seed=9, threads=1)
         b = volume_fg_mc(2, n, seed=9, threads=2)
         assert a.estimate == b.estimate and a.stderr == b.stderr
+
+    def test_mc_g2_chunk_peak_memory(self):
+        # a chunk builds, masks and weighs its samples ROW_BLOCK at a time:
+        # one chunk peaks at about 31 MiB, and at 117 MiB in one batch
+        builtin_candidates(2).certifying._unit_entries  # load outside the count
+        tracemalloc.start()
+        try:
+            volume_fg_mc(2, MC_CHUNK, seed=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2 ** 20
 
     def test_mc_rejects_bad_g(self):
         with pytest.raises(ValueError):

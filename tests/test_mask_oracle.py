@@ -9,7 +9,7 @@ case is checked at eps and at -eps, the strict interior.
 import numpy as np
 import pytest
 
-from siegeljacobi import geometry
+from siegeljacobi import geometry, minkowski, siegel
 from siegeljacobi.minkowski import DEFAULT_EPS, _column_tables
 from siegeljacobi.siegel import (CandidateSet, builtin_candidates, load_candidates,
                                  membership_mask_points, save_candidates, siegel_reduce)
@@ -30,18 +30,33 @@ def assert_matches_oracle(xs, ys, cands):
 
 
 def proposal_batches(g, seeds, n, monkeypatch):
-    """The (X, Y) batches volume_fg_mc's chunks hand to the mask."""
+    """The (X, Y) samples of volume_fg_mc's chunk at each seed (n fits in one
+    chunk): the block batches the chunk hands to the mask, concatenated.
+    They must be the chunk's samples in order, which the chunk hands over in
+    one batch when its block holds the whole chunk."""
+    assert n <= geometry.MC_CHUNK
+
+    def mask_calls(seed, block):
+        calls = []
+
+        def spy(xs, ys, cands, *args):
+            calls.append((xs, ys))
+            return membership_mask_points(xs, ys, cands, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "membership_mask_points", spy)
+            m.setattr(geometry, "ROW_BLOCK", block)
+            geometry.volume_fg_mc(g, n, seed=seed)
+        return calls
+
     batches = []
-
-    def spy(xs, ys, cands, *args):
-        batches.append((xs, ys))
-        return membership_mask_points(xs, ys, cands, *args)
-
-    monkeypatch.setattr(geometry, "membership_mask_points", spy)
     for seed in seeds:
-        geometry.volume_fg_mc(g, n, seed=seed)
-    monkeypatch.undo()
-    assert len(batches) == len(seeds)
+        blocks = mask_calls(seed, geometry.ROW_BLOCK)
+        (whole_x, whole_y), = mask_calls(seed, n)
+        xs = np.concatenate([x for x, _ in blocks])
+        ys = np.concatenate([y for _, y in blocks])
+        assert np.array_equal(xs, whole_x) and np.array_equal(ys, whole_y)
+        batches.append((xs, ys))
     return batches
 
 
@@ -232,3 +247,63 @@ def test_family_without_the_unit_rows(tmp_path, member_pool, monkeypatch):
         xs, ys = np.concatenate([xs, extra[0]]), np.concatenate([ys, extra[1]])
     accepted = assert_matches_oracle(xs, ys, fam)
     assert 0 < accepted < len(xs)
+
+
+class TestBlockSize:
+    """ROW_BLOCK, read by each module below, changes no bit of a mask or of
+    a Monte Carlo estimate."""
+
+    READERS = (minkowski, siegel, geometry)
+
+    @pytest.fixture(scope="class")
+    def cases(self, member_pool):
+        out = [(g, batch) for g, batch in zip((1, 2), unit_row_thresholds())]
+        out.append((2, witness_batch()))
+        for g in (1, 2, 3):
+            pool = member_pool[g]
+            out += [(g, pool), (g, onto_box_faces(*pool)), (g, with_non_finite(*pool))]
+            if g > 1:
+                out.append((g, onto_minkowski_faces(*pool)))
+        return out
+
+    def small_blocks(self, block, monkeypatch):
+        for mod in self.READERS:
+            monkeypatch.setattr(mod, "ROW_BLOCK", block)
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_masks(self, block, cases, monkeypatch):
+        def masks():
+            with np.errstate(invalid="ignore", over="ignore"):
+                return [membership_mask_points(xs, ys, builtin_candidates(g), eps)
+                        for g, (xs, ys) in cases for eps in (DEFAULT_EPS, -DEFAULT_EPS)]
+
+        want = masks()
+        self.small_blocks(block, monkeypatch)
+        seen = []
+
+        def spy(ys, **kw):
+            seen.append(len(ys))
+            return minkowski.membership_mask(ys, **kw)
+
+        monkeypatch.setattr(siegel, "membership_mask", spy)
+        got = masks()
+        assert 0 < max(seen) <= block
+        for w, m in zip(want, got):
+            assert np.array_equal(w, m)
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_volumes(self, block, monkeypatch):
+        want = [geometry.volume_fg_mc(g, 30_000, seed=31) for g in (1, 2)]
+        self.small_blocks(block, monkeypatch)
+        sizes = []
+
+        def spy(xs, ys, cands, *args):
+            sizes.append(len(xs))
+            return membership_mask_points(xs, ys, cands, *args)
+
+        monkeypatch.setattr(geometry, "membership_mask_points", spy)
+        got = [geometry.volume_fg_mc(g, 30_000, seed=31) for g in (1, 2)]
+        assert len(sizes) == 2 * -(-30_000 // block) and max(sizes) == block
+        for w, r in zip(want, got):
+            assert (r.estimate.hex(), r.stderr.hex()) == (w.estimate.hex(), w.stderr.hex())
+            assert r.acceptance_rate == w.acceptance_rate

@@ -313,6 +313,21 @@ class TestDeterminantKernel:
         assert cands.det_table is cands.det_table
         assert cands.det_table.shape == (len(cands), 5)
 
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_a_point_alone_gets_its_column_of_the_batch(self, g):
+        # bit for bit: numpy's matrix-vector kernel, which a one-column
+        # product would take, can differ in the last bit
+        rng = np.random.default_rng(2000 + g)
+        cands = builtin_candidates(g)
+        x = rng.uniform(-0.5, 0.5, size=(2000, g, g))
+        a = rng.normal(size=(2000, g, g))
+        xs = 0.5 * (x + np.swapaxes(x, 1, 2))
+        ys = a @ np.swapaxes(a, 1, 2) + 0.5 * np.eye(g)
+        batch = _det_sq_batch(cands, xs, ys)
+        alone = np.stack([det_sq(cands, xi + 1j * yi) for xi, yi in zip(xs, ys)], axis=1)
+        assert batch.shape == alone.shape == (len(cands), 2000)
+        assert np.array_equal(alone.view(np.uint64), batch.view(np.uint64))
+
     def test_mc_volume_pinned_to_reference(self):
         # accepted count and estimate of the matmul-per-candidate mask this
         # kernel replaced, recorded before the change; the kernel must keep
