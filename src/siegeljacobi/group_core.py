@@ -5,8 +5,9 @@ entries; the defining relations are checked exactly, never with tolerances.
 Every SymplecticInt, products included, is checked when it is built, by
 comparing t(M) J M with J above the diagonal in plain Python ints.
 Points carry float matrices in split real form: Omega = X + iY, Z = U + iV.
-The actions refuse C Omega + D with condition number above COND_LIMIT: by an
-SVD, or for C = 0 by the exact bound cond(D) <= |D|_F |A|_F (D^{-1} = t(A)).
+A C = 0 element within the exact bound |D|_F |A|_F <= COND_LIMIT / 2
+(cond_bounded; D^{-1} = t(A)) acts as the congruence (A Omega + B) t(A); any
+other is refused above COND_LIMIT by an SVD and acts by a checked solve.
 Everything here is a pure function on immutable values.
 """
 
@@ -449,35 +450,41 @@ def _blocks_float(m):
 def act_siegel(m, p: SiegelPoint) -> SiegelPoint:
     """Moebius action Omega -> (A Omega + B)(C Omega + D)^{-1}.
 
-    C Omega + D is guarded by an SVD unless the element is cond_bounded.
-    The result is re-symmetrized (a drift beyond EPS_SYM raises), then
-    checked for finite entries and a positive-definite Im only.
+    A cond_bounded element has C = 0 and D^{-1} = t(A) exactly, so it acts
+    as the congruence (A Omega + B) t(A): no SVD, solve or drift check.
+    Every other element has C Omega + D guarded by an SVD, and its solved
+    result must be symmetric to EPS_SYM.  The result is re-symmetrized,
+    then checked for finite entries and a positive-definite Im only.
     """
     a, b, c, d = _blocks_float(m)
     omega = p.omega
-    k = c @ omega + d
-    if not (isinstance(m, SymplecticInt) and m.cond_bounded):
+    if isinstance(m, SymplecticInt) and m.cond_bounded:
+        res = (a @ omega + b) @ a.T
+    else:
+        k = c @ omega + d
         s = np.linalg.svd(k, compute_uv=False)
         if not (s[-1] > 0 and s[0] / s[-1] <= COND_LIMIT):
             raise IllConditionedActionError("ill-conditioned action")
-    num = a @ omega + b
-    res = np.linalg.solve(k.T, num.T).T
-    drift = np.max(np.abs(res - res.T))
-    if drift > EPS_SYM * max(1.0, np.max(np.abs(res))):
-        raise IllConditionedActionError(
-            "action result lost symmetry (drift %.3g)" % drift)
+        res = np.linalg.solve(k.T, (a @ omega + b).T).T
+        drift = np.max(np.abs(res - res.T))
+        if drift > EPS_SYM * max(1.0, np.max(np.abs(res))):
+            raise IllConditionedActionError(
+                "action result lost symmetry (drift %.3g)" % drift)
     res = 0.5 * (res + res.T)
     return SiegelPoint._from_symmetric(res.real.copy(), res.imag.copy())
 
 
 def act_jacobi(x: JacobiGroupElement, p: JacobiPoint) -> JacobiPoint:
-    """Jacobi action (Omega, Z) -> (M.Omega, (Z + lam Omega + mu)(C Omega + D)^{-1})."""
+    """Jacobi action (Omega, Z) -> (M.Omega, (Z + lam Omega + mu)(C Omega + D)^{-1});
+    for a cond_bounded M the last factor is t(A), as in act_siegel."""
     if x.g != p.g or x.h != p.h:
         raise ValueError("shape mismatch between element and point")
     new_omega = act_siegel(x.m, p.omega)   # has guarded C Omega + D
-    _, _, c, d = x.m.float_blocks
+    a, _, c, d = x.m.float_blocks
     omega = p.omega.omega
-    k = c @ omega + d
     w = p.Z + to_float(x.heis.lam) @ omega + to_float(x.heis.mu)
-    z_new = np.linalg.solve(k.T, w.T).T
+    if x.m.cond_bounded:
+        z_new = w @ a.T
+    else:
+        z_new = np.linalg.solve((c @ omega + d).T, w.T).T
     return JacobiPoint.from_z(new_omega, z_new)

@@ -28,12 +28,6 @@ from .group_core import as_pd_array
 DEFAULT_BOUND = 3
 DEFAULT_EPS = 1e-9
 
-#: points per block of the batched masks and of a Monte Carlo chunk: cache
-#: sized, measured.  On a 2 MiB-L2-per-core Xeon a g = 2 chunk ran equally
-#: fast at 4,096 to 16,384, 10-15 % slower at 2,048 and 32,768, and 25 %
-#: slower at 65,536.  No answer depends on it.
-ROW_BLOCK = 8_192
-
 #: successive-minima passes minkowski_reduce makes before it gives up
 MAX_ITERS = 32
 
@@ -136,35 +130,29 @@ def is_minkowski_reduced(y, *, eps: float = DEFAULT_EPS) -> bool:
 
 
 def membership_mask(ys: np.ndarray, *, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Minkowski membership over a stack of matrices (n, g, g).
+    """Minkowski membership over a stack of matrices (n, g, g), in one pass.
 
     Every quadratic form a Y t(a) is one entry of a (nvec x g(g+1)/2) @
-    (g(g+1)/2 x n) product, taken in blocks of ROW_BLOCK matrices.  A block
-    of one matrix is stacked twice, since numpy hands a one-column product
-    to a matrix-vector kernel whose last bit can differ from the batched
-    kernel's; so a matrix gets the same bits in any batch.  At g = 1
-    there is no form to compare y_11 with, so 0 < y_11 < inf, the positive
-    half-line, is tested directly (the empty minimum is +inf, which an
-    infinite or negative y_11 would pass).
+    (g(g+1)/2 x n) product.  A stack of one matrix is stacked twice, since
+    numpy hands a one-column product to a matrix-vector kernel whose last
+    bit can differ from the batched kernel's; so a matrix gets the same bits
+    in any batch.  At g = 1 there is no form to compare y_11 with, so
+    0 < y_11 < inf, the positive half-line, is tested directly (the empty
+    minimum is +inf, which an infinite or negative y_11 would pass).
     """
     ys = np.asarray(ys, dtype=float)
-    g = ys.shape[-1]
-    tables = _column_tables(g)
+    n, g = ys.shape[0], ys.shape[-1]
     if g == 1:
         y = ys[:, 0, 0]
         ok = (0.0 < y) & (y < np.inf)
     else:
-        ok = np.ones(ys.shape[0], dtype=bool)
+        ok = np.ones(n, dtype=bool)
     for k in range(g - 1):
         ok &= ys[:, k, k + 1] >= -eps
-    for start in range(0, ys.shape[0], ROW_BLOCK):
-        block = ys[start:start + ROW_BLOCK]
-        m = len(block)
-        feats = _form_features(block if m > 1 else np.concatenate((block, block)))
-        part = ok[start:start + ROW_BLOCK]
-        for k, (_, mono) in enumerate(tables):
-            forms = (mono @ feats)[:, :m]
-            part &= forms.min(axis=0, initial=np.inf) >= block[:, k, k] - eps
+    feats = _form_features(ys if n > 1 else np.concatenate((ys, ys)))
+    for k, (_, mono) in enumerate(_column_tables(g)):
+        forms = (mono @ feats)[:, :n]
+        ok &= forms.min(axis=0, initial=np.inf) >= ys[:, k, k] - eps
     return ok
 
 

@@ -28,15 +28,14 @@ batch of one.
 
 Membership has one test too, membership_mask_points; siegel_membership is it
 on a batch of one, and a member is on the boundary when it is not a member
-at -eps, the strict interior.  The test runs ROW_BLOCK points at a time,
-every stage of a block while its data is in cache, and is staged: at g <= 2
-it first rejects on the rows of det_table that are a single entry w_ij of
-Omega (w at g = 1, w11 and w22 among Gottschling's 19; |w11|^2 >= 1 alone
-rejects 41 % of the Monte Carlo proposal), then runs the box, Minkowski and
-determinant tests on the survivors only.  The mask is bit for bit that of
-one pass of every test over the whole batch, because a unit row's
-determinant is its monomial exactly and every product gives a point the
-same bits in any batch.
+at -eps, the strict interior.  The test is one staged pass over the batch:
+at g <= 2 it first rejects on the rows of det_table that are a single entry
+w_ij of Omega (w at g = 1, w11 and w22 among Gottschling's 19; |w11|^2 >= 1
+alone rejects 41 % of the Monte Carlo proposal), then runs the box,
+Minkowski and determinant tests on the survivors only.  The mask is bit for
+bit that of one pass of every test over the whole batch, because a unit
+row's determinant is its monomial exactly and every product gives a point
+the same bits in any batch.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ import numpy as np
 from .group_core import SiegelPoint, SymplecticInt, act_siegel
 from .intmat import ieye, izeros, to_float
 from .jsonio import decode_symplectic, encode_symplectic, get_field
-from .minkowski import DEFAULT_EPS, ROW_BLOCK, membership_mask, minkowski_reduce
+from .minkowski import DEFAULT_EPS, membership_mask, minkowski_reduce
 
 #: highest-point steps siegel_reduce takes before it gives up
 MAX_ITERS = 1000
@@ -338,8 +337,8 @@ def is_siegel_reduced(p: SiegelPoint, cands: CandidateSet = None,
 def membership_mask_points(xs: np.ndarray, ys: np.ndarray,
                            cands: CandidateSet, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Membership over stacks of (X, Y) pairs, shape (n, g, g) each, with
-    slack eps on every inequality.  The points go ROW_BLOCK at a time, and
-    each block runs these stages, each on the points the one before kept:
+    slack eps on every inequality.  The batch runs these stages, each on
+    the points the one before kept:
 
     1. |w_ij|^2 >= 1 - eps for each CandidateSet._unit_entries (+-w at g = 1,
        w11 and w22 for Gottschling's 19), in _det_sq_batch's arithmetic;
@@ -350,23 +349,15 @@ def membership_mask_points(xs: np.ndarray, ys: np.ndarray,
        no point.
 
     The mask is bit for bit that of one pass of every test over every
-    point, in any block size: a unit row's dot product with the monomials
-    is the monomial itself (0 m = 0 and 1 m = m), so every point stage 5
-    accepts passes stage 1, a non-finite monomial still fails stage 5, and
-    every product gives a point the same bits in any batch.
+    point, in any batch: a unit row's dot product with the monomials is the
+    monomial itself (0 m = 0 and 1 m = m), so every point stage 5 accepts
+    passes stage 1, a non-finite monomial still fails stage 5, and every
+    product gives a point the same bits in any batch.  The caller sizes the
+    batch; the Monte Carlo chunk hands it geometry.ROW_BLOCK points at a time.
     """
     cands = cands.certifying
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    ok = np.empty(xs.shape[0], dtype=bool)
-    for start in range(0, len(ok), ROW_BLOCK):
-        block = slice(start, start + ROW_BLOCK)
-        ok[block] = _mask_block(xs[block], ys[block], cands, eps)
-    return ok
-
-
-def _mask_block(xs, ys, cands, eps):
-    """membership_mask_points' stages on one block; cands is certifying."""
     n, g = xs.shape[0], xs.shape[-1]
     ok = live = None
     for i, j in cands._unit_entries:

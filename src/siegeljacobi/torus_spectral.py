@@ -137,9 +137,12 @@ def phi_omega(t, omega: SiegelPoint) -> AbelianPoint:
         p, q = t.P, t.Q
     else:
         p, q = (np.asarray(m, dtype=float) for m in t)
-    u = p + q @ omega.X
-    v = q @ omega.Y
-    return AbelianPoint(u, v)
+    return AbelianPoint(*_phi_parts(p, q, omega))
+
+
+def _phi_parts(p, q, omega: SiegelPoint):
+    """(U, V) = (P + QX, QY), the real and imaginary parts of Phi_Omega."""
+    return p + q @ omega.X, q @ omega.Y
 
 
 def phi_omega_inv(z: AbelianPoint, omega: SiegelPoint) -> TorusPoint:
@@ -222,27 +225,19 @@ def inner_product(f, g_fun, shape, omega: SiegelPoint = None,
     """
     h, g = shape
     p, q = torus_grid(h, g, n_nodes)
-    if omega is None:
-        w = p + 1j * q
-    else:
-        u = p + q @ omega.X
-        v = q @ omega.Y
-        w = u + 1j * v
+    u, v = (p, q) if omega is None else _phi_parts(p, q, omega)
+    w = u + 1j * v
     vals = np.asarray(f(w)) * np.conj(np.asarray(g_fun(w)))
     return complex(np.mean(vals))
 
 
 def character_table(indices, p, q, omega: SiegelPoint = None) -> np.ndarray:
     """Values of many characters on a grid: shape (n_indices, N)."""
-    rows = []
-    for idx in indices:
-        if omega is None:
-            rows.append(eval_E_torus(idx, p, q))
-        else:
-            u = p + q @ omega.X
-            v = q @ omega.Y
-            rows.append(eval_E_omega(idx, u + 1j * v, omega))
-    return np.stack(rows)
+    if omega is None:
+        return np.stack([eval_E_torus(idx, p, q) for idx in indices])
+    u, v = _phi_parts(p, q, omega)
+    z = u + 1j * v
+    return np.stack([eval_E_omega(idx, z, omega) for idx in indices])
 
 
 def frequency_indices(h: int, g: int, max_freq: int):
@@ -278,12 +273,11 @@ def truncated_expansion(f, max_freq: int, omega: SiegelPoint, shape,
     if n_nodes is None:
         n_nodes = 2 * max_freq + 3
     p, q = torus_grid(h, g, n_nodes)
-    u = p + q @ omega.X
-    v = q @ omega.Y
+    u, v = _phi_parts(p, q, omega)
     z = u + 1j * v
     fvals = np.asarray(f(z))
     indices = frequency_indices(h, g, max_freq)
-    table = character_table(indices, p, q, omega)
+    table = np.stack([eval_E_omega(idx, z, omega) for idx in indices])
     coeffs = table.conj() @ fvals / fvals.size
     recon = coeffs @ table
     residual = float(np.sqrt(np.mean(np.abs(fvals - recon) ** 2)))

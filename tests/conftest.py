@@ -9,8 +9,9 @@ from siegeljacobi.group_core import (HeisenbergInt, JacobiGroupElement,
                                      JacobiPoint, SiegelPoint, SymplecticInt,
                                      act_jacobi, act_siegel)
 from siegeljacobi.jacobi_domain import _lex_smaller
-from siegeljacobi.minkowski import (DEFAULT_BOUND, DEFAULT_EPS, ROW_BLOCK,
-                                    membership_mask, primitive_candidates)
+from siegeljacobi.geometry import ROW_BLOCK
+from siegeljacobi.minkowski import (DEFAULT_BOUND, DEFAULT_EPS, membership_mask,
+                                    primitive_candidates)
 from siegeljacobi.siegel import (CandidateSet, _det_sq_batch, builtin_candidates,
                                  det_sq, siegel_membership)
 

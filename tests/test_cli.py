@@ -169,6 +169,27 @@ class TestReduceCommand:
         assert code == 0
         assert is_siegel_reduced(decode_siegel_point(json.loads(out)["outputs"]["reduced"]))
 
+    def test_large_skewed_im_omega(self, tmp_path, capsys):
+        # both modes used to exit 3, "action result lost symmetry (drift
+        # 8.33e-07)", on the GL step of this Y
+        om = SiegelPoint.from_omega(1j * SKEWED_YS[1])
+        jp = JacobiPoint.from_z(om, [[0.3 + 0.2j, -0.1 + 0.4j]])
+        size = np.max(np.abs(om.omega))
+        path = write_json(tmp_path / "p.json", encode_siegel_point(om))
+        code, out, _ = run_cli(capsys, ["reduce", "--siegel", "--point", path])
+        assert code == 0
+        rep = json.loads(out)["outputs"]
+        red = decode_siegel_point(rep["reduced"])
+        back = act_siegel(decode_symplectic(rep["gamma"]).inverse(), red)
+        assert np.max(np.abs(back.omega - om.omega)) <= 1e-10 * size
+        path = write_json(tmp_path / "j.json", encode_jacobi_point(jp))
+        code, out, _ = run_cli(capsys, ["reduce", "--jacobi", "--point", path])
+        assert code == 0
+        rep = json.loads(out)["outputs"]
+        back = act_jacobi(decode_jacobi_element(rep["gammaJ"]), decode_jacobi_point(rep["reduced"]))
+        assert np.max(np.abs(back.omega.omega - om.omega)) <= 1e-10 * size
+        assert np.max(np.abs(back.Z - jp.Z)) < 1e-9
+
 
 class TestMemberCommand:
     def test_siegel_member(self, tmp_path, capsys):

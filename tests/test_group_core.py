@@ -9,7 +9,8 @@ from siegeljacobi.group_core import (HeisenbergInt, IllConditionedActionError,
                                      act_jacobi, act_siegel, heisenberg_mul,
                                      j_matrix, jacobi_mul, kappa_fix,
                                      symplectic_check)
-from conftest import (rand_heisenberg, rand_jacobi_element, rand_jacobi_point,
+from siegeljacobi.minkowski import minkowski_reduce
+from conftest import (SKEWED_YS, rand_heisenberg, rand_jacobi_element, rand_jacobi_point,
                       rand_siegel_point, rand_symplectic, rand_unimodular)
 
 
@@ -292,6 +293,32 @@ class TestConditionGuard:
                 d = m.float_blocks[3]
                 assert not m.C.any() and m.cond_bounded
                 assert np.linalg.cond(d) <= np.linalg.norm(d) * np.linalg.norm(m.float_blocks[0])
+
+
+def test_c_zero_steps_act_as_exact_congruences(rng):
+    # a cond_bounded element skips the solve; on Y = SKEWED_YS[1] the solve
+    # of its raw float matrix loses symmetry, the congruence does not
+    for g in (1, 2, 3):
+        for _ in range(10):
+            s = rng.integers(-3, 4, (g, g))
+            m = (SymplecticInt.translation(s + s.T)
+                 * SymplecticInt.gl_embed(rand_unimodular(g, rng, steps=6, span=3)))
+            p = rand_siegel_point(g, rng)
+            got = act_siegel(m, p).omega
+            want = act_siegel(m.matrix.astype(float), p).omega
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    y = SKEWED_YS[1]
+    cert = minkowski_reduce(y)
+    m = SymplecticInt.gl_embed(cert.transform.entries)
+    p = SiegelPoint(np.zeros((2, 2)), y)
+    with pytest.raises(IllConditionedActionError, match="lost symmetry"):
+        act_siegel(m.matrix.astype(float), p)
+    q = act_siegel(m, p)
+    assert np.max(np.abs(q.Y - cert.reduced)) <= 1e-12 * np.max(np.abs(y))
+    assert not q.X.any()
+    jp = act_jacobi(JacobiGroupElement(m, HeisenbergInt.identity(2, 1)),
+                    JacobiPoint.from_z(p, [[0.3 + 0.1j, 0.2j]]))
+    assert np.array_equal(jp.omega.Y, q.Y)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -9,7 +9,7 @@ from siegeljacobi.jacobi_domain import (decompose_in_omega_basis, in_F_gh,
                                         jacobi_reduce)
 from siegeljacobi.minkowski import DEFAULT_EPS
 from siegeljacobi.siegel import siegel_membership
-from conftest import (canonicalize_cell_coords, cell_face_oracle,
+from conftest import (SKEWED_YS, canonicalize_cell_coords, cell_face_oracle,
                       is_plus_minus_identity, rand_heisenberg,
                       rand_interior_jacobi, rand_interior_siegel,
                       rand_jacobi_element, rand_jacobi_point,
@@ -154,6 +154,18 @@ class TestJacobiReduce:
             assert np.max(np.abs(cert.reduced.omega.omega - p.omega.omega)) < 1e-10
             assert is_plus_minus_identity(cert.gammaJ.m)
             assert not cert.on_boundary
+
+    def test_large_skewed_im_omega(self):
+        # act_jacobi(gammaJ, reduced) is the input again, with the GL steps
+        # of the base point taken as exact congruences
+        p = JacobiPoint.from_z(SiegelPoint(np.zeros((2, 2)), SKEWED_YS[1]),
+                               [[0.3 + 0.2j, -0.1 + 0.4j]])
+        cert = jacobi_reduce(p)
+        assert in_F_gh(cert.reduced)
+        back = act_jacobi(cert.gammaJ, cert.reduced)
+        assert (np.max(np.abs(back.omega.omega - p.omega.omega))
+                <= 1e-10 * np.max(np.abs(p.omega.omega)))
+        assert np.max(np.abs(back.Z - p.Z)) < 1e-9
 
     def test_heisenberg_recovery_exact(self, rng):
         for _ in range(30):

@@ -9,8 +9,8 @@ case is checked at eps and at -eps, the strict interior.
 import numpy as np
 import pytest
 
-from siegeljacobi import geometry, minkowski, siegel
-from siegeljacobi.minkowski import DEFAULT_EPS, _column_tables
+from siegeljacobi import geometry, minkowski
+from siegeljacobi.minkowski import DEFAULT_EPS, _column_tables, _form_features
 from siegeljacobi.siegel import (CandidateSet, builtin_candidates, load_candidates,
                                  membership_mask_points, save_candidates, siegel_reduce)
 from conftest import gottschling_surface_points, membership_mask_oracle, rand_siegel_point
@@ -250,10 +250,10 @@ def test_family_without_the_unit_rows(tmp_path, member_pool, monkeypatch):
 
 
 class TestBlockSize:
-    """ROW_BLOCK, read by each module below, changes no bit of a mask or of
-    a Monte Carlo estimate."""
+    """ROW_BLOCK, read by geometry only, changes no bit of a Monte Carlo
+    estimate, and a point's verdict does not depend on its batch."""
 
-    READERS = (minkowski, siegel, geometry)
+    READERS = (geometry,)
 
     @pytest.fixture(scope="class")
     def cases(self, member_pool):
@@ -270,26 +270,35 @@ class TestBlockSize:
         for mod in self.READERS:
             monkeypatch.setattr(mod, "ROW_BLOCK", block)
 
-    @pytest.mark.parametrize("block", [1, 2, 7])
-    def test_masks(self, block, cases, monkeypatch):
-        def masks():
-            with np.errstate(invalid="ignore", over="ignore"):
-                return [membership_mask_points(xs, ys, builtin_candidates(g), eps)
-                        for g, (xs, ys) in cases for eps in (DEFAULT_EPS, -DEFAULT_EPS)]
+    @pytest.mark.parametrize("piece", [1, 2, 7])
+    def test_masks(self, piece, cases):
+        # pieces of 1 are lone points, which each kernel stacks twice
+        with np.errstate(invalid="ignore", over="ignore"):
+            for g, (xs, ys) in cases:
+                cands = builtin_candidates(g)
+                for eps in (DEFAULT_EPS, -DEFAULT_EPS):
+                    whole = membership_mask_points(xs, ys, cands, eps)
+                    parts = [membership_mask_points(xs[i:i + piece], ys[i:i + piece], cands, eps)
+                             for i in range(0, len(xs), piece)]
+                    assert np.array_equal(whole, np.concatenate(parts)), (g, eps)
 
-        want = masks()
-        self.small_blocks(block, monkeypatch)
-        seen = []
-
-        def spy(ys, **kw):
-            seen.append(len(ys))
-            return minkowski.membership_mask(ys, **kw)
-
-        monkeypatch.setattr(siegel, "membership_mask", spy)
-        got = masks()
-        assert 0 < max(seen) <= block
-        for w, m in zip(want, got):
-            assert np.array_equal(w, m)
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_a_matrix_alone_at_its_own_threshold(self, g, member_pool):
+        # on the Minkowski faces, with eps = y_kk - (least form of the binding
+        # column k) in the batch's bits (exact: the two are within a factor
+        # 2), the last bit of a form decides; numpy's matrix-vector kernel,
+        # which a one-column product would take, can differ in that bit
+        ys = onto_minkowski_faces(*member_pool[g])[1][::3]
+        feats = _form_features(ys)
+        mins = np.stack([(mono @ feats).min(axis=0) for _, mono in _column_tables(g)])
+        cols = np.argmin(mins - np.diagonal(ys, axis1=1, axis2=2).T, axis=0)
+        verdicts = []
+        for i, k in enumerate(cols):
+            eps = ys[i, k, k] - mins[k, i]
+            alone = minkowski.membership_mask(ys[i:i + 1], eps=eps)[0]
+            assert alone == minkowski.membership_mask(ys, eps=eps)[i], i
+            verdicts.append(alone)
+        assert 0 < sum(verdicts) < len(verdicts)
 
     @pytest.mark.parametrize("block", [1, 2, 7])
     def test_volumes(self, block, monkeypatch):

@@ -146,6 +146,15 @@ class TestReduce:
             assert is_plus_minus_identity(cert.gamma)
             assert np.allclose(cert.reduced.omega, p.omega, atol=1e-12)
 
+    def test_large_skewed_im_omega(self):
+        # the GL step on this Y used to exit the solve with "action result
+        # lost symmetry (drift 8.33e-07)"; C = 0 steps are exact congruences
+        p = SiegelPoint(np.zeros((2, 2)), SKEWED_YS[1])
+        cert = siegel_reduce(p)
+        assert is_siegel_reduced(cert.reduced)
+        back = act_siegel(cert.gamma.inverse(), cert.reduced).omega
+        assert np.max(np.abs(back - p.omega)) <= 1e-10 * np.max(np.abs(p.omega))
+
     def test_translation_only(self, rng):
         for g in (1, 2):
             p = rand_interior_siegel(g, rng)
