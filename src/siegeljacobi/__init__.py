@@ -13,12 +13,11 @@ from .group_core import (HeisenbergInt, JacobiGroupElement, JacobiPoint,
                          act_jacobi, act_siegel, heisenberg_mul, jacobi_mul,
                          symplectic_check)
 from .minkowski import (ReductionCertificate, UnimodularInt,
-                        is_minkowski_reduced, minkowski_reduce,
-                        primitive_candidates)
+                        is_minkowski_reduced, minkowski_reduce)
 from .siegel import (CandidateSet, SiegelCertificate, builtin_candidates,
                      heuristic_candidates, highest_point_step,
-                     is_siegel_reduced, load_candidates, save_candidates,
-                     siegel_membership, siegel_reduce)
+                     load_candidates, save_candidates, siegel_membership,
+                     siegel_reduce)
 from .jacobi_domain import (JacobiCertificate, OmegaBasisCoords,
                             decompose_in_omega_basis, in_F_gh, in_P_omega,
                             jacobi_membership, jacobi_reduce)

@@ -54,9 +54,9 @@ ROW_BLOCK = 8_192
 # metrics
 # ---------------------------------------------------------------------------
 
-def _tr(m):
-    """Trace over the last two axes."""
-    return np.trace(m, axis1=-2, axis2=-1)
+def _tr_prod(a, b):
+    """tr(a @ b) over the last two axes, without forming the product."""
+    return np.einsum("...ij,...ji->...", a, b)
 
 
 def _real(t):
@@ -79,7 +79,7 @@ def metric_p(y, t1, t2):
     y = np.asarray(y, dtype=float)
     h1, h2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
     yi = np.linalg.inv(y)
-    return _real(_tr(yi @ h1 @ yi @ h2))
+    return _real(_tr_prod(yi @ h1 @ yi, h2))
 
 
 def metric_siegel(p: SiegelPoint, t1, t2):
@@ -90,7 +90,7 @@ def metric_siegel(p: SiegelPoint, t1, t2):
     """
     d1, d2 = np.asarray(t1, dtype=complex), np.asarray(t2, dtype=complex)
     yi = np.linalg.inv(p.Y)
-    return _real(_tr(yi @ d1 @ yi @ d2.conj()))
+    return _real(_tr_prod(yi @ d1 @ yi, d2.conj()))
 
 
 def metric_jacobi(p: JacobiPoint, t1, t2):
@@ -102,11 +102,11 @@ def metric_jacobi(p: JacobiPoint, t1, t2):
     do1, dz1, do2, dz2 = (np.asarray(t, dtype=complex) for t in (*t1, *t2))
     y, v = p.omega.Y, p.V
     yi = np.linalg.inv(y)
-    base = _tr(yi @ do1 @ yi @ do2.conj())
-    twist = _tr(yi @ v.T @ v @ yi @ do1 @ yi @ do2.conj())
-    fiber = _tr(yi @ _tp(dz1) @ dz2.conj())
-    cross = (_tr(v @ yi @ do1 @ yi @ _tp(dz2.conj()))
-             + _tr(v @ yi @ do2 @ yi @ _tp(dz1.conj())))
+    base = _tr_prod(yi @ do1 @ yi, do2.conj())
+    twist = _tr_prod(yi @ v.T @ v @ yi @ do1 @ yi, do2.conj())
+    fiber = _tr_prod(yi @ _tp(dz1), dz2.conj())
+    cross = (_tr_prod(v @ yi @ do1 @ yi, _tp(dz2.conj()))
+             + _tr_prod(v @ yi @ do2 @ yi, _tp(dz1.conj())))
     return _real(base + twist + fiber - cross)
 
 
@@ -122,7 +122,7 @@ def metric_fiber(omega: SiegelPoint, t1, t2):
     d1 = np.asarray(t1, dtype=complex)
     d2 = np.asarray(t2, dtype=complex)
     yi = np.linalg.inv(omega.Y)
-    return _real(_tr(yi @ _tp(d1) @ d2.conj()))
+    return _real(_tr_prod(yi @ _tp(d1), d2.conj()))
 
 
 def push_tangent_p(gmat, t):

@@ -2,30 +2,35 @@
 
 The reduced domain is cut out by the inequalities
 
-    (M.1)  a Y t(a) >= y_kk   for integer a != +-e_k with gcd(a_k, ..., a_g) = 1,
+    (M.1)  a Y t(a) >= y_kk   for a != +-e_k with entries in {0, +-1} and
+                              (a_k, ..., a_g) != 0,
     (M.2)  y_{k,k+1} >= 0,
 
-checked over the fixed box max|a_i| <= DEFAULT_BOUND = 3, which is exact for
-g <= 3 and carries no exactness promise beyond.  The form of +-e_k is y_kk
-at every Y, so it is left out, and membership with slack -eps is the strict
-interior.  The reducer is a greedy successive-minima pass: LLL pre-reduction
-keeps the true minimizers inside the search box, then column k is assigned
-the shortest primitive-tail vector, completed to a unimodular transform, and
-signs are fixed for (M.2).  All transforms are exact integer matrices.
+with slack eps on each.  The reduced cone asks (M.1) of every integer a
+with gcd(a_k, ..., a_g) = 1; Minkowski (J. reine angew. Math. 129 (1905)
+220-274) showed that for g <= 4 the a with entries in {0, +-1} imply all
+the others (survey: van der Waerden, Acta Math. 96 (1956) 265-309).  So the
+box max|a_i| <= DEFAULT_BOUND = 1 is exact for g <= 4 and carries no
+exactness promise beyond.  The form of +-e_k is y_kk at every Y, so it is
+left out, and membership with slack -eps is the strict interior.  The
+reducer is a greedy successive-minima pass: LLL pre-reduction first, which
+brings Y close enough to reduced that the {0, +-1} vectors serve as column
+steps in practice, then column k is assigned the shortest of them with a
+nonzero tail, completed to a unimodular transform, and signs are fixed for
+(M.2).  All transforms are exact integer matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
 import numpy as np
 
 from .intmat import as_imat, complete_primitive, ieye, int_det, to_float
 from .group_core import as_pd_array
 
-DEFAULT_BOUND = 3
+DEFAULT_BOUND = 1
 DEFAULT_EPS = 1e-9
 
 #: successive-minima passes minkowski_reduce makes before it gives up
@@ -66,30 +71,17 @@ class ReductionCertificate:
     iterations: int
 
 
-def primitive_candidates(g: int, bound: int):
-    """All nonzero integer vectors with max|a_i| <= bound, plus tail-gcd flags.
-
-    Returns (vectors, tails) where vectors has shape (n, g) and
-    tails[i, k] is True iff gcd(a_k, ..., a_g) = 1 for vectors[i].
-    """
+@lru_cache(maxsize=32)
+def _candidate_arrays(g: int, bound: int):
+    """All nonzero integer vectors with max|a_i| <= bound, as floats of
+    shape (n, g), and tail flags: tails[i, k] is True iff
+    gcd(a_k, ..., a_g) = 1 for vector i."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     rng = np.arange(-bound, bound + 1)
-    grids = np.meshgrid(*([rng] * g), indexing="ij")
-    vecs = np.stack([gr.ravel() for gr in grids], axis=1)
+    vecs = np.stack(np.meshgrid(*([rng] * g), indexing="ij"), axis=-1).reshape(-1, g)
     vecs = vecs[np.any(vecs != 0, axis=1)]
-    tails = np.zeros((len(vecs), g), dtype=bool)
-    for i, a in enumerate(vecs):
-        t = 0
-        for k in range(g - 1, -1, -1):
-            t = gcd(t, int(a[k]))
-            tails[i, k] = (t == 1)
-    return vecs, tails
-
-
-@lru_cache(maxsize=32)
-def _candidate_arrays(g: int, bound: int):
-    vecs, tails = primitive_candidates(g, bound)
+    tails = np.gcd.accumulate(np.abs(vecs[:, ::-1]), axis=1)[:, ::-1] == 1
     return to_float(vecs), tails
 
 
@@ -106,9 +98,10 @@ def _form_features(ys: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _column_tables(g: int):
-    """Per column k: the primitive-tail candidates a in lexicographic order
-    and their monomials a_i a_j (doubled for i < j), shape (nvec, g(g+1)/2),
-    so that monomials @ _form_features(ys) is every a Y t(a) at once.
+    """Per column k: the (M.1) vectors a, entries in {0, +-1} and tail
+    (a_k, ..., a_g) nonzero, in lexicographic order, and their monomials
+    a_i a_j (doubled for i < j), shape (nvec, g(g+1)/2), so that
+    monomials @ _form_features(ys) is every a Y t(a) at once.
 
     a and -a give the same form, so only the lexicographically smaller of
     the two (first nonzero entry negative) is kept, and -e_k is left out.

@@ -329,11 +329,6 @@ def siegel_membership(p: SiegelPoint, cands: CandidateSet = None,
     return member, member and not membership_mask_points(xs, ys, cands, -eps)[0]
 
 
-def is_siegel_reduced(p: SiegelPoint, cands: CandidateSet = None,
-                      eps: float = DEFAULT_EPS) -> bool:
-    return siegel_membership(p, cands, eps)[0]
-
-
 def membership_mask_points(xs: np.ndarray, ys: np.ndarray,
                            cands: CandidateSet, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Membership over stacks of (X, Y) pairs, shape (n, g, g) each, with

@@ -10,8 +10,8 @@ from siegeljacobi.group_core import (HeisenbergInt, JacobiGroupElement,
                                      act_jacobi, act_siegel)
 from siegeljacobi.jacobi_domain import _lex_smaller
 from siegeljacobi.geometry import ROW_BLOCK
-from siegeljacobi.minkowski import (DEFAULT_BOUND, DEFAULT_EPS, membership_mask,
-                                    primitive_candidates)
+from siegeljacobi.minkowski import (DEFAULT_EPS, _candidate_arrays, _column_tables,
+                                    membership_mask)
 from siegeljacobi.siegel import (CandidateSet, _det_sq_batch, builtin_candidates,
                                  det_sq, siegel_membership)
 
@@ -160,11 +160,12 @@ def siegel_flags_oracle(p: SiegelPoint, cands=None, eps=DEFAULT_EPS):
     """(member, on_boundary) from the inequalities one at a time: a member
     is on the boundary when some |det(C Omega + D)|^2 is within eps of 1,
     some |x_ij| within eps of 1/2, some (M.1) form a Y t(a) with a != +-e_k
-    within eps of y_kk, or some y_{k,k+1} within eps of 0."""
+    within eps of y_kk, or some y_{k,k+1} within eps of 0.  The (M.1) forms
+    run over the box max|a_i| <= 3, not the library's {0, +-1} vectors."""
     dets = det_sq((builtin_candidates(p.g) if cands is None else cands).certifying,
                   p.omega)
     x, y, g = p.X, p.Y, p.g
-    vecs, tails = primitive_candidates(g, DEFAULT_BOUND)
+    vecs, tails = _candidate_arrays(g, 3)
     unit = np.abs(vecs).sum(axis=1) == 1
     m1 = []
     for k in range(g):
@@ -177,6 +178,27 @@ def siegel_flags_oracle(p: SiegelPoint, cands=None, eps=DEFAULT_EPS):
     slack = np.concatenate([np.abs(dets - 1.0), np.abs(np.abs(x.ravel()) - 0.5),
                             np.abs(m1), np.abs(m2)])
     return member, member and bool(np.min(slack) <= eps)
+
+
+def onto_minkowski_faces(xs, ys):
+    """Each Y moved along the face's normal onto each (M.1) face
+    a Y t(a) = y_kk of the mask's table, and onto each (M.2) face
+    y_{k,k+1} = 0."""
+    g = ys.shape[-1]
+    out_x, out_y = [], []
+    for k, (vecs, _) in enumerate(_column_tables(g)):
+        for a in vecs:
+            normal = np.outer(a, a)
+            normal[k, k] -= 1.0
+            form = np.einsum("i,nij,j->n", a, ys, a) - ys[:, k, k]
+            out_y.append(ys - (form / np.sum(normal * normal))[:, None, None] * normal)
+            out_x.append(xs)
+    for k in range(g - 1):
+        y = ys.copy()
+        y[:, k, k + 1] = y[:, k + 1, k] = 0.0
+        out_y.append(y)
+        out_x.append(xs)
+    return np.concatenate(out_x), np.concatenate(out_y)
 
 
 def membership_mask_oracle(xs, ys, cands, eps=DEFAULT_EPS):

@@ -15,8 +15,8 @@ from siegeljacobi.jsonio import (decode_jacobi_element, decode_jacobi_point,
                                  decode_symplectic, encode_complex,
                                  encode_jacobi_element, encode_jacobi_point,
                                  encode_matrix, encode_siegel_point)
-from siegeljacobi.siegel import (CandidateSet, builtin_candidates, is_siegel_reduced,
-                                 save_candidates)
+from siegeljacobi.siegel import (CandidateSet, builtin_candidates, save_candidates,
+                                 siegel_membership)
 from conftest import (SKEWED_YS, STALL_OMEGA, is_plus_minus_identity,
                       rand_jacobi_element, rand_jacobi_point, rand_siegel_point,
                       sl2z_reduce_oracle, boundary_equivalent)
@@ -138,7 +138,7 @@ class TestReduceCommand:
         assert code == 0
         rep = json.loads(out)["outputs"]
         red = decode_siegel_point(rep["reduced"])
-        assert rep["iterations"] == 1 and is_siegel_reduced(red)
+        assert rep["iterations"] == 1 and siegel_membership(red)[0]
         gamma = decode_symplectic(rep["gamma"])
         assert np.allclose(act_siegel(gamma, om).omega, red.omega)
         jp = JacobiPoint.from_z(om, [[0.25 + 0.5j]])
@@ -167,7 +167,8 @@ class TestReduceCommand:
         path = write_json(tmp_path / "p.json", encode_siegel_point(om))
         code, out, _ = run_cli(capsys, ["reduce", "--siegel", "--point", path])
         assert code == 0
-        assert is_siegel_reduced(decode_siegel_point(json.loads(out)["outputs"]["reduced"]))
+        red = decode_siegel_point(json.loads(out)["outputs"]["reduced"])
+        assert siegel_membership(red)[0]
 
     def test_large_skewed_im_omega(self, tmp_path, capsys):
         # both modes used to exit 3, "action result lost symmetry (drift
@@ -279,7 +280,7 @@ class TestNonFiniteInput:
 
 
 class TestBoundFlag:
-    """The Minkowski box bound is the constant minkowski.DEFAULT_BOUND = 3:
+    """The Minkowski box bound is the constant minkowski.DEFAULT_BOUND = 1:
     it reaches every Minkowski test, and --bound, which changed no answer,
     is refused like any unknown option."""
 
@@ -321,12 +322,12 @@ class TestBoundFlag:
         point = encode_jacobi_point(rand_interior_jacobi(2, 1, rng))
         point["Y"] = point["omega"]["im"]
         args = args + ["--point", write_json(tmp_path / "p.json", point)]
-        assert self.bounds_used(monkeypatch, capsys, args) == {3}
+        assert self.bounds_used(monkeypatch, capsys, args) == {1}
         self.assert_refused(capsys, args)
 
-    def test_default_bound_is_three(self, capsys):
+    def test_default_bound_is_one(self, capsys):
         from siegeljacobi.minkowski import DEFAULT_BOUND
-        assert DEFAULT_BOUND == 3
+        assert DEFAULT_BOUND == 1
         # the digest of this report when --bound defaulted to 3
         code, out, _ = run_cli(capsys, ["volume", "--g", "2", "--samples", "500"])
         assert code == 0 and json.loads(out)["inputs_digest"] == (
@@ -334,7 +335,7 @@ class TestBoundFlag:
 
     def test_bound_reaches_volume(self, capsys, monkeypatch):
         mc = ["volume", "--g", "2", "--samples", "500"]
-        assert self.bounds_used(monkeypatch, capsys, mc) == {3}
+        assert self.bounds_used(monkeypatch, capsys, mc) == {1}
         self.assert_refused(capsys, mc)
         self.assert_refused(capsys, ["volume", "--g", "1"])
 

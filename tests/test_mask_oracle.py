@@ -13,7 +13,8 @@ from siegeljacobi import geometry, minkowski
 from siegeljacobi.minkowski import DEFAULT_EPS, _column_tables, _form_features
 from siegeljacobi.siegel import (CandidateSet, builtin_candidates, load_candidates,
                                  membership_mask_points, save_candidates, siegel_reduce)
-from conftest import gottschling_surface_points, membership_mask_oracle, rand_siegel_point
+from conftest import (gottschling_surface_points, membership_mask_oracle,
+                      onto_minkowski_faces, rand_siegel_point)
 
 
 def assert_matches_oracle(xs, ys, cands):
@@ -80,27 +81,6 @@ def onto_box_faces(xs, ys):
                     x[:, i, j] = x[:, j, i] = sign * v
                     out_x.append(x)
                     out_y.append(ys)
-    return np.concatenate(out_x), np.concatenate(out_y)
-
-
-def onto_minkowski_faces(xs, ys):
-    """Each Y moved along the face's normal onto each (M.1) face
-    a Y t(a) = y_kk of the mask's table, and onto each (M.2) face
-    y_{k,k+1} = 0."""
-    g = ys.shape[-1]
-    out_x, out_y = [], []
-    for k, (vecs, _) in enumerate(_column_tables(g)):
-        for a in vecs:
-            normal = np.outer(a, a)
-            normal[k, k] -= 1.0
-            form = np.einsum("i,nij,j->n", a, ys, a) - ys[:, k, k]
-            out_y.append(ys - (form / np.sum(normal * normal))[:, None, None] * normal)
-            out_x.append(xs)
-    for k in range(g - 1):
-        y = ys.copy()
-        y[:, k, k + 1] = y[:, k + 1, k] = 0.0
-        out_y.append(y)
-        out_x.append(xs)
     return np.concatenate(out_x), np.concatenate(out_y)
 
 

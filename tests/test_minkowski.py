@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from siegeljacobi.intmat import int_det, as_imat, to_float
-from siegeljacobi.minkowski import (UnimodularInt, is_minkowski_reduced,
-                                    membership_mask, minkowski_reduce,
-                                    primitive_candidates)
-from conftest import SKEWED_YS, rand_pd, rand_unimodular
+from siegeljacobi.minkowski import (DEFAULT_EPS, UnimodularInt, _candidate_arrays,
+                                    _column_tables, is_minkowski_reduced,
+                                    membership_mask, minkowski_reduce)
+from conftest import SKEWED_YS, onto_minkowski_faces, rand_pd, rand_unimodular
 
 
 def brute_force_reduce_2x2(y, span=3):
@@ -31,24 +31,27 @@ def brute_force_reduce_2x2(y, span=3):
 
 class TestPrimitiveCandidates:
     def test_g1_bound1(self):
-        vecs, tails = primitive_candidates(1, 1)
+        vecs, tails = _candidate_arrays(1, 1)
         assert sorted(v[0] for v in vecs.tolist()) == [-1, 1]
         assert tails.all()
 
     def test_g2_bound1_count(self):
-        vecs, _ = primitive_candidates(2, 1)
+        vecs, _ = _candidate_arrays(2, 1)
         assert len(vecs) == 8
 
     def test_g2_bound2_count(self):
-        vecs, _ = primitive_candidates(2, 2)
+        vecs, _ = _candidate_arrays(2, 2)
         assert len(vecs) == (2 * 2 + 1) ** 2 - 1 == 24
 
     def test_tail_gcd_flags(self):
-        vecs, tails = primitive_candidates(2, 2)
+        from math import gcd
+        vecs, tails = _candidate_arrays(2, 2)
         for v, t in zip(vecs, tails):
-            from math import gcd
             assert t[1] == (abs(int(v[1])) == 1)
             assert t[0] == (gcd(int(v[0]), int(v[1])) == 1)
+        vecs, tails = _candidate_arrays(3, 3)
+        for v, t in zip(vecs.astype(int).tolist(), tails):
+            assert t.tolist() == [gcd(*v[k:]) == 1 for k in range(3)]
 
 
 class TestMembership:
@@ -69,23 +72,41 @@ class TestMembership:
         for y, m in zip(ys, mask):
             assert m == is_minkowski_reduced(y)
 
+    @staticmethod
+    def box3_mask(ys, eps=DEFAULT_EPS):
+        """Reference: every (M.1) form a Y t(a) over the box max|a_i| <= 3,
+        one einsum per Y, and (M.2), each with slack eps."""
+        g = ys.shape[-1]
+        vecs, tails = _candidate_arrays(g, 3)
+        want = []
+        for y in ys:
+            quad = np.einsum("nv,vw,nw->n", vecs, y, vecs)
+            want.append(all(quad[tails[:, k]].min() >= y[k, k] - eps for k in range(g))
+                        and all(y[k, k + 1] >= -eps for k in range(g - 1)))
+        return want
+
     def test_mask_matches_direct_forms(self, rng):
-        # reference: every a Y t(a) over the full +-a box, one einsum per Y;
         # reduced matrices with some diagonal entries cut by 10% mix members
         # and non-members
-        for g in (1, 2, 3):
-            vecs, tails = primitive_candidates(g, 3)
-            vecs = vecs.astype(float)
+        for g in (1, 2, 3, 4):
             ys = np.stack([minkowski_reduce(rand_pd(g, rng)).reduced
                            * rng.choice([1.0, 0.9], size=(g, g)) ** np.eye(g)
                            for _ in range(150)])
-            want = []
-            for y in ys:
-                quad = np.einsum("nv,vw,nw->n", vecs, y, vecs)
-                want.append(all(quad[tails[:, k]].min() >= y[k, k] - 1e-9 for k in range(g))
-                            and all(y[k, k + 1] >= -1e-9 for k in range(g - 1)))
+            want = self.box3_mask(ys)
             assert membership_mask(ys).tolist() == want
             assert 0 < sum(want) < len(want) or g == 1
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_mask_matches_box3_on_faces(self, g, rng):
+        # every {0, +-1} (M.1) face and every (M.2) face, where the two
+        # families could part if box 1 were not exact
+        ys = np.stack([minkowski_reduce(rand_pd(g, rng)).reduced for _ in range(40)])
+        ys = onto_minkowski_faces(ys, ys)[1]
+        assert len(ys) == 40 * (sum(len(v) for v, _ in _column_tables(g)) + g - 1)
+        for eps in (DEFAULT_EPS, -DEFAULT_EPS):
+            want = self.box3_mask(ys, eps)
+            assert membership_mask(ys, eps=eps).tolist() == want
+            assert 0 < sum(want) < len(want) or eps < 0
 
 
 class TestReduce:

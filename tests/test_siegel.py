@@ -19,10 +19,9 @@ from siegeljacobi.jsonio import encode_siegel_point
 from siegeljacobi.minkowski import DEFAULT_EPS, is_minkowski_reduced
 from siegeljacobi.siegel import (CandidateSet, _det_coefficients, _det_sq_batch,
                                  builtin_candidates, det_sq,
-                                 heuristic_candidates, is_siegel_reduced,
-                                 highest_point_step, load_candidates,
-                                 membership_mask_points, save_candidates,
-                                 siegel_membership, siegel_reduce)
+                                 heuristic_candidates, highest_point_step,
+                                 load_candidates, membership_mask_points,
+                                 save_candidates, siegel_membership, siegel_reduce)
 from conftest import (SKEWED_YS, STALL_OMEGA, boundary_equivalent,
                       is_plus_minus_identity, rand_interior_siegel,
                       rand_siegel_point, siegel_flags_oracle, sl2z_reduce_oracle)
@@ -64,17 +63,17 @@ class TestCandidateSets:
 
 class TestMembership:
     def test_g1_high_point(self):
-        assert is_siegel_reduced(SiegelPoint.from_omega([[2j]]))
+        assert siegel_membership(SiegelPoint.from_omega([[2j]]))[0]
 
     def test_g1_low_point(self):
-        assert not is_siegel_reduced(SiegelPoint.from_omega([[0.3 + 0.05j]]))
+        assert not siegel_membership(SiegelPoint.from_omega([[0.3 + 0.05j]]))[0]
 
     def test_i_identity_matrix(self):
         for g in (1, 2, 3):
-            assert is_siegel_reduced(SiegelPoint.from_omega(1j * np.eye(g)))
+            assert siegel_membership(SiegelPoint.from_omega(1j * np.eye(g)))[0]
 
     def test_s3_violation(self):
-        assert not is_siegel_reduced(SiegelPoint.from_omega([[0.7 + 5j]]))
+        assert not siegel_membership(SiegelPoint.from_omega([[0.7 + 5j]]))[0]
 
     def test_boundary_flag(self):
         member, boundary = siegel_membership(SiegelPoint.from_omega([[0.5 + 5j]]))
@@ -134,7 +133,7 @@ class TestMembership:
             mask = membership_mask_points(xs, ys, cands)
             assert mask.any() and not mask.all()
             for x, y, m in zip(xs, ys, mask):
-                assert bool(m) == is_siegel_reduced(SiegelPoint(x, y), cands)
+                assert bool(m) == siegel_membership(SiegelPoint(x, y), cands)[0]
 
 
 class TestReduce:
@@ -151,7 +150,7 @@ class TestReduce:
         # lost symmetry (drift 8.33e-07)"; C = 0 steps are exact congruences
         p = SiegelPoint(np.zeros((2, 2)), SKEWED_YS[1])
         cert = siegel_reduce(p)
-        assert is_siegel_reduced(cert.reduced)
+        assert siegel_membership(cert.reduced)[0]
         back = act_siegel(cert.gamma.inverse(), cert.reduced).omega
         assert np.max(np.abs(back - p.omega)) <= 1e-10 * np.max(np.abs(p.omega))
 
@@ -183,7 +182,7 @@ class TestReduce:
         # step with "PosDefMatrix not symmetric"
         p = SiegelPoint.from_omega(1j * SKEWED_YS[0])
         cert = siegel_reduce(p)
-        assert is_siegel_reduced(cert.reduced)
+        assert siegel_membership(cert.reduced)[0]
         assert np.allclose(act_siegel(cert.gamma, p).omega, cert.reduced.omega, atol=1e-6)
 
     def test_classical_oracle_equivalence(self, rng):
@@ -215,7 +214,7 @@ class TestReduce:
                 det_next = np.linalg.det(nxt.Y)
                 assert det_next >= det_prev * (1 - 1e-9)
                 det_prev, cur = det_next, nxt
-            assert is_siegel_reduced(cur)
+            assert siegel_membership(cur)[0]
 
     def test_f1_sampling_both_g(self, rng):
         # covering property: reduction of 1000 random points always lands
@@ -224,13 +223,13 @@ class TestReduce:
             g = int(rng.integers(1, 3))
             p = rand_siegel_point(g, rng)
             cert = siegel_reduce(p)
-            assert is_siegel_reduced(cert.reduced)
+            assert siegel_membership(cert.reduced)[0]
 
     def test_g3_best_effort(self, rng):
         for _ in range(10):
             p = rand_siegel_point(3, rng)
             cert = siegel_reduce(p)
-            assert is_siegel_reduced(cert.reduced)
+            assert siegel_membership(cert.reduced)[0]
 
     def test_highest_point_step_gl_move(self, rng):
         # non-reduced Y triggers the embedded GL move: Im transforms as Y[U];
