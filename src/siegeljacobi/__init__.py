@@ -10,14 +10,12 @@ attached to a Siegel point (torus_spectral).  ``sjk`` is the CLI.
 
 from .group_core import (HeisenbergInt, JacobiGroupElement, JacobiPoint,
                          PosDefMatrix, SiegelPoint, SymplecticInt,
-                         act_jacobi, act_siegel, heisenberg_mul, jacobi_mul,
-                         symplectic_check)
+                         act_jacobi, act_siegel, jacobi_mul, symplectic_check)
 from .minkowski import (ReductionCertificate, UnimodularInt,
                         is_minkowski_reduced, minkowski_reduce)
 from .siegel import (CandidateSet, SiegelCertificate, builtin_candidates,
                      heuristic_candidates, highest_point_step,
-                     load_candidates, save_candidates, siegel_membership,
-                     siegel_reduce)
+                     load_candidates, siegel_membership, siegel_reduce)
 from .jacobi_domain import (JacobiCertificate, OmegaBasisCoords,
                             decompose_in_omega_basis, in_F_gh, in_P_omega,
                             jacobi_membership, jacobi_reduce)

@@ -157,7 +157,7 @@ def _cmd_member(ns, argv, t0):
         om_obj, _ = _read_json(ns.omega)
         omega = decode_siegel_point(om_obj, "omega")
         z = decode_complex(get_field(obj, "Z", "point"), "point.Z")
-        res = in_P_omega(z, omega, eps=ns.eps)
+        res = in_P_omega(JacobiPoint.from_z(omega, z).Z, omega, eps=ns.eps)
         out = {"member": res.inside, "on_boundary": res.on_boundary}
     else:
         p = decode_jacobi_point(obj)
@@ -309,6 +309,16 @@ def _eps(text):
     return eps
 
 
+def _at_least(low):
+    """Type of an integer flag >= low; argparse names the flag on a refusal."""
+    def integer(text):
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError("must be >= %d, got %r" % (low, text))
+        return n
+    return integer
+
+
 @lru_cache(maxsize=None)
 def _build_parser():
     ap = argparse.ArgumentParser(prog="sjk", description=__doc__)
@@ -341,24 +351,24 @@ def _build_parser():
     p.set_defaults(func=_cmd_member)
 
     p = sub.add_parser("volume", help="fundamental domain volume")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--samples", type=int, default=None,
+    p.add_argument("--g", type=_at_least(1), required=True)
+    p.add_argument("--samples", type=_at_least(1), default=None,
                    help="Monte Carlo sample count (omit for g=1 quadrature)")
-    p.add_argument("--seed", type=int, help="Monte Carlo seed (default 0)")
-    p.add_argument("--threads", type=int, help="Monte Carlo threads (default 1)")
-    p.add_argument("--nodes", type=int, help="quadrature nodes (default 64)")
+    p.add_argument("--seed", type=_at_least(0), help="Monte Carlo seed (default 0)")
+    p.add_argument("--threads", type=_at_least(1), help="Monte Carlo threads (default 1)")
+    p.add_argument("--nodes", type=_at_least(1), help="quadrature nodes (default 64)")
     common(p)
     # None until given, so that a flag of the other method is refused
     p.set_defaults(func=_cmd_volume, eps=None)
 
     p = sub.add_parser("spectral-check", help="orthonormality/periodicity/eigen report")
-    p.add_argument("--g", type=int, default=1)
-    p.add_argument("--h", type=int, default=1)
+    p.add_argument("--g", type=_at_least(1), default=1)
+    p.add_argument("--h", type=_at_least(1), default=1)
     p.add_argument("--omega", default=None)
-    p.add_argument("--max-freq", dest="max_freq", type=int, default=2)
-    p.add_argument("--nodes", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eigen-checks", dest="eigen_checks", type=int, default=5)
+    p.add_argument("--max-freq", dest="max_freq", type=_at_least(0), default=2)
+    p.add_argument("--nodes", type=_at_least(1), default=8)
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--eigen-checks", dest="eigen_checks", type=_at_least(0), default=5)
     p.set_defaults(func=_cmd_spectral_check)
 
     p = sub.add_parser("metric-eval", help="evaluate an invariant metric")

@@ -71,6 +71,14 @@ class PosDefMatrix:
         return self.entries.shape[0]
 
 
+def _complex_parts(z):
+    """Real and imaginary parts of a complex matrix, as new arrays; a scalar is 1 x 1."""
+    z = np.asarray(z, dtype=complex)
+    if z.ndim == 0:
+        z = z.reshape(1, 1)
+    return z.real.copy(), z.imag.copy()
+
+
 def as_pd_array(y) -> np.ndarray:
     """Accept a PosDefMatrix or a raw array; return the validated float array."""
     if isinstance(y, PosDefMatrix):
@@ -96,10 +104,7 @@ class SiegelPoint:
 
     @classmethod
     def from_omega(cls, omega) -> "SiegelPoint":
-        omega = np.asarray(omega, dtype=complex)
-        if omega.ndim == 0:
-            omega = omega.reshape(1, 1)
-        return cls(omega.real.copy(), omega.imag.copy())
+        return cls(*_complex_parts(omega))
 
     @classmethod
     def _from_symmetric(cls, x: np.ndarray, y: np.ndarray) -> "SiegelPoint":
@@ -142,10 +147,7 @@ class JacobiPoint:
 
     @classmethod
     def from_z(cls, omega: SiegelPoint, z) -> "JacobiPoint":
-        z = np.asarray(z, dtype=complex)
-        if z.ndim == 0:
-            z = z.reshape(1, 1)
-        return cls(omega, z.real.copy(), z.imag.copy())
+        return cls(omega, *_complex_parts(z))
 
     @property
     def Z(self) -> np.ndarray:
@@ -225,22 +227,14 @@ class SymplecticInt:
         return self._matrix.copy()
 
     @classmethod
-    def from_matrix(cls, m) -> "SymplecticInt":
-        m = as_imat(m)
-        n = m.shape[0]
-        if m.shape[1] != n or n % 2 != 0:
-            raise ValueError("not 2gx2g")
-        g = n // 2
-        return cls(m[:g, :g], m[:g, g:], m[g:, :g], m[g:, g:])
-
-    @classmethod
     def identity(cls, g: int) -> "SymplecticInt":
         return cls(ieye(g), izeros(g, g), izeros(g, g), ieye(g))
 
     @classmethod
     def inversion(cls, g: int) -> "SymplecticInt":
         """The full inversion J_g: Omega -> -Omega^{-1}."""
-        return cls.from_matrix(j_matrix(g))
+        j = j_matrix(g)
+        return cls(j[:g, :g], j[:g, g:], j[g:, :g], j[g:, g:])
 
     @classmethod
     def translation(cls, s) -> "SymplecticInt":
@@ -341,12 +335,10 @@ class HeisenbergInt:
         return cls(izeros(h, g), izeros(h, g), izeros(h, h))
 
     @classmethod
-    def from_lam_mu(cls, lam, mu, kappa=None) -> "HeisenbergInt":
-        """Build an element, supplying the canonical kappa when none is given."""
+    def from_lam_mu(cls, lam, mu) -> "HeisenbergInt":
+        """Build an element with the canonical kappa, kappa_fix(lam, mu)."""
         lam, mu = as_imat(lam), as_imat(mu)
-        if kappa is None:
-            kappa = kappa_fix(lam, mu)
-        return cls(lam, mu, kappa)
+        return cls(lam, mu, kappa_fix(lam, mu))
 
     @property
     def h(self) -> int:
@@ -356,27 +348,12 @@ class HeisenbergInt:
     def g(self) -> int:
         return self.lam.shape[1]
 
-    def inverse(self) -> "HeisenbergInt":
-        return HeisenbergInt(-self.lam, -self.mu,
-                             -self.kappa + self.lam @ self.mu.T - self.mu @ self.lam.T)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, HeisenbergInt):
             return NotImplemented
         return (np.array_equal(self.lam, other.lam)
                 and np.array_equal(self.mu, other.mu)
                 and np.array_equal(self.kappa, other.kappa))
-
-
-def heisenberg_mul(a: HeisenbergInt, b: HeisenbergInt) -> HeisenbergInt:
-    """Group law (l,m;k)(l',m';k') = (l+l', m+m'; k+k'+l t(m') - m t(l'))."""
-    if a.lam.shape != b.lam.shape:
-        raise ValueError("shape mismatch")
-    return HeisenbergInt(
-        a.lam + b.lam,
-        a.mu + b.mu,
-        a.kappa + b.kappa + a.lam @ b.mu.T - a.mu @ b.lam.T,
-    )
 
 
 @dataclass(frozen=True)
@@ -420,7 +397,9 @@ def _pair_times_m(lam: np.ndarray, mu: np.ndarray, m: SymplecticInt):
 
 
 def jacobi_mul(x: JacobiGroupElement, y: JacobiGroupElement) -> JacobiGroupElement:
-    """Semidirect-product law with (lam~, mu~) = (lam, mu) M'."""
+    """Semidirect-product law (M, (l, m; k))(M', (l', m'; k')) =
+    (M M', (l~ + l', m~ + m'; k + k' + l~ t(m') - m~ t(l'))) with
+    (l~, m~) = (l, m) M'; at M' = I this is the Heisenberg law."""
     if x.g != y.g or x.h != y.h:
         raise ValueError("shape mismatch")
     lam_t, mu_t = _pair_times_m(x.heis.lam, x.heis.mu, y.m)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .group_core import (HeisenbergInt, JacobiGroupElement, JacobiPoint,
-                         SiegelPoint, SymplecticInt, jacobi_mul)
+                         SiegelPoint, SymplecticInt, _complex_parts, jacobi_mul)
 from .intmat import to_float
 from .minkowski import DEFAULT_EPS
 from .siegel import CandidateSet, builtin_candidates, siegel_membership, siegel_reduce
@@ -54,11 +54,9 @@ def decompose_in_omega_basis(w, omega: SiegelPoint) -> OmegaBasisCoords:
 
     b = V Y^{-1} and a = U - b X; unique because Im(Omega) is invertible.
     """
-    w = np.asarray(w, dtype=complex)
-    if w.ndim == 0:
-        w = w.reshape(1, 1)
-    b = np.linalg.solve(omega.Y.T, w.imag.T).T
-    a = w.real - b @ omega.X
+    u, v = _complex_parts(w)
+    b = np.linalg.solve(omega.Y.T, v.T).T
+    a = u - b @ omega.X
     return OmegaBasisCoords(a, b)
 
 
@@ -92,9 +90,10 @@ def in_F_gh(p: JacobiPoint, cands: CandidateSet = None,
     return jacobi_membership(p, cands, eps)[0]
 
 
-def _lex_smaller(x: np.ndarray, y: np.ndarray, tol: float = 1e-12) -> bool:
+def _lex_smaller(x: np.ndarray, y: np.ndarray) -> bool:
+    """Is x lexicographically smaller than y, entries within 1e-12 counting equal?"""
     for xv, yv in zip(x, y):
-        if abs(xv - yv) > tol:
+        if abs(xv - yv) > 1e-12:
             return xv < yv
     return False
 

@@ -105,6 +105,5 @@ def encode_jacobi_point(p: JacobiPoint) -> dict:
 
 
 def decode_jacobi_point(obj, where: str = "point") -> JacobiPoint:
-    omega = SiegelPoint.from_omega(decode_complex(get_field(obj, "omega", where),
-                                                  where + ".omega"))
+    omega = decode_siegel_point(obj, where)
     return JacobiPoint.from_z(omega, decode_complex(get_field(obj, "Z", where), where + ".Z"))

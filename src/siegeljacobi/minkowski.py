@@ -149,21 +149,26 @@ def membership_mask(ys: np.ndarray, *, eps: float = DEFAULT_EPS) -> np.ndarray:
     return ok
 
 
-def _lll_transform(y: np.ndarray, delta: float = 0.99, max_steps: int = 10000):
-    """LLL on the quadratic form y; returns exact integer U with Y[U] quasi-reduced.
+def _lll_transform(y: np.ndarray):
+    """LLL (delta = 0.99, at most 10,000 steps) on the quadratic form y;
+    returns exact integer U with Y[U] quasi-reduced.
 
     The Cholesky factor of the running Gram matrix supplies the Gram-Schmidt
-    data: mu_{i,j} = L[i,j]/L[j,j] and squared GS norms L[i,i]^2.
+    data: mu_{i,j} = L[i,j]/L[j,j] and squared GS norms L[i,i]^2.  The float
+    Gram t(U) Y U can lose definiteness as U grows; that is a ReductionError.
     """
     g = y.shape[0]
     u = ieye(g)
 
     def chol():
-        return np.linalg.cholesky(to_float(u.T) @ y @ to_float(u))
+        try:
+            return np.linalg.cholesky(to_float(u.T) @ y @ to_float(u))
+        except np.linalg.LinAlgError:
+            raise ReductionError("minkowski_reduce lost definiteness in LLL") from None
 
     k = 1
     steps = 0
-    while k < g and steps < max_steps:
+    while k < g and steps < 10000:
         steps += 1
         ell = chol()
         for j in range(k - 1, -1, -1):
@@ -172,7 +177,7 @@ def _lll_transform(y: np.ndarray, delta: float = 0.99, max_steps: int = 10000):
                 u[:, k] = u[:, k] - q * u[:, j]
                 ell = chol()
         mu = ell[k, k - 1] / ell[k - 1, k - 1]
-        if ell[k, k] ** 2 >= (delta - mu * mu) * ell[k - 1, k - 1] ** 2:
+        if ell[k, k] ** 2 >= (0.99 - mu * mu) * ell[k - 1, k - 1] ** 2:
             k += 1
         else:
             u[:, [k - 1, k]] = u[:, [k, k - 1]]

@@ -28,14 +28,7 @@ batch of one.
 
 Membership has one test too, membership_mask_points; siegel_membership is it
 on a batch of one, and a member is on the boundary when it is not a member
-at -eps, the strict interior.  The test is one staged pass over the batch:
-at g <= 2 it first rejects on the rows of det_table that are a single entry
-w_ij of Omega (w at g = 1, w11 and w22 among Gottschling's 19; |w11|^2 >= 1
-alone rejects 41 % of the Monte Carlo proposal), then runs the box,
-Minkowski and determinant tests on the survivors only.  The mask is bit for
-bit that of one pass of every test over the whole batch, because a unit
-row's determinant is its monomial exactly and every product gives a point
-the same bits in any batch.
+at -eps, the strict interior.
 """
 
 from __future__ import annotations
@@ -239,11 +232,6 @@ def encode_candidates(cands: CandidateSet) -> dict:
             "elements": [encode_symplectic(m) for m in cands.elements]}
 
 
-def save_candidates(cands: CandidateSet, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(encode_candidates(cands), fh)
-
-
 # ---------------------------------------------------------------------------
 # membership
 # ---------------------------------------------------------------------------
@@ -391,28 +379,26 @@ def highest_point_step(p: SiegelPoint, cands: CandidateSet = None,
     that fire are composed.
     """
     cands = builtin_candidates(p.g) if cands is None else cands
-    gamma = None
-    cur = p
+    cur, gamma = p, None
+
+    def apply(step):
+        nonlocal cur, gamma
+        cur = act_siegel(step, cur)
+        gamma = step if gamma is None else step * gamma
 
     cert = minkowski_reduce(cur.Y, eps=eps)
     if cert.iterations > 0:
-        step = SymplecticInt.gl_embed(cert.transform.entries)
-        cur = act_siegel(step, cur)
-        gamma = step if gamma is None else step * gamma
+        apply(SymplecticInt.gl_embed(cert.transform.entries))
 
     shift = -np.round(cur.X)
     if np.any(shift != 0):
-        step = SymplecticInt.translation(shift.astype(int))
-        cur = act_siegel(step, cur)
-        gamma = step if gamma is None else step * gamma
+        apply(SymplecticInt.translation(shift.astype(int)))
 
     vals = det_sq(cands, cur.omega)
     best = int(np.argmin(vals))
     # the threshold membership applies, so no non-member is left without a step
     if vals[best] < 1.0 - eps:
-        step = cands.elements[best]
-        cur = act_siegel(step, cur)
-        gamma = step if gamma is None else step * gamma
+        apply(cands.elements[best])
 
     return cur, SymplecticInt.identity(p.g) if gamma is None else gamma
 

@@ -23,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .group_core import SiegelPoint
+from .group_core import SiegelPoint, _complex_parts
 from .jacobi_domain import _split_unit, decompose_in_omega_basis
 
 #: hard cap on the tensor quadrature dimension 2*h*g
@@ -95,10 +95,7 @@ class AbelianPoint:
 
     @classmethod
     def from_z(cls, z) -> "AbelianPoint":
-        z = np.asarray(z, dtype=complex)
-        if z.ndim == 0:
-            z = z.reshape(1, 1)
-        return cls(z.real.copy(), z.imag.copy())
+        return cls(*_complex_parts(z))
 
     @property
     def Z(self) -> np.ndarray:
@@ -277,7 +274,7 @@ def truncated_expansion(f, max_freq: int, omega: SiegelPoint, shape,
     z = u + 1j * v
     fvals = np.asarray(f(z))
     indices = frequency_indices(h, g, max_freq)
-    table = np.stack([eval_E_omega(idx, z, omega) for idx in indices])
+    table = character_table(indices, p, q, omega)
     coeffs = table.conj() @ fvals / fvals.size
     recon = coeffs @ table
     residual = float(np.sqrt(np.mean(np.abs(fvals - recon) ** 2)))

@@ -1,6 +1,8 @@
 """Shared random generators and independent oracles for the test suite."""
 
+import json
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from siegeljacobi.geometry import ROW_BLOCK
 from siegeljacobi.minkowski import (DEFAULT_EPS, _candidate_arrays, _column_tables,
                                     membership_mask)
 from siegeljacobi.siegel import (CandidateSet, _det_sq_batch, builtin_candidates,
-                                 det_sq, siegel_membership)
+                                 det_sq, encode_candidates, siegel_membership)
 
 
 def rand_unimodular(g, rng, steps=6, span=2):
@@ -61,6 +63,12 @@ def rand_jacobi_element(g, h, rng, word_len=5, span=2):
                                       rand_heisenberg(g, h, rng, span=span))
         x = jacobi_mul(x, step)
     return x
+
+
+def write_candidates(cands, path):
+    """Write a candidate set as the JSON file that load_candidates and
+    --candidates read."""
+    Path(path).write_text(json.dumps(encode_candidates(cands)))
 
 
 def rand_pd(g, rng, floor=0.3):
@@ -149,6 +157,13 @@ SKEWED_YS = (np.array([[6830.957763578616, -4767.591793908003],
                        [-4767.591793908003, 3327.4888898907666]]),
              np.array([[326959.43819698, -138823.51886435],
                        [-138823.51886435, 58942.9976294]]))
+
+#: positive definite (eigenvalues 9.8e-6, 9.5e-3, 7.3e6; cond 7.4e11), yet the
+#: float Gram matrix t(U) Y U in LLL loses definiteness on it
+DEFINITENESS_LOSS_Y = np.array(
+    [[158113.80549163386, 474210.9958881108, -948420.6835723383],
+     [474210.9958881108, 1422241.9214038355, -2844479.9184445534],
+     [-948420.6835723383, -2844479.9184445534, 5688951.988230048]])
 
 #: |det|^2 = 0.9999999989999999 sits between the step's old threshold
 #: 1/(1 + 1e-9) and membership's 1 - 1e-9: no step fired, and reduction

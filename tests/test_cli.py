@@ -15,11 +15,11 @@ from siegeljacobi.jsonio import (decode_jacobi_element, decode_jacobi_point,
                                  decode_symplectic, encode_complex,
                                  encode_jacobi_element, encode_jacobi_point,
                                  encode_matrix, encode_siegel_point)
-from siegeljacobi.siegel import (CandidateSet, builtin_candidates, save_candidates,
-                                 siegel_membership)
-from conftest import (SKEWED_YS, STALL_OMEGA, is_plus_minus_identity,
+from siegeljacobi.minkowski import is_minkowski_reduced
+from siegeljacobi.siegel import CandidateSet, builtin_candidates, siegel_membership
+from conftest import (DEFINITENESS_LOSS_Y, SKEWED_YS, STALL_OMEGA, is_plus_minus_identity,
                       rand_jacobi_element, rand_jacobi_point, rand_siegel_point,
-                      sl2z_reduce_oracle, boundary_equivalent)
+                      sl2z_reduce_oracle, boundary_equivalent, write_candidates)
 
 
 def write_json(path, obj):
@@ -113,6 +113,18 @@ class TestReduceCommand:
         rep = json.loads(out)
         red = decode_matrix(rep["outputs"]["reduced"])
         assert abs(red[0, 0] - 0.8) < 1e-9
+
+    def test_minkowski_lost_definiteness(self, tmp_path, capsys):
+        # a reduced Y, or exit 3 naming the cause: it used to say "Matrix is
+        # not positive definite", a property the input has
+        path = write_json(tmp_path / "y.json", {"Y": encode_matrix(DEFINITENESS_LOSS_Y)})
+        code, out, err = run_cli(capsys, ["reduce", "--minkowski", "--point", path])
+        if code == 0:
+            reduced = decode_matrix(json.loads(out)["outputs"]["reduced"])
+            assert is_minkowski_reduced(reduced)
+        else:
+            assert code == 3 and out == ""
+            assert "lost definiteness" in err
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -229,6 +241,15 @@ class TestMemberCommand:
                                         "--omega", opath])
         assert code == 0
         assert json.loads(out)["outputs"]["member"] is False
+
+    def test_p_omega_z_columns_named(self, tmp_path, capsys):
+        # used to exit 2 with numpy's solve message
+        zpath = write_json(tmp_path / "z.json", {"Z": encode_complex(np.zeros((1, 3)))})
+        opath = write_json(tmp_path / "om.json", {"omega": encode_complex(1j * np.eye(2))})
+        code, out, err = run_cli(capsys, ["member", "--p-omega", "--point", zpath,
+                                        "--omega", opath])
+        assert code == 2 and out == ""
+        assert "Z has 3 columns, Omega is 2 x 2" in err
 
     def test_p_omega_requires_omega(self, tmp_path, capsys):
         zpath = write_json(tmp_path / "z.json",
@@ -351,7 +372,7 @@ class TestVolumeCommand:
         plain = digest(mc)
         assert digest(mc) == plain
         assert digest(mc + ["--eps", "1e-8"]) != plain
-        save_candidates(builtin_candidates(2), tmp_path / "c.json")
+        write_candidates(builtin_candidates(2), tmp_path / "c.json")
         assert digest(mc + ["--candidates", str(tmp_path / "c.json")]) != plain
         assert digest(["--g", "1", "--nodes", "32"]) != digest(["--g", "1"])
 
@@ -485,7 +506,7 @@ class TestMetricEvalCommand:
 
 class TestCandidateOverride:
     def test_candidates_flag(self, tmp_path, capsys):
-        save_candidates(builtin_candidates(1), tmp_path / "c.json")
+        write_candidates(builtin_candidates(1), tmp_path / "c.json")
         path = write_json(tmp_path / "p.json",
                           {"omega": encode_complex(np.array([[0.3 + 0.05j]]))})
         code, out, _ = run_cli(capsys, ["reduce", "--siegel", "--point", path,
@@ -495,7 +516,7 @@ class TestCandidateOverride:
     def test_family_of_another_g_is_refused(self, tmp_path, capsys):
         # the g = 1 family on a g = 2 point used to fail inside numpy's matmul
         cpath = str(tmp_path / "candidates_g2.json")
-        save_candidates(builtin_candidates(1), cpath)
+        write_candidates(builtin_candidates(1), cpath)
         path = write_json(tmp_path / "p.json", {"omega": encode_complex(1j * np.eye(2))})
         code, out, err = run_cli(capsys, ["member", "--siegel", "--point", path,
                                           "--candidates", cpath])
@@ -565,6 +586,33 @@ class TestEpsFlag:
         assert json.loads(out)["outputs"] == {"member": True, "on_boundary": False}
 
 
+class TestIntegerFlags:
+    """An integer flag below its least value exits 2 naming the flag.
+    spectral-check --nodes 0 used to report a non-JSON NaN, --threads -5 and
+    --eigen-checks -1 passed silently, and --g 0 met a numpy message."""
+
+    @pytest.mark.parametrize("argv", [
+        ["volume", "--g", "0"], ["volume", "--g", "2", "--samples", "0"],
+        ["volume", "--g", "2", "--samples", "100", "--seed", "-1"],
+        ["volume", "--g", "2", "--samples", "100", "--threads", "-5"],
+        ["volume", "--g", "1", "--nodes", "0"], ["volume", "--g", "1.5"],
+        ["spectral-check", "--g", "0"], ["spectral-check", "--h", "0"],
+        ["spectral-check", "--max-freq", "-1"], ["spectral-check", "--nodes", "0"],
+        ["spectral-check", "--seed", "-1"], ["spectral-check", "--eigen-checks", "-1"]])
+    def test_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "argument %s:" % argv[-2] in captured.err
+
+    def test_least_values_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, ["spectral-check", "--nodes", "1", "--max-freq", "0",
+                                        "--eigen-checks", "0", "--seed", "0"])
+        assert code == 0
+        json.loads(out, parse_constant=pytest.fail)  # no NaN or Infinity
+
+
 class TestConePointY:
     """A cone point's Y must be symmetric positive definite; the error names
     point.Y.  metric-eval --kind P used to evaluate any Y."""
@@ -630,7 +678,7 @@ class TestGuarantee:
         full = builtin_candidates(2)
         keep = tuple(m for m, row in zip(full.elements, full.det_table)
                      if tuple(abs(row).astype(int)) != (0, 0, 0, 1, 0))
-        save_candidates(CandidateSet(2, keep), tmp_path / "c.json")
+        write_candidates(CandidateSet(2, keep), tmp_path / "c.json")
         for args in (["member", "--siegel", "--point", points["g2"]],
                      ["reduce", "--siegel", "--point", points["g2"]],
                      ["volume", "--g", "2", "--samples", "2000"]):

@@ -18,9 +18,8 @@ from siegeljacobi.jsonio import decode_symplectic
 from siegeljacobi.minkowski import DEFAULT_EPS, membership_mask
 from siegeljacobi.siegel import (CandidateSet, _det_sq_batch, _omega_monomials,
                                  builtin_candidates, heuristic_candidates,
-                                 load_candidates, membership_mask_points,
-                                 save_candidates)
-from conftest import gottschling_surface_points, rand_unimodular
+                                 load_candidates, membership_mask_points)
+from conftest import gottschling_surface_points, rand_unimodular, write_candidates
 
 #: S of the 15 polynomials det(Omega + S)
 GOTTSCHLING_S = [np.zeros((2, 2), dtype=int)] + [
@@ -134,7 +133,7 @@ class TestCertifying:
         full = builtin_candidates(2)
         extra = full.elements[0] * full.elements[1]
         assert extra.C.any()
-        save_candidates(CandidateSet(2, full.elements + (extra,)), tmp_path / "c.json")
+        write_candidates(CandidateSet(2, full.elements + (extra,)), tmp_path / "c.json")
         loaded = load_candidates(tmp_path / "c.json")
         assert len(loaded) == len(full) + 1
         assert loaded.certifying.elements == full.certifying.elements

@@ -12,9 +12,9 @@ import pytest
 from siegeljacobi import geometry, minkowski
 from siegeljacobi.minkowski import DEFAULT_EPS, _column_tables, _form_features
 from siegeljacobi.siegel import (CandidateSet, builtin_candidates, load_candidates,
-                                 membership_mask_points, save_candidates, siegel_reduce)
+                                 membership_mask_points, siegel_reduce)
 from conftest import (gottschling_surface_points, membership_mask_oracle,
-                      onto_minkowski_faces, rand_siegel_point)
+                      onto_minkowski_faces, rand_siegel_point, write_candidates)
 
 
 def assert_matches_oracle(xs, ys, cands):
@@ -217,7 +217,7 @@ def test_family_without_the_unit_rows(tmp_path, member_pool, monkeypatch):
     full = builtin_candidates(2)
     keep = tuple(m for m, row in zip(full.elements, full.det_table)
                  if tuple(np.abs(row).astype(int)) not in {(0, 1, 0, 0, 0), (0, 0, 0, 1, 0)})
-    save_candidates(CandidateSet(2, keep), tmp_path / "c.json")
+    write_candidates(CandidateSet(2, keep), tmp_path / "c.json")
     fam = load_candidates(tmp_path / "c.json")
     assert len(fam) == len(full) - 2
     assert fam.certifying is fam and fam.certifying._unit_entries == ()

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from siegeljacobi.intmat import int_det, as_imat, to_float
-from siegeljacobi.minkowski import (DEFAULT_EPS, UnimodularInt, _candidate_arrays,
-                                    _column_tables, is_minkowski_reduced,
-                                    membership_mask, minkowski_reduce)
-from conftest import SKEWED_YS, onto_minkowski_faces, rand_pd, rand_unimodular
+from siegeljacobi.minkowski import (DEFAULT_EPS, ReductionError, UnimodularInt,
+                                    _candidate_arrays, _column_tables,
+                                    is_minkowski_reduced, membership_mask,
+                                    minkowski_reduce)
+from conftest import (DEFINITENESS_LOSS_Y, SKEWED_YS, onto_minkowski_faces, rand_pd,
+                      rand_unimodular)
 
 
 def brute_force_reduce_2x2(y, span=3):
@@ -192,6 +194,20 @@ class TestReduce:
             r2 = minkowski_reduce(u.T @ y @ u).reduced
             assert np.allclose(r, r2, atol=1e-8)
         assert checked > 20
+
+    def test_lost_definiteness_is_named(self):
+        # a valid certificate, or a ReductionError naming the cause; a bare
+        # LinAlgError "Matrix is not positive definite" used to escape from LLL
+        y = DEFINITENESS_LOSS_Y
+        try:
+            cert = minkowski_reduce(y)
+        except ReductionError as exc:
+            assert "lost definiteness" in str(exc)
+            return
+        u = to_float(cert.transform.entries)
+        assert int_det(cert.transform.entries) in (1, -1)
+        assert is_minkowski_reduced(cert.reduced)
+        assert np.max(np.abs(u.T @ y @ u - cert.reduced)) <= 1e-9 * np.max(np.abs(y))
 
     @pytest.mark.parametrize("y", SKEWED_YS)
     def test_skewed_input(self, y):

@@ -1,6 +1,6 @@
 """The benchmark's tracer wraps library functions by name: each layer it
 declares must still exist, or ``perfbench/run.py --trace 1`` fails.  Its
-set-up phase calls the library too, and must still run."""
+set-up phase and its workloads call the library too, and must still run."""
 
 import importlib
 from pathlib import Path
@@ -45,3 +45,19 @@ def test_setup_phase_runs(workload):
     # siegel.builtin_candidates(g) and
     # minkowski._candidate_arrays(g, minkowski.DEFAULT_BOUND), as the benchmark calls them
     assert _names("setup_child.py")["setup"](workload) >= 0.0
+
+
+#: ops of pass 0 that cover each class once; laplacian_spectral's first
+#: round, since a Jacobi op is checked against its pair
+SMOKE_OPS = {"mc_volume_g2": 1, "reduce_mixed": 4, "laplacian_spectral": 10,
+             "cli_roundtrip": 5}
+
+
+@pytest.mark.parametrize("name", sorted(SMOKE_OPS))
+def test_workload_runs_and_checks(name, tmp_path):
+    workload = _names("workloads.py")["WORKLOADS"][name]()
+    workload.prepare(11, tmp_path)
+    inputs = workload.make_pass(0)[:SMOKE_OPS[name]]
+    assert len({workload.label(j) for j in range(len(inputs))}) == len(set(workload.labels))
+    outputs = [workload.op(inp) for inp in inputs]
+    assert all(workload.check(j, inputs, outputs) for j in range(len(inputs)))

@@ -21,10 +21,11 @@ from siegeljacobi.siegel import (CandidateSet, _det_coefficients, _det_sq_batch,
                                  builtin_candidates, det_sq,
                                  heuristic_candidates, highest_point_step,
                                  load_candidates, membership_mask_points,
-                                 save_candidates, siegel_membership, siegel_reduce)
+                                 siegel_membership, siegel_reduce)
 from conftest import (SKEWED_YS, STALL_OMEGA, boundary_equivalent,
                       is_plus_minus_identity, rand_interior_siegel,
-                      rand_siegel_point, siegel_flags_oracle, sl2z_reduce_oracle)
+                      rand_siegel_point, siegel_flags_oracle, sl2z_reduce_oracle,
+                      write_candidates)
 
 
 class TestCandidateSets:
@@ -50,7 +51,7 @@ class TestCandidateSets:
     def test_json_round_trip(self, tmp_path):
         c = builtin_candidates(2)
         path = tmp_path / "cands.json"
-        save_candidates(c, path)
+        write_candidates(c, path)
         c2 = load_candidates(path)
         assert c2.g == 2 and len(c2) == len(c)
         assert all(a == b for a, b in zip(c.elements, c2.elements))
