@@ -22,7 +22,7 @@ import numpy as np
 from .geometry import (VOLUME_TARGETS, laplacian_apply, metric_jacobi,
                        metric_p, metric_siegel, volume_f1, volume_fg_mc)
 from .group_core import (IllConditionedActionError, JacobiPoint, SiegelPoint,
-                         _check_posdef, _check_symmetric)
+                         _check_pd, _check_symmetric)
 from .jacobi_domain import in_P_omega, jacobi_membership, jacobi_reduce
 from .jsonio import (decode_complex, decode_jacobi_point, decode_matrix,
                      decode_siegel_point, encode_jacobi_element,
@@ -96,9 +96,7 @@ def _candidates(g, path):
 
 def _decode_pd(obj):
     """The cone point's Y, checked symmetric positive definite."""
-    y = _check_symmetric(decode_matrix(get_field(obj, "Y", "point"), "point.Y"), "point.Y")
-    _check_posdef(y, "point.Y")
-    return y
+    return _check_pd(decode_matrix(get_field(obj, "Y", "point"), "point.Y"), "point.Y")
 
 
 def _refuse_candidates(ns, mode):
@@ -352,7 +350,7 @@ def _build_parser():
 
     p = sub.add_parser("volume", help="fundamental domain volume")
     p.add_argument("--g", type=_at_least(1), required=True)
-    p.add_argument("--samples", type=_at_least(1), default=None,
+    p.add_argument("--samples", type=_at_least(2), default=None,
                    help="Monte Carlo sample count (omit for g=1 quadrature)")
     p.add_argument("--seed", type=_at_least(0), help="Monte Carlo seed (default 0)")
     p.add_argument("--threads", type=_at_least(1), help="Monte Carlo threads (default 1)")

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .group_core import (JacobiGroupElement, JacobiPoint, SiegelPoint,
-                         _blocks_float, _check_posdef)
+                         _blocks_float, _check_posdef, as_pd_array)
 from .intmat import to_float
 from .minkowski import DEFAULT_EPS
 from .siegel import CandidateSet, builtin_candidates, membership_mask_points
@@ -201,8 +201,7 @@ class _Chart:
             raise ValueError("unknown operator kind %r" % kind)
         self.kind, self.point = kind, point
         if kind == "P":
-            self.y = np.asarray(point.entries if hasattr(point, "entries") else point,
-                                dtype=float)
+            self.y = as_pd_array(point)
         elif kind == "siegel":
             self.x, self.y = point.X, point.Y
         else:
@@ -290,15 +289,11 @@ def _operator_terms(kind, chart):
 
 def _cone_first_order(chart):
     """First-order part (g+1)/2 tr(Y d/dY) of the cone operator, the one kind
-    that has one; d/dY halves each off-diagonal coordinate derivative."""
+    that has one: d/dY halves the off-diagonal derivatives, and y_ab and y_ba
+    both move coordinate y_ab, a <= b, whose coefficient is (g+1)/2 y_ab."""
     y = chart.y
     g = y.shape[0]
-    first = {}
-    for i in range(g):
-        for j in range(g):
-            cid = chart.cid("Y", j, i)
-            first[cid] = first.get(cid, 0.0) + 0.25 * (g + 1) * y[i, j] * (1.0 + (i == j))
-    return first
+    return {chart.cid("Y", a, b): 0.5 * (g + 1) * y[a, b] for a, b in _sym_pairs(g)}
 
 
 def _apply_once(at, second_dirs, first_dirs, step):
@@ -438,8 +433,8 @@ def volume_fg_mc(g: int, n_samples: int, seed: int, threads: int = 1,
     """
     if g not in (1, 2):
         raise ValueError("Monte Carlo volume supports g in {1, 2}")
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2 for a standard error")
     cands = builtin_candidates(g) if cands is None else cands
     a = 0.8
     worker = _chunk_g1 if g == 1 else _chunk_g2

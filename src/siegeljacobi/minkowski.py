@@ -225,19 +225,13 @@ def minkowski_reduce(y, *, eps: float = DEFAULT_EPS) -> ReductionCertificate:
 def _column_step(g: int, k: int, a: np.ndarray) -> np.ndarray:
     """Unimodular matrix fixing e_1..e_{k-1} whose k-th column is a.
 
-    Requires gcd(a_k, ..., a_g) = 1; the trailing block is completed from the
-    primitive tail.
+    Requires gcd(a_k, ..., a_g) = 1; the trailing block is the completion of
+    the primitive tail, whose first column is that tail.
     """
     a = [int(x) for x in a]
-    tail = a[k:]
-    w = complete_primitive(tail)  # (g-k) x (g-k), first column = tail
     step = ieye(g)
-    for i in range(k, g):
-        step[i, k] = tail[i - k]
-        for j in range(k + 1, g):
-            step[i, j] = w[i - k, j - k]
-    for i in range(k):
-        step[i, k] = a[i]
+    step[k:, k:] = complete_primitive(a[k:])
+    step[:k, k] = a[:k]
     if int_det(step) not in (1, -1):
         raise ReductionError("column step for k=%d is not unimodular" % k)
     return step

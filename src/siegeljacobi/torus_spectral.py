@@ -23,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .group_core import SiegelPoint, _complex_parts
+from .group_core import SiegelPoint, _check_pair, _complex_parts
 from .jacobi_domain import _split_unit, decompose_in_omega_basis
 
 #: hard cap on the tensor quadrature dimension 2*h*g
@@ -42,10 +42,7 @@ class FourierIndex:
     B: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.A, dtype=int)
-        b = np.asarray(self.B, dtype=int)
-        if a.shape != b.shape or a.ndim != 2:
-            raise ValueError("A and B must be equal-shape integer matrices")
+        a, b = _check_pair(self.A, self.B, "A and B", dtype=int)
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "B", b)
 
@@ -66,10 +63,7 @@ class TorusPoint:
     Q: np.ndarray
 
     def __post_init__(self):
-        p = _split_unit(np.asarray(self.P, dtype=float))[1]
-        q = _split_unit(np.asarray(self.Q, dtype=float))[1]
-        if p.shape != q.shape or p.ndim != 2:
-            raise ValueError("P and Q must be equal-shape h x g matrices")
+        p, q = (_split_unit(m)[1] for m in _check_pair(self.P, self.Q, "P and Q"))
         object.__setattr__(self, "P", p)
         object.__setattr__(self, "Q", q)
 
@@ -86,10 +80,7 @@ class AbelianPoint:
     V: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.U, dtype=float)
-        v = np.asarray(self.V, dtype=float)
-        if u.shape != v.shape or u.ndim != 2:
-            raise ValueError("U and V must be equal-shape h x g matrices")
+        u, v = _check_pair(self.U, self.V, "U and V")
         object.__setattr__(self, "U", u)
         object.__setattr__(self, "V", v)
 
@@ -209,29 +200,27 @@ def torus_grid(h: int, g: int, n_nodes: int):
     return p, q
 
 
-def inner_product(f, g_fun, shape, omega: SiegelPoint = None,
-                  n_nodes: int = 8) -> complex:
-    """L^2 inner product (f, g) by trapezoid quadrature on the torus.
+def inner_product(f, g_fun, shape, omega: SiegelPoint, n_nodes: int = 8) -> complex:
+    """L^2 inner product (f, g) by trapezoid quadrature on the torus of Omega.
 
-    ``f`` and ``g_fun`` take complex arrays of shape (..., h, g).  Without
-    ``omega`` the integral runs over the flat torus in W = P + iQ; with it,
-    the functions are evaluated at Z = Phi_Omega(W), which realizes the
-    normalized invariant volume on the torus of Omega by pullback.
+    ``f`` and ``g_fun`` take complex arrays of shape (..., h, g), evaluated
+    at Z = Phi_Omega(W) over the flat torus in W = P + iQ, which realizes
+    the normalized invariant volume on the torus of Omega by pullback.  The
+    flat torus is the torus of Omega = iI, which gives the same bits.
     Exact for band-limited characters when n_nodes exceeds twice the
     largest frequency.
     """
     h, g = shape
     p, q = torus_grid(h, g, n_nodes)
-    u, v = (p, q) if omega is None else _phi_parts(p, q, omega)
+    u, v = _phi_parts(p, q, omega)
     w = u + 1j * v
     vals = np.asarray(f(w)) * np.conj(np.asarray(g_fun(w)))
     return complex(np.mean(vals))
 
 
-def character_table(indices, p, q, omega: SiegelPoint = None) -> np.ndarray:
-    """Values of many characters on a grid: shape (n_indices, N)."""
-    if omega is None:
-        return np.stack([eval_E_torus(idx, p, q) for idx in indices])
+def character_table(indices, p, q, omega: SiegelPoint) -> np.ndarray:
+    """Characters of the torus of Omega on a flat-torus grid: shape (n_indices,
+    N).  Omega = iI gives the flat characters, with the same bits."""
     u, v = _phi_parts(p, q, omega)
     z = u + 1j * v
     return np.stack([eval_E_omega(idx, z, omega) for idx in indices])

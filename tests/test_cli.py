@@ -259,7 +259,7 @@ class TestMemberCommand:
         assert "--omega" in err
 
     def test_p_omega_refuses_bound(self, tmp_path, capsys):
-        # --bound is no option of any command; the Minkowski box is fixed at 3
+        # --bound is no option of any command; the Minkowski box is fixed at {0, +-1}
         zpath = write_json(tmp_path / "z.json",
                            {"Z": encode_complex(np.array([[0.25 + 0.5j]]))})
         opath = write_json(tmp_path / "om.json",
@@ -598,7 +598,8 @@ class TestIntegerFlags:
         ["volume", "--g", "1", "--nodes", "0"], ["volume", "--g", "1.5"],
         ["spectral-check", "--g", "0"], ["spectral-check", "--h", "0"],
         ["spectral-check", "--max-freq", "-1"], ["spectral-check", "--nodes", "0"],
-        ["spectral-check", "--seed", "-1"], ["spectral-check", "--eigen-checks", "-1"]])
+        ["spectral-check", "--seed", "-1"], ["spectral-check", "--eigen-checks", "-1"],
+        ["volume", "--g", "2", "--samples", "1"]])
     def test_refused(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -398,6 +398,15 @@ class TestLaplacians:
             if abs(lam) > 1e-10:
                 assert abs(val / base - lam) / abs(lam) < 1e-5
 
+    @pytest.mark.parametrize("y, msg", [([[1.0, 0.3], [0.1, 1.0]], "not symmetric"),
+                                        ([[1.0, 0.0], [0.0, -1.0]],
+                                         "is not positive definite")])
+    def test_cone_point_checked(self, y, msg):
+        # a non-symmetric Y used to give a value (-0.031 for log det here,
+        # where a symmetric Y gives 0), an indefinite one a stencil error
+        with pytest.raises(ValueError, match="^PosDefMatrix " + msg):
+            laplacian_apply("P", lambda m: np.log(np.linalg.det(m)), np.array(y))
+
     def test_stencil_domain_guard(self):
         y = np.array([[1e-9]])
         with pytest.raises(ValueError, match="leaves the domain"):
@@ -669,3 +678,8 @@ class TestVolumes:
     def test_mc_rejects_bad_g(self):
         with pytest.raises(ValueError):
             volume_fg_mc(3, 100, seed=0)
+
+    def test_mc_refuses_one_sample(self):
+        # one sample used to report "stderr": 0.0, an estimate claiming no error
+        with pytest.raises(ValueError, match="at least 2"):
+            volume_fg_mc(2, 1, seed=0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from siegeljacobi import group_core
 from siegeljacobi.intmat import as_imat
 from siegeljacobi.group_core import (HeisenbergInt, IllConditionedActionError,
                                      JacobiGroupElement, JacobiPoint,
@@ -75,6 +76,23 @@ class TestGroupLawProperties:
         for m in (a, ab, eye, -eye, a * a.inverse(), SymplecticInt.translation(s + s.T),
                   SymplecticInt.inversion(g)):
             assert m.is_identity() == (m == eye)
+
+    def test_product_coerces_once(self, rng, monkeypatch):
+        # the constructor coerces its matrix once, and the check reads it as is
+        for g in (1, 2, 3):
+            a, b = rand_symplectic(g, rng), rand_symplectic(g, rng)
+            calls = []
+
+            def counted(m, as_imat=group_core.as_imat):
+                calls.append(m)
+                return as_imat(m)
+
+            monkeypatch.setattr(group_core, "as_imat", counted)
+            ab = a * b
+            monkeypatch.undo()
+            assert len(calls) == 1
+            for m in (a, ab, ab.inverse()):
+                assert symplectic_check(m) and symplectic_check(m.matrix)
 
     def test_matrix_is_a_copy(self, rng):
         # products read the stored matrix, so .matrix must hand out a copy

@@ -61,3 +61,20 @@ def test_workload_runs_and_checks(name, tmp_path):
     assert len({workload.label(j) for j in range(len(inputs))}) == len(set(workload.labels))
     outputs = [workload.op(inp) for inp in inputs]
     assert all(workload.check(j, inputs, outputs) for j in range(len(inputs)))
+
+
+@pytest.mark.parametrize("name", sorted(SMOKE_OPS))
+def test_traced_pass_calls_every_layer(name, tmp_path):
+    # perfbench/run.py --trace 1 exits 3 when a layer in `uses` sees no call;
+    # inputs are made with the tracer removed, as run.py makes them
+    tracer = _names("tracer.py")["Tracer"]()
+    workload = _names("workloads.py")["WORKLOADS"][name]()
+    workload.prepare(11, tmp_path)
+    inputs = workload.make_pass(0)
+    tracer.install()
+    try:
+        for inp in inputs:
+            workload.op(inp)
+    finally:
+        tracer.uninstall()
+    assert [n for n in workload.uses if tracer.calls[n] == 0] == []

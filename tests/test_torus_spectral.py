@@ -14,6 +14,17 @@ from siegeljacobi.torus_spectral import (AbelianPoint, FourierIndex,
 from conftest import rand_siegel_point
 
 
+@pytest.mark.parametrize("make, names", [
+    (lambda u, v: JacobiPoint(SiegelPoint.from_omega(1j * np.eye(2)), u, v), "U and V"),
+    (AbelianPoint, "U and V"), (TorusPoint, "P and Q"), (FourierIndex, "A and B")],
+    ids=["JacobiPoint", "AbelianPoint", "TorusPoint", "FourierIndex"])
+@pytest.mark.parametrize("u, v", [(np.zeros((1, 2)), np.zeros((2, 2))),
+                                  (np.zeros(2), np.zeros(2))], ids=["mismatched", "1-d"])
+def test_pair_shapes_checked(make, names, u, v):
+    with pytest.raises(ValueError, match="^%s must be equal-shape h x g matrices$" % names):
+        make(u, v)
+
+
 class TestRiemannConditions:
     def test_alternating_condition_forced(self, rng):
         for _ in range(20):
