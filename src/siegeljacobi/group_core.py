@@ -2,8 +2,9 @@
 
 Group elements (symplectic, Heisenberg, Jacobi) carry exact Python-int
 entries; the defining relations are checked exactly, never with tolerances.
-Every SymplecticInt, products included, is checked when it is built, by
-comparing t(M) J M with J above the diagonal in plain Python ints.
+The symplectic relation t(M) J M = J is checked, in plain Python ints, by the
+public SymplecticInt constructor (so on JSON and candidate-file input) and on
+each reduction's gamma; group-law products and built-in forms skip the check.
 Points carry float matrices in split real form: Omega = X + iY, Z = U + iV.
 A C = 0 element within the exact bound |D|_F |A|_F <= COND_LIMIT / 2
 (cond_bounded; D^{-1} = t(A)) acts as the congruence (A Omega + B) t(A); any
@@ -206,6 +207,12 @@ def symplectic_check(m) -> bool:
     return True
 
 
+def _join(a, b, c, d) -> np.ndarray:
+    """The 2g x 2g matrix (a, b; c, d) of four g x g blocks."""
+    # not np.block: 15-18 us a matrix, nested concatenate 3-6 us (2-core Xeon)
+    return np.concatenate([np.concatenate([a, b], axis=1), np.concatenate([c, d], axis=1)])
+
+
 @dataclass(frozen=True)
 class SymplecticInt:
     """Element of Sp(g, Z) stored as exact integer blocks (A, B; C, D)."""
@@ -220,14 +227,19 @@ class SymplecticInt:
         shape = blocks[0].shape
         if len(shape) != 2 or shape[0] != shape[1] or any(b.shape != shape for b in blocks):
             raise ValueError("blocks must all be g x g")
-        # not np.block: 15-18 us a matrix, nested concatenate 3-6 us (2-core Xeon)
-        m = as_imat(np.concatenate([np.concatenate(blocks[:2], axis=1),
-                                    np.concatenate(blocks[2:], axis=1)]))
-        g = shape[0]
-        # the blocks are views of _matrix, which products reuse
-        self.__dict__.update(A=m[:g, :g], B=m[:g, g:], C=m[g:, :g], D=m[g:, g:], _matrix=m)
+        self.__dict__.update(SymplecticInt._of(as_imat(_join(*blocks))).__dict__)
         if not symplectic_check(self):
             raise ValueError("blocks do not satisfy the symplectic relation")
+
+    @classmethod
+    def _of(cls, m: np.ndarray) -> "SymplecticInt":
+        """Element over m: 2g x 2g Python ints, symplectic by construction; unchecked."""
+        g, el = len(m) // 2, object.__new__(cls)
+        if g == 0:
+            raise ValueError("not 2gx2g")
+        # the blocks are views of _matrix, which products reuse
+        el.__dict__.update(A=m[:g, :g], B=m[:g, g:], C=m[g:, :g], D=m[g:, g:], _matrix=m)
+        return el
 
     @property
     def g(self) -> int:
@@ -240,13 +252,12 @@ class SymplecticInt:
 
     @classmethod
     def identity(cls, g: int) -> "SymplecticInt":
-        return cls(ieye(g), izeros(g, g), izeros(g, g), ieye(g))
+        return cls._of(ieye(2 * g))
 
     @classmethod
     def inversion(cls, g: int) -> "SymplecticInt":
         """The full inversion J_g: Omega -> -Omega^{-1}."""
-        j = j_matrix(g)
-        return cls(j[:g, :g], j[:g, g:], j[g:, :g], j[g:, g:])
+        return cls._of(j_matrix(g))
 
     @classmethod
     def translation(cls, s) -> "SymplecticInt":
@@ -254,14 +265,13 @@ class SymplecticInt:
         s = as_imat(s)
         if not np.array_equal(s, s.T):
             raise ValueError("translation block must be symmetric")
-        g = s.shape[0]
-        return cls(ieye(g), s, izeros(g, g), ieye(g))
+        return cls._of(_join(ieye(len(s)), s, izeros(*s.shape), ieye(len(s))))
 
     @classmethod
     def gl_embed(cls, u) -> "SymplecticInt":
         """Embed U in GL(g, Z) as (t(U), 0; 0, U^{-1}): Omega -> t(U) Omega U."""
         u = as_imat(u)
-        return cls(u.T, izeros(*u.shape), izeros(*u.shape), int_inv_unimodular(u))
+        return cls._of(_join(u.T, izeros(*u.shape), izeros(*u.shape), int_inv_unimodular(u)))
 
     @cached_property
     def float_blocks(self):
@@ -278,17 +288,14 @@ class SymplecticInt:
         return fro_sq <= (COND_LIMIT / 2) ** 2
 
     def __mul__(self, other: "SymplecticInt") -> "SymplecticInt":
-        if not isinstance(other, SymplecticInt):
-            return NotImplemented
-        m, g = self._matrix @ other._matrix, self.g
-        return SymplecticInt(m[:g, :g], m[:g, g:], m[g:, :g], m[g:, g:])
+        return SymplecticInt._of(self._matrix @ other._matrix)
 
     def __neg__(self) -> "SymplecticInt":
-        return SymplecticInt(-self.A, -self.B, -self.C, -self.D)
+        return SymplecticInt._of(-self._matrix)
 
     def inverse(self) -> "SymplecticInt":
         # block formula M^{-1} = J^{-1} t(M) J, exact
-        return SymplecticInt(self.D.T, -self.B.T, -self.C.T, self.A.T)
+        return SymplecticInt._of(_join(self.D.T, -self.B.T, -self.C.T, self.A.T))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymplecticInt):

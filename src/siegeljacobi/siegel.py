@@ -41,7 +41,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .group_core import SiegelPoint, SymplecticInt, act_siegel
+from .group_core import SiegelPoint, SymplecticInt, act_siegel, symplectic_check
 from .intmat import ieye, izeros, to_float
 from .jsonio import decode_symplectic, encode_symplectic, get_field
 from .minkowski import DEFAULT_EPS, membership_mask, minkowski_reduce
@@ -51,7 +51,7 @@ MAX_ITERS = 1000
 
 
 class SiegelReductionError(RuntimeError):
-    """Reduction hit the iteration cap; carries the best iterate and trace."""
+    """Reduction failed to certify; carries the best iterate and the det-Im trace."""
 
     def __init__(self, message, best=None, trace=None):
         super().__init__(message)
@@ -418,8 +418,9 @@ def siegel_reduce(p: SiegelPoint, cands: CandidateSet = None,
                 raise SiegelReductionError(
                     "highest-point step stalled on a non-member",
                     best=cur, trace=trace)
-            if gamma is None:
-                gamma = SymplecticInt.identity(p.g)
+            gamma = SymplecticInt.identity(p.g) if gamma is None else gamma
+            if not symplectic_check(gamma):
+                raise SiegelReductionError("gamma is not symplectic", best=cur, trace=trace)
             return SiegelCertificate(cur, gamma, it, on_boundary, cands.guarantee)
         gamma = step if gamma is None else step * gamma
         cur = nxt

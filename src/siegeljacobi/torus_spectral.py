@@ -24,6 +24,7 @@ from itertools import product
 import numpy as np
 
 from .group_core import SiegelPoint, _check_pair, _complex_parts
+from .intmat import as_imat
 from .jacobi_domain import _split_unit, decompose_in_omega_basis
 
 #: hard cap on the tensor quadrature dimension 2*h*g
@@ -42,9 +43,9 @@ class FourierIndex:
     B: np.ndarray
 
     def __post_init__(self):
-        a, b = _check_pair(self.A, self.B, "A and B", dtype=int)
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "B", b)
+        a, b = _check_pair(self.A, self.B, "A and B", dtype=object)
+        object.__setattr__(self, "A", as_imat(a).astype(int))
+        object.__setattr__(self, "B", as_imat(b).astype(int))
 
     @property
     def h(self) -> int:

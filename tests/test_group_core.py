@@ -78,21 +78,40 @@ class TestGroupLawProperties:
             assert m.is_identity() == (m == eye)
 
     def test_product_coerces_once(self, rng, monkeypatch):
-        # the constructor coerces its matrix once, and the check reads it as is
-        for g in (1, 2, 3):
-            a, b = rand_symplectic(g, rng), rand_symplectic(g, rng)
-            calls = []
+        # the group law keeps elements symplectic, so a product, an inverse and a
+        # negation neither coerce nor check; the public constructor does each once
+        pairs = [(rand_symplectic(g, rng), rand_symplectic(g, rng)) for g in (1, 2, 3)]
+        calls = []
+        for name in ("as_imat", "symplectic_check"):
+            def counted(m, name=name, f=getattr(group_core, name)):
+                calls.append(name)
+                return f(m)
+            monkeypatch.setattr(group_core, name, counted)
+        for a, b in pairs:
+            for m in (a * b, a.inverse(), -a):
+                assert calls == []
+                assert SymplecticInt(m.A, m.B, m.C, m.D) == m
+                assert sorted(calls) == ["as_imat", "symplectic_check"]
+                calls.clear()
 
-            def counted(m, as_imat=group_core.as_imat):
-                calls.append(m)
-                return as_imat(m)
-
-            monkeypatch.setattr(group_core, "as_imat", counted)
-            ab = a * b
-            monkeypatch.undo()
-            assert len(calls) == 1
-            for m in (a, ab, ab.inverse()):
-                assert symplectic_check(m) and symplectic_check(m.matrix)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(g=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_unchecked_words_stay_exact_and_symplectic(self, g, seed):
+        # random words of products, inverses, negations and built-in forms;
+        # the public check on a copy of the matrix is the oracle
+        rng = np.random.default_rng(seed)
+        s = rng.integers(-2, 3, (g, g))
+        forms = (SymplecticInt.identity(g), SymplecticInt.inversion(g),
+                 SymplecticInt.translation(s + s.T),
+                 SymplecticInt.gl_embed(rand_unimodular(g, rng, steps=2, span=2)))
+        m, words = forms[3], list(forms)
+        for k in rng.integers(0, 4, 12):
+            f = forms[rng.integers(0, 4)]
+            m = m * f if k == 0 else f * m if k == 1 else m.inverse() if k == 2 else -m
+            words.append(m)
+        for m in words:
+            assert all(type(v) is int for v in m._matrix.flat)
+            assert symplectic_check(m.matrix)
 
     def test_matrix_is_a_copy(self, rng):
         # products read the stored matrix, so .matrix must hand out a copy
@@ -278,6 +297,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             SymplecticInt(np.eye(2, dtype=int), np.zeros((2, 2), dtype=int),
                           np.zeros((2, 2), dtype=int), 2 * np.eye(2, dtype=int))
+
+    @pytest.mark.parametrize("build", [
+        lambda: SymplecticInt.identity(0), lambda: SymplecticInt.inversion(0),
+        lambda: SymplecticInt.translation(np.zeros((0, 0), int)),
+        lambda: SymplecticInt.gl_embed(np.zeros((0, 0), int))],
+        ids=["identity", "inversion", "translation", "gl_embed"])
+    def test_degenerate_forms_refused(self, build):
+        with pytest.raises(ValueError, match="not 2gx2g"):
+            build()
 
     def test_heisenberg_invariant_checked(self):
         lam = np.array([[1, 0], [0, 0]])

@@ -354,11 +354,17 @@ import numpy as np
 from siegeljacobi import intmat, minkowski, siegel
 intmat._xgcd = lambda a, b: (2, 0, 0)
 minkowski.complete_primitive = lambda tail: 2 * intmat.ieye(len(tail))
-siegel.siegel_membership = lambda *a: (False, False)
+membership, siegel.siegel_membership = siegel.siegel_membership, lambda *a: (False, False)
+point = siegel.SiegelPoint.from_omega(2j * np.eye(2))
+
+def forged_certificate():
+    siegel.siegel_membership, siegel.symplectic_check = membership, lambda m: False
+    siegel.siegel_reduce(point)
+
 calls = ((lambda: intmat.complete_primitive([1, 1]), ValueError),
          (lambda: minkowski._column_step(3, 1, [0, 1, 0]), minkowski.ReductionError),
-         (lambda: siegel.siegel_reduce(siegel.SiegelPoint.from_omega(2j * np.eye(2))),
-          siegel.SiegelReductionError))
+         (lambda: siegel.siegel_reduce(point), siegel.SiegelReductionError),
+         (forged_certificate, siegel.SiegelReductionError))
 for call, exc in calls:
     try:
         call()
@@ -368,7 +374,7 @@ for call, exc in calls:
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                          text=True, env=env, timeout=120)
-    assert out.stdout.split() == ["raised"] * 3, out.stderr
+    assert out.stdout.split() == ["raised"] * 4, out.stderr
 
 
 def test_empty_candidate_set_leaves_box_and_minkowski_mask():

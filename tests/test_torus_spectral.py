@@ -25,6 +25,15 @@ def test_pair_shapes_checked(make, names, u, v):
         make(u, v)
 
 
+def test_fourier_index_refuses_non_integral():
+    # integral floats are frequencies; others raise, where a cast would truncate
+    for a, b in (([[0.5]], [[1.7]]), ([[1]], [[np.inf]])):
+        with pytest.raises(ValueError, match="non-(integer|finite) entry"):
+            FourierIndex(a, b)
+    idx = FourierIndex([[2.0, -1.0]], [[0, 3]])
+    assert idx.A.dtype == idx.B.dtype == int and idx.A.tolist() == [[2, -1]]
+
+
 class TestRiemannConditions:
     def test_alternating_condition_forced(self, rng):
         for _ in range(20):
