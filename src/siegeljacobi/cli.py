@@ -19,8 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import (VOLUME_TARGETS, laplacian_apply, metric_jacobi,
-                       metric_p, metric_siegel, volume_f1, volume_fg_mc)
+from .geometry import (VOLUME_TARGETS, ZeroVarianceError, laplacian_apply,
+                       metric_jacobi, metric_p, metric_siegel, volume_f1, volume_fg_mc)
 from .group_core import (IllConditionedActionError, JacobiPoint, SiegelPoint,
                          _check_pd, _check_symmetric)
 from .jacobi_domain import in_P_omega, jacobi_membership, jacobi_reduce
@@ -197,12 +197,15 @@ def _cmd_volume(ns, argv, t0):
         inputs["nodes"] = ns.nodes
     else:
         cands = _candidates(ns.g, ns.candidates)
-        res = volume_fg_mc(ns.g, ns.samples, ns.seed, threads=ns.threads,
-                           eps=ns.eps, cands=cands)
+        try:
+            res = volume_fg_mc(ns.g, ns.samples, ns.seed, threads=ns.threads,
+                               eps=ns.eps, cands=cands)
+        except ZeroVarianceError as exc:
+            raise _InputError("--samples: %s" % exc) from None
         guarantee = cands.guarantee
         inputs["candidates"] = {"source": cands.source,
                                 "sha256": _sha256_json(encode_candidates(cands))}
-        sig = abs(res.estimate - target) / res.stderr if (target and res.stderr) else None
+        sig = abs(res.estimate - target) / res.stderr if target else None
         out = {"estimate": res.estimate, "stderr": res.stderr, "target": target,
                "sigmas": sig, "method": "monte-carlo", "samples": ns.samples,
                "seed": ns.seed, "acceptance_rate": res.acceptance_rate}

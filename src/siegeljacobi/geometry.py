@@ -362,6 +362,10 @@ def volume_f1(n_nodes: int = 64) -> float:
     return float(np.sum(w / np.sqrt(1.0 - x * x)))
 
 
+class ZeroVarianceError(ValueError):
+    """A Monte Carlo run whose weights are all equal, so it has no error bar."""
+
+
 @dataclass(frozen=True)
 class VolumeEstimate:
     estimate: float
@@ -462,5 +466,10 @@ def volume_fg_mc(g: int, n_samples: int, seed: int, threads: int = 1,
     n_acc = sum(r[2] for r in results)
     est = sum_w / n_samples
     var = max(sum_w2 / n_samples - est * est, 0.0)
+    if var == 0.0:
+        # every weight equal (all rejected, or at g = 1 all accepted): no error bar
+        raise ZeroVarianceError(
+            "n_samples=%d: the %d weights (%d accepted) have zero sample variance, "
+            "so there is no standard error; take more samples" % (n_samples, n_samples, n_acc))
     stderr = float(np.sqrt(var / n_samples))
     return VolumeEstimate(float(est), stderr, n_samples, g, seed, n_acc / n_samples)

@@ -4,8 +4,13 @@ Group elements (symplectic, Heisenberg, Jacobi) carry exact Python-int
 entries; the defining relations are checked exactly, never with tolerances.
 The symplectic relation t(M) J M = J is checked, in plain Python ints, by the
 public SymplecticInt constructor (so on JSON and candidate-file input) and on
-each reduction's gamma; group-law products and built-in forms skip the check.
+each reduction's gamma, and the Heisenberg one (kappa + mu t(lambda)
+symmetric) by the public HeisenbergInt constructor; group-law results,
+built-in forms and from_lam_mu hold their relation by construction and are
+built unchecked (the private _of builders).
 Points carry float matrices in split real form: Omega = X + iY, Z = U + iV.
+A SiegelPoint's Y is checked once, when the point is built; the reduction
+step hands it to the Minkowski reducer as PosDefMatrix._of(Y), unchecked.
 A C = 0 element within the exact bound |D|_F |A|_F <= COND_LIMIT / 2
 (cond_bounded; D^{-1} = t(A)) acts as the congruence (A Omega + B) t(A); any
 other is refused above COND_LIMIT by an SVD and acts by a checked solve.
@@ -79,6 +84,13 @@ class PosDefMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _check_pd(self.entries, "PosDefMatrix"))
+
+    @classmethod
+    def _of(cls, m: np.ndarray) -> "PosDefMatrix":
+        """Matrix over m, already checked (a SiegelPoint's Y); not copied."""
+        el = object.__new__(cls)
+        el.__dict__["entries"] = m
+        return el
 
     @property
     def g(self) -> int:
@@ -321,6 +333,14 @@ def kappa_fix(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.triu(anti, 1)
 
 
+def _lam_mu(lam, mu):
+    """lam and mu coerced to Python-int matrices, checked to have one shape."""
+    lam, mu = as_imat(lam), as_imat(mu)
+    if lam.shape != mu.shape:
+        raise ValueError("lambda and mu shapes differ")
+    return lam, mu
+
+
 @dataclass(frozen=True)
 class HeisenbergInt:
     """Integer Heisenberg element (lambda, mu; kappa), lambda/mu h x g."""
@@ -330,30 +350,34 @@ class HeisenbergInt:
     kappa: np.ndarray
 
     def __post_init__(self):
-        lam = as_imat(self.lam)
-        mu = as_imat(self.mu)
+        lam, mu = _lam_mu(self.lam, self.mu)
         kappa = as_imat(self.kappa)
-        if lam.shape != mu.shape:
-            raise ValueError("lambda and mu shapes differ")
         h = lam.shape[0]
         if kappa.shape != (h, h):
             raise ValueError("kappa must be h x h")
         sym = kappa + mu @ lam.T
         if not np.array_equal(sym, sym.T):
             raise ValueError("kappa + mu t(lambda) is not symmetric")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "kappa", kappa)
+        self.__dict__.update(lam=lam, mu=mu, kappa=kappa)
+
+    @classmethod
+    def _of(cls, lam: np.ndarray, mu: np.ndarray, kappa: np.ndarray) -> "HeisenbergInt":
+        """Element over Python-int matrices with kappa + mu t(lam) symmetric
+        by construction; unchecked."""
+        el = object.__new__(cls)
+        el.__dict__.update(lam=lam, mu=mu, kappa=kappa)
+        return el
 
     @classmethod
     def identity(cls, g: int, h: int) -> "HeisenbergInt":
-        return cls(izeros(h, g), izeros(h, g), izeros(h, h))
+        return cls._of(izeros(h, g), izeros(h, g), izeros(h, h))
 
     @classmethod
     def from_lam_mu(cls, lam, mu) -> "HeisenbergInt":
-        """Build an element with the canonical kappa, kappa_fix(lam, mu)."""
-        lam, mu = as_imat(lam), as_imat(mu)
-        return cls(lam, mu, kappa_fix(lam, mu))
+        """Build an element with the canonical kappa, kappa_fix(lam, mu),
+        which makes kappa + mu t(lam) symmetric."""
+        lam, mu = _lam_mu(lam, mu)
+        return cls._of(lam, mu, kappa_fix(lam, mu))
 
     @property
     def h(self) -> int:
@@ -398,7 +422,7 @@ class JacobiGroupElement:
         minv = self.m.inverse()
         lam_t, mu_t = _pair_times_m(self.heis.lam, self.heis.mu, minv)
         kap = -self.heis.kappa + lam_t @ mu_t.T - mu_t @ lam_t.T
-        return JacobiGroupElement(minv, HeisenbergInt(-lam_t, -mu_t, kap))
+        return JacobiGroupElement(minv, HeisenbergInt._of(-lam_t, -mu_t, kap))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, JacobiGroupElement):
@@ -418,7 +442,7 @@ def jacobi_mul(x: JacobiGroupElement, y: JacobiGroupElement) -> JacobiGroupEleme
     if x.g != y.g or x.h != y.h:
         raise ValueError("shape mismatch")
     lam_t, mu_t = _pair_times_m(x.heis.lam, x.heis.mu, y.m)
-    heis = HeisenbergInt(
+    heis = HeisenbergInt._of(
         lam_t + y.heis.lam,
         mu_t + y.heis.mu,
         x.heis.kappa + y.heis.kappa + lam_t @ y.heis.mu.T - mu_t @ y.heis.lam.T,

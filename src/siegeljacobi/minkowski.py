@@ -122,8 +122,9 @@ def is_minkowski_reduced(y, *, eps: float = DEFAULT_EPS) -> bool:
     return bool(membership_mask(as_pd_array(y)[None], eps=eps)[0])
 
 
-def membership_mask(ys: np.ndarray, *, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Minkowski membership over a stack of matrices (n, g, g), in one pass.
+def membership_mask(ys: np.ndarray, *, eps=DEFAULT_EPS) -> np.ndarray:
+    """Minkowski membership over a stack of matrices (n, g, g), in one pass,
+    with slack eps: one float, or one per matrix, shape (n,).
 
     Every quadratic form a Y t(a) is one entry of a (nvec x g(g+1)/2) @
     (g(g+1)/2 x n) product.  A stack of one matrix is stacked twice, since

@@ -26,9 +26,10 @@ computed once per set (CandidateSet.det_table), so n points cost two
 batch; g >= 3 takes one batched determinant.  det_sq is the kernel on a
 batch of one.
 
-Membership has one test too, membership_mask_points; siegel_membership is it
-on a batch of one, and a member is on the boundary when it is not a member
-at -eps, the strict interior.
+Membership has one test too, membership_mask_points.  siegel_membership
+evaluates it once, on the two-point batch [p, p] with slacks [eps, -eps]: a
+member is on the boundary when it is not a member at -eps, the strict
+interior.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .group_core import SiegelPoint, SymplecticInt, act_siegel, symplectic_check
+from .group_core import PosDefMatrix, SiegelPoint, SymplecticInt, act_siegel, symplectic_check
 from .intmat import ieye, izeros, to_float
 from .jsonio import decode_symplectic, encode_symplectic, get_field
 from .minkowski import DEFAULT_EPS, membership_mask, minkowski_reduce
@@ -308,24 +309,27 @@ def det_sq(cands: CandidateSet, omega: np.ndarray) -> np.ndarray:
 
 def siegel_membership(p: SiegelPoint, cands: CandidateSet = None,
                       eps: float = DEFAULT_EPS):
-    """Return (member, on_boundary): membership_mask_points on a batch of
-    one.  A member is on the boundary when it is not a member at -eps, the
-    strict interior, i.e. some inequality holds within eps of equality."""
+    """Return (member, on_boundary) from one membership_mask_points call on
+    the batch [p, p] with slacks [eps, -eps].  A member is on the boundary
+    when it is not a member at -eps, the strict interior, i.e. some
+    inequality holds within eps of equality.  A point gets the same bits in
+    any batch, so each verdict is that of p alone at its slack."""
     cands = builtin_candidates(p.g) if cands is None else cands
-    xs, ys = p.X[None], p.Y[None]
-    member = bool(membership_mask_points(xs, ys, cands, eps)[0])
-    return member, member and not membership_mask_points(xs, ys, cands, -eps)[0]
+    member, interior = membership_mask_points(np.stack((p.X, p.X)), np.stack((p.Y, p.Y)),
+                                              cands, np.array((eps, -eps)))
+    return bool(member), bool(member and not interior)
 
 
 def membership_mask_points(xs: np.ndarray, ys: np.ndarray,
-                           cands: CandidateSet, eps: float = DEFAULT_EPS) -> np.ndarray:
+                           cands: CandidateSet, eps=DEFAULT_EPS) -> np.ndarray:
     """Membership over stacks of (X, Y) pairs, shape (n, g, g) each, with
-    slack eps on every inequality.  The batch runs these stages, each on
-    the points the one before kept:
+    slack eps on every inequality: one float, or one per point, shape (n,).
+    The batch runs these stages, each on the points the one before kept:
 
     1. |w_ij|^2 >= 1 - eps for each CandidateSet._unit_entries (+-w at g = 1,
        w11 and w22 for Gottschling's 19), in _det_sq_batch's arithmetic;
-    2. one gather of the survivors, none when no point was dropped;
+    2. one gather of the survivors and their slacks, none when no point was
+       dropped;
     3. the X box, max |x_ij| <= 1/2 + eps, as a running maximum;
     4. the Minkowski mask;
     5. every row of _det_sq_batch, on a slice when stages 3 and 4 dropped
@@ -342,6 +346,11 @@ def membership_mask_points(xs: np.ndarray, ys: np.ndarray,
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     n, g = xs.shape[0], xs.shape[-1]
+    per_point = np.ndim(eps) > 0
+    if per_point:
+        eps = np.asarray(eps, dtype=float)
+        if eps.shape != (n,):
+            raise ValueError("eps must be one float or one per point, shape (%d,)" % n)
     ok = live = None
     for i, j in cands._unit_entries:
         re, im = xs[:, i, j], ys[:, i, j]
@@ -352,13 +361,15 @@ def membership_mask_points(xs: np.ndarray, ys: np.ndarray,
     if ok is not None and np.count_nonzero(ok) < n:
         live = np.flatnonzero(ok)
         xs, ys = xs[live], ys[live]
+        if per_point:
+            eps = eps[live]
     part = reduce(np.maximum, np.abs(xs.reshape(len(xs), g * g)).T) <= 0.5 + eps
     part &= membership_mask(ys, eps=eps)
     kept = np.count_nonzero(part)
     if kept:
         sel = np.flatnonzero(part) if kept < part.size else slice(None)
         vals = _det_sq_batch(cands, xs[sel], ys[sel])
-        part[sel] = vals.min(axis=0, initial=np.inf) >= 1.0 - eps
+        part[sel] = vals.min(axis=0, initial=np.inf) >= 1.0 - (eps[sel] if per_point else eps)
     if live is None:
         return part
     ok[live] = part
@@ -386,7 +397,8 @@ def highest_point_step(p: SiegelPoint, cands: CandidateSet = None,
         cur = act_siegel(step, cur)
         gamma = step if gamma is None else step * gamma
 
-    cert = minkowski_reduce(cur.Y, eps=eps)
+    # cur.Y was checked when the point was built: hand it over unchecked
+    cert = minkowski_reduce(PosDefMatrix._of(cur.Y), eps=eps)
     if cert.iterations > 0:
         apply(SymplecticInt.gl_embed(cert.transform.entries))
 
@@ -405,25 +417,29 @@ def highest_point_step(p: SiegelPoint, cands: CandidateSet = None,
 
 def siegel_reduce(p: SiegelPoint, cands: CandidateSet = None,
                   eps: float = DEFAULT_EPS) -> SiegelCertificate:
-    """Move p into the fundamental domain by the highest-point method."""
+    """Move p into the fundamental domain by the highest-point method.
+
+    A failure raises SiegelReductionError with the det-Im trace of the
+    iterates, computed only then."""
     cands = builtin_candidates(p.g) if cands is None else cands
     gamma = None
-    cur = p
-    trace = [float(np.linalg.det(p.Y))]
+    iterates = [p]
+
+    def failed(message):
+        trace = [float(np.linalg.det(q.Y)) for q in iterates]
+        return SiegelReductionError(message, best=iterates[-1], trace=trace)
+
     for it in range(MAX_ITERS):
+        cur = iterates[-1]
         nxt, step = highest_point_step(cur, cands, eps)
         if step.is_identity():
             member, on_boundary = siegel_membership(cur, cands, eps)
             if not member:
-                raise SiegelReductionError(
-                    "highest-point step stalled on a non-member",
-                    best=cur, trace=trace)
+                raise failed("highest-point step stalled on a non-member")
             gamma = SymplecticInt.identity(p.g) if gamma is None else gamma
             if not symplectic_check(gamma):
-                raise SiegelReductionError("gamma is not symplectic", best=cur, trace=trace)
+                raise failed("gamma is not symplectic")
             return SiegelCertificate(cur, gamma, it, on_boundary, cands.guarantee)
         gamma = step if gamma is None else step * gamma
-        cur = nxt
-        trace.append(float(np.linalg.det(cur.Y)))
-    raise SiegelReductionError("siegel_reduce hit the iteration cap",
-                               best=cur, trace=trace)
+        iterates.append(nxt)
+    raise failed("siegel_reduce hit the iteration cap")

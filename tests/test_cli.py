@@ -376,6 +376,16 @@ class TestVolumeCommand:
         assert digest(mc + ["--candidates", str(tmp_path / "c.json")]) != plain
         assert digest(["--g", "1", "--nodes", "32"]) != digest(["--g", "1"])
 
+    @pytest.mark.parametrize("g, equal, unequal", [("1", "0", "2"), ("2", "2", "1")])
+    def test_equal_weights_name_samples(self, capsys, g, equal, unequal):
+        # at seed `equal` both samples get the same weight: no error bar
+        run = ["volume", "--g", g, "--samples", "2", "--seed"]
+        code, out, err = run_cli(capsys, run + [equal])
+        assert code == 2 and out == ""
+        assert err.startswith("error: --samples: n_samples=2: ") and "variance" in err
+        code, out, _ = run_cli(capsys, run + [unequal])
+        assert code == 0 and json.loads(out)["outputs"]["stderr"] > 0
+
     @pytest.mark.parametrize("args, want", [
         (["--g", "1"], "8cd359e423d846aefae11edd2ae1b934d27b3b03eb3eb653256c38e9aec6e030"),
         (["--g", "1", "--nodes", "32"],

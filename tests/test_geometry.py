@@ -10,7 +10,8 @@ from siegeljacobi.geometry import (DEFAULT_FD_STEP, MC_CHUNK, VOLUME_TARGETS,
                                    metric_p, metric_siegel, push_tangent_jacobi,
                                    push_tangent_p, push_tangent_siegel,
                                    volume_f1, volume_fg_mc)
-from siegeljacobi.geometry import _Chart, _operator_terms
+from siegeljacobi.geometry import _Chart, _chunk_g1, _chunk_g2, _operator_terms
+from siegeljacobi.minkowski import DEFAULT_EPS
 from siegeljacobi.group_core import (JacobiPoint, SiegelPoint, act_jacobi,
                                      act_siegel)
 from siegeljacobi.siegel import builtin_candidates
@@ -683,3 +684,24 @@ class TestVolumes:
         # one sample used to report "stderr": 0.0, an estimate claiming no error
         with pytest.raises(ValueError, match="at least 2"):
             volume_fg_mc(2, 1, seed=0)
+
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_mc_refuses_equal_weights(self, g):
+        # a run whose weights are all equal (every sample rejected, or at g = 1
+        # every one accepted, all with weight 1/a) used to report stderr 0.0;
+        # the chunk's own accepted count is the oracle
+        refused = 0
+        for n in (2, 3, 5):
+            for seed in range(100):
+                rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+                chunk = _chunk_g1 if g == 1 else _chunk_g2
+                n_acc = chunk(rng, n, 0.8, DEFAULT_EPS, builtin_candidates(g))[2]
+                if n_acc == 0 or (g == 1 and n_acc == n):
+                    refused += 1
+                    with pytest.raises(ValueError, match="^n_samples=%d: " % n):
+                        volume_fg_mc(g, n, seed)
+                else:
+                    assert volume_fg_mc(g, n, seed).stderr > 0.0
+        assert refused == {1: 156, 2: 19}[g]
+        with pytest.raises(ValueError, match="zero sample variance"):
+            volume_fg_mc(2, 2, 2)

@@ -217,6 +217,59 @@ class TestHeisenberg:
         assert np.all(np.tril(k) == 0)
 
 
+class TestHeisenbergChecks:
+    """The Heisenberg relation, kappa + mu t(lambda) symmetric, is checked by
+    the public constructor; group-law results and from_lam_mu hold it by
+    construction and are built unchecked."""
+
+    def test_group_law_coerces_nothing(self, rng, monkeypatch):
+        pairs = [(rand_jacobi_element(g, h, rng), rand_jacobi_element(g, h, rng))
+                 for g, h in ((1, 1), (2, 2), (3, 2))]
+        calls = []
+
+        def counted(m, f=group_core.as_imat):
+            calls.append(m)
+            return f(m)
+
+        monkeypatch.setattr(group_core, "as_imat", counted)
+        for x, y in pairs:
+            for z in (jacobi_mul(x, y), x.inverse()):
+                assert calls == []
+                a = z.heis
+                assert HeisenbergInt(a.lam, a.mu, a.kappa) == a
+                assert len(calls) == 3
+                calls.clear()
+                assert HeisenbergInt.from_lam_mu(a.lam, a.mu).lam.shape == a.lam.shape
+                assert len(calls) == 2
+                calls.clear()
+
+    def test_from_lam_mu_checks_shapes(self):
+        with pytest.raises(ValueError, match="lambda and mu shapes differ"):
+            HeisenbergInt.from_lam_mu([[1, 0]], [[1, 0, 0]])
+        with pytest.raises(ValueError, match="non-integer"):
+            HeisenbergInt.from_lam_mu([[0.5, 0]], [[1, 0]])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(g=st.integers(1, 3), h=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_unchecked_words_satisfy_the_relation(self, g, h, seed):
+        # random words of products and inverses; the public constructor on
+        # each Heisenberg part is the oracle
+        rng = np.random.default_rng(seed)
+        gens = [rand_jacobi_element(g, h, rng, word_len=1) for _ in range(3)]
+        gens.append(JacobiGroupElement(SymplecticInt.identity(g), rand_heisenberg(g, h, rng)))
+        x, words = gens[0], []
+        for k in rng.integers(0, 3, 10):
+            f = gens[rng.integers(0, len(gens))]
+            x = jacobi_mul(x, f) if k == 0 else jacobi_mul(f, x) if k == 1 else x.inverse()
+            words.append(x)
+        for x in words:
+            a = x.heis
+            for part in (a.lam, a.mu, a.kappa):
+                assert all(type(v) is int for v in part.flat)
+            assert HeisenbergInt(a.lam, a.mu, a.kappa) == a
+            assert a.lam.shape == a.mu.shape == (h, g) and a.kappa.shape == (h, h)
+
+
 class TestJacobiGroup:
     def test_identity(self, rng):
         x = rand_jacobi_element(2, 2, rng)

@@ -296,3 +296,110 @@ class TestBlockSize:
         for w, r in zip(want, got):
             assert (r.estimate.hex(), r.stderr.hex()) == (w.estimate.hex(), w.stderr.hex())
             assert r.acceptance_rate == w.acceptance_rate
+
+
+def around(v):
+    """v and the floats one ulp either side of it."""
+    return (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf))
+
+
+def ulp_thresholds(g):
+    """Points within an ulp of the thresholds at eps and at -eps: |w11|^2
+    around 1 - eps and 1 + eps (g <= 2), and one X entry around 1/2 + eps
+    and 1/2 - eps (every g), everything else strictly inside."""
+    xs, ys = [], []
+    # y11 < y22 < ...: the (M.1) forms a = e_j hold strictly
+    base_x = np.zeros((g, g))
+    base_y = np.diag(np.arange(1.0, g + 1)) + 0.1 * (np.ones((g, g)) - np.eye(g))
+    if g <= 2:
+        for level in around(1.0 - DEFAULT_EPS) + around(1.0 + DEFAULT_EPS):
+            x, y = on_circle(level)
+            px, py = base_x.copy(), base_y.copy()
+            px[0, 0], py[0, 0] = x, y
+            xs.append(px)
+            ys.append(py)
+    for v in around(0.5 + DEFAULT_EPS) + around(0.5 - DEFAULT_EPS):
+        for i, j in ((0, 0), (0, g - 1)):
+            px = base_x.copy()
+            px[i, j] = px[j, i] = v
+            xs.append(px)
+            ys.append(2.0 * base_y)
+    return np.stack(xs), np.stack(ys)
+
+
+class TestPerPointEps:
+    """eps as one value per point: each point's verdict is bit for bit that
+    of a scalar call at its own eps, the layout siegel_membership uses
+    ([p, p] at [eps, -eps]) included."""
+
+    @pytest.fixture(scope="class")
+    def batches(self, member_pool):
+        out = {}
+        for g in (1, 2, 3):
+            pool = member_pool[g]
+            parts = [pool, onto_box_faces(*pool), with_non_finite(*pool), ulp_thresholds(g)]
+            if g > 1:
+                parts.append(onto_minkowski_faces(*pool))
+            if g < 3:
+                parts.append(unit_row_thresholds()[g - 1])
+            out[g] = tuple(np.concatenate(v) for v in zip(*parts))
+        return out
+
+    @staticmethod
+    def assert_per_point(xs, ys, cands, eps):
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = membership_mask_points(xs, ys, cands, eps)
+            want = [membership_mask_points(xs[i:i + 1], ys[i:i + 1], cands, e)[0]
+                    for i, e in enumerate(eps)]
+            for e in np.unique(eps):
+                sel = eps == e
+                assert np.array_equal(got[sel], membership_mask_points(xs, ys, cands, e)[sel])
+        assert got.dtype == bool and np.array_equal(got, want), np.flatnonzero(got != want)
+        return got
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_pairs_at_plus_and_minus_eps(self, g, batches):
+        xs, ys = (np.repeat(v, 2, axis=0) for v in batches[g])
+        eps = np.tile([DEFAULT_EPS, -DEFAULT_EPS], len(xs) // 2)
+        got = self.assert_per_point(xs, ys, builtin_candidates(g), eps)
+        member, interior = got[0::2], got[1::2]
+        assert not np.any(interior & ~member)
+        # some members are on the boundary, some strictly inside
+        assert np.any(member & ~interior) and np.any(interior)
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_mixed_slacks(self, g, batches, rng):
+        xs, ys = batches[g]
+        eps = rng.choice([DEFAULT_EPS, -DEFAULT_EPS, 0.0, 3e-2], len(xs))
+        self.assert_per_point(xs, ys, builtin_candidates(g), eps)
+
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_stage_one_drops_at_minus_eps_only(self, g, batches):
+        # points with 1 - eps <= |w11|^2 < 1 + eps pass the unit-entry stage
+        # at eps and fail it at -eps, so the -eps copy leaves the batch there
+        xs, ys = batches[g]
+        sq = xs[:, 0, 0] ** 2 + ys[:, 0, 0] ** 2
+        pick = np.flatnonzero((sq >= 1.0 - DEFAULT_EPS) & (sq < 1.0 + DEFAULT_EPS))
+        assert pick.size >= 4
+        xs, ys = np.repeat(xs[pick], 2, axis=0), np.repeat(ys[pick], 2, axis=0)
+        eps = np.tile([DEFAULT_EPS, -DEFAULT_EPS], pick.size)
+        got = self.assert_per_point(xs, ys, builtin_candidates(g), eps)
+        assert got[0::2].any() and not got[1::2].any()
+
+    def test_ulp_thresholds_decide(self):
+        # one ulp below |w11|^2 = 1 - eps or above |x_ij| = 1/2 + eps (and
+        # the same around 1 + eps and 1/2 - eps at -eps) flips the verdict
+        want = {DEFAULT_EPS: ([0, 1, 1, 1, 1, 1], [1, 1, 0, 1, 1, 1]),
+                -DEFAULT_EPS: ([0, 0, 0, 0, 1, 1], [0, 0, 0, 1, 1, 0])}
+        for g in (1, 2, 3):
+            xs, ys = ulp_thresholds(g)
+            for e, (circle, box) in want.items():
+                got = self.assert_per_point(xs, ys, builtin_candidates(g), np.full(len(xs), e))
+                box = [b for b in box for _ in (0, 1)]  # two X entries per value
+                assert got.tolist() == (circle if g <= 2 else []) + box
+
+    def test_eps_shape_checked(self, member_pool):
+        xs, ys = member_pool[2]
+        for eps in (np.zeros(len(xs) - 1), np.zeros((len(xs), 1))):
+            with pytest.raises(ValueError, match="one float or one per point"):
+                membership_mask_points(xs, ys, builtin_candidates(2), eps)

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from siegeljacobi import group_core, siegel
+from siegeljacobi.group_core import PosDefMatrix, SiegelPoint
 from siegeljacobi.intmat import int_det, as_imat, to_float
 from siegeljacobi.minkowski import (DEFAULT_EPS, ReductionError, UnimodularInt,
                                     _candidate_arrays, _column_tables,
                                     is_minkowski_reduced, membership_mask,
                                     minkowski_reduce)
 from conftest import (DEFINITENESS_LOSS_Y, SKEWED_YS, onto_minkowski_faces, rand_pd,
-                      rand_unimodular)
+                      rand_siegel_point, rand_unimodular)
 
 
 def brute_force_reduce_2x2(y, span=3):
@@ -224,3 +226,77 @@ class TestReduce:
         with pytest.raises(ValueError):
             UnimodularInt(np.array([[2, 0], [0, 1]]))
 
+
+
+@pytest.fixture
+def pd_checks(monkeypatch):
+    """The matrices group_core._check_pd is called on, in call order."""
+    seen = []
+
+    def counted(m, what, f=group_core._check_pd):
+        seen.append(np.array(m, dtype=float))
+        return f(m, what)
+
+    monkeypatch.setattr(group_core, "_check_pd", counted)
+    return seen
+
+
+class TestValidateOnce:
+    """A SiegelPoint's Y is checked when the point is built; the reduction
+    step hands it to the public reducer unchecked, and the reducer checks
+    only the matrix it computes and returns."""
+
+    def test_step_hands_y_over_unchecked(self, rng, pd_checks, monkeypatch):
+        calls = []
+
+        def spy(y, **kw):
+            checks_before = len(pd_checks)
+            cert = minkowski_reduce(y, **kw)
+            calls.append((y, cert, pd_checks[checks_before:]))
+            return cert
+
+        monkeypatch.setattr(siegel, "minkowski_reduce", spy)
+        points = [rand_siegel_point(g, rng) for g in (1, 2, 3) for _ in range(15)]
+        pd_checks.clear()
+        for p in points:
+            siegel.highest_point_step(p)
+        assert len(calls) == len(points)
+        moved = 0
+        for (y, cert, checks), p in zip(calls, points):
+            assert isinstance(y, PosDefMatrix) and y.entries is p.Y
+            # one check per reducer pass, on the matrix that pass tests;
+            # the last is the one returned
+            assert len(checks) == cert.iterations
+            if cert.iterations:
+                moved += 1
+                assert np.array_equal(checks[-1], cert.reduced)
+            else:
+                assert np.array_equal(cert.reduced, p.Y) and cert.reduced is not p.Y
+        assert 0 < moved < len(points)
+        assert len(pd_checks) == sum(cert.iterations for _, cert, _ in calls)
+
+    def test_raw_arrays_keep_the_full_check(self, pd_checks):
+        y = np.array([[4.0, 2.4], [2.4, 4.0]])  # 2 y12 > y11: not reduced
+        cert = minkowski_reduce(y)
+        assert cert.iterations > 0 and len(pd_checks) == 1 + cert.iterations
+        assert np.array_equal(pd_checks[0], y)
+        pd_checks.clear()
+        assert is_minkowski_reduced(cert.reduced) and len(pd_checks) == 1
+        # a point's Y through the private builder is the same input, unchecked
+        pd_checks.clear()
+        trusted = minkowski_reduce(PosDefMatrix._of(SiegelPoint(np.zeros((2, 2)), y).Y))
+        assert len(pd_checks) == trusted.iterations
+        assert np.array_equal(trusted.reduced, cert.reduced)
+        assert np.array_equal(trusted.transform.entries, cert.transform.entries)
+
+    @pytest.mark.parametrize("y, msg", [
+        ([[1.0, 0.5], [0.4, 1.0]], "PosDefMatrix not symmetric"),
+        ([[1.0, 2.0], [2.0, 1.0]], "PosDefMatrix is not positive definite"),
+        ([[-1.0]], "PosDefMatrix is not positive definite"),
+        ([[1.0, np.nan], [np.nan, 1.0]], "PosDefMatrix has a non-finite entry"),
+        ([[np.inf]], "PosDefMatrix has a non-finite entry"),
+    ])
+    def test_raw_input_refused_by_name(self, y, msg):
+        for f in (minkowski_reduce, is_minkowski_reduced):
+            with pytest.raises(ValueError, match="^" + msg):
+                f(np.array(y))

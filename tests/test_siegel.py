@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from siegeljacobi import geometry
+from siegeljacobi import geometry, siegel
 from siegeljacobi.cli import main
 from siegeljacobi.geometry import volume_fg_mc
 from siegeljacobi.group_core import SiegelPoint, SymplecticInt, act_siegel
@@ -21,11 +21,12 @@ from siegeljacobi.siegel import (CandidateSet, _det_coefficients, _det_sq_batch,
                                  builtin_candidates, det_sq,
                                  heuristic_candidates, highest_point_step,
                                  load_candidates, membership_mask_points,
-                                 siegel_membership, siegel_reduce)
+                                 SiegelReductionError, siegel_membership, siegel_reduce)
 from conftest import (SKEWED_YS, STALL_OMEGA, boundary_equivalent,
                       is_plus_minus_identity, rand_interior_siegel,
                       rand_siegel_point, siegel_flags_oracle, sl2z_reduce_oracle,
                       write_candidates)
+from test_pinned_certificates import SEED as PINNED_SEED
 
 
 class TestCandidateSets:
@@ -504,3 +505,81 @@ class TestFlagsMatchOracle:
             assert siegel_membership(cert.reduced, eps=eps) == want
             flagged += want[1]
         assert eps == DEFAULT_EPS or 0 < flagged < 60
+
+
+def two_call_flags(p, cands=None, eps=DEFAULT_EPS):
+    """The flag rule as two scalar mask calls on p alone: a member at eps
+    that is not a member at -eps is on the boundary."""
+    cands = builtin_candidates(p.g) if cands is None else cands
+    xs, ys = p.X[None], p.Y[None]
+    member = bool(membership_mask_points(xs, ys, cands, eps)[0])
+    return member, member and not membership_mask_points(xs, ys, cands, -eps)[0]
+
+
+class TestOnePassFlags:
+    """siegel_membership evaluates [p, p] at [eps, -eps] once; its verdict
+    and flag are the two-call rule's."""
+
+    def test_one_mask_call(self, monkeypatch):
+        calls = []
+
+        def spy(xs, ys, cands, eps):
+            calls.append(np.asarray(eps).tolist())
+            return membership_mask_points(xs, ys, cands, eps)
+
+        monkeypatch.setattr(siegel, "membership_mask_points", spy)
+        for eps in (DEFAULT_EPS, -DEFAULT_EPS):
+            siegel_membership(SiegelPoint.from_omega([[0.5 + 5j]]), eps=eps)
+        assert calls == [[DEFAULT_EPS, -DEFAULT_EPS], [-DEFAULT_EPS, DEFAULT_EPS]]
+
+    @pytest.mark.parametrize("eps", [DEFAULT_EPS, -DEFAULT_EPS, 3e-2])
+    def test_pinned_points(self, eps):
+        # the points of test_pinned_certificates, before and after reduction,
+        # and each reduced point moved onto an X face
+        rng = np.random.default_rng(PINNED_SEED)
+        flagged = 0
+        for g in (1, 2, 3):
+            for _ in range(8):
+                p = rand_siegel_point(g, rng)
+                red = siegel_reduce(p).reduced
+                for q in (p, red, _x_face(red, 0, g - 1, 0.5)):
+                    want = two_call_flags(q, eps=eps)
+                    assert siegel_membership(q, eps=eps) == want
+                    flagged += want[1]
+        # at -eps nothing is flagged: a member at -eps is one at +eps
+        assert flagged >= 24 if eps > 0 else flagged == 0
+
+    def test_03_points(self):
+        # the first 2,000 of test_03's 10^4 g = 1 points, reduced, at eps and
+        # at an eps wide enough to flag many of them
+        rng = np.random.default_rng(3)
+        flags = {DEFAULT_EPS: 0, 3e-2: 0}
+        for _ in range(2000):
+            tau = complex(rng.normal(0, 2), np.exp(rng.normal(0, 1.5)))
+            red = siegel_reduce(SiegelPoint.from_omega([[tau]])).reduced
+            for eps in flags:
+                want = two_call_flags(red, eps=eps)
+                assert want[0] and siegel_membership(red, eps=eps) == want
+                flags[eps] += want[1]
+        assert 100 < flags[3e-2] < 2000
+
+
+def test_cap_error_carries_the_det_trace(monkeypatch):
+    # at the iteration cap the trace is det Im of every iterate the
+    # highest-point loop reached, which never decreases
+    points = [SiegelPoint.from_omega([[0.3 + 0.001j]]),
+              SiegelPoint.from_omega(np.array([[0.4 + 0.01j, 0.1], [0.1, -0.3 + 0.02j]]))]
+    for p in points:
+        chain = [p]
+        while not highest_point_step(chain[-1])[1].is_identity():
+            chain.append(highest_point_step(chain[-1])[0])
+        assert siegel_reduce(p).iterations == len(chain) - 1 >= 3
+        for cap in range(1, len(chain) - 1):
+            monkeypatch.setattr(siegel, "MAX_ITERS", cap)
+            with pytest.raises(SiegelReductionError, match="iteration cap") as err:
+                siegel_reduce(p)
+            want = [float(np.linalg.det(q.Y)) for q in chain[:cap + 1]]
+            assert err.value.trace == want
+            assert np.array_equal(err.value.best.omega, chain[cap].omega)
+            assert all(b >= a for a, b in zip(want, want[1:])) and want[-1] > want[0]
+        monkeypatch.undo()
