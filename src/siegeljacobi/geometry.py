@@ -228,33 +228,23 @@ class _Chart:
             a, b = b, a
         return self.coord_id[(block, a, b)]
 
-    def evaluator(self, f):
-        """``f`` at the point moved by one flat displacement of ``base``.
-
-        ``None`` is the point itself; every displacement that moves Y checks
-        that Y stays positive definite.
-        """
-        kind, base, sl = self.kind, self.base, self.slices
-        g = self.y.shape[0]
-        sy = sl.get("Y")
-        fiber = self.u.shape if kind in ("jacobi", "omega") else None
-
-        def at(disp):
-            s = base if disp is None else base + disp
-            if sy is not None:
-                y = s[sy].reshape(g, g)
-                if disp is not None and disp[sy].any():
-                    _check_posdef(y, "finite-difference stencil leaves the domain: Im part")
-            if kind == "P":
-                return f(y)
-            if kind == "siegel":
-                return f(s[sl["X"]].reshape(g, g) + 1j * y)
-            z = s[sl["U"]].reshape(fiber) + 1j * s[sl["V"]].reshape(fiber)
-            if kind == "omega":
-                return f(z)
-            return f(s[sl["X"]].reshape(g, g) + 1j * y, z)
-
-        return at
+    def evaluator(self, f, disps):
+        """The list of ``f`` at the point moved by each row of ``disps``, a
+        stack of flat displacements of ``base``.  Every displaced Y is checked
+        positive definite, by one stacked Cholesky, before ``f`` is called."""
+        s = self.base + disps
+        blk = {b: s[:, sl].reshape(len(s), -1, self.y.shape[0])
+               for b, sl in self.slices.items()}
+        if "Y" in blk:
+            _check_posdef(blk["Y"], "finite-difference stencil leaves the domain: Im part")
+        if self.kind == "P":
+            return [f(y) for y in blk["Y"]]
+        if self.kind == "siegel":
+            return [f(om) for om in blk["X"] + 1j * blk["Y"]]
+        z = blk["U"] + 1j * blk["V"]
+        if self.kind == "omega":
+            return [f(zz) for zz in z]
+        return [f(om, zz) for om, zz in zip(blk["X"] + 1j * blk["Y"], z)]
 
 
 def _operator_terms(kind, chart):
@@ -296,15 +286,15 @@ def _cone_first_order(chart):
     return {chart.cid("Y", a, b): 0.5 * (g + 1) * y[a, b] for a, b in _sym_pairs(g)}
 
 
-def _apply_once(at, second_dirs, first_dirs, step):
-    """One stencil application at one step: ``second_dirs`` holds
-    (sign lambda_k, sqrt|lambda_k| q_k), ``first_dirs`` (b_i, coordinate i)."""
-    f0 = at(None)
+def _apply_once(f0, plus, minus, signs, first, step):
+    """One stencil application at one step from f0 = f(p) and the values at
+    p +- step w along each direction w: first the second-order ones, with
+    their signs sign lambda_k, then the first-order ones, with their b_i."""
     total = 0j
-    for sign, disp in second_dirs:
-        total += sign * (at(step * disp) - 2 * f0 + at(-step * disp)) / step ** 2
-    for b, disp in first_dirs:
-        total += b * (at(step * disp) - at(-step * disp)) / (2 * step)
+    for sign, fp, fm in zip(signs, plus, minus):
+        total += sign * (fp - 2 * f0 + fm) / step ** 2
+    for b, fp, fm in zip(first, plus[len(signs):], minus[len(signs):]):
+        total += b * (fp - fm) / (2 * step)
     return total
 
 
@@ -328,21 +318,27 @@ def laplacian_apply(kind: str, f, point, fd_step: float = DEFAULT_FD_STEP) -> co
     every kind S = scale x inv(G), scale 1/4 for "omega" and 1 otherwise,
     where G is the matrix of the invariant metric in the chart from one
     stacked metric call; so ``fd_step`` h is a length in that metric (half of
-    one for "omega"), and a chart of dimension d costs 2d + 1 evaluations per
-    step.  Only the cone operator has first-order terms, applied as coordinate
-    central differences of step h.  The step and half-step values are
-    Richardson-extrapolated, giving O(step^4) truncation error.
+    one for "omega").  Only the cone operator has first-order terms, applied
+    as coordinate central differences of step h.  The step and half-step
+    values are Richardson-extrapolated, giving O(step^4) truncation error;
+    a chart of dimension d costs 4d + 1 evaluations per call, f(p) once, and
+    the stencil is checked before ``f`` runs (``_Chart.evaluator``).
     """
     chart = _Chart(kind, point)
     s, first = _operator_terms(kind, chart)
     lam, q = np.linalg.eigh(s)
+    first = {i: b for i, b in first.items() if b != 0}
     # one step length along every q_k leaves a rounding error that grows with
     # trace(S); scaling q_k by sqrt|lambda_k| makes it grow with d instead
-    second_dirs = list(zip(np.sign(lam), (np.sqrt(np.abs(lam)) * q).T @ chart.basis))
-    first_dirs = [(b, chart.basis[i]) for i, b in first.items() if b != 0]
-    at = chart.evaluator(f)
-    coarse = _apply_once(at, second_dirs, first_dirs, fd_step)
-    fine = _apply_once(at, second_dirs, first_dirs, fd_step / 2)
+    dirs = np.concatenate([(np.sqrt(np.abs(lam)) * q).T @ chart.basis,
+                           chart.basis[list(first)]])
+    n, signs, b = len(dirs), np.sign(lam), list(first.values())
+    # one stack: p (adding -0.0 keeps every bit), then p +- h w, p +- h/2 w
+    steps = (fd_step, -fd_step, fd_step / 2, -fd_step / 2)
+    v = chart.evaluator(f, np.concatenate([np.full((1, dirs.shape[1]), -0.0)]
+                                          + [t * dirs for t in steps]))
+    coarse = _apply_once(v[0], v[1:n + 1], v[n + 1:2 * n + 1], signs, b, fd_step)
+    fine = _apply_once(v[0], v[2 * n + 1:3 * n + 1], v[3 * n + 1:], signs, b, fd_step / 2)
     return (4.0 * fine - coarse) / 3.0
 
 

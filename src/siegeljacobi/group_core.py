@@ -282,7 +282,11 @@ class SymplecticInt:
     @classmethod
     def gl_embed(cls, u) -> "SymplecticInt":
         """Embed U in GL(g, Z) as (t(U), 0; 0, U^{-1}): Omega -> t(U) Omega U."""
-        u = as_imat(u)
+        return cls._gl_of(as_imat(u))
+
+    @classmethod
+    def _gl_of(cls, u: np.ndarray) -> "SymplecticInt":
+        """gl_embed of u, exact Python ints (a UnimodularInt's entries): not coerced."""
         return cls._of(_join(u.T, izeros(*u.shape), izeros(*u.shape), int_inv_unimodular(u)))
 
     @cached_property

@@ -400,7 +400,7 @@ def highest_point_step(p: SiegelPoint, cands: CandidateSet = None,
     # cur.Y was checked when the point was built: hand it over unchecked
     cert = minkowski_reduce(PosDefMatrix._of(cur.Y), eps=eps)
     if cert.iterations > 0:
-        apply(SymplecticInt.gl_embed(cert.transform.entries))
+        apply(SymplecticInt._gl_of(cert.transform.entries))  # coerced by UnimodularInt
 
     shift = -np.round(cur.X)
     if np.any(shift != 0):

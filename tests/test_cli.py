@@ -450,6 +450,16 @@ class TestSpectralCheckCommand:
         assert rep["periodicity_max_dev"] < 1e-12
         assert all(r < 1e-5 for r in rep["eigen_residuals"])
 
+    def test_eigen_residuals_pinned(self, capsys):
+        # the fiber Laplacian's residuals, bit for bit as recorded when the
+        # stencil still built and evaluated one displaced point at a time
+        code, out, _ = run_cli(capsys, ["spectral-check", "--g", "2", "--h", "1",
+                                        "--eigen-checks", "4", "--seed", "11"])
+        assert code == 0
+        got = [float.hex(r) for r in json.loads(out)["outputs"]["eigen_residuals"]]
+        assert got == ["0x1.1fc714aec3930p-34", "0x1.190e5a0a6b51cp-30",
+                       "0x1.e5ca2c783a8cbp-34", "0x1.e9d80adcf812dp-37"]
+
     def test_grid_too_large_exits_3(self, capsys):
         code, _, err = run_cli(capsys, ["spectral-check", "--g", "3", "--h", "2"])
         assert code == 3

@@ -156,10 +156,10 @@ def _pairwise_laplacian(kind, f, point, step=DEFAULT_FD_STEP):
     chart = _Chart(kind, point)
     s, first = _operator_terms(kind, chart)
     d = chart.d
-    ev = chart.evaluator(f)
 
     def at(offsets):
-        return ev(sum(s * chart.basis[i] for i, s in offsets) if offsets else None)
+        disp = sum((s * chart.basis[i] for i, s in offsets), np.zeros(chart.base.size))
+        return chart.evaluator(f, disp[None])[0]
 
     def once(step):
         f0 = at(())
@@ -179,6 +179,47 @@ def _pairwise_laplacian(kind, f, point, step=DEFAULT_FD_STEP):
         return total + sum(c * d1(i) for i, c in first.items() if c != 0)
 
     return (4.0 * once(step / 2) - once(step)) / 3.0
+
+
+def _one_at_a_time_laplacian(kind, f, point, step=DEFAULT_FD_STEP):
+    """The principal-direction stencil as it was before it became one stacked
+    pass, as a bit-identity oracle: two passes, each evaluating f(p) and then
+    building, checking and evaluating one displaced point at a time."""
+    chart = _Chart(kind, point)
+    s, first = _operator_terms(kind, chart)
+    lam, q = np.linalg.eigh(s)
+    second_dirs = list(zip(np.sign(lam), (np.sqrt(np.abs(lam)) * q).T @ chart.basis))
+    first_dirs = [(b, chart.basis[i]) for i, b in first.items() if b != 0]
+    base, sl, g = chart.base, chart.slices, chart.y.shape[0]
+    sy = sl.get("Y")
+
+    def at(disp):
+        s = base if disp is None else base + disp
+        if sy is not None:
+            y = s[sy].reshape(g, g)
+            if disp is not None and disp[sy].any():
+                np.linalg.cholesky(y)
+        if kind == "P":
+            return f(y)
+        if kind == "siegel":
+            return f(s[sl["X"]].reshape(g, g) + 1j * y)
+        z = s[sl["U"]].reshape(-1, g) + 1j * s[sl["V"]].reshape(-1, g)
+        if kind == "omega":
+            return f(z)
+        return f(s[sl["X"]].reshape(g, g) + 1j * y, z)
+
+    def once(step):
+        f0 = at(None)
+        total = 0j
+        for sign, disp in second_dirs:
+            total += sign * (at(step * disp) - 2 * f0 + at(-step * disp)) / step ** 2
+        for b, disp in first_dirs:
+            total += b * (at(step * disp) - at(-step * disp)) / (2 * step)
+        return total
+
+    coarse = once(step)
+    fine = once(step / 2)
+    return (4.0 * fine - coarse) / 3.0
 
 
 def _kind_point(kind, p):
@@ -516,8 +557,8 @@ class TestPrincipalStencil:
                 t[k] = blocks[block][i, j]
             return t
 
-        ev = chart.evaluator(lambda *args: _chart_blocks(kind, args))
-        t0 = coords(ev(None))
+        t0 = coords(chart.evaluator(lambda *args: _chart_blocks(kind, args),
+                                    np.zeros((1, chart.base.size)))[0])
 
         def f(*args):
             t = coords(_chart_blocks(kind, args)) - t0
@@ -529,7 +570,7 @@ class TestPrincipalStencil:
         assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
 
     def test_jacobi_evaluation_count(self, rng):
-        # d = 10 chart coordinates at (g, h) = (2, 1): 2d + 1 calls per step
+        # d = 10 chart coordinates at (g, h) = (2, 1): 4d + 1 calls, f(p) once
         p = rand_jacobi_point(2, 1, rng, floor=0.7)
         calls = []
 
@@ -538,25 +579,64 @@ class TestPrincipalStencil:
             return np.sin(om[0, 1].real) + np.log(np.linalg.det(om.imag)) + z[0, 0].imag ** 3
 
         laplacian_apply("jacobi", f, p)
-        assert len(calls) == 42
+        assert len(calls) == 41
+
+    FUNCS = {
+        "P": lambda y: np.linalg.det(y) ** 0.7 + np.sin(y[0, -1]),
+        "siegel": lambda om: (np.sin(np.real(np.trace(om @ om)))
+                              + np.log(np.linalg.det(om.imag))),
+        "omega": lambda z: np.exp(1j * z[0, 0]) * np.cos(np.sum(z.imag)),
+        "jacobi": lambda om, z: (np.sin(np.real(np.sum(z)) + np.real(np.trace(om)))
+                                 + np.cos(np.imag(np.sum(z)))
+                                 + np.log(np.linalg.det(om.imag))),
+    }
 
     def test_matches_pairwise_stencil(self, rng):
-        funcs = {
-            "P": lambda y: np.linalg.det(y) ** 0.7 + np.sin(y[0, -1]),
-            "siegel": lambda om: (np.sin(np.real(np.trace(om @ om)))
-                                  + np.log(np.linalg.det(om.imag))),
-            "omega": lambda z: np.exp(1j * z[0, 0]) * np.cos(np.sum(z.imag)),
-            "jacobi": lambda om, z: (np.sin(np.real(np.sum(z)) + np.real(np.trace(om)))
-                                     + np.cos(np.imag(np.sum(z)))
-                                     + np.log(np.linalg.det(om.imag))),
-        }
-        for kind, f in funcs.items():
+        for kind, f in self.FUNCS.items():
             for _ in range(5):
                 g, h = int(rng.integers(1, 3)), int(rng.integers(1, 3))
                 point = _kind_point(kind, rand_jacobi_point(g, h, rng, floor=0.6))
                 new = laplacian_apply(kind, f, point)
                 old = _pairwise_laplacian(kind, f, point)
                 assert abs(new - old) < 1e-5 * max(1.0, abs(old))
+
+
+    def test_bit_identical_to_one_at_a_time_stencil(self, rng):
+        # the stacked pass builds the same points and sums the same values in
+        # the same order, so every value is the same float
+        for kind, f in self.FUNCS.items():
+            for g in (1, 2, 3):
+                for h in (1, 2):
+                    point = _kind_point(kind, rand_jacobi_point(g, h, rng, floor=0.6))
+                    for step in (DEFAULT_FD_STEP, 0.05):
+                        new = laplacian_apply(kind, f, point, fd_step=step)
+                        assert new == _one_at_a_time_laplacian(kind, f, point, step)
+        # a signed zero of the point reaches f(p) as it is
+        y, sign = np.array([[1.0, -0.0], [-0.0, 2.0]]), lambda m: np.copysign(1.0, m[0, 1])
+        assert laplacian_apply("P", sign, y) == _one_at_a_time_laplacian("P", sign, y)
+
+    def test_stacked_domain_guard(self):
+        # at this step only p - h w for one principal direction w leaves the
+        # cone, and it is not the first point of the stack; the stack is
+        # refused before f runs at all
+        p = SiegelPoint([[0.3, 0.1], [0.1, -0.2]], [[1.0, 0.3], [0.3, 2.0]])
+        step = 1.008
+        chart = _Chart("siegel", p)
+        lam, q = np.linalg.eigh(_operator_terms("siegel", chart)[0])
+        dirs = (np.sqrt(np.abs(lam)) * q).T @ chart.basis
+        ys = np.concatenate([chart.base + t * dirs for t in (step, -step, step / 2, -step / 2)]
+                            )[:, chart.slices["Y"]].reshape(-1, 2, 2)
+        outside = np.nonzero(np.linalg.eigvalsh(ys)[:, 0] <= 0)[0]
+        assert len(outside) == 1 and outside[0] > 0
+        calls = []
+
+        def f(om):
+            calls.append(1)
+            return np.log(np.linalg.det(om.imag))
+
+        with pytest.raises(ValueError, match="leaves the domain"):
+            laplacian_apply("siegel", f, p, fd_step=step)
+        assert calls == []
 
 
 class TestVolumeElements:

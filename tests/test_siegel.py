@@ -244,6 +244,19 @@ class TestReduce:
         expected = minkowski_reduce(y).reduced
         assert np.allclose(nxt.Y, expected, atol=1e-10)
 
+    def test_gl_move_coerces_transform_once(self, monkeypatch):
+        # UnimodularInt coerces the reducer's exact U, and the GL move embeds
+        # those entries as they are instead of coercing them again
+        from siegeljacobi import group_core, minkowski
+        builtin_candidates(2)   # loaded (and coerced) before counting
+        seen = []
+        for mod in (group_core, minkowski):
+            monkeypatch.setattr(mod, "as_imat",
+                                lambda m, _coerce=mod.as_imat: seen.append(1) or _coerce(m))
+        p = SiegelPoint(np.zeros((2, 2)), 4.0 * np.array([[1.0, 0.6], [0.6, 1.0]]))
+        _, step = highest_point_step(p)
+        assert not step.is_identity() and len(seen) == 1
+
     def test_highest_point_step_translation(self):
         p = SiegelPoint(np.array([[0.9]]), np.array([[5.0]]))
         nxt, step = highest_point_step(p)
