@@ -10,7 +10,9 @@ built-in forms and from_lam_mu hold their relation by construction and are
 built unchecked (the private _of builders).
 Points carry float matrices in split real form: Omega = X + iY, Z = U + iV.
 A SiegelPoint's Y is checked once, when the point is built; the reduction
-step hands it to the Minkowski reducer as PosDefMatrix._of(Y), unchecked.
+step hands it to the Minkowski reducer as PosDefMatrix._of(Y), unchecked,
+moves (X, Y) by its GL and translation sub-steps directly, and runs
+act_siegel only for a candidate step (C != 0).
 A C = 0 element within the exact bound |D|_F |A|_F <= COND_LIMIT / 2
 (cond_bounded; D^{-1} = t(A)) acts as the congruence (A Omega + B) t(A); any
 other is refused above COND_LIMIT by an SVD and acts by a checked solve.

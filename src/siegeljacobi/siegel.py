@@ -387,40 +387,47 @@ def highest_point_step(p: SiegelPoint, cands: CandidateSet = None,
 
     Returns (new_point, gamma_step) with act_siegel(gamma_step, p) = new_point;
     the step is the identity exactly when p is reduced.  Only the sub-steps
-    that fire are composed.
+    that fire are composed.  The C = 0 ones act on (X, Y) directly: the GL
+    move takes X to sym(t(U) X U) and Y to the reducer's reduced Y, the
+    translation adds exact integers to X.  One point build checks their
+    result (finite, Im positive definite) and only a candidate step runs
+    act_siegel; a loss of definiteness is a SiegelReductionError carrying p.
     """
     cands = builtin_candidates(p.g) if cands is None else cands
-    cur, gamma = p, None
-
-    def apply(step):
-        nonlocal cur, gamma
-        cur = act_siegel(step, cur)
-        gamma = step if gamma is None else step * gamma
-
-    # cur.Y was checked when the point was built: hand it over unchecked
-    cert = minkowski_reduce(PosDefMatrix._of(cur.Y), eps=eps)
+    x, y, steps = p.X, p.Y, []
+    # p.Y was checked when the point was built: hand it over unchecked
+    cert = minkowski_reduce(PosDefMatrix._of(y), eps=eps)
     if cert.iterations > 0:
-        apply(SymplecticInt._gl_of(cert.transform.entries))  # coerced by UnimodularInt
+        steps.append(SymplecticInt._gl_of(cert.transform.entries))  # coerced by UnimodularInt
+        a = steps[-1].float_blocks[0]
+        x = (a @ x) @ a.T
+        x, y = 0.5 * (x + x.T), cert.reduced
 
-    shift = -np.round(cur.X)
+    shift = -np.round(x)
     if np.any(shift != 0):
-        apply(SymplecticInt.translation(shift.astype(int)))
+        steps.append(SymplecticInt.translation(shift))  # exact ints at any scale
+        x = x + shift
 
-    vals = det_sq(cands, cur.omega)
-    best = int(np.argmin(vals))
-    # the threshold membership applies, so no non-member is left without a step
-    if vals[best] < 1.0 - eps:
-        apply(cands.elements[best])
-
-    return cur, SymplecticInt.identity(p.g) if gamma is None else gamma
+    try:
+        cur = SiegelPoint._from_symmetric(x, y) if steps else p
+        vals = det_sq(cands, cur.omega)
+        best = int(np.argmin(vals))
+        # the threshold membership applies, so no non-member is left without a step
+        if vals[best] < 1.0 - eps:
+            steps.append(cands.elements[best])
+            cur = act_siegel(steps[-1], cur)
+    except ValueError as exc:
+        raise SiegelReductionError("highest-point step failed: %s" % exc, best=p) from None
+    gamma = reduce(lambda acc, step: step * acc, steps) if steps else SymplecticInt.identity(p.g)
+    return cur, gamma
 
 
 def siegel_reduce(p: SiegelPoint, cands: CandidateSet = None,
                   eps: float = DEFAULT_EPS) -> SiegelCertificate:
     """Move p into the fundamental domain by the highest-point method.
 
-    A failure raises SiegelReductionError with the det-Im trace of the
-    iterates, computed only then."""
+    A stall, the cap or a bad gamma raises SiegelReductionError with the
+    det-Im trace of the iterates (computed only then); a failed step, without."""
     cands = builtin_candidates(p.g) if cands is None else cands
     gamma = None
     iterates = [p]

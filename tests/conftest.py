@@ -165,6 +165,12 @@ DEFINITENESS_LOSS_Y = np.array(
      [474210.9958881108, 1422241.9214038355, -2844479.9184445534],
      [-948420.6835723383, -2844479.9184445534, 5688951.988230048]])
 
+#: (X, Y) of a point the decoder accepts (cond(Y) = 130) that loses the
+#: definiteness of Im(Omega) inside a highest-point step; sjk used to exit 2
+#: on it, as on bad input
+STEP_DEFINITENESS_LOSS = (np.array([[-0.00136, 0.000634], [0.000634, -0.00108]]),
+                          np.array([[7.24e-147, 2.69e-146], [2.69e-146, 8.22e-145]]))
+
 #: |det|^2 = 0.9999999989999999 sits between the step's old threshold
 #: 1/(1 + 1e-9) and membership's 1 - 1e-9: no step fired, and reduction
 #: stalled on a non-member

@@ -17,9 +17,10 @@ from siegeljacobi.jsonio import (decode_jacobi_element, decode_jacobi_point,
                                  encode_matrix, encode_siegel_point)
 from siegeljacobi.minkowski import is_minkowski_reduced
 from siegeljacobi.siegel import CandidateSet, builtin_candidates, siegel_membership
-from conftest import (DEFINITENESS_LOSS_Y, SKEWED_YS, STALL_OMEGA, is_plus_minus_identity,
-                      rand_jacobi_element, rand_jacobi_point, rand_siegel_point,
-                      sl2z_reduce_oracle, boundary_equivalent, write_candidates)
+from conftest import (DEFINITENESS_LOSS_Y, SKEWED_YS, STALL_OMEGA, STEP_DEFINITENESS_LOSS,
+                      is_plus_minus_identity, rand_jacobi_element, rand_jacobi_point,
+                      rand_siegel_point, sl2z_reduce_oracle, boundary_equivalent,
+                      write_candidates)
 
 
 def write_json(path, obj):
@@ -125,6 +126,26 @@ class TestReduceCommand:
         else:
             assert code == 3 and out == ""
             assert "lost definiteness" in err
+
+    def test_huge_real_part(self, tmp_path, capsys):
+        # the translation by -1e100 used to overflow an int64 cast, with a
+        # numpy RuntimeWarning on stderr, and exit 3 at the iteration cap
+        om = SiegelPoint.from_omega([[1e100 + 1j]])
+        path = write_json(tmp_path / "p.json", encode_siegel_point(om))
+        code, out, err = run_cli(capsys, ["reduce", "--siegel", "--point", path])
+        assert code == 0 and err == ""
+        rep = json.loads(out)["outputs"]
+        assert rep["iterations"] == 1
+        assert decode_siegel_point(rep["reduced"]).omega[0, 0] == 1j
+
+    def test_lost_definiteness_in_a_step_exits_3(self, tmp_path, capsys):
+        # a numeric failure on input the decoder accepts: it used to exit 2,
+        # "error: Im(Omega) is not positive definite"
+        om = SiegelPoint(*STEP_DEFINITENESS_LOSS)
+        path = write_json(tmp_path / "p.json", encode_siegel_point(om))
+        code, out, err = run_cli(capsys, ["reduce", "--siegel", "--point", path])
+        assert code == 3 and out == ""
+        assert err.startswith("numeric failure") and "not positive definite" in err
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

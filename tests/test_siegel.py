@@ -22,8 +22,8 @@ from siegeljacobi.siegel import (CandidateSet, _det_coefficients, _det_sq_batch,
                                  heuristic_candidates, highest_point_step,
                                  load_candidates, membership_mask_points,
                                  SiegelReductionError, siegel_membership, siegel_reduce)
-from conftest import (SKEWED_YS, STALL_OMEGA, boundary_equivalent,
-                      is_plus_minus_identity, rand_interior_siegel,
+from conftest import (SKEWED_YS, STALL_OMEGA, STEP_DEFINITENESS_LOSS,
+                      boundary_equivalent, is_plus_minus_identity, rand_interior_siegel,
                       rand_siegel_point, siegel_flags_oracle, sl2z_reduce_oracle,
                       write_candidates)
 from test_pinned_certificates import SEED as PINNED_SEED
@@ -267,6 +267,54 @@ class TestReduce:
         nxt, step = highest_point_step(p)
         assert step.is_identity()
         assert np.allclose(nxt.omega, p.omega)
+
+    def test_tiny_g1_point_matches_classical(self):
+        # the first inversion lands near Re = -2.75e19, whose translation
+        # used to overflow an int64 cast and leave Re unreduced
+        tau = (0.3 + 1j) * 1e-20
+        cert = siegel_reduce(SiegelPoint.from_omega([[tau]]))
+        assert cert.iterations == 2
+        assert complex(cert.reduced.omega[0, 0]) == sl2z_reduce_oracle(tau)
+
+    def test_lost_definiteness_is_a_reduction_failure(self):
+        # used to escape as the point builder's ValueError, i.e. as bad input
+        p = SiegelPoint(*STEP_DEFINITENESS_LOSS)
+        with pytest.raises(SiegelReductionError, match="not positive definite") as err:
+            siegel_reduce(p)
+        best = err.value.best
+        assert isinstance(best, SiegelPoint) and np.linalg.det(best.Y) > np.linalg.det(p.Y)
+
+
+class TestOneActionPerStep:
+    """Only a candidate step (C != 0) runs act_siegel; the GL move and the
+    translation act on (X, Y) directly."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        monkeypatch.setattr(siegel, "act_siegel",
+                            lambda m, p, _act=siegel.act_siegel: calls.append(m) or _act(m, p))
+        return calls
+
+    def test_gl_move_makes_no_call(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        p = SiegelPoint(np.zeros((2, 2)), 4.0 * np.array([[1.0, 0.6], [0.6, 1.0]]))
+        _, step = highest_point_step(p)
+        assert not step.is_identity() and calls == []
+
+    def test_one_call_per_candidate_step(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        rng = np.random.default_rng(21)
+        c_zero = c_nonzero = 0
+        for g in (1, 2, 3):
+            for _ in range(10):
+                cur, step = highest_point_step(rand_siegel_point(g, rng))
+                while not step.is_identity():
+                    fired = bool(step.C.any())
+                    c_zero, c_nonzero = c_zero + (not fired), c_nonzero + fired
+                    assert len(calls) == c_nonzero
+                    cur, step = highest_point_step(cur)
+        assert len(calls) == c_nonzero > 0 and c_zero > 0
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
