@@ -11,8 +11,9 @@ built unchecked (the private _of builders).
 Points carry float matrices in split real form: Omega = X + iY, Z = U + iV.
 A SiegelPoint's Y is checked once, when the point is built; the reduction
 step hands it to the Minkowski reducer as PosDefMatrix._of(Y), unchecked,
-moves (X, Y) by its GL and translation sub-steps directly, and runs
-act_siegel only for a candidate step (C != 0).
+moves (X, Y) by its GL and translation sub-steps directly, builds the moved
+point over a checked Y with SiegelPoint._of, and runs act_siegel only for a
+candidate step (C != 0).
 A C = 0 element within the exact bound |D|_F |A|_F <= COND_LIMIT / 2
 (cond_bounded; D^{-1} = t(A)) acts as the congruence (A Omega + B) t(A); any
 other is refused above COND_LIMIT by an SVD and acts by a checked solve.
@@ -141,6 +142,13 @@ class SiegelPoint:
             if not np.isfinite(m).all():
                 raise ValueError("%s has a non-finite entry" % name)
         _check_posdef(y, "Im(Omega)")
+        p = object.__new__(cls)
+        p.__dict__.update(X=x, Y=y)
+        return p
+
+    @classmethod
+    def _of(cls, x: np.ndarray, y: np.ndarray) -> "SiegelPoint":
+        """Point over x, y, exactly symmetric and checked already; unchecked."""
         p = object.__new__(cls)
         p.__dict__.update(X=x, Y=y)
         return p
@@ -279,7 +287,15 @@ class SymplecticInt:
         s = as_imat(s)
         if not np.array_equal(s, s.T):
             raise ValueError("translation block must be symmetric")
-        return cls._of(_join(ieye(len(s)), s, izeros(*s.shape), ieye(len(s))))
+        return cls._translation_of(s)
+
+    @classmethod
+    def _translation_of(cls, s: np.ndarray) -> "SymplecticInt":
+        """translation by s, symmetric with finite integral entries, each made
+        an exact Python int: not coerced or checked."""
+        m = ieye(2 * len(s))
+        m[:len(s), len(s):] = [[int(v) for v in row] for row in s.tolist()]
+        return cls._of(m)
 
     @classmethod
     def gl_embed(cls, u) -> "SymplecticInt":

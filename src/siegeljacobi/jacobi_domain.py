@@ -124,7 +124,7 @@ def jacobi_reduce(p: JacobiPoint, cands: CandidateSet = None,
     coords = decompose_in_omega_basis(w, om)
     mu, afrac = _split_unit(coords.a)
     lam, bfrac = _split_unit(coords.b)
-    heis = HeisenbergInt.from_lam_mu(lam.astype(int), mu.astype(int))
+    heis = HeisenbergInt.from_lam_mu(lam, mu)  # integral floats to exact ints
     gj = JacobiGroupElement(gamma, heis)
 
     # canonical representative of the central pair
@@ -133,8 +133,8 @@ def jacobi_reduce(p: JacobiPoint, cands: CandidateSet = None,
     plain = np.concatenate([afrac.ravel(), bfrac.ravel()])
     comp = np.concatenate([acomp.ravel(), bcomp.ravel()])
     if _lex_smaller(comp, plain):
-        lam_w = -np.round(bfrac + bcomp).astype(int)
-        mu_w = -np.round(afrac + acomp).astype(int)
+        lam_w = -np.round(bfrac + bcomp)
+        mu_w = -np.round(afrac + acomp)
         flip = JacobiGroupElement(
             -SymplecticInt.identity(p.g),
             HeisenbergInt.from_lam_mu(lam_w, mu_w))

@@ -17,7 +17,8 @@ reducer is a greedy successive-minima pass: LLL pre-reduction first, which
 brings Y close enough to reduced that the {0, +-1} vectors serve as column
 steps in practice, then column k is assigned the shortest of them with a
 nonzero tail, completed to a unimodular transform, and signs are fixed for
-(M.2).  All transforms are exact integer matrices.
+(M.2).  LLL factors Y once; only the column passes form t(U) Y U.  All
+transforms are exact integer matrices.
 """
 
 from __future__ import annotations
@@ -154,52 +155,72 @@ def _lll_transform(y: np.ndarray):
     """LLL (delta = 0.99, at most 10,000 steps) on the quadratic form y;
     returns exact integer U with Y[U] quasi-reduced.
 
-    The Cholesky factor of the running Gram matrix supplies the Gram-Schmidt
-    data: mu_{i,j} = L[i,j]/L[j,j] and squared GS norms L[i,i]^2.  The float
-    Gram t(U) Y U can lose definiteness as U grows; that is a ReductionError.
+    Y = L t(L) is factored once: mu_{i,j} = L[i,j]/L[j,j] and the squared
+    Gram-Schmidt norms b_i = L[i,i]^2 are then updated in plain floats on
+    each size reduction and swap (Cohen, GTM 138, Alg. 2.6.3), with no Gram
+    matrix re-formed.  A norm b <= 0 after a swap is a ReductionError.
     """
     g = y.shape[0]
-    u = ieye(g)
-
-    def chol():
-        try:
-            return np.linalg.cholesky(to_float(u.T) @ y @ to_float(u))
-        except np.linalg.LinAlgError:
-            raise ReductionError("minkowski_reduce lost definiteness in LLL") from None
-
-    k = 1
-    steps = 0
+    ell = np.linalg.cholesky(y)
+    diag = np.diag(ell)
+    mu, b = (ell / diag).tolist(), (diag * diag).tolist()
+    cols = ieye(g).tolist()  # the columns of U, in Python ints
+    k, steps = 1, 0
     while k < g and steps < 10000:
         steps += 1
-        ell = chol()
         for j in range(k - 1, -1, -1):
-            q = int(round(ell[k, j] / ell[j, j]))
-            if q != 0:
-                u[:, k] = u[:, k] - q * u[:, j]
-                ell = chol()
-        mu = ell[k, k - 1] / ell[k - 1, k - 1]
-        if ell[k, k] ** 2 >= (0.99 - mu * mu) * ell[k - 1, k - 1] ** 2:
+            q = int(round(mu[k][j]))
+            if q != 0:  # mu[j][j] = 1 exactly, so mu[k][j] -= q
+                cols[k] = [a - q * c for a, c in zip(cols[k], cols[j])]
+                mu[k][:j + 1] = [a - q * c for a, c in zip(mu[k], mu[j][:j + 1])]
+        m = mu[k][k - 1]
+        if b[k] >= (0.99 - m * m) * b[k - 1]:
             k += 1
-        else:
-            u[:, [k - 1, k]] = u[:, [k, k - 1]]
-            k = max(k - 1, 1)
-    return u
+            continue
+        cols[k - 1], cols[k] = cols[k], cols[k - 1]
+        big = b[k] + m * m * b[k - 1]
+        # ratios first: a product of two norms underflows on a tiny Y
+        mu[k][k - 1] = m * (b[k - 1] / big)
+        b[k - 1], b[k] = big, b[k - 1] * (b[k] / big)
+        if not min(b[k - 1], b[k]) > 0:
+            raise ReductionError("minkowski_reduce lost definiteness in LLL")
+        mu[k - 1][:k - 1], mu[k][:k - 1] = mu[k][:k - 1], mu[k - 1][:k - 1]
+        for i in range(k + 1, g):
+            t = mu[i][k]
+            mu[i][k] = mu[i][k - 1] - m * t
+            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+        k = max(k - 1, 1)
+    return np.array(cols, dtype=object).T.copy()
+
+
+@lru_cache(maxsize=8)
+def _identity(g: int) -> UnimodularInt:
+    """The identity certificate transform, shared per g: its array is read-only."""
+    eye = UnimodularInt(ieye(g))
+    eye.entries.flags.writeable = False
+    return eye
 
 
 def minkowski_reduce(y, *, eps: float = DEFAULT_EPS) -> ReductionCertificate:
-    """Reduce Y into the Minkowski domain with an exact unimodular certificate."""
+    """Reduce Y into the Minkowski domain with an exact unimodular certificate.
+
+    Every positive definite 1 x 1 matrix is reduced, so g = 1 skips the mask."""
     y0 = as_pd_array(y)
     g = y0.shape[0]
-    if membership_mask(y0[None], eps=eps)[0]:
-        return ReductionCertificate(y0.copy(), UnimodularInt(ieye(g)), 0)
+    if g == 1 or membership_mask(y0[None], eps=eps)[0]:
+        return ReductionCertificate(y0.copy(), _identity(g), 0)
+
+    def gram(u):
+        uf = to_float(u)  # one float copy each time U changes
+        return uf.T @ y0 @ uf
 
     u = _lll_transform(y0)
+    cur = gram(u)
     tables = _column_tables(g)
 
     passes = 0
     while passes < MAX_ITERS:
         passes += 1
-        cur = to_float(u.T) @ y0 @ to_float(u)
         changed = False
         for k, (vecs, mono) in enumerate(tables):
             quad = (mono @ _form_features(cur[None]))[:, 0]
@@ -209,10 +230,10 @@ def minkowski_reduce(y, *, eps: float = DEFAULT_EPS) -> ReductionCertificate:
             # lexicographically smallest among the near-minimal candidates
             a = vecs[np.argmax(quad <= best_val * (1 + 1e-12))]
             u = u @ _column_step(g, k, a)
-            cur = to_float(u.T) @ y0 @ to_float(u)
+            cur = gram(u)
             changed = True
         u = u @ _sign_fix(cur)
-        cur = to_float(u.T) @ y0 @ to_float(u)
+        cur = gram(u)
         # test what is returned: the product's asymmetry can exceed 1e-9
         red = 0.5 * (cur + cur.T)
         if is_minkowski_reduced(red, eps=eps):

@@ -389,9 +389,9 @@ def highest_point_step(p: SiegelPoint, cands: CandidateSet = None,
     the step is the identity exactly when p is reduced.  Only the sub-steps
     that fire are composed.  The C = 0 ones act on (X, Y) directly: the GL
     move takes X to sym(t(U) X U) and Y to the reducer's reduced Y, the
-    translation adds exact integers to X.  One point build checks their
-    result (finite, Im positive definite) and only a candidate step runs
-    act_siegel; a loss of definiteness is a SiegelReductionError carrying p.
+    translation adds exact integers to X.  Y is p.Y or the reducer's checked
+    output, so it is not re-factored; only a candidate step runs act_siegel.
+    Overflow or lost definiteness is a SiegelReductionError carrying p.
     """
     cands = builtin_candidates(p.g) if cands is None else cands
     x, y, steps = p.X, p.Y, []
@@ -400,24 +400,27 @@ def highest_point_step(p: SiegelPoint, cands: CandidateSet = None,
     if cert.iterations > 0:
         steps.append(SymplecticInt._gl_of(cert.transform.entries))  # coerced by UnimodularInt
         a = steps[-1].float_blocks[0]
-        x = (a @ x) @ a.T
-        x, y = 0.5 * (x + x.T), cert.reduced
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = (a @ x) @ a.T
+            x, y = 0.5 * (x + x.T), cert.reduced
+        if not np.isfinite(x).all():
+            raise SiegelReductionError("highest-point step failed: GL move overflowed X", best=p)
 
     shift = -np.round(x)
     if np.any(shift != 0):
-        steps.append(SymplecticInt.translation(shift))  # exact ints at any scale
+        steps.append(SymplecticInt._translation_of(shift))  # exact ints at any scale
         x = x + shift
 
-    try:
-        cur = SiegelPoint._from_symmetric(x, y) if steps else p
-        vals = det_sq(cands, cur.omega)
-        best = int(np.argmin(vals))
-        # the threshold membership applies, so no non-member is left without a step
-        if vals[best] < 1.0 - eps:
-            steps.append(cands.elements[best])
+    cur = SiegelPoint._of(x, y) if steps else p
+    vals = det_sq(cands, cur.omega)
+    best = int(np.argmin(vals))
+    # the threshold membership applies, so no non-member is left without a step
+    if vals[best] < 1.0 - eps:
+        steps.append(cands.elements[best])
+        try:
             cur = act_siegel(steps[-1], cur)
-    except ValueError as exc:
-        raise SiegelReductionError("highest-point step failed: %s" % exc, best=p) from None
+        except ValueError as exc:
+            raise SiegelReductionError("highest-point step failed: %s" % exc, best=p) from None
     gamma = reduce(lambda acc, step: step * acc, steps) if steps else SymplecticInt.identity(p.g)
     return cur, gamma
 
@@ -426,8 +429,8 @@ def siegel_reduce(p: SiegelPoint, cands: CandidateSet = None,
                   eps: float = DEFAULT_EPS) -> SiegelCertificate:
     """Move p into the fundamental domain by the highest-point method.
 
-    A stall, the cap or a bad gamma raises SiegelReductionError with the
-    det-Im trace of the iterates (computed only then); a failed step, without."""
+    A stall, the cap, a failed step or a bad gamma raises SiegelReductionError
+    with the det-Im trace of the iterates (computed only then)."""
     cands = builtin_candidates(p.g) if cands is None else cands
     gamma = None
     iterates = [p]
@@ -438,7 +441,10 @@ def siegel_reduce(p: SiegelPoint, cands: CandidateSet = None,
 
     for it in range(MAX_ITERS):
         cur = iterates[-1]
-        nxt, step = highest_point_step(cur, cands, eps)
+        try:
+            nxt, step = highest_point_step(cur, cands, eps)
+        except SiegelReductionError as exc:
+            raise failed(str(exc)) from None
         if step.is_identity():
             member, on_boundary = siegel_membership(cur, cands, eps)
             if not member:

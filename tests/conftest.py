@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from siegeljacobi.group_core import (HeisenbergInt, JacobiGroupElement,
-                                     JacobiPoint, SiegelPoint, SymplecticInt,
-                                     act_jacobi, act_siegel)
+                                     JacobiPoint, PosDefMatrix, SiegelPoint,
+                                     SymplecticInt, act_jacobi, act_siegel)
 from siegeljacobi.jacobi_domain import _lex_smaller
 from siegeljacobi.geometry import ROW_BLOCK
 from siegeljacobi.minkowski import (DEFAULT_EPS, _candidate_arrays, _column_tables,
@@ -158,18 +158,52 @@ SKEWED_YS = (np.array([[6830.957763578616, -4767.591793908003],
              np.array([[326959.43819698, -138823.51886435],
                        [-138823.51886435, 58942.9976294]]))
 
-#: positive definite (eigenvalues 9.8e-6, 9.5e-3, 7.3e6; cond 7.4e11), yet the
-#: float Gram matrix t(U) Y U in LLL loses definiteness on it
+#: positive definite (eigenvalues 9.8e-6, 9.5e-3, 7.3e6; cond 7.4e11): an LLL
+#: that re-forms and re-factors the float Gram matrix t(U) Y U after every move
+#: loses definiteness on it
 DEFINITENESS_LOSS_Y = np.array(
     [[158113.80549163386, 474210.9958881108, -948420.6835723383],
      [474210.9958881108, 1422241.9214038355, -2844479.9184445534],
      [-948420.6835723383, -2844479.9184445534, 5688951.988230048]])
+
+@lru_cache(maxsize=None)
+def ill_conditioned_ys(seed=5, n=600, max_cond=1e15):
+    """Seeded positive definite Y, g = 2-4, with cond(Y) up to max_cond:
+    Q diag(d) t(Q) with log10 d uniform on [-8, 8], in a basis scrambled by
+    rand_unimodular; draws above max_cond, or refused by PosDefMatrix, are
+    redrawn.  Beyond about 1/u = 4.5e15 a float Y no longer fixes its
+    lattice, so any two float LLLs may part there."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        g = int(rng.integers(2, 5))
+        q = np.linalg.qr(rng.normal(size=(g, g)))[0]
+        u = rand_unimodular(g, rng, steps=8, span=3).astype(float)
+        y = u.T @ (q * 10.0 ** rng.uniform(-8, 8, g)) @ q.T @ u
+        y = 0.5 * (y + y.T)
+        if np.linalg.cond(y) > max_cond:
+            continue
+        try:
+            out.append(PosDefMatrix(y).entries)
+        except ValueError:
+            pass
+    return tuple(out)
+
 
 #: (X, Y) of a point the decoder accepts (cond(Y) = 130) that loses the
 #: definiteness of Im(Omega) inside a highest-point step; sjk used to exit 2
 #: on it, as on bad input
 STEP_DEFINITENESS_LOSS = (np.array([[-0.00136, 0.000634], [0.000634, -0.00108]]),
                           np.array([[7.24e-147, 2.69e-146], [2.69e-146, 8.22e-145]]))
+
+#: Z near 1e29: its Heisenberg parts lambda, mu are far beyond int64
+HUGE_Z_POINT = JacobiPoint.from_z(
+    SiegelPoint.from_omega(np.array([[0.1, 0.05], [0.05, -0.2]])
+                           + 1j * np.array([[1.3, 0.4], [0.4, 1.5]])),
+    np.array([[3.7e29 + 2e29j, 1.1e29 + 0.3j]]))
+
+#: (X, Y) of a point the decoder accepts whose GL move t(U) X U overflows
+GL_OVERFLOW = (8e307 * np.eye(2), 4.0 * np.array([[1.0, 0.6], [0.6, 1.0]]))
 
 #: |det|^2 = 0.9999999989999999 sits between the step's old threshold
 #: 1/(1 + 1e-9) and membership's 1 - 1e-9: no step fired, and reduction

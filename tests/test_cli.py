@@ -17,7 +17,8 @@ from siegeljacobi.jsonio import (decode_jacobi_element, decode_jacobi_point,
                                  encode_matrix, encode_siegel_point)
 from siegeljacobi.minkowski import is_minkowski_reduced
 from siegeljacobi.siegel import CandidateSet, builtin_candidates, siegel_membership
-from conftest import (DEFINITENESS_LOSS_Y, SKEWED_YS, STALL_OMEGA, STEP_DEFINITENESS_LOSS,
+from conftest import (DEFINITENESS_LOSS_Y, GL_OVERFLOW, HUGE_Z_POINT, SKEWED_YS,
+                      STALL_OMEGA, STEP_DEFINITENESS_LOSS,
                       is_plus_minus_identity, rand_jacobi_element, rand_jacobi_point,
                       rand_siegel_point, sl2z_reduce_oracle, boundary_equivalent,
                       write_candidates)
@@ -146,6 +147,26 @@ class TestReduceCommand:
         code, out, err = run_cli(capsys, ["reduce", "--siegel", "--point", path])
         assert code == 3 and out == ""
         assert err.startswith("numeric failure") and "not positive definite" in err
+
+    def test_gl_move_overflow_exits_3(self, tmp_path, capsys):
+        # it used to exit 2, "non-finite entry -inf at (0, 0)", after a raw
+        # numpy RuntimeWarning
+        path = write_json(tmp_path / "p.json", encode_siegel_point(SiegelPoint(*GL_OVERFLOW)))
+        code, out, err = run_cli(capsys, ["reduce", "--siegel", "--point", path])
+        assert code == 3 and out == ""
+        assert err == "numeric failure: highest-point step failed: GL move overflowed X\n"
+
+    def test_jacobi_huge_z(self, tmp_path, capsys):
+        # lambda = mu = -2^63 used to be reported with exit 0, and the
+        # replay of gammaJ gave Z near 1e19
+        path = write_json(tmp_path / "p.json", encode_jacobi_point(HUGE_Z_POINT))
+        code, out, err = run_cli(capsys, ["reduce", "--jacobi", "--point", path])
+        assert code == 0 and err == ""
+        rep = json.loads(out)["outputs"]
+        gj = decode_jacobi_element(rep["gammaJ"])
+        back = act_jacobi(gj, decode_jacobi_point(rep["reduced"]))
+        z = HUGE_Z_POINT.Z
+        assert np.max(np.abs(back.Z - z)) <= 1e-8 * np.max(np.abs(z))
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

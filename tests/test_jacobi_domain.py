@@ -9,7 +9,7 @@ from siegeljacobi.jacobi_domain import (decompose_in_omega_basis, in_F_gh,
                                         jacobi_reduce)
 from siegeljacobi.minkowski import DEFAULT_EPS
 from siegeljacobi.siegel import siegel_membership
-from conftest import (SKEWED_YS, canonicalize_cell_coords, cell_face_oracle,
+from conftest import (HUGE_Z_POINT, SKEWED_YS, canonicalize_cell_coords, cell_face_oracle,
                       is_plus_minus_identity, rand_heisenberg,
                       rand_interior_jacobi, rand_interior_siegel,
                       rand_jacobi_element, rand_jacobi_point,
@@ -166,6 +166,17 @@ class TestJacobiReduce:
         assert (np.max(np.abs(back.omega.omega - p.omega.omega))
                 <= 1e-10 * np.max(np.abs(p.omega.omega)))
         assert np.max(np.abs(back.Z - p.Z)) < 1e-9
+
+    def test_huge_z_heisenberg_parts_are_exact(self):
+        # lambda and mu near 1e29 used to be cast to int64, which gave
+        # -2^63 with a RuntimeWarning, and a replay near 1e19
+        cert = jacobi_reduce(HUGE_Z_POINT)
+        lam, mu = cert.gammaJ.heis.lam, cert.gammaJ.heis.mu
+        assert all(type(v) is int for v in [*lam.flat, *mu.flat])
+        assert max(abs(v) for v in [*lam.flat, *mu.flat]) > 2 ** 63
+        back = act_jacobi(cert.gammaJ, cert.reduced)
+        assert np.max(np.abs(back.Z - HUGE_Z_POINT.Z)) <= 1e-8 * np.max(np.abs(HUGE_Z_POINT.Z))
+        assert in_F_gh(cert.reduced)
 
     def test_heisenberg_recovery_exact(self, rng):
         for _ in range(30):

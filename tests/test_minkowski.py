@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from siegeljacobi import group_core, siegel
+from siegeljacobi import group_core, minkowski, siegel
 from siegeljacobi.group_core import PosDefMatrix, SiegelPoint
-from siegeljacobi.intmat import int_det, as_imat, to_float
+from siegeljacobi.intmat import ieye, int_det, as_imat, to_float
 from siegeljacobi.minkowski import (DEFAULT_EPS, ReductionError, UnimodularInt,
-                                    _candidate_arrays, _column_tables,
+                                    _candidate_arrays, _column_tables, _lll_transform,
                                     is_minkowski_reduced, membership_mask,
                                     minkowski_reduce)
-from conftest import (DEFINITENESS_LOSS_Y, SKEWED_YS, onto_minkowski_faces, rand_pd,
-                      rand_siegel_point, rand_unimodular)
+from conftest import (DEFINITENESS_LOSS_Y, SKEWED_YS, ill_conditioned_ys,
+                      onto_minkowski_faces, rand_pd, rand_siegel_point, rand_unimodular)
 
 
 def brute_force_reduce_2x2(y, span=3):
@@ -226,6 +226,186 @@ class TestReduce:
         with pytest.raises(ValueError):
             UnimodularInt(np.array([[2, 0], [0, 1]]))
 
+
+
+def lll_refactoring_oracle(y):
+    """LLL (delta = 0.99) that re-forms the float Gram matrix t(U) Y U and
+    re-factors it after every size reduction and swap, reading mu and the
+    Gram-Schmidt norms off each fresh Cholesky factor."""
+    g = y.shape[0]
+    u = ieye(g)
+
+    def chol():
+        try:
+            return np.linalg.cholesky(to_float(u.T) @ y @ to_float(u))
+        except np.linalg.LinAlgError:
+            raise ReductionError("minkowski_reduce lost definiteness in LLL") from None
+
+    k = 1
+    steps = 0
+    while k < g and steps < 10000:
+        steps += 1
+        ell = chol()
+        for j in range(k - 1, -1, -1):
+            q = int(round(ell[k, j] / ell[j, j]))
+            if q != 0:
+                u[:, k] = u[:, k] - q * u[:, j]
+                ell = chol()
+        mu = ell[k, k - 1] / ell[k - 1, k - 1]
+        if ell[k, k] ** 2 >= (0.99 - mu * mu) * ell[k - 1, k - 1] ** 2:
+            k += 1
+        else:
+            u[:, [k - 1, k]] = u[:, [k, k - 1]]
+            k = max(k - 1, 1)
+    return u
+
+
+def assert_valid_certificate(y, cert):
+    """Exactly unimodular, reduced, and t(U) Y U within the a-priori bound
+    4 g u |t(U)| |Y| |U| of a float product (u the unit roundoff)."""
+    u = to_float(cert.transform.entries)
+    assert int_det(cert.transform.entries) in (1, -1)
+    assert is_minkowski_reduced(cert.reduced)
+    bound = 4 * len(y) * np.finfo(float).eps * (np.abs(u).T @ np.abs(y) @ np.abs(u))
+    assert np.all(np.abs(u.T @ y @ u - cert.reduced) <= bound)
+
+
+class TestIncrementalLLL:
+    """_lll_transform factors Y once and updates mu and the Gram-Schmidt
+    norms in place; lll_refactoring_oracle re-factors after every move."""
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_matches_oracle_on_random_forms(self, g):
+        rng = np.random.default_rng(100 + g)
+        moved = 0
+        for _ in range(100):
+            y, w = rand_pd(g, rng), rand_unimodular(g, rng)
+            for form in (y, w.T @ y @ w):
+                u = _lll_transform(form)
+                assert np.array_equal(u, lll_refactoring_oracle(form))
+                moved += not np.array_equal(u, ieye(g))
+        assert moved > 100
+
+    @pytest.mark.parametrize("y", SKEWED_YS)
+    def test_matches_oracle_on_skewed_input(self, y):
+        assert np.array_equal(_lll_transform(y), lll_refactoring_oracle(y))
+
+    def test_ill_conditioned_set(self):
+        # every Y reduces; where the oracle reduces, to the same LLL
+        # transform, and many lose definiteness in its re-formed Gram matrix
+        ys = ill_conditioned_ys()
+        refused = 0
+        for y in ys:
+            assert_valid_certificate(y, minkowski_reduce(y))
+            try:
+                want = lll_refactoring_oracle(y)
+            except ReductionError:
+                refused += 1
+                continue
+            assert np.array_equal(_lll_transform(y), want)
+        assert 50 < refused < len(ys) // 2
+
+    def test_definiteness_loss_y_reduces(self):
+        with pytest.raises(ReductionError, match="lost definiteness"):
+            lll_refactoring_oracle(DEFINITENESS_LOSS_Y)
+        cert = minkowski_reduce(DEFINITENESS_LOSS_Y)
+        assert cert.iterations > 0
+        assert_valid_certificate(DEFINITENESS_LOSS_Y, cert)
+
+    @pytest.mark.parametrize("scale", [2.0 ** -1000, 2.0 ** 900])
+    def test_power_of_two_scale_gives_the_same_transform(self, scale):
+        # every update is a ratio of norms, so none under- or overflows
+        # where the Cholesky factor of Y itself does not
+        rng = np.random.default_rng(7)
+        for g in (2, 3, 4):
+            for _ in range(30):
+                w = rand_unimodular(g, rng, steps=8, span=3)
+                y = w.T @ rand_pd(g, rng) @ w
+                assert np.array_equal(_lll_transform(y * scale), _lll_transform(y))
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """The matrices np.linalg.cholesky is called on, in call order."""
+    seen = []
+
+    def counted(m, *args, f=np.linalg.cholesky, **kw):
+        seen.append(m)
+        return f(m, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    return seen
+
+
+class TestOneFactorisation:
+    """LLL factors Y once, the reducer validates the matrix each pass
+    returns, and a highest-point step factors nothing else but what
+    act_siegel builds for a candidate step."""
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_reducer(self, g, cholesky_calls):
+        rng = np.random.default_rng(30 + g)
+        fired = 0
+        for _ in range(40):
+            w = rand_unimodular(g, rng)
+            y = PosDefMatrix(w.T @ rand_pd(g, rng) @ w)
+            cholesky_calls.clear()
+            _lll_transform(y.entries)
+            assert len(cholesky_calls) == 1
+            cholesky_calls.clear()
+            cert = minkowski_reduce(y)
+            fired += cert.iterations > 0
+            assert len(cholesky_calls) == (1 + cert.iterations if cert.iterations else 0)
+        assert fired > 20
+
+    def test_highest_point_step(self, cholesky_calls, monkeypatch):
+        counts = []
+
+        def reducer(y, **kw):
+            before = len(cholesky_calls)
+            cert = minkowski_reduce(y, **kw)
+            counts.append(len(cholesky_calls) - before)
+            return cert
+
+        def action(m, p, act=siegel.act_siegel):
+            counts.append(1)  # _from_symmetric's check of the result
+            return act(m, p)
+
+        monkeypatch.setattr(siegel, "minkowski_reduce", reducer)
+        monkeypatch.setattr(siegel, "act_siegel", action)
+        rng = np.random.default_rng(4)
+        steps = 0
+        for g in (1, 2, 3):
+            for _ in range(15):
+                cur, step = siegel.highest_point_step(rand_siegel_point(g, rng))
+                while not step.is_identity():
+                    counts.clear()
+                    cholesky_calls.clear()
+                    cur, step = siegel.highest_point_step(cur)
+                    assert len(cholesky_calls) == sum(counts)
+                    steps += 1
+        assert steps > 20
+
+
+class TestSharedIdentity:
+    def test_one_read_only_identity_per_g(self, rng):
+        for g in (1, 2, 3):
+            y = minkowski_reduce(rand_pd(g, rng)).reduced
+            first, again = minkowski_reduce(y), minkowski_reduce(y.copy())
+            assert first.iterations == 0 and first.transform is again.transform
+            assert np.array_equal(first.transform.entries, ieye(g))
+            with pytest.raises(ValueError):
+                first.transform.entries[0, 0] = 2
+
+    def test_g1_skips_the_mask(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(minkowski, "membership_mask",
+                            lambda *a, _f=minkowski.membership_mask, **k:
+                            calls.append(1) or _f(*a, **k))
+        for y in (1e-300, 0.5, 7.3, 1e300):
+            cert = minkowski_reduce(np.array([[y]]))
+            assert cert.iterations == 0 and cert.reduced[0, 0] == y
+        assert calls == []
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ from siegeljacobi.siegel import (CandidateSet, _det_coefficients, _det_sq_batch,
                                  heuristic_candidates, highest_point_step,
                                  load_candidates, membership_mask_points,
                                  SiegelReductionError, siegel_membership, siegel_reduce)
-from conftest import (SKEWED_YS, STALL_OMEGA, STEP_DEFINITENESS_LOSS,
+from conftest import (GL_OVERFLOW, SKEWED_YS, STALL_OMEGA, STEP_DEFINITENESS_LOSS,
                       boundary_equivalent, is_plus_minus_identity, rand_interior_siegel,
                       rand_siegel_point, siegel_flags_oracle, sl2z_reduce_oracle,
                       write_candidates)
@@ -283,6 +283,28 @@ class TestReduce:
             siegel_reduce(p)
         best = err.value.best
         assert isinstance(best, SiegelPoint) and np.linalg.det(best.Y) > np.linalg.det(p.Y)
+
+    def test_failed_step_carries_the_trace(self):
+        # the det-Im trace of the iterates, as for a stall, the cap or a bad
+        # gamma; it used to be None
+        p = SiegelPoint(*STEP_DEFINITENESS_LOSS)
+        with pytest.raises(SiegelReductionError, match="step failed") as err:
+            siegel_reduce(p)
+        trace, best = err.value.trace, err.value.best
+        assert len(trace) > 1 and trace[0] == float(np.linalg.det(p.Y))
+        assert trace[-1] == float(np.linalg.det(best.Y))
+        assert all(a < b for a, b in zip(trace, trace[1:]))
+
+    def test_gl_move_overflow_is_a_reduction_failure(self):
+        # t(U) X U overflows: it used to reach the translation as -inf and
+        # escape as bad input ("non-finite entry"), with a numpy warning
+        p = SiegelPoint(*GL_OVERFLOW)
+        with pytest.raises(SiegelReductionError, match="GL move overflowed X") as err:
+            highest_point_step(p)
+        assert err.value.best is p
+        with pytest.raises(SiegelReductionError, match="overflowed") as err:
+            siegel_reduce(p)
+        assert err.value.trace == [float(np.linalg.det(p.Y))]
 
 
 class TestOneActionPerStep:
