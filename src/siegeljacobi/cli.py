@@ -21,8 +21,8 @@ import numpy as np
 
 from .geometry import (VOLUME_TARGETS, ZeroVarianceError, laplacian_apply,
                        metric_jacobi, metric_p, metric_siegel, volume_f1, volume_fg_mc)
-from .group_core import (IllConditionedActionError, JacobiPoint, SiegelPoint,
-                         _check_pd, _check_symmetric)
+from .group_core import (IllConditionedActionError, JacobiPoint, PosDefMatrix,
+                         SiegelPoint, _check_pd, _check_symmetric)
 from .jacobi_domain import in_P_omega, jacobi_membership, jacobi_reduce
 from .jsonio import (decode_complex, decode_jacobi_point, decode_matrix,
                      decode_siegel_point, encode_jacobi_element,
@@ -32,7 +32,7 @@ from .minkowski import (DEFAULT_EPS, ReductionError, is_minkowski_reduced,
                         minkowski_reduce)
 from .siegel import (SiegelReductionError, _decode_candidates, builtin_candidates,
                      encode_candidates, siegel_membership, siegel_reduce)
-from .torus_spectral import (FourierIndex, QuadratureGridError,
+from .torus_spectral import (FourierIndex, QuadratureGridError, _check_grid,
                              character_table, eigenvalue_E, eval_E_omega,
                              frequency_indices, torus_grid)
 
@@ -94,9 +94,10 @@ def _candidates(g, path):
     return cands
 
 
-def _decode_pd(obj):
-    """The cone point's Y, checked symmetric positive definite."""
-    return _check_pd(decode_matrix(get_field(obj, "Y", "point"), "point.Y"), "point.Y")
+def _decode_pd(obj) -> PosDefMatrix:
+    """The cone point's Y, checked symmetric positive definite here, once."""
+    y = decode_matrix(get_field(obj, "Y", "point"), "point.Y")
+    return PosDefMatrix._of(_check_pd(y, "point.Y"))
 
 
 def _refuse_candidates(ns, mode):
@@ -111,8 +112,7 @@ def _cmd_reduce(ns, argv, t0):
     obj, digest = _read_json(ns.point)
     tol = {"eps": ns.eps}
     if ns.minkowski:
-        y = _decode_pd(obj)
-        cert = minkowski_reduce(y, eps=ns.eps)
+        cert = minkowski_reduce(_decode_pd(obj), eps=ns.eps)
         out = {"reduced": encode_matrix(cert.reduced),
                "transform": encode_matrix(cert.transform.entries),
                "iterations": cert.iterations}
@@ -142,8 +142,7 @@ def _cmd_member(ns, argv, t0):
     tol = {"eps": ns.eps}
     cands = None
     if ns.minkowski:
-        y = _decode_pd(obj)
-        out = {"member": bool(is_minkowski_reduced(y, eps=ns.eps))}
+        out = {"member": bool(is_minkowski_reduced(_decode_pd(obj), eps=ns.eps))}
     elif ns.siegel:
         p = decode_siegel_point(obj)
         cands = _candidates(p.g, ns.candidates)
@@ -214,15 +213,17 @@ def _cmd_volume(ns, argv, t0):
 
 
 def _cmd_spectral_check(ns, argv, t0):
+    h, g = ns.h, ns.g
+    # the grid and its table of 3^(2hg) characters, refused before anything is built
+    _check_grid("--g %d --h %d --nodes %d" % (g, h, ns.nodes), 2 * h * g, ns.nodes, 3)
     if ns.omega is not None:
         obj, digest = _read_json(ns.omega)
         omega = decode_siegel_point(obj)
-        if omega.g != ns.g:
-            raise _InputError("--omega has g=%d, expected --g %d" % (omega.g, ns.g))
+        if omega.g != g:
+            raise _InputError("--omega has g=%d, expected --g %d" % (omega.g, g))
     else:
-        omega = SiegelPoint.from_omega(1j * np.eye(ns.g))
+        omega = SiegelPoint.from_omega(1j * np.eye(g))
         digest = hashlib.sha256(b"default-omega").hexdigest()
-    h, g = ns.h, ns.g
     rng = np.random.default_rng(ns.seed)
 
     p, q = torus_grid(h, g, ns.nodes)
@@ -280,7 +281,7 @@ def _tangent(obj, key, where, decode, shape, symmetric=True):
 def _cmd_metric_eval(ns, argv, t0):
     obj, digest = _read_json(ns.point)
     if ns.kind == "P":
-        y = _decode_pd(obj)
+        y = _decode_pd(obj).entries
         g = y.shape[0]
         val = metric_p(y, *(_tangent(obj, key, "point", decode_matrix, (g, g))
                             for key in ("H1", "H2")))

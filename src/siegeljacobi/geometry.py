@@ -142,7 +142,7 @@ def push_tangent_siegel(m, p: SiegelPoint, t):
 def push_tangent_jacobi(x: JacobiGroupElement, p: JacobiPoint, t):
     """Analytic differential of the Jacobi action on (dOmega, dZ)."""
     dom, dz = (np.asarray(b, dtype=complex) for b in t)
-    c, d = to_float(x.m.C), to_float(x.m.D)
+    _, _, c, d = x.m.float_blocks
     lam, mu = to_float(x.heis.lam), to_float(x.heis.mu)
     omega = p.omega.omega
     k = c @ omega + d

@@ -1,23 +1,12 @@
 """Exact group elements and their actions on the Siegel and Siegel-Jacobi spaces.
 
 Group elements (symplectic, Heisenberg, Jacobi) carry exact Python-int
-entries; the defining relations are checked exactly, never with tolerances.
-The symplectic relation t(M) J M = J is checked, in plain Python ints, by the
-public SymplecticInt constructor (so on JSON and candidate-file input) and on
-each reduction's gamma, and the Heisenberg one (kappa + mu t(lambda)
-symmetric) by the public HeisenbergInt constructor; group-law results,
-built-in forms and from_lam_mu hold their relation by construction and are
-built unchecked (the private _of builders).
-Points carry float matrices in split real form: Omega = X + iY, Z = U + iV.
-A SiegelPoint's Y is checked once, when the point is built; the reduction
-step hands it to the Minkowski reducer as PosDefMatrix._of(Y), unchecked,
-moves (X, Y) by its GL and translation sub-steps directly, builds the moved
-point over a checked Y with SiegelPoint._of, and runs act_siegel only for a
-candidate step (C != 0).
-A C = 0 element within the exact bound |D|_F |A|_F <= COND_LIMIT / 2
-(cond_bounded; D^{-1} = t(A)) acts as the congruence (A Omega + B) t(A); any
-other is refused above COND_LIMIT by an SVD and acts by a checked solve.
-Everything here is a pure function on immutable values.
+entries, and points float matrices in split real form, Omega = X + iY and
+Z = U + iV.  Each value has one checked constructor, the public one, and
+one unchecked private _of builder for what holds its invariant by
+construction: group-law results, built-in forms, a point's checked Y.
+The README ("Exact group cores") says where each check runs and how the
+actions are guarded.  Everything here is a pure function on immutable values.
 """
 
 from __future__ import annotations
@@ -95,10 +84,6 @@ class PosDefMatrix:
         el.__dict__["entries"] = m
         return el
 
-    @property
-    def g(self) -> int:
-        return self.entries.shape[0]
-
 
 def _complex_parts(z):
     """Real and imaginary parts of a complex matrix, as new arrays; a scalar is 1 x 1."""
@@ -134,17 +119,6 @@ class SiegelPoint:
     @classmethod
     def from_omega(cls, omega) -> "SiegelPoint":
         return cls(*_complex_parts(omega))
-
-    @classmethod
-    def _from_symmetric(cls, x: np.ndarray, y: np.ndarray) -> "SiegelPoint":
-        """X, Y exactly symmetric already: finiteness and Cholesky checks only."""
-        for name, m in (("X", x), ("Y", y)):
-            if not np.isfinite(m).all():
-                raise ValueError("%s has a non-finite entry" % name)
-        _check_posdef(y, "Im(Omega)")
-        p = object.__new__(cls)
-        p.__dict__.update(X=x, Y=y)
-        return p
 
     @classmethod
     def _of(cls, x: np.ndarray, y: np.ndarray) -> "SiegelPoint":
@@ -511,7 +485,11 @@ def act_siegel(m, p: SiegelPoint) -> SiegelPoint:
             raise IllConditionedActionError(
                 "action result lost symmetry (drift %.3g)" % drift)
     res = 0.5 * (res + res.T)
-    return SiegelPoint._from_symmetric(res.real.copy(), res.imag.copy())
+    for name, m in (("X", res.real), ("Y", res.imag)):
+        if not np.isfinite(m).all():
+            raise ValueError("%s has a non-finite entry" % name)
+    _check_posdef(res.imag, "Im(Omega)")
+    return SiegelPoint._of(res.real.copy(), res.imag.copy())
 
 
 def act_jacobi(x: JacobiGroupElement, p: JacobiPoint) -> JacobiPoint:

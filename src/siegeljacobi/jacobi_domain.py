@@ -21,7 +21,6 @@ import numpy as np
 
 from .group_core import (HeisenbergInt, JacobiGroupElement, JacobiPoint,
                          SiegelPoint, SymplecticInt, _complex_parts, jacobi_mul)
-from .intmat import to_float
 from .minkowski import DEFAULT_EPS
 from .siegel import CandidateSet, builtin_candidates, siegel_membership, siegel_reduce
 
@@ -119,7 +118,7 @@ def jacobi_reduce(p: JacobiPoint, cands: CandidateSet = None,
     scert = siegel_reduce(p.omega, cands, eps)
     om = scert.reduced
     gamma = scert.gamma.inverse()      # gamma . om = input omega
-    k = to_float(gamma.C) @ om.omega + to_float(gamma.D)
+    k = gamma.float_blocks[2] @ om.omega + gamma.float_blocks[3]
     w = p.Z @ k
     coords = decompose_in_omega_basis(w, om)
     mu, afrac = _split_unit(coords.a)

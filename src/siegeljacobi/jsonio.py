@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .group_core import (HeisenbergInt, JacobiGroupElement, JacobiPoint,
-                         SiegelPoint, SymplecticInt)
+from .group_core import JacobiGroupElement, JacobiPoint, SiegelPoint, SymplecticInt
 
 
 def encode_matrix(m) -> dict:
@@ -82,13 +81,6 @@ def encode_jacobi_element(x: JacobiGroupElement) -> dict:
     out["mu"] = encode_matrix(x.heis.mu)
     out["kappa"] = encode_matrix(x.heis.kappa)
     return out
-
-
-def decode_jacobi_element(obj, where: str = "gammaJ") -> JacobiGroupElement:
-    m = decode_symplectic(obj, where)
-    heis = HeisenbergInt(*(decode_matrix(get_field(obj, name, where), "%s.%s" % (where, name))
-                           for name in ("lambda", "mu", "kappa")))
-    return JacobiGroupElement(m, heis)
 
 
 def encode_siegel_point(p: SiegelPoint) -> dict:

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .intmat import as_imat, complete_primitive, ieye, int_det, to_float
-from .group_core import as_pd_array
+from .group_core import PosDefMatrix, as_pd_array
 
 DEFAULT_BOUND = 1
 DEFAULT_EPS = 1e-9
@@ -57,10 +57,6 @@ class UnimodularInt:
         if int_det(m) not in (1, -1):
             raise ValueError("matrix is not unimodular")
         object.__setattr__(self, "entries", m)
-
-    @property
-    def g(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -234,9 +230,18 @@ def minkowski_reduce(y, *, eps: float = DEFAULT_EPS) -> ReductionCertificate:
             changed = True
         u = u @ _sign_fix(cur)
         cur = gram(u)
-        # test what is returned: the product's asymmetry can exceed 1e-9
+        # test what is returned: the product's asymmetry can exceed 1e-9, and
+        # its definiteness is the reducer's to lose, not the input's
         red = 0.5 * (cur + cur.T)
-        if is_minkowski_reduced(red, eps=eps):
+        try:
+            np.linalg.cholesky(red)
+            lost = not np.isfinite(red).all()
+        except np.linalg.LinAlgError:
+            lost = True
+        if lost:
+            raise ReductionError("minkowski_reduce lost definiteness in a column pass",
+                                 best=cur)
+        if is_minkowski_reduced(PosDefMatrix._of(red), eps=eps):
             return ReductionCertificate(red, UnimodularInt(u), passes)
         if not changed:
             raise ReductionError("minkowski_reduce stalled before membership",

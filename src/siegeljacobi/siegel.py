@@ -19,17 +19,8 @@ CandidateSet.guarantee says which case holds: "exact" or
 (``--candidates`` in the CLI); a g = 2 set that contains Gottschling's 19
 stays exact.
 
-Every |det(C Omega + D)|^2 comes from one kernel, _det_sq_batch.  For g <= 2
-it is a polynomial in the entries of Omega whose integer coefficients are
-computed once per set (CandidateSet.det_table), so n points cost two
-(ncand x 5) @ (5 x n) real products, which give a point the same bits in any
-batch; g >= 3 takes one batched determinant.  det_sq is the kernel on a
-batch of one.
-
-Membership has one test too, membership_mask_points.  siegel_membership
-evaluates it once, on the two-point batch [p, p] with slacks [eps, -eps]: a
-member is on the boundary when it is not a member at -eps, the strict
-interior.
+Every |det(C Omega + D)|^2 comes from one kernel, _det_sq_batch, and every
+membership verdict from one test, membership_mask_points.
 """
 
 from __future__ import annotations
@@ -43,9 +34,9 @@ from itertools import combinations
 import numpy as np
 
 from .group_core import PosDefMatrix, SiegelPoint, SymplecticInt, act_siegel, symplectic_check
-from .intmat import ieye, izeros, to_float
+from .intmat import ieye, izeros
 from .jsonio import decode_symplectic, encode_symplectic, get_field
-from .minkowski import DEFAULT_EPS, membership_mask, minkowski_reduce
+from .minkowski import DEFAULT_EPS, ReductionError, membership_mask, minkowski_reduce
 
 #: highest-point steps siegel_reduce takes before it gives up
 MAX_ITERS = 1000
@@ -92,8 +83,8 @@ class CandidateSet:
         (C, D) blocks, (ncand, g, g) each."""
         n, g = len(self), self.g
         if g >= 3:
-            return (np.array([to_float(m.C) for m in self.elements]).reshape(n, g, g),
-                    np.array([to_float(m.D) for m in self.elements]).reshape(n, g, g))
+            return tuple(np.array([m.float_blocks[i] for m in self.elements]).reshape(n, g, g)
+                         for i in (2, 3))
         rows = [_det_coefficients(m.C, m.D) for m in self.elements]
         return np.array(rows, dtype=float).reshape(n, 3 * g - 1)
 
@@ -324,23 +315,13 @@ def membership_mask_points(xs: np.ndarray, ys: np.ndarray,
                            cands: CandidateSet, eps=DEFAULT_EPS) -> np.ndarray:
     """Membership over stacks of (X, Y) pairs, shape (n, g, g) each, with
     slack eps on every inequality: one float, or one per point, shape (n,).
-    The batch runs these stages, each on the points the one before kept:
 
-    1. |w_ij|^2 >= 1 - eps for each CandidateSet._unit_entries (+-w at g = 1,
-       w11 and w22 for Gottschling's 19), in _det_sq_batch's arithmetic;
-    2. one gather of the survivors and their slacks, none when no point was
-       dropped;
-    3. the X box, max |x_ij| <= 1/2 + eps, as a running maximum;
-    4. the Minkowski mask;
-    5. every row of _det_sq_batch, on a slice when stages 3 and 4 dropped
-       no point.
-
-    The mask is bit for bit that of one pass of every test over every
-    point, in any batch: a unit row's dot product with the monomials is the
-    monomial itself (0 m = 0 and 1 m = m), so every point stage 5 accepts
-    passes stage 1, a non-finite monomial still fails stage 5, and every
-    product gives a point the same bits in any batch.  The caller sizes the
-    batch; the Monte Carlo chunk hands it geometry.ROW_BLOCK points at a time.
+    One pass in the README's five stages ("Volumes"), each on the points the
+    one before kept: |w_ij|^2 >= 1 - eps for CandidateSet._unit_entries, one
+    gather, the X box, the Minkowski mask, every row of _det_sq_batch.  The
+    mask is bit for bit that of every test on every point, in any batch (a
+    unit row's product with the monomials is the monomial itself).  The
+    caller sizes the batch.
     """
     cands = cands.certifying
     xs = np.asarray(xs, dtype=float)
@@ -387,16 +368,17 @@ def highest_point_step(p: SiegelPoint, cands: CandidateSet = None,
 
     Returns (new_point, gamma_step) with act_siegel(gamma_step, p) = new_point;
     the step is the identity exactly when p is reduced.  Only the sub-steps
-    that fire are composed.  The C = 0 ones act on (X, Y) directly: the GL
-    move takes X to sym(t(U) X U) and Y to the reducer's reduced Y, the
-    translation adds exact integers to X.  Y is p.Y or the reducer's checked
-    output, so it is not re-factored; only a candidate step runs act_siegel.
-    Overflow or lost definiteness is a SiegelReductionError carrying p.
+    that fire are composed, and only a candidate step runs act_siegel (the
+    README's "Exact group cores").  A failed sub-step (the reducer's
+    ReductionError, overflow, lost definiteness) is a SiegelReductionError
+    carrying p.
     """
     cands = builtin_candidates(p.g) if cands is None else cands
     x, y, steps = p.X, p.Y, []
-    # p.Y was checked when the point was built: hand it over unchecked
-    cert = minkowski_reduce(PosDefMatrix._of(y), eps=eps)
+    try:  # p.Y was checked when the point was built: hand it over unchecked
+        cert = minkowski_reduce(PosDefMatrix._of(y), eps=eps)
+    except ReductionError as exc:
+        raise SiegelReductionError("highest-point step failed: %s" % exc, best=p) from None
     if cert.iterations > 0:
         steps.append(SymplecticInt._gl_of(cert.transform.entries))  # coerced by UnimodularInt
         a = steps[-1].float_blocks[0]

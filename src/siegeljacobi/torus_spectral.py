@@ -27,12 +27,22 @@ from .group_core import SiegelPoint, _check_pair, _complex_parts
 from .intmat import as_imat
 from .jacobi_domain import _split_unit, decompose_in_omega_basis
 
-#: hard cap on the tensor quadrature dimension 2*h*g
-MAX_GRID_DIM = 8
+#: cap on dense quadrature work: a grid's points, and points x characters
+#: of a table on it (2^22 complex entries are 64 MiB)
+MAX_GRID_ENTRIES = 2 ** 22
 
 
 class QuadratureGridError(ValueError):
-    """Tensor quadrature dimension too large for a dense grid."""
+    """Dense tensor quadrature too large to allocate."""
+
+
+def _check_grid(what: str, dim: int, nodes: int, freqs: int = 1) -> None:
+    """Refuse, before anything is allocated, nodes^dim grid points times
+    freqs^dim characters above MAX_GRID_ENTRIES."""
+    if (nodes * freqs) ** min(dim, 64) > MAX_GRID_ENTRIES:  # 2^64 is over the cap
+        raise QuadratureGridError(
+            "quadrature grid infeasible: %s asks for %d^%d points x %d^%d characters, "
+            "over %d entries" % (what, nodes, dim, freqs, dim, MAX_GRID_ENTRIES))
 
 
 @dataclass(frozen=True)
@@ -43,17 +53,12 @@ class FourierIndex:
     B: np.ndarray
 
     def __post_init__(self):
-        a, b = _check_pair(self.A, self.B, "A and B", dtype=object)
-        object.__setattr__(self, "A", as_imat(a).astype(int))
-        object.__setattr__(self, "B", as_imat(b).astype(int))
-
-    @property
-    def h(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def g(self) -> int:
-        return self.A.shape[1]
+        for name, m in zip("AB", _check_pair(self.A, self.B, "A and B", dtype=object)):
+            m = as_imat(m)
+            for ij, v in np.ndenumerate(m):
+                if not -2 ** 63 <= v < 2 ** 63:
+                    raise ValueError("%s entry %d at %s is beyond int64" % (name, v, ij))
+            object.__setattr__(self, name, m.astype(int))
 
 
 @dataclass(frozen=True)
@@ -67,10 +72,6 @@ class TorusPoint:
         p, q = (_split_unit(m)[1] for m in _check_pair(self.P, self.Q, "P and Q"))
         object.__setattr__(self, "P", p)
         object.__setattr__(self, "Q", q)
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.P + 1j * self.Q
 
 
 @dataclass(frozen=True)
@@ -143,34 +144,24 @@ def phi_omega_inv(z: AbelianPoint, omega: SiegelPoint) -> TorusPoint:
 # characters
 # ---------------------------------------------------------------------------
 
-def eval_E_torus(idx: FourierIndex, p, q=None) -> np.ndarray:
-    """Flat character exp(2 pi i tr(tA P + tB Q)); broadcasts over (..., h, g)."""
-    if q is None:
-        p, q = p.P, p.Q
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    phase = np.sum(idx.A * p, axis=(-2, -1)) + np.sum(idx.B * q, axis=(-2, -1))
-    return np.exp(2j * np.pi * phase)
-
-
 def _c_matrix(idx: FourierIndex, omega: SiegelPoint) -> np.ndarray:
     return np.linalg.solve(omega.Y.T, (idx.B - idx.A @ omega.X).T).T
 
 
-def eval_E_omega(idx: FourierIndex, z, omega: SiegelPoint = None) -> np.ndarray:
-    """Lattice-periodic character on the torus of Omega.
-
-    ``z`` may be an AbelianPoint or a complex array broadcasting over
-    (..., h, g); values have unit modulus.
-    """
-    if isinstance(z, AbelianPoint):
-        u, v = z.U, z.V
-    else:
-        z = np.asarray(z, dtype=complex)
-        u, v = z.real, z.imag
+def eval_E_omega(idx: FourierIndex, z, omega: SiegelPoint) -> np.ndarray:
+    """Lattice-periodic character on the torus of Omega at the complex array
+    ``z``, broadcasting over (..., h, g); values have unit modulus."""
+    z = np.asarray(z, dtype=complex)
     c = _c_matrix(idx, omega)
-    phase = np.sum(idx.A * u, axis=(-2, -1)) + np.sum(c * v, axis=(-2, -1))
+    phase = np.sum(idx.A * z.real, axis=(-2, -1)) + np.sum(c * z.imag, axis=(-2, -1))
     return np.exp(2j * np.pi * phase)
+
+
+def eval_E_torus(idx: FourierIndex, t: TorusPoint) -> np.ndarray:
+    """Flat character exp(2 pi i tr(tA P + tB Q)): eval_E_omega at Omega = iI,
+    with the same bits."""
+    g = idx.A.shape[1]
+    return eval_E_omega(idx, t.P + 1j * t.Q, SiegelPoint._of(np.zeros((g, g)), np.eye(g)))
 
 
 def eigenvalue_E(idx: FourierIndex, omega: SiegelPoint) -> float:
@@ -188,10 +179,7 @@ def eigenvalue_E(idx: FourierIndex, omega: SiegelPoint) -> float:
 def torus_grid(h: int, g: int, n_nodes: int):
     """Uniform tensor grid on [0,1)^{2hg}: arrays (N, h, g) for P and Q."""
     dim = 2 * h * g
-    if dim > MAX_GRID_DIM:
-        raise QuadratureGridError(
-            "quadrature grid infeasible: 2*h*g = %d > %d; "
-            "use a Monte Carlo flag instead" % (dim, MAX_GRID_DIM))
+    _check_grid("torus_grid(%d, %d, %d)" % (h, g, n_nodes), dim, n_nodes)
     ticks = np.arange(n_nodes) / n_nodes
     axes = np.meshgrid(*([ticks] * dim), indexing="ij")
     flat = np.stack([ax.ravel() for ax in axes], axis=1)
@@ -259,6 +247,7 @@ def truncated_expansion(f, max_freq: int, omega: SiegelPoint, shape,
     h, g = shape
     if n_nodes is None:
         n_nodes = 2 * max_freq + 3
+    _check_grid("truncated_expansion", 2 * h * g, n_nodes, 2 * max_freq + 1)
     p, q = torus_grid(h, g, n_nodes)
     u, v = _phi_parts(p, q, omega)
     z = u + 1j * v

@@ -12,6 +12,7 @@ from siegeljacobi.group_core import (HeisenbergInt, JacobiGroupElement,
                                      SymplecticInt, act_jacobi, act_siegel)
 from siegeljacobi.jacobi_domain import _lex_smaller
 from siegeljacobi.geometry import ROW_BLOCK
+from siegeljacobi.jsonio import decode_matrix, decode_symplectic, get_field
 from siegeljacobi.minkowski import (DEFAULT_EPS, _candidate_arrays, _column_tables,
                                     membership_mask)
 from siegeljacobi.siegel import (CandidateSet, _det_sq_batch, builtin_candidates,
@@ -63,6 +64,15 @@ def rand_jacobi_element(g, h, rng, word_len=5, span=2):
                                       rand_heisenberg(g, h, rng, span=span))
         x = jacobi_mul(x, step)
     return x
+
+
+def decode_jacobi_element(obj, where="gammaJ"):
+    """The Jacobi group element of a report's "gammaJ" (the CLI writes one
+    and never reads it back), with both relations checked."""
+    m = decode_symplectic(obj, where)
+    heis = HeisenbergInt(*(decode_matrix(get_field(obj, name, where), "%s.%s" % (where, name))
+                           for name in ("lambda", "mu", "kappa")))
+    return JacobiGroupElement(m, heis)
 
 
 def write_candidates(cands, path):
@@ -188,6 +198,15 @@ def ill_conditioned_ys(seed=5, n=600, max_cond=1e15):
         except ValueError:
             pass
     return tuple(out)
+
+
+#: the indices of ill_conditioned_ys(max_cond=1e18) that minkowski_reduce
+#: does not reduce, with the cause its ReductionError names; the other 590
+#: reduce.  Each is accepted input of cond 1.1e16 to 2.2e17; 207 is g = 4.
+HARD_YS = {207: "lost definiteness", 425: "lost definiteness", 521: "lost definiteness",
+           173: "iteration cap", 183: "iteration cap", 194: "iteration cap",
+           221: "iteration cap", 278: "iteration cap", 552: "iteration cap",
+           239: "stalled"}
 
 
 #: (X, Y) of a point the decoder accepts (cond(Y) = 130) that loses the

@@ -1,27 +1,30 @@
 import copy
+import hashlib
 import io
 import json
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from siegeljacobi import siegel
 from siegeljacobi.cli import _build_parser, main
 from siegeljacobi.group_core import JacobiPoint, SiegelPoint, act_jacobi, act_siegel
 from siegeljacobi.jacobi_domain import in_F_gh
-from siegeljacobi.jsonio import (decode_jacobi_element, decode_jacobi_point,
+from siegeljacobi.jsonio import (decode_jacobi_point,
                                  decode_matrix, decode_siegel_point,
                                  decode_symplectic, encode_complex,
                                  encode_jacobi_element, encode_jacobi_point,
                                  encode_matrix, encode_siegel_point)
 from siegeljacobi.minkowski import is_minkowski_reduced
 from siegeljacobi.siegel import CandidateSet, builtin_candidates, siegel_membership
-from conftest import (DEFINITENESS_LOSS_Y, GL_OVERFLOW, HUGE_Z_POINT, SKEWED_YS,
-                      STALL_OMEGA, STEP_DEFINITENESS_LOSS,
-                      is_plus_minus_identity, rand_jacobi_element, rand_jacobi_point,
-                      rand_siegel_point, sl2z_reduce_oracle, boundary_equivalent,
-                      write_candidates)
+from conftest import (DEFINITENESS_LOSS_Y, GL_OVERFLOW, HARD_YS, HUGE_Z_POINT, SKEWED_YS,
+                      STALL_OMEGA, STEP_DEFINITENESS_LOSS, decode_jacobi_element,
+                      ill_conditioned_ys, is_plus_minus_identity, rand_jacobi_element,
+                      rand_jacobi_point, rand_siegel_point, sl2z_reduce_oracle,
+                      boundary_equivalent, write_candidates)
 
 
 def write_json(path, obj):
@@ -147,6 +150,28 @@ class TestReduceCommand:
         code, out, err = run_cli(capsys, ["reduce", "--siegel", "--point", path])
         assert code == 3 and out == ""
         assert err.startswith("numeric failure") and "not positive definite" in err
+
+    @pytest.mark.parametrize("mode", ["--minkowski", "--siegel"])
+    def test_reducer_losing_definiteness_exits_3(self, tmp_path, capsys, mode):
+        # the reducer's own result loses definiteness: it used to exit 2,
+        # "error: PosDefMatrix is not positive definite", blaming the input
+        assert HARD_YS[207] == "lost definiteness"
+        y = ill_conditioned_ys(max_cond=1e18)[207]
+        doc = ({"Y": encode_matrix(y)} if mode == "--minkowski"
+               else encode_siegel_point(SiegelPoint(np.zeros_like(y), y)))
+        code, out, err = run_cli(capsys, ["reduce", mode, "--point",
+                                          write_json(tmp_path / "p.json", doc)])
+        assert code == 3 and out == ""
+        assert err.startswith("numeric failure") and "lost definiteness" in err
+
+    def test_bad_gamma_exits_3(self, tmp_path, capsys, monkeypatch):
+        # siegel_reduce's final check of the gamma it returns
+        monkeypatch.setattr(siegel, "symplectic_check", lambda m: False)
+        path = write_json(tmp_path / "p.json", encode_siegel_point(
+            SiegelPoint.from_omega([[0.3 + 0.2j]])))
+        code, out, err = run_cli(capsys, ["reduce", "--siegel", "--point", path])
+        assert code == 3 and out == ""
+        assert err == "numeric failure: gamma is not symplectic\n"
 
     def test_gl_move_overflow_exits_3(self, tmp_path, capsys):
         # it used to exit 2, "non-finite entry -inf at (0, 0)", after a raw
@@ -501,6 +526,39 @@ class TestSpectralCheckCommand:
         got = [float.hex(r) for r in json.loads(out)["outputs"]["eigen_residuals"]]
         assert got == ["0x1.1fc714aec3930p-34", "0x1.190e5a0a6b51cp-30",
                        "0x1.e5ca2c783a8cbp-34", "0x1.e9d80adcf812dp-37"]
+
+    def test_omega_file(self, tmp_path, capsys, rng):
+        data = encode_siegel_point(rand_siegel_point(2, rng))
+        path = write_json(tmp_path / "om.json", data)
+        code, out, _ = run_cli(capsys, ["spectral-check", "--g", "2", "--h", "1",
+                                        "--omega", path, "--eigen-checks", "2"])
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["inputs_digest"] == hashlib.sha256(json.dumps(data).encode()).hexdigest()
+        assert rep["outputs"]["orthonormality_max_dev"] < 1e-10
+        assert rep["outputs"]["periodicity_max_dev"] < 1e-12
+        assert all(r < 1e-5 for r in rep["outputs"]["eigen_residuals"])
+
+    def test_omega_file_of_another_g_exits_2(self, tmp_path, capsys, rng):
+        path = write_json(tmp_path / "om.json", encode_siegel_point(rand_siegel_point(2, rng)))
+        code, out, err = run_cli(capsys, ["spectral-check", "--g", "1", "--omega", path])
+        assert code == 2 and out == ""
+        assert err == "error: --omega has g=2, expected --g 1\n"
+
+    @pytest.mark.parametrize("flags", [["--g", "4"], ["--g", "2", "--h", "2"],
+                                       ["--g", "3", "--h", "1"]])
+    def test_dense_work_refused_before_allocating(self, capsys, flags):
+        # at the default 8 nodes: 8^8 points x 3^8 characters (1.6 TiB of
+        # table) for the first two, 8^6 x 3^6 (3 GB) for the last
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, ["spectral-check"] + flags)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == "" and "infeasible" in err
+        assert "--g %s --h %s --nodes 8" % (flags[1], flags[3] if len(flags) > 2 else 1) in err
+        assert peak < 2 ** 20
 
     def test_grid_too_large_exits_3(self, capsys):
         code, _, err = run_cli(capsys, ["spectral-check", "--g", "3", "--h", "2"])

@@ -8,7 +8,7 @@ from siegeljacobi.minkowski import (DEFAULT_EPS, ReductionError, UnimodularInt,
                                     _candidate_arrays, _column_tables, _lll_transform,
                                     is_minkowski_reduced, membership_mask,
                                     minkowski_reduce)
-from conftest import (DEFINITENESS_LOSS_Y, SKEWED_YS, ill_conditioned_ys,
+from conftest import (DEFINITENESS_LOSS_Y, HARD_YS, SKEWED_YS, ill_conditioned_ys,
                       onto_minkowski_faces, rand_pd, rand_siegel_point, rand_unimodular)
 
 
@@ -337,6 +337,25 @@ def cholesky_calls(monkeypatch):
     return seen
 
 
+class TestHardInputs:
+    """Past cond 1/u a few accepted Y do not reduce.  Each failure is a
+    named ReductionError, also when the reducer's own result loses
+    definiteness (it used to be the input validator's ValueError, which
+    blames the input), and a highest-point step re-raises it as a
+    SiegelReductionError, to which siegel_reduce attaches the det-Im trace."""
+
+    def test_named_failures(self):
+        ys = ill_conditioned_ys(max_cond=1e18)
+        for i, cause in HARD_YS.items():
+            with pytest.raises(ReductionError, match=cause):
+                minkowski_reduce(ys[i])
+            p = SiegelPoint(np.zeros_like(ys[i]), ys[i])
+            with pytest.raises(siegel.SiegelReductionError,
+                               match="step failed: minkowski_reduce .*" + cause) as err:
+                siegel.siegel_reduce(p)
+            assert err.value.best is p and err.value.trace == [float(np.linalg.det(p.Y))]
+
+
 class TestOneFactorisation:
     """LLL factors Y once, the reducer validates the matrix each pass
     returns, and a highest-point step factors nothing else but what
@@ -368,7 +387,7 @@ class TestOneFactorisation:
             return cert
 
         def action(m, p, act=siegel.act_siegel):
-            counts.append(1)  # _from_symmetric's check of the result
+            counts.append(1)  # act_siegel's check of its result
             return act(m, p)
 
         monkeypatch.setattr(siegel, "minkowski_reduce", reducer)
@@ -424,15 +443,17 @@ def pd_checks(monkeypatch):
 class TestValidateOnce:
     """A SiegelPoint's Y is checked when the point is built; the reduction
     step hands it to the public reducer unchecked, and the reducer checks
-    only the matrix it computes and returns."""
+    only the matrix it computes and returns, by its own Cholesky rather
+    than the input validator."""
 
-    def test_step_hands_y_over_unchecked(self, rng, pd_checks, monkeypatch):
+    def test_step_hands_y_over_unchecked(self, rng, pd_checks, cholesky_calls,
+                                         monkeypatch):
         calls = []
 
         def spy(y, **kw):
-            checks_before = len(pd_checks)
+            checks_before = len(cholesky_calls)
             cert = minkowski_reduce(y, **kw)
-            calls.append((y, cert, pd_checks[checks_before:]))
+            calls.append((y, cert, cholesky_calls[checks_before:]))
             return cert
 
         monkeypatch.setattr(siegel, "minkowski_reduce", spy)
@@ -444,28 +465,28 @@ class TestValidateOnce:
         moved = 0
         for (y, cert, checks), p in zip(calls, points):
             assert isinstance(y, PosDefMatrix) and y.entries is p.Y
-            # one check per reducer pass, on the matrix that pass tests;
-            # the last is the one returned
-            assert len(checks) == cert.iterations
+            # LLL's one factorisation, then one check per reducer pass, on
+            # the matrix that pass tests; the last is the one returned
+            assert len(checks) == (1 + cert.iterations if cert.iterations else 0)
             if cert.iterations:
                 moved += 1
                 assert np.array_equal(checks[-1], cert.reduced)
             else:
                 assert np.array_equal(cert.reduced, p.Y) and cert.reduced is not p.Y
         assert 0 < moved < len(points)
-        assert len(pd_checks) == sum(cert.iterations for _, cert, _ in calls)
+        assert pd_checks == []
 
     def test_raw_arrays_keep_the_full_check(self, pd_checks):
         y = np.array([[4.0, 2.4], [2.4, 4.0]])  # 2 y12 > y11: not reduced
         cert = minkowski_reduce(y)
-        assert cert.iterations > 0 and len(pd_checks) == 1 + cert.iterations
+        assert cert.iterations > 0 and len(pd_checks) == 1
         assert np.array_equal(pd_checks[0], y)
         pd_checks.clear()
         assert is_minkowski_reduced(cert.reduced) and len(pd_checks) == 1
         # a point's Y through the private builder is the same input, unchecked
         pd_checks.clear()
         trusted = minkowski_reduce(PosDefMatrix._of(SiegelPoint(np.zeros((2, 2)), y).Y))
-        assert len(pd_checks) == trusted.iterations
+        assert pd_checks == [] and trusted.iterations > 0
         assert np.array_equal(trusted.reduced, cert.reduced)
         assert np.array_equal(trusted.transform.entries, cert.transform.entries)
 

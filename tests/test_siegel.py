@@ -295,6 +295,16 @@ class TestReduce:
         assert trace[-1] == float(np.linalg.det(best.Y))
         assert all(a < b for a, b in zip(trace, trace[1:]))
 
+    def test_bad_gamma_carries_the_trace(self, monkeypatch):
+        # the final check of the gamma siegel_reduce returns
+        monkeypatch.setattr(siegel, "symplectic_check", lambda m: False)
+        p = SiegelPoint.from_omega([[0.3 + 0.2j]])
+        with pytest.raises(SiegelReductionError, match="^gamma is not symplectic$") as err:
+            siegel_reduce(p)
+        trace, best = err.value.trace, err.value.best
+        assert len(trace) > 1 and trace[0] == float(np.linalg.det(p.Y))
+        assert trace[-1] == float(np.linalg.det(best.Y)) and siegel_membership(best)[0]
+
     def test_gl_move_overflow_is_a_reduction_failure(self):
         # t(U) X U overflows: it used to reach the translation as -inf and
         # escape as bad input ("non-finite entry"), with a numpy warning

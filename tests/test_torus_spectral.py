@@ -34,6 +34,17 @@ def test_fourier_index_refuses_non_integral():
     assert idx.A.dtype == idx.B.dtype == int and idx.A.tolist() == [[2, -1]]
 
 
+def test_fourier_index_beyond_int64():
+    # it used to escape from the int64 cast as OverflowError
+    for a, b, what in (
+            ([[2 ** 70]], [[0]], r"A entry 1180591620717411303424 at \(0, 0\)"),
+            ([[0, 0]], [[1, -2 ** 63 - 1]], r"B entry -9223372036854775809 at \(0, 1\)")):
+        with pytest.raises(ValueError, match=what + " is beyond int64"):
+            FourierIndex(a, b)
+    idx = FourierIndex([[-2 ** 63]], [[2 ** 63 - 1]])
+    assert idx.A.dtype == int and idx.B[0, 0] == 2 ** 63 - 1
+
+
 class TestRiemannConditions:
     def test_alternating_condition_forced(self, rng):
         for _ in range(20):
@@ -141,6 +152,16 @@ class TestCharacters:
             worst = max(worst, abs(eval_E_omega(idx, z.Z, om) - eval_E_torus(idx, t)))
         assert worst < 1e-12
 
+    def test_flat_character_is_the_flat_formula(self, rng):
+        # eval_E_torus is eval_E_omega at Omega = iI, with the bits of the
+        # flat formula it replaced
+        for _ in range(200):
+            g, h = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+            idx = FourierIndex(rng.integers(-3, 4, (h, g)), rng.integers(-3, 4, (h, g)))
+            t = TorusPoint(rng.random((h, g)), rng.random((h, g)))
+            phase = np.sum(idx.A * t.P, axis=(-2, -1)) + np.sum(idx.B * t.Q, axis=(-2, -1))
+            assert eval_E_torus(idx, t) == np.exp(2j * np.pi * phase)
+
     def test_constant_on_lattice_orbits_and_canonical_idempotent(self, rng):
         om = rand_siegel_point(2, rng)
         z = AbelianPoint.from_z(rng.normal(size=(1, 2)) + 1j * rng.normal(size=(1, 2)))
@@ -178,6 +199,12 @@ class TestInnerProduct:
     def test_grid_guard(self):
         with pytest.raises(QuadratureGridError, match="quadrature grid infeasible"):
             torus_grid(3, 2, 4)
+
+    def test_expansion_refused_before_allocating(self, rng):
+        # 9^4 grid points are within the cap, but not times 7^4 characters
+        # (a 250 MB table); f is never called
+        with pytest.raises(QuadratureGridError, match=r"9\^4 points x 7\^4 characters"):
+            truncated_expansion(pytest.fail, 3, rand_siegel_point(2, rng), (1, 2))
 
 
 class TestEigenvalues:
