@@ -18,15 +18,14 @@ from .siegel import (CandidateSet, SiegelCertificate, builtin_candidates,
                      load_candidates, siegel_membership, siegel_reduce)
 from .jacobi_domain import (JacobiCertificate, OmegaBasisCoords,
                             decompose_in_omega_basis, in_F_gh, in_P_omega,
-                            jacobi_membership, jacobi_reduce)
+                            jacobi_membership, jacobi_reduce, phi_omega)
 from .geometry import (VOLUME_TARGETS, laplacian_apply, metric_fiber,
                        metric_jacobi, metric_p, metric_siegel,
                        push_tangent_jacobi, push_tangent_p,
                        push_tangent_siegel, volume_f1, volume_fg_mc)
-from .torus_spectral import (AbelianPoint, FourierIndex, TorusPoint,
-                             eigenvalue_E, eval_E_omega, eval_E_torus,
-                             inner_product, phi_omega, phi_omega_inv,
-                             riemann_conditions, truncated_expansion)
+from .torus_spectral import (FourierIndex, TorusPoint, eigenvalue_E,
+                             eval_E_omega, eval_E_torus, inner_product,
+                             phi_omega_inv, truncated_expansion)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import isfinite
 from operator import mul
 
 import numpy as np
@@ -61,10 +62,14 @@ def _check_pd(m, what: str) -> np.ndarray:
 
 
 def _check_pair(u, v, what: str, dtype=float):
-    """``u``, ``v`` as ``dtype`` arrays, checked to be h x g matrices of one shape."""
+    """``u``, ``v`` as ``dtype`` arrays, checked to be h x g matrices of one
+    shape, and finite when float."""
     u, v = np.asarray(u, dtype=dtype), np.asarray(v, dtype=dtype)
     if u.shape != v.shape or u.ndim != 2:
         raise ValueError("%s must be equal-shape h x g matrices" % what)
+    # math.isfinite over lists: a quarter of np.isfinite's cost on a small pair
+    if dtype is float and not all(map(isfinite, u.ravel().tolist() + v.ravel().tolist())):
+        raise ValueError("%s has a non-finite entry" % what)
     return u, v
 
 

@@ -22,7 +22,8 @@ import numpy as np
 from .group_core import (HeisenbergInt, JacobiGroupElement, JacobiPoint,
                          SiegelPoint, SymplecticInt, _complex_parts, jacobi_mul)
 from .minkowski import DEFAULT_EPS
-from .siegel import CandidateSet, builtin_candidates, siegel_membership, siegel_reduce
+from .siegel import (CandidateSet, SiegelReductionError, builtin_candidates,
+                     siegel_membership, siegel_reduce)
 
 
 class OmegaBasisCoords(NamedTuple):
@@ -48,13 +49,21 @@ class POmegaResult(NamedTuple):
     on_boundary: bool
 
 
+def phi_omega(p, q, omega: SiegelPoint) -> np.ndarray:
+    """The fiber map Phi_Omega(P, Q) = P + Q Omega, for real P and Q
+    broadcasting over (..., h, g).  Integer shifts of (P, Q) land on lattice
+    shifts of Z, so it maps the flat torus onto the torus of Omega."""
+    return p + q @ omega.omega
+
+
 def decompose_in_omega_basis(w, omega: SiegelPoint) -> OmegaBasisCoords:
-    """Split a complex h x g matrix as W = a + b Omega with real a, b.
+    """Split a complex h x g matrix, or a stack (..., h, g) of them, as
+    W = a + b Omega with real a, b: the inverse of phi_omega.
 
     b = V Y^{-1} and a = U - b X; unique because Im(Omega) is invertible.
     """
     u, v = _complex_parts(w)
-    b = np.linalg.solve(omega.Y.T, v.T).T
+    b = np.linalg.solve(omega.Y.T, v.swapaxes(-1, -2)).swapaxes(-1, -2)
     a = u - b @ omega.X
     return OmegaBasisCoords(a, b)
 
@@ -112,15 +121,19 @@ def jacobi_reduce(p: JacobiPoint, cands: CandidateSet = None,
     Steps: reduce the base point, carry Z through the cocycle, split off the
     integer part of the basis coefficients into the Heisenberg component,
     then pick the canonical representative of the central pair.  The
-    certificate element maps the reduced point back onto the input.
+    certificate element maps the reduced point back onto the input.  A Z
+    the cocycle carries beyond float range raises SiegelReductionError.
     """
     cands = builtin_candidates(p.g) if cands is None else cands
     scert = siegel_reduce(p.omega, cands, eps)
     om = scert.reduced
     gamma = scert.gamma.inverse()      # gamma . om = input omega
-    k = gamma.float_blocks[2] @ om.omega + gamma.float_blocks[3]
-    w = p.Z @ k
-    coords = decompose_in_omega_basis(w, om)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        k = gamma.float_blocks[2] @ om.omega + gamma.float_blocks[3]
+        coords = decompose_in_omega_basis(p.Z @ k, om)
+    if not (np.isfinite(coords.a).all() and np.isfinite(coords.b).all()):
+        raise SiegelReductionError("Z overflows when carried to the reduced base: "
+                                   "Z (C Omega + D) is beyond float range")
     mu, afrac = _split_unit(coords.a)
     lam, bfrac = _split_unit(coords.b)
     heis = HeisenbergInt.from_lam_mu(lam, mu)  # integral floats to exact ints
@@ -140,8 +153,7 @@ def jacobi_reduce(p: JacobiPoint, cands: CandidateSet = None,
         gj = jacobi_mul(gj, flip)
         afrac, bfrac = acomp, bcomp
 
-    z_red = afrac + bfrac @ om.omega
-    reduced = JacobiPoint.from_z(om, z_red)
+    reduced = JacobiPoint.from_z(om, phi_omega(afrac, bfrac, om))
     flat = np.concatenate([afrac.ravel(), bfrac.ravel()])
     on_boundary = scert.on_boundary or not _in_cell(flat, -eps)
     return JacobiCertificate(reduced, gj, on_boundary, scert.guarantee)

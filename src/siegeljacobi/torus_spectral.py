@@ -2,7 +2,7 @@
 
 The lattice L_Omega = Z^(h,g) + Z^(h,g) Omega turns C^(h,g) into a torus
 A_Omega; the flat torus T = R^(h,g) x R^(h,g) / (Z x Z) maps onto it by
-Phi_Omega(P + iQ) = (P + QX) + iQY.  The unit-modulus characters
+jacobi_domain.phi_omega(P, Q) = P + Q Omega.  The unit-modulus characters
 
     E_{Omega;A,B}(Z) = exp(2 pi i (tr(tA U) + tr((B - AX) Y^{-1} tV)))
 
@@ -23,9 +23,9 @@ from itertools import product
 
 import numpy as np
 
-from .group_core import SiegelPoint, _check_pair, _complex_parts
+from .group_core import SiegelPoint, _check_pair
 from .intmat import as_imat
-from .jacobi_domain import _split_unit, decompose_in_omega_basis
+from .jacobi_domain import _split_unit, decompose_in_omega_basis, phi_omega
 
 #: cap on dense quadrature work: a grid's points, and points x characters
 #: of a table on it (2^22 complex entries are 64 MiB)
@@ -74,70 +74,10 @@ class TorusPoint:
         object.__setattr__(self, "Q", q)
 
 
-@dataclass(frozen=True)
-class AbelianPoint:
-    """Point Z = U + iV of the torus C^(h,g) / L_Omega (a chosen lift)."""
-
-    U: np.ndarray
-    V: np.ndarray
-
-    def __post_init__(self):
-        u, v = _check_pair(self.U, self.V, "U and V")
-        object.__setattr__(self, "U", u)
-        object.__setattr__(self, "V", v)
-
-    @classmethod
-    def from_z(cls, z) -> "AbelianPoint":
-        return cls(*_complex_parts(z))
-
-    @property
-    def Z(self) -> np.ndarray:
-        return self.U + 1j * self.V
-
-
-# ---------------------------------------------------------------------------
-# Riemann conditions and the torus diffeomorphism
-# ---------------------------------------------------------------------------
-
-def riemann_conditions(omega: SiegelPoint):
-    """Residuals of the two period-matrix conditions for (I, Omega).
-
-    Returns (residual1, min_eig2): the max-abs entry of the alternating-form
-    product (zero for symmetric Omega) and the smallest eigenvalue of the
-    Hermitian positivity matrix (equal to 2 Im Omega).
-    """
-    om = omega.omega
-    g = omega.g
-    rc1 = -om + om.T
-    herm = (-1.0 / 1j) * (-om + om.conj().T)
-    herm = 0.5 * (herm + herm.conj().T)
-    eig = np.linalg.eigvalsh(herm)
-    residual1 = float(np.max(np.abs(rc1))) if g else 0.0
-    return residual1, float(eig[0])
-
-
-def phi_omega(t, omega: SiegelPoint) -> AbelianPoint:
-    """Torus diffeomorphism (P, Q) -> (P + QX) + i QY.
-
-    Accepts a TorusPoint or a raw (P, Q) pair of lifts; integer shifts of
-    (P, Q) land on lattice shifts of the image, so the map descends to the
-    quotients.
-    """
-    if isinstance(t, TorusPoint):
-        p, q = t.P, t.Q
-    else:
-        p, q = (np.asarray(m, dtype=float) for m in t)
-    return AbelianPoint(*_phi_parts(p, q, omega))
-
-
-def _phi_parts(p, q, omega: SiegelPoint):
-    """(U, V) = (P + QX, QY), the real and imaginary parts of Phi_Omega."""
-    return p + q @ omega.X, q @ omega.Y
-
-
-def phi_omega_inv(z: AbelianPoint, omega: SiegelPoint) -> TorusPoint:
-    """Inverse diffeomorphism (U, V) -> (U - V Y^{-1} X) + i V Y^{-1}."""
-    return TorusPoint(*decompose_in_omega_basis(z.Z, omega))
+def phi_omega_inv(z, omega: SiegelPoint) -> TorusPoint:
+    """The flat-torus point of a complex h x g matrix Z: the canonical (P, Q)
+    with phi_omega(P, Q, Omega) = Z modulo the lattice."""
+    return TorusPoint(*decompose_in_omega_basis(z, omega))
 
 
 # ---------------------------------------------------------------------------
@@ -193,16 +133,14 @@ def inner_product(f, g_fun, shape, omega: SiegelPoint, n_nodes: int = 8) -> comp
     """L^2 inner product (f, g) by trapezoid quadrature on the torus of Omega.
 
     ``f`` and ``g_fun`` take complex arrays of shape (..., h, g), evaluated
-    at Z = Phi_Omega(W) over the flat torus in W = P + iQ, which realizes
+    at Z = phi_omega(P, Q, Omega) over the flat-torus grid, which realizes
     the normalized invariant volume on the torus of Omega by pullback.  The
     flat torus is the torus of Omega = iI, which gives the same bits.
     Exact for band-limited characters when n_nodes exceeds twice the
     largest frequency.
     """
     h, g = shape
-    p, q = torus_grid(h, g, n_nodes)
-    u, v = _phi_parts(p, q, omega)
-    w = u + 1j * v
+    w = phi_omega(*torus_grid(h, g, n_nodes), omega)
     vals = np.asarray(f(w)) * np.conj(np.asarray(g_fun(w)))
     return complex(np.mean(vals))
 
@@ -210,8 +148,7 @@ def inner_product(f, g_fun, shape, omega: SiegelPoint, n_nodes: int = 8) -> comp
 def character_table(indices, p, q, omega: SiegelPoint) -> np.ndarray:
     """Characters of the torus of Omega on a flat-torus grid: shape (n_indices,
     N).  Omega = iI gives the flat characters, with the same bits."""
-    u, v = _phi_parts(p, q, omega)
-    z = u + 1j * v
+    z = phi_omega(p, q, omega)
     return np.stack([eval_E_omega(idx, z, omega) for idx in indices])
 
 
@@ -249,9 +186,7 @@ def truncated_expansion(f, max_freq: int, omega: SiegelPoint, shape,
         n_nodes = 2 * max_freq + 3
     _check_grid("truncated_expansion", 2 * h * g, n_nodes, 2 * max_freq + 1)
     p, q = torus_grid(h, g, n_nodes)
-    u, v = _phi_parts(p, q, omega)
-    z = u + 1j * v
-    fvals = np.asarray(f(z))
+    fvals = np.asarray(f(phi_omega(p, q, omega)))
     indices = frequency_indices(h, g, max_freq)
     table = character_table(indices, p, q, omega)
     coeffs = table.conj() @ fvals / fvals.size

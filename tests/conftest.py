@@ -221,6 +221,10 @@ HUGE_Z_POINT = JacobiPoint.from_z(
                            + 1j * np.array([[1.3, 0.4], [0.4, 1.5]])),
     np.array([[3.7e29 + 2e29j, 1.1e29 + 0.3j]]))
 
+#: a point the decoder accepts whose Z the cocycle Z (C Omega + D) of its
+#: base reduction carries beyond float range
+OVERFLOW_Z_POINT = JacobiPoint.from_z(SiegelPoint.from_omega([[0.1 + 1e-10j]]), [[1e300j]])
+
 #: (X, Y) of a point the decoder accepts whose GL move t(U) X U overflows
 GL_OVERFLOW = (8e307 * np.eye(2), 4.0 * np.array([[1.0, 0.6], [0.6, 1.0]]))
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from siegeljacobi import siegel
-from siegeljacobi.cli import _build_parser, main
+from siegeljacobi.cli import MAX_FREQ, _build_parser, main
 from siegeljacobi.group_core import JacobiPoint, SiegelPoint, act_jacobi, act_siegel
 from siegeljacobi.jacobi_domain import in_F_gh
 from siegeljacobi.jsonio import (decode_jacobi_point,
@@ -20,8 +20,9 @@ from siegeljacobi.jsonio import (decode_jacobi_point,
                                  encode_matrix, encode_siegel_point)
 from siegeljacobi.minkowski import is_minkowski_reduced
 from siegeljacobi.siegel import CandidateSet, builtin_candidates, siegel_membership
-from conftest import (DEFINITENESS_LOSS_Y, GL_OVERFLOW, HARD_YS, HUGE_Z_POINT, SKEWED_YS,
-                      STALL_OMEGA, STEP_DEFINITENESS_LOSS, decode_jacobi_element,
+from conftest import (DEFINITENESS_LOSS_Y, GL_OVERFLOW, HARD_YS, HUGE_Z_POINT,
+                      OVERFLOW_Z_POINT, SKEWED_YS, STALL_OMEGA, STEP_DEFINITENESS_LOSS,
+                      decode_jacobi_element,
                       ill_conditioned_ys, is_plus_minus_identity, rand_jacobi_element,
                       rand_jacobi_point, rand_siegel_point, sl2z_reduce_oracle,
                       boundary_equivalent, write_candidates)
@@ -192,6 +193,15 @@ class TestReduceCommand:
         back = act_jacobi(gj, decode_jacobi_point(rep["reduced"]))
         z = HUGE_Z_POINT.Z
         assert np.max(np.abs(back.Z - z)) <= 1e-8 * np.max(np.abs(z))
+
+    def test_jacobi_cocycle_overflow_exits_3(self, tmp_path, capsys):
+        # it used to exit 2, "non-finite entry inf at (0, 0)", after two raw
+        # numpy RuntimeWarnings
+        path = write_json(tmp_path / "p.json", encode_jacobi_point(OVERFLOW_Z_POINT))
+        code, out, err = run_cli(capsys, ["reduce", "--jacobi", "--point", path])
+        assert code == 3 and out == ""
+        assert err == ("numeric failure: Z overflows when carried to the reduced base: "
+                       "Z (C Omega + D) is beyond float range\n")
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -707,9 +717,10 @@ class TestEpsFlag:
 
 
 class TestIntegerFlags:
-    """An integer flag below its least value exits 2 naming the flag.
+    """An integer flag outside its range exits 2 naming the flag.
     spectral-check --nodes 0 used to report a non-JSON NaN, --threads -5 and
-    --eigen-checks -1 passed silently, and --g 0 met a numpy message."""
+    --eigen-checks -1 passed silently, --g 0 met a numpy message, and a
+    20-digit --max-freq met numpy's "low is out of bounds for int64"."""
 
     @pytest.mark.parametrize("argv", [
         ["volume", "--g", "0"], ["volume", "--g", "2", "--samples", "0"],
@@ -718,6 +729,8 @@ class TestIntegerFlags:
         ["volume", "--g", "1", "--nodes", "0"], ["volume", "--g", "1.5"],
         ["spectral-check", "--g", "0"], ["spectral-check", "--h", "0"],
         ["spectral-check", "--max-freq", "-1"], ["spectral-check", "--nodes", "0"],
+        ["spectral-check", "--max-freq", "101"],
+        ["spectral-check", "--max-freq", "99999999999999999999"],
         ["spectral-check", "--seed", "-1"], ["spectral-check", "--eigen-checks", "-1"],
         ["volume", "--g", "2", "--samples", "1"]])
     def test_refused(self, capsys, argv):
@@ -726,6 +739,13 @@ class TestIntegerFlags:
         captured = capsys.readouterr()
         assert exc.value.code == 2 and captured.out == ""
         assert "argument %s:" % argv[-2] in captured.err
+
+    def test_largest_max_freq_accepted(self, capsys):
+        # above MAX_FREQ the fixed-step eigen residual outgrows 1e-5
+        code, out, _ = run_cli(capsys, ["spectral-check", "--max-freq", str(MAX_FREQ),
+                                        "--eigen-checks", "3"])
+        assert code == 0
+        assert max(json.loads(out)["outputs"]["eigen_residuals"]) < 1e-5
 
     def test_least_values_accepted(self, capsys):
         code, out, _ = run_cli(capsys, ["spectral-check", "--nodes", "1", "--max-freq", "0",

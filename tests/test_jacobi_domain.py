@@ -8,9 +8,9 @@ from siegeljacobi.jacobi_domain import (decompose_in_omega_basis, in_F_gh,
                                         in_P_omega, jacobi_membership,
                                         jacobi_reduce)
 from siegeljacobi.minkowski import DEFAULT_EPS
-from siegeljacobi.siegel import siegel_membership
-from conftest import (HUGE_Z_POINT, SKEWED_YS, canonicalize_cell_coords, cell_face_oracle,
-                      is_plus_minus_identity, rand_heisenberg,
+from siegeljacobi.siegel import SiegelReductionError, siegel_membership
+from conftest import (HUGE_Z_POINT, OVERFLOW_Z_POINT, SKEWED_YS, canonicalize_cell_coords,
+                      cell_face_oracle, is_plus_minus_identity, rand_heisenberg,
                       rand_interior_jacobi, rand_interior_siegel,
                       rand_jacobi_element, rand_jacobi_point,
                       rand_siegel_point, siegel_flags_oracle)
@@ -177,6 +177,12 @@ class TestJacobiReduce:
         back = act_jacobi(cert.gammaJ, cert.reduced)
         assert np.max(np.abs(back.Z - HUGE_Z_POINT.Z)) <= 1e-8 * np.max(np.abs(HUGE_Z_POINT.Z))
         assert in_F_gh(cert.reduced)
+
+    def test_cocycle_overflow_named(self):
+        # it used to warn twice (RuntimeWarning is an error here) and then
+        # raise "non-finite entry inf at (0, 0)", which names no field
+        with pytest.raises(SiegelReductionError, match="^Z overflows when carried"):
+            jacobi_reduce(OVERFLOW_Z_POINT)
 
     def test_heisenberg_recovery_exact(self, rng):
         for _ in range(30):

@@ -3,26 +3,37 @@ import pytest
 
 from siegeljacobi.group_core import JacobiPoint, SiegelPoint
 from siegeljacobi.geometry import laplacian_apply
-from siegeljacobi.torus_spectral import (AbelianPoint, FourierIndex,
-                                         QuadratureGridError, TorusPoint,
-                                         character_table,
+from siegeljacobi.jacobi_domain import decompose_in_omega_basis, phi_omega
+from siegeljacobi.torus_spectral import (FourierIndex, QuadratureGridError,
+                                         TorusPoint, character_table,
                                          eigenvalue_E, eval_E_omega,
                                          eval_E_torus, frequency_indices,
-                                         inner_product, phi_omega,
-                                         phi_omega_inv, riemann_conditions,
+                                         inner_product, phi_omega_inv,
                                          torus_grid, truncated_expansion)
 from conftest import rand_siegel_point
 
 
 @pytest.mark.parametrize("make, names", [
     (lambda u, v: JacobiPoint(SiegelPoint.from_omega(1j * np.eye(2)), u, v), "U and V"),
-    (AbelianPoint, "U and V"), (TorusPoint, "P and Q"), (FourierIndex, "A and B")],
-    ids=["JacobiPoint", "AbelianPoint", "TorusPoint", "FourierIndex"])
+    (TorusPoint, "P and Q"), (FourierIndex, "A and B")],
+    ids=["JacobiPoint", "TorusPoint", "FourierIndex"])
 @pytest.mark.parametrize("u, v", [(np.zeros((1, 2)), np.zeros((2, 2))),
                                   (np.zeros(2), np.zeros(2))], ids=["mismatched", "1-d"])
 def test_pair_shapes_checked(make, names, u, v):
     with pytest.raises(ValueError, match="^%s must be equal-shape h x g matrices$" % names):
         make(u, v)
+
+
+@pytest.mark.parametrize("make, names", [
+    (lambda u, v: JacobiPoint(SiegelPoint.from_omega(1j * np.eye(2)), u, v), "U and V"),
+    (TorusPoint, "P and Q")], ids=["JacobiPoint", "TorusPoint"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_pair_entries_finite(make, names, bad):
+    for block in (0, 1):
+        pair = [np.zeros((1, 2)), np.zeros((1, 2))]
+        pair[block][0, 1] = bad
+        with pytest.raises(ValueError, match="^%s has a non-finite entry$" % names):
+            make(*pair)
 
 
 def test_fourier_index_refuses_non_integral():
@@ -45,31 +56,12 @@ def test_fourier_index_beyond_int64():
     assert idx.A.dtype == int and idx.B[0, 0] == 2 ** 63 - 1
 
 
-class TestRiemannConditions:
-    def test_alternating_condition_forced(self, rng):
-        for _ in range(20):
-            g = int(rng.integers(1, 4))
-            r1, _ = riemann_conditions(rand_siegel_point(g, rng))
-            assert r1 < 1e-14
-
-    def test_positivity_matrix_is_twice_im(self, rng):
-        p = SiegelPoint.from_omega(1j * np.eye(2))
-        r1, e2 = riemann_conditions(p)
-        assert abs(e2 - 2.0) < 1e-14
-        for _ in range(20):
-            g = int(rng.integers(1, 4))
-            q = rand_siegel_point(g, rng)
-            _, eig = riemann_conditions(q)
-            want = 2.0 * np.linalg.eigvalsh(q.Y)[0]
-            assert abs(eig - want) < 1e-10
-
-
 class TestPhiOmega:
     def test_q_zero_is_identity_on_p(self, rng):
         om = rand_siegel_point(2, rng)
         t = TorusPoint(rng.random((2, 2)), np.zeros((2, 2)))
-        z = phi_omega(t, om)
-        assert np.allclose(z.U, t.P) and np.allclose(z.V, 0)
+        z = phi_omega(t.P, t.Q, om)
+        assert np.allclose(z.real, t.P) and np.allclose(z.imag, 0)
 
     def test_basis_vector_maps_to_omega_row(self, rng):
         # the lift P = 0, Q = E_kj lands on the lattice vector E_kj Omega
@@ -77,25 +69,56 @@ class TestPhiOmega:
         for (k, j) in ((0, 0), (1, 2)):
             q = np.zeros((2, 3))
             q[k, j] = 1.0
-            z = phi_omega((np.zeros((2, 3)), q), om)
+            z = phi_omega(np.zeros((2, 3)), q, om)
             want = q @ om.omega
-            assert np.max(np.abs(z.Z - want)) < 1e-14
+            assert np.max(np.abs(z - want)) < 1e-14
 
     def test_round_trip(self, rng):
         for _ in range(100):
             g, h = int(rng.integers(1, 4)), int(rng.integers(1, 4))
             om = rand_siegel_point(g, rng)
             t = TorusPoint(rng.random((h, g)), rng.random((h, g)))
-            back = phi_omega_inv(phi_omega(t, om), om)
+            back = phi_omega_inv(phi_omega(t.P, t.Q, om), om)
             assert np.max(np.abs(back.P - t.P)) < 1e-12
             assert np.max(np.abs(back.Q - t.Q)) < 1e-12
+
+    def test_stack_matches_each_point(self, rng):
+        # one (N, h, g) call gives every point the bits of its own call
+        for g, h in ((1, 1), (2, 1), (1, 2), (3, 2)):
+            om = rand_siegel_point(g, rng)
+            p, q = rng.random((2, 7, h, g))
+            z = phi_omega(p, q, om)
+            assert z.shape == (7, h, g) and z.dtype == complex
+            for i in range(7):
+                assert np.array_equal(z[i], phi_omega(p[i], q[i], om))
+
+    def test_inverse_of_a_stack(self, rng):
+        # phi_omega_inv gives back the canonical (P, Q) of each image point,
+        # and decompose_in_omega_basis splits the whole stack with each
+        # point's bits (with h = g it used to solve along the wrong axes)
+        for g, h in ((1, 1), (2, 1), (1, 2), (3, 2), (2, 2), (3, 3)):
+            om = rand_siegel_point(g, rng)
+            p, q = rng.normal(scale=3.0, size=(2, 20, h, g))
+            z = phi_omega(p, q, om)
+            coords = decompose_in_omega_basis(z, om)
+            assert np.max(np.abs(coords.a - p)) < 1e-12 and np.max(np.abs(coords.b - q)) < 1e-12
+            for i in range(20):
+                one = decompose_in_omega_basis(z[i], om)
+                assert np.array_equal(one.a, coords.a[i]) and np.array_equal(one.b, coords.b[i])
+                want = TorusPoint(p[i], q[i])
+                back = phi_omega_inv(z[i], om)
+                # a coefficient within rounding of an integer may come back
+                # on the other side of it: compare on the circle
+                for got, exp in ((back.P, want.P), (back.Q, want.Q)):
+                    d = got - exp
+                    assert np.max(np.abs(d - np.round(d))) < 1e-11
 
     def test_coefficients_stay_below_one(self):
         # a tiny negative coefficient folds to 0.0, where x % 1.0 gives 1.0
         t = TorusPoint([[-1e-17]], [[0.2]])
         assert 0.0 <= t.P[0, 0] < 1.0 and t.Q[0, 0] == 0.2
         om = SiegelPoint.from_omega([[1j]])
-        back = phi_omega_inv(AbelianPoint.from_z([[0.3 - 1e-17j]]), om)
+        back = phi_omega_inv([[0.3 - 1e-17j]], om)
         assert 0.0 <= back.P[0, 0] < 1.0 and 0.0 <= back.Q[0, 0] < 1.0
 
     def test_integer_shifts_map_to_lattice(self, rng):
@@ -148,8 +171,8 @@ class TestCharacters:
             om = rand_siegel_point(g, rng)
             idx = FourierIndex(rng.integers(-2, 3, (h, g)), rng.integers(-2, 3, (h, g)))
             t = TorusPoint(rng.random((h, g)), rng.random((h, g)))
-            z = phi_omega(t, om)
-            worst = max(worst, abs(eval_E_omega(idx, z.Z, om) - eval_E_torus(idx, t)))
+            z = phi_omega(t.P, t.Q, om)
+            worst = max(worst, abs(eval_E_omega(idx, z, om) - eval_E_torus(idx, t)))
         assert worst < 1e-12
 
     def test_flat_character_is_the_flat_formula(self, rng):
@@ -164,12 +187,14 @@ class TestCharacters:
 
     def test_constant_on_lattice_orbits_and_canonical_idempotent(self, rng):
         om = rand_siegel_point(2, rng)
-        z = AbelianPoint.from_z(rng.normal(size=(1, 2)) + 1j * rng.normal(size=(1, 2)))
+        z = rng.normal(size=(1, 2)) + 1j * rng.normal(size=(1, 2))
         idx = FourierIndex(rng.integers(-2, 3, (1, 2)), rng.integers(-2, 3, (1, 2)))
-        canon = phi_omega(phi_omega_inv(z, om), om)
-        assert abs(eval_E_omega(idx, canon.Z, om) - eval_E_omega(idx, z.Z, om)) < 1e-11
-        again = phi_omega(phi_omega_inv(canon, om), om)
-        assert np.max(np.abs(again.Z - canon.Z)) < 1e-12
+        t = phi_omega_inv(z, om)
+        canon = phi_omega(t.P, t.Q, om)
+        assert abs(eval_E_omega(idx, canon, om) - eval_E_omega(idx, z, om)) < 1e-11
+        t = phi_omega_inv(canon, om)
+        again = phi_omega(t.P, t.Q, om)
+        assert np.max(np.abs(again - canon)) < 1e-12
 
 
 class TestInnerProduct:
