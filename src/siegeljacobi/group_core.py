@@ -12,7 +12,7 @@ actions are guarded.  Everything here is a pure function on immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import isfinite
 from operator import mul
 
@@ -214,6 +214,12 @@ def _join(a, b, c, d) -> np.ndarray:
     return np.concatenate([np.concatenate([a, b], axis=1), np.concatenate([c, d], axis=1)])
 
 
+@lru_cache(maxsize=8)
+def _identity_rows(g: int) -> list:
+    """ieye(2g) as nested lists of Python ints, for is_identity; never mutated."""
+    return ieye(2 * g).tolist()
+
+
 @dataclass(frozen=True)
 class SymplecticInt:
     """Element of Sp(g, Z) stored as exact integer blocks (A, B; C, D)."""
@@ -266,25 +272,29 @@ class SymplecticInt:
         s = as_imat(s)
         if not np.array_equal(s, s.T):
             raise ValueError("translation block must be symmetric")
-        return cls._translation_of(s)
-
-    @classmethod
-    def _translation_of(cls, s: np.ndarray) -> "SymplecticInt":
-        """translation by s, symmetric with finite integral entries, each made
-        an exact Python int: not coerced or checked."""
-        m = ieye(2 * len(s))
-        m[:len(s), len(s):] = [[int(v) for v in row] for row in s.tolist()]
-        return cls._of(m)
+        return cls._parabolic_of(None, s)
 
     @classmethod
     def gl_embed(cls, u) -> "SymplecticInt":
         """Embed U in GL(g, Z) as (t(U), 0; 0, U^{-1}): Omega -> t(U) Omega U."""
-        return cls._gl_of(as_imat(u))
+        return cls._parabolic_of(as_imat(u), None)
 
     @classmethod
-    def _gl_of(cls, u: np.ndarray) -> "SymplecticInt":
-        """gl_embed of u, exact Python ints (a UnimodularInt's entries): not coerced."""
-        return cls._of(_join(u.T, izeros(*u.shape), izeros(*u.shape), int_inv_unimodular(u)))
+    def _parabolic_of(cls, u, s) -> "SymplecticInt":
+        """The C = 0 element translation(s) * gl_embed(u) = (t(u), s u^{-1};
+        0, u^{-1}): Omega -> t(u) Omega u + s.  u is unimodular in exact Python
+        ints (a UnimodularInt's entries) and s symmetric with finite integral
+        entries, each made an exact Python int; None stands for I and for 0.
+        Not coerced or checked."""
+        g = len(u if u is not None else s)
+        m = izeros(2 * g, 2 * g)
+        uinv = ieye(g) if u is None else int_inv_unimodular(u)
+        m[:g, :g] = uinv if u is None else u.T
+        m[g:, g:] = uinv
+        if s is not None:  # exact ints at any scale
+            s = np.array([[int(v) for v in row] for row in s.tolist()], dtype=object)
+            m[:g, g:] = s if u is None else s @ uinv
+        return cls._of(m)
 
     @cached_property
     def float_blocks(self):
@@ -316,7 +326,7 @@ class SymplecticInt:
         return np.array_equal(self._matrix, other._matrix)
 
     def is_identity(self) -> bool:
-        return np.array_equal(self._matrix, ieye(2 * self.g))
+        return self._matrix.tolist() == _identity_rows(self.g)
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,9 @@ def is_minkowski_reduced(y, *, eps: float = DEFAULT_EPS) -> bool:
 
 def membership_mask(ys: np.ndarray, *, eps=DEFAULT_EPS) -> np.ndarray:
     """Minkowski membership over a stack of matrices (n, g, g), in one pass,
-    with slack eps: one float, or one per matrix, shape (n,).
+    with slack eps: one float, or one per matrix, shape (n,).  The slack is
+    absolute, not scaled with Y: a Y whose entries are near eps passes every
+    form test (1e-9 [[1, .6], [.6, 1]] is a member, [[1, .6], [.6, 1]] not).
 
     Every quadratic form a Y t(a) is one entry of a (nvec x g(g+1)/2) @
     (g(g+1)/2 x n) product.  A stack of one matrix is stacked twice, since

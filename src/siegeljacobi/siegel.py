@@ -34,7 +34,7 @@ from itertools import combinations
 import numpy as np
 
 from .group_core import PosDefMatrix, SiegelPoint, SymplecticInt, act_siegel, symplectic_check
-from .intmat import ieye, izeros
+from .intmat import ieye, izeros, to_float
 from .jsonio import decode_symplectic, encode_symplectic, get_field
 from .minkowski import DEFAULT_EPS, ReductionError, membership_mask, minkowski_reduce
 
@@ -367,21 +367,22 @@ def highest_point_step(p: SiegelPoint, cands: CandidateSet = None,
     then apply the best det-raising candidate if any fires.
 
     Returns (new_point, gamma_step) with act_siegel(gamma_step, p) = new_point;
-    the step is the identity exactly when p is reduced.  Only the sub-steps
-    that fire are composed, and only a candidate step runs act_siegel (the
-    README's "Exact group cores").  A failed sub-step (the reducer's
-    ReductionError, overflow, lost definiteness) is a SiegelReductionError
-    carrying p.
+    the step is the identity exactly when p is reduced.  The GL move and the
+    translation act on (X, Y) directly and make one exact C = 0 element,
+    (t(U), S U^{-1}; 0, U^{-1}); only a candidate step runs act_siegel and
+    one product (the README's "Exact group cores").  A failed sub-step (the
+    reducer's ReductionError, overflow, lost definiteness) is a
+    SiegelReductionError carrying p.
     """
     cands = builtin_candidates(p.g) if cands is None else cands
-    x, y, steps = p.X, p.Y, []
+    x, y, u = p.X, p.Y, None
     try:  # p.Y was checked when the point was built: hand it over unchecked
         cert = minkowski_reduce(PosDefMatrix._of(y), eps=eps)
     except ReductionError as exc:
         raise SiegelReductionError("highest-point step failed: %s" % exc, best=p) from None
     if cert.iterations > 0:
-        steps.append(SymplecticInt._gl_of(cert.transform.entries))  # coerced by UnimodularInt
-        a = steps[-1].float_blocks[0]
+        u = cert.transform.entries  # coerced by UnimodularInt
+        a = to_float(u).T.copy()
         with np.errstate(over="ignore", invalid="ignore"):
             x = (a @ x) @ a.T
             x, y = 0.5 * (x + x.T), cert.reduced
@@ -390,51 +391,64 @@ def highest_point_step(p: SiegelPoint, cands: CandidateSet = None,
 
     shift = -np.round(x)
     if np.any(shift != 0):
-        steps.append(SymplecticInt._translation_of(shift))  # exact ints at any scale
         x = x + shift
+    else:
+        shift = None
 
-    cur = SiegelPoint._of(x, y) if steps else p
+    gamma, cur = None, p
+    if u is not None or shift is not None:
+        gamma, cur = SymplecticInt._parabolic_of(u, shift), SiegelPoint._of(x, y)
     vals = det_sq(cands, cur.omega)
     best = int(np.argmin(vals))
     # the threshold membership applies, so no non-member is left without a step
     if vals[best] < 1.0 - eps:
-        steps.append(cands.elements[best])
+        cand = cands.elements[best]
         try:
-            cur = act_siegel(steps[-1], cur)
+            cur = act_siegel(cand, cur)
         except ValueError as exc:
             raise SiegelReductionError("highest-point step failed: %s" % exc, best=p) from None
-    gamma = reduce(lambda acc, step: step * acc, steps) if steps else SymplecticInt.identity(p.g)
-    return cur, gamma
+        gamma = cand if gamma is None else cand * gamma
+    return cur, SymplecticInt.identity(p.g) if gamma is None else gamma
 
 
 def siegel_reduce(p: SiegelPoint, cands: CandidateSet = None,
                   eps: float = DEFAULT_EPS) -> SiegelCertificate:
     """Move p into the fundamental domain by the highest-point method.
 
-    A stall, the cap, a failed step or a bad gamma raises SiegelReductionError
-    with the det-Im trace of the iterates (computed only then)."""
+    The loop stops at a fixed point: after the identity step, or after a
+    step that fired no candidate (its gamma has C = 0).  Such a step leaves
+    a Y the reducer's membership test passed, a centred X and no candidate
+    below threshold, so the next step would be the identity on the same
+    bits; it is not taken, but counted in ``iterations``.  A stall, the cap,
+    a failed step or a bad gamma raises SiegelReductionError with the det-Im
+    trace of the iterates (computed only then)."""
     cands = builtin_candidates(p.g) if cands is None else cands
-    gamma = None
+    gamma = SymplecticInt.identity(p.g)
     iterates = [p]
 
     def failed(message):
         trace = [float(np.linalg.det(q.Y)) for q in iterates]
         return SiegelReductionError(message, best=iterates[-1], trace=trace)
 
+    def certify(iterations):
+        member, on_boundary = siegel_membership(iterates[-1], cands, eps)
+        if not member:
+            raise failed("highest-point step stalled on a non-member")
+        if not symplectic_check(gamma):
+            raise failed("gamma is not symplectic")
+        return SiegelCertificate(iterates[-1], gamma, iterations, on_boundary, cands.guarantee)
+
     for it in range(MAX_ITERS):
-        cur = iterates[-1]
         try:
-            nxt, step = highest_point_step(cur, cands, eps)
+            nxt, step = highest_point_step(iterates[-1], cands, eps)
         except SiegelReductionError as exc:
             raise failed(str(exc)) from None
         if step.is_identity():
-            member, on_boundary = siegel_membership(cur, cands, eps)
-            if not member:
-                raise failed("highest-point step stalled on a non-member")
-            gamma = SymplecticInt.identity(p.g) if gamma is None else gamma
-            if not symplectic_check(gamma):
-                raise failed("gamma is not symplectic")
-            return SiegelCertificate(cur, gamma, it, on_boundary, cands.guarantee)
-        gamma = step if gamma is None else step * gamma
+            return certify(it)
+        gamma = step if it == 0 else step * gamma
         iterates.append(nxt)
+        # C = 0: no candidate fired, so the next step is the identity; it is
+        # counted, not taken, unless the cap ends the loop first
+        if it + 1 < MAX_ITERS and not step.C.any():
+            return certify(it + 1)
     raise failed("siegel_reduce hit the iteration cap")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from siegeljacobi import group_core
-from siegeljacobi.intmat import as_imat
+from siegeljacobi.intmat import as_imat, ieye
 from siegeljacobi.group_core import (HeisenbergInt, IllConditionedActionError,
                                      JacobiGroupElement, JacobiPoint,
                                      SiegelPoint, SymplecticInt,
@@ -63,7 +63,7 @@ class TestGroupLawProperties:
         assert verdicts.count(False) > 0.8 * len(verdicts)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(g=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    @given(g=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
     def test_products_inverses_and_identity(self, g, seed):
         rng = np.random.default_rng(seed)
         a, b = rand_symplectic(g, rng), rand_symplectic(g, rng)
@@ -73,9 +73,12 @@ class TestGroupLawProperties:
         assert (a * a.inverse()).is_identity() and (a.inverse() * a).is_identity()
         eye = SymplecticInt.identity(g)
         s = rng.integers(-2, 3, (g, g))
+        unit = np.diag(rng.permutation(g) == 0).astype(int)   # one diagonal 1
         for m in (a, ab, eye, -eye, a * a.inverse(), SymplecticInt.translation(s + s.T),
-                  SymplecticInt.inversion(g)):
-            assert m.is_identity() == (m == eye)
+                  SymplecticInt.translation(unit), SymplecticInt.inversion(g),
+                  SymplecticInt.gl_embed(rand_unimodular(g, rng, steps=2)),
+                  SymplecticInt.gl_embed(-np.eye(g, dtype=int))):
+            assert m.is_identity() == (m == eye) == np.array_equal(m.matrix, ieye(2 * g))
 
     def test_product_coerces_once(self, rng, monkeypatch):
         # the group law keeps elements symplectic, so a product, an inverse and a
@@ -112,6 +115,23 @@ class TestGroupLawProperties:
         for m in words:
             assert all(type(v) is int for v in m._matrix.flat)
             assert symplectic_check(m.matrix)
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_c_zero_builder_is_translation_times_gl_embed(self, g):
+        # T(S) G(U) = (t(U), S U^-1; 0, U^-1) in exact ints, also from an
+        # integral float S beyond int64
+        rng = np.random.default_rng(g)
+        for scale in (1, 2 ** 100):
+            for _ in range(10):
+                u = as_imat(rand_unimodular(g, rng, steps=4, span=3))
+                s = as_imat(rng.integers(-3, 4, (g, g))) * scale
+                s = s + s.T
+                want = SymplecticInt.translation(s) * SymplecticInt.gl_embed(u)
+                got = SymplecticInt._parabolic_of(u, s.astype(float))
+                assert got == want and symplectic_check(got.matrix)
+                assert all(type(v) is int for v in got._matrix.flat)
+                assert SymplecticInt._parabolic_of(u, None) == SymplecticInt.gl_embed(u)
+                assert SymplecticInt._parabolic_of(None, s) == SymplecticInt.translation(s)
 
     def test_matrix_is_a_copy(self, rng):
         # products read the stored matrix, so .matrix must hand out a copy

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from siegeljacobi import geometry, siegel
+from siegeljacobi import geometry, jacobi_domain, siegel
 from siegeljacobi.cli import main
 from siegeljacobi.geometry import volume_fg_mc
-from siegeljacobi.group_core import SiegelPoint, SymplecticInt, act_siegel
+from siegeljacobi.group_core import JacobiPoint, SiegelPoint, SymplecticInt, act_siegel
 from siegeljacobi.intmat import as_imat
+from siegeljacobi.jacobi_domain import JacobiCertificate, jacobi_reduce
 from siegeljacobi.jsonio import encode_siegel_point
 from siegeljacobi.minkowski import DEFAULT_EPS, is_minkowski_reduced
 from siegeljacobi.siegel import (CandidateSet, _det_coefficients, _det_sq_batch,
@@ -24,8 +25,8 @@ from siegeljacobi.siegel import (CandidateSet, _det_coefficients, _det_sq_batch,
                                  SiegelReductionError, siegel_membership, siegel_reduce)
 from conftest import (GL_OVERFLOW, SKEWED_YS, STALL_OMEGA, STEP_DEFINITENESS_LOSS,
                       boundary_equivalent, is_plus_minus_identity, rand_interior_siegel,
-                      rand_siegel_point, siegel_flags_oracle, sl2z_reduce_oracle,
-                      write_candidates)
+                      rand_jacobi_point, rand_siegel_point, siegel_flags_oracle,
+                      sl2z_reduce_oracle, write_candidates)
 from test_pinned_certificates import SEED as PINNED_SEED
 
 
@@ -347,6 +348,108 @@ class TestOneActionPerStep:
                     assert len(calls) == c_nonzero
                     cur, step = highest_point_step(cur)
         assert len(calls) == c_nonzero > 0 and c_zero > 0
+
+
+def loop_oracle(p, cands=None, eps=DEFAULT_EPS):
+    """The highest-point loop that runs to its identity step: every step is
+    taken, the identity one included, then the last point is certified.
+    Reads siegel.MAX_ITERS as siegel_reduce does."""
+    cands = builtin_candidates(p.g) if cands is None else cands
+    gamma, cur = SymplecticInt.identity(p.g), p
+    for it in range(siegel.MAX_ITERS):
+        nxt, step = highest_point_step(cur, cands, eps)
+        if step.is_identity():
+            member, on_boundary = siegel_membership(cur, cands, eps)
+            if not member:
+                raise SiegelReductionError("highest-point step stalled on a non-member")
+            return siegel.SiegelCertificate(cur, gamma, it, on_boundary, cands.guarantee)
+        gamma, cur = step * gamma, nxt
+    raise SiegelReductionError("siegel_reduce hit the iteration cap")
+
+
+def _cert_bytes(c):
+    """Everything a Siegel or Jacobi certificate says, with points as bytes."""
+    if isinstance(c, JacobiCertificate):
+        x, r = c.gammaJ, c.reduced
+        return (x.m.matrix.tolist(), x.heis.lam.tolist(), x.heis.mu.tolist(),
+                x.heis.kappa.tolist(), c.on_boundary, c.guarantee, r.omega.X.tobytes(),
+                r.omega.Y.tobytes(), r.U.tobytes(), r.V.tobytes())
+    return (c.gamma.matrix.tolist(), c.iterations, c.on_boundary, c.guarantee,
+            c.reduced.X.tobytes(), c.reduced.Y.tobytes())
+
+
+def _oracle_points():
+    """Seeded g = 1, 2, 3 and (g, h) = (2, 2) points, Y scaled down by up to
+    100 so that chains run several steps, then the pinned points."""
+    rng = np.random.default_rng(25)
+    for g in (1, 2, 3):
+        for _ in range(25):
+            q = rand_siegel_point(g, rng, x_scale=3.0)
+            yield SiegelPoint(q.X, q.Y * 10.0 ** rng.uniform(-2, 0))
+    for _ in range(25):
+        q = rand_jacobi_point(2, 2, rng, x_scale=3.0)
+        yield JacobiPoint(SiegelPoint(q.omega.X, q.omega.Y * 10.0 ** rng.uniform(-2, 0)),
+                          q.U, q.V)
+    rng = np.random.default_rng(PINNED_SEED)
+    for g in (1, 2, 3):
+        for _ in range(8):
+            yield rand_siegel_point(g, rng)
+    for _ in range(8):
+        yield rand_jacobi_point(2, 2, rng)
+
+
+class TestFixedPointStop:
+    """siegel_reduce stops after a step that fired no candidate, one step
+    before the identity step; nothing it returns may change."""
+
+    def test_certificates_match_the_oracle_bit_for_bit(self, monkeypatch):
+        points = list(_oracle_points())
+        got = [jacobi_reduce(p) if isinstance(p, JacobiPoint) else siegel_reduce(p)
+               for p in points]
+        monkeypatch.setattr(jacobi_domain, "siegel_reduce", loop_oracle)
+        want = [jacobi_reduce(p) if isinstance(p, JacobiPoint) else loop_oracle(p)
+                for p in points]
+        assert [_cert_bytes(c) for c in got] == [_cert_bytes(c) for c in want]
+        assert max(c.iterations for c in want if isinstance(c, siegel.SiegelCertificate)) >= 4
+
+    def test_a_step_without_candidate_leaves_a_fixed_point(self):
+        # such a step's gamma has C = 0, and the step after it is the
+        # identity on the same bits
+        fixed = 0
+        for p in _oracle_points():
+            nxt, step = highest_point_step(p.omega if isinstance(p, JacobiPoint) else p)
+            while not step.is_identity():
+                after, again = highest_point_step(nxt)
+                if not step.C.any():
+                    assert again.is_identity()
+                    assert (after.X.tobytes(), after.Y.tobytes()) == (nxt.X.tobytes(),
+                                                                      nxt.Y.tobytes())
+                    fixed += 1
+                nxt, step = after, again
+        assert fixed > 100
+
+    def test_cap_edge_matches_the_oracle(self, monkeypatch):
+        # the cap at a reduction's step count (the identity step included)
+        # and one less: a certificate or "hit the iteration cap", as the oracle
+        outcomes = set()
+        for p in list(_oracle_points())[:100]:
+            if isinstance(p, JacobiPoint):
+                continue
+            steps = loop_oracle(p).iterations + 1
+            for cap in (steps, steps - 1):
+                monkeypatch.setattr(siegel, "MAX_ITERS", cap)
+                try:
+                    want = _cert_bytes(loop_oracle(p))
+                except SiegelReductionError as exc:
+                    want = str(exc)
+                try:
+                    got = _cert_bytes(siegel_reduce(p))
+                except SiegelReductionError as exc:
+                    got = str(exc)
+                assert got == want
+                outcomes.add(type(got))
+            monkeypatch.undo()
+        assert outcomes == {tuple, str}
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
