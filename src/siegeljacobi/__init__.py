@@ -9,10 +9,9 @@ attached to a Siegel point (torus_spectral).  ``sjk`` is the CLI.
 """
 
 from .group_core import (HeisenbergInt, JacobiGroupElement, JacobiPoint,
-                         PosDefMatrix, SiegelPoint, SymplecticInt,
+                         PosDefMatrix, SiegelPoint, SymplecticInt, UnimodularInt,
                          act_jacobi, act_siegel, jacobi_mul, symplectic_check)
-from .minkowski import (ReductionCertificate, UnimodularInt,
-                        is_minkowski_reduced, minkowski_reduce)
+from .minkowski import ReductionCertificate, is_minkowski_reduced, minkowski_reduce
 from .siegel import (CandidateSet, SiegelCertificate, builtin_candidates,
                      heuristic_candidates, highest_point_step,
                      load_candidates, siegel_membership, siegel_reduce)

@@ -1,12 +1,13 @@
 """Exact group elements and their actions on the Siegel and Siegel-Jacobi spaces.
 
-Group elements (symplectic, Heisenberg, Jacobi) carry exact Python-int
-entries, and points float matrices in split real form, Omega = X + iY and
-Z = U + iV.  Each value has one checked constructor, the public one, and
-one unchecked private _of builder for what holds its invariant by
-construction: group-law results, built-in forms, a point's checked Y.
-The README ("Exact group cores") says where each check runs and how the
-actions are guarded.  Everything here is a pure function on immutable values.
+Group elements (unimodular, symplectic, Heisenberg, Jacobi) carry exact
+Python-int entries, and points float matrices in split real form,
+Omega = X + iY and Z = U + iV.  Each value has one checked constructor, the
+public one, and one unchecked private _of builder for what holds its
+invariant by construction: group-law results, built-in forms, a point's
+checked Y.  The README ("Exact group cores") says where each check runs and
+how the actions are guarded.  Everything here is a pure function on
+immutable values.
 """
 
 from __future__ import annotations
@@ -175,8 +176,19 @@ class JacobiPoint:
 
 
 # ---------------------------------------------------------------------------
-# symplectic matrices
+# unimodular and symplectic matrices
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class UnimodularInt:
+    """Element of GL(g, Z) and its exact inverse; the inverse checks |det| = 1."""
+
+    entries: np.ndarray
+
+    def __post_init__(self):
+        m = as_imat(self.entries)
+        self.__dict__.update(entries=m, inverse_entries=int_inv_unimodular(m))
+
 
 def j_matrix(g: int) -> np.ndarray:
     """The standard alternating form J_g as an exact integer matrix."""
@@ -277,19 +289,19 @@ class SymplecticInt:
     @classmethod
     def gl_embed(cls, u) -> "SymplecticInt":
         """Embed U in GL(g, Z) as (t(U), 0; 0, U^{-1}): Omega -> t(U) Omega U."""
-        return cls._parabolic_of(as_imat(u), None)
+        return cls._parabolic_of(UnimodularInt(u), None)
 
     @classmethod
     def _parabolic_of(cls, u, s) -> "SymplecticInt":
         """The C = 0 element translation(s) * gl_embed(u) = (t(u), s u^{-1};
-        0, u^{-1}): Omega -> t(u) Omega u + s.  u is unimodular in exact Python
-        ints (a UnimodularInt's entries) and s symmetric with finite integral
+        0, u^{-1}): Omega -> t(u) Omega u + s.  u is a UnimodularInt, whose
+        stored inverse is read, and s symmetric with finite integral
         entries, each made an exact Python int; None stands for I and for 0.
         Not coerced or checked."""
-        g = len(u if u is not None else s)
+        g = len(u.entries if u is not None else s)
         m = izeros(2 * g, 2 * g)
-        uinv = ieye(g) if u is None else int_inv_unimodular(u)
-        m[:g, :g] = uinv if u is None else u.T
+        uinv = ieye(g) if u is None else u.inverse_entries
+        m[:g, :g] = uinv if u is None else u.entries.T
         m[g:, g:] = uinv
         if s is not None:  # exact ints at any scale
             s = np.array([[int(v) for v in row] for row in s.tolist()], dtype=object)
@@ -398,6 +410,11 @@ class HeisenbergInt:
     def g(self) -> int:
         return self.lam.shape[1]
 
+    @cached_property
+    def float_parts(self):
+        """(lam, mu) as float arrays, converted once per element."""
+        return to_float(self.lam), to_float(self.mu)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, HeisenbergInt):
             return NotImplemented
@@ -500,9 +517,9 @@ def act_siegel(m, p: SiegelPoint) -> SiegelPoint:
             raise IllConditionedActionError(
                 "action result lost symmetry (drift %.3g)" % drift)
     res = 0.5 * (res + res.T)
-    for name, m in (("X", res.real), ("Y", res.imag)):
-        if not np.isfinite(m).all():
-            raise ValueError("%s has a non-finite entry" % name)
+    if not np.isfinite(res).all():  # one pass; X or Y is named only on failure
+        name = "Y" if np.isfinite(res.real).all() else "X"
+        raise ValueError("%s has a non-finite entry" % name)
     _check_posdef(res.imag, "Im(Omega)")
     return SiegelPoint._of(res.real.copy(), res.imag.copy())
 
@@ -515,7 +532,8 @@ def act_jacobi(x: JacobiGroupElement, p: JacobiPoint) -> JacobiPoint:
     new_omega = act_siegel(x.m, p.omega)   # has guarded C Omega + D
     a, _, c, d = x.m.float_blocks
     omega = p.omega.omega
-    w = p.Z + to_float(x.heis.lam) @ omega + to_float(x.heis.mu)
+    lam, mu = x.heis.float_parts
+    w = p.Z + lam @ omega + mu
     if x.m.cond_bounded:
         z_new = w @ a.T
     else:

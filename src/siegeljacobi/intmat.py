@@ -52,49 +52,50 @@ def izeros(m: int, n: int) -> np.ndarray:
 
 
 def int_det(a: np.ndarray) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    a = np.array(a, dtype=object)
+    """Exact determinant by fraction-free Bareiss elimination on list rows."""
+    a = np.asarray(a, dtype=object)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("determinant of non-square matrix")
     if n == 0:
         return 1
+    rows = a.tolist()
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if a[k, k] == 0:
+        if rows[k][k] == 0:
             for r in range(k + 1, n):
-                if a[r, k] != 0:
-                    a[[k, r]] = a[[r, k]]
+                if rows[r][k] != 0:
+                    rows[k], rows[r] = rows[r], rows[k]
                     sign = -sign
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
+        top = rows[k]
+        for row in rows[k + 1:]:
             for j in range(k + 1, n):
-                a[i, j] = (a[i, j] * a[k, k] - a[i, k] * a[k, j]) // prev
-        prev = a[k, k]
-    return sign * int(a[n - 1, n - 1])
+                row[j] = (row[j] * top[k] - row[k] * top[j]) // prev
+        prev = top[k]
+    return sign * int(rows[n - 1][n - 1])
 
 
 def int_inv_unimodular(a: np.ndarray) -> np.ndarray:
-    """Exact inverse of a matrix with determinant +-1 (adjugate method); the
-    minors are Python-int lists, in closed form up to 2 x 2."""
+    """Exact inverse of a matrix with determinant d = +-1: d times the
+    adjugate, over Python-int lists; cofactors in closed form up to 3 x 3."""
     a = np.asarray(a, dtype=object)
     n = a.shape[0]
     d = int_det(a)
     if d not in (1, -1):
         raise ValueError("matrix is not unimodular (det=%s)" % d)
-    rows = a.tolist()
-    adj = np.empty((n, n), dtype=object)
-    for i in range(n):
-        others = rows[:i] + rows[i + 1:]
-        for j in range(n):
-            m = [r[:j] + r[j + 1:] for r in others]
-            det = (1 if n == 1 else m[0][0] if n == 2
-                   else m[0][0] * m[1][1] - m[0][1] * m[1][0] if n == 3 else int_det(m))
-            adj[j, i] = -d * det if (i + j) % 2 else d * det
-    return adj
+    r = a.tolist()
+    def cofactor(j, i):  # of entry (j, i), its sign included
+        if n <= 2:
+            return 1 if n == 1 else r[1 - j][1 - i] if i == j else -r[1 - j][1 - i]
+        if n == 3:  # cyclic indices carry the sign
+            j1, j2, i1, i2 = (j + 1) % 3, (j + 2) % 3, (i + 1) % 3, (i + 2) % 3
+            return r[j1][i1] * r[j2][i2] - r[j1][i2] * r[j2][i1]
+        return (-1) ** (i + j) * int_det([row[:i] + row[i + 1:] for row in r[:j] + r[j + 1:]])
+    return np.array([[d * cofactor(j, i) for j in range(n)] for i in range(n)], dtype=object)
 
 
 def complete_primitive(v) -> np.ndarray:

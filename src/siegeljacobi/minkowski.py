@@ -28,8 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .intmat import as_imat, complete_primitive, ieye, int_det, to_float
-from .group_core import PosDefMatrix, as_pd_array
+from .intmat import complete_primitive, ieye, int_det, to_float
+from .group_core import PosDefMatrix, UnimodularInt, as_pd_array
 
 DEFAULT_BOUND = 1
 DEFAULT_EPS = 1e-9
@@ -44,19 +44,6 @@ class ReductionError(RuntimeError):
     def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
-
-
-@dataclass(frozen=True)
-class UnimodularInt:
-    """Element of GL(g, Z); |det| = 1 checked exactly."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = as_imat(self.entries)
-        if int_det(m) not in (1, -1):
-            raise ValueError("matrix is not unimodular")
-        object.__setattr__(self, "entries", m)
 
 
 @dataclass(frozen=True)
@@ -193,9 +180,9 @@ def _lll_transform(y: np.ndarray):
 
 @lru_cache(maxsize=8)
 def _identity(g: int) -> UnimodularInt:
-    """The identity certificate transform, shared per g: its array is read-only."""
+    """The identity certificate transform, shared per g: its arrays are read-only."""
     eye = UnimodularInt(ieye(g))
-    eye.entries.flags.writeable = False
+    eye.entries.flags.writeable = eye.inverse_entries.flags.writeable = False
     return eye
 
 

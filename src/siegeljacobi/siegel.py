@@ -33,7 +33,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .group_core import PosDefMatrix, SiegelPoint, SymplecticInt, act_siegel, symplectic_check
+from .group_core import (IllConditionedActionError, PosDefMatrix, SiegelPoint, SymplecticInt,
+                         act_siegel, symplectic_check)
 from .intmat import ieye, izeros, to_float
 from .jsonio import decode_symplectic, encode_symplectic, get_field
 from .minkowski import DEFAULT_EPS, ReductionError, membership_mask, minkowski_reduce
@@ -277,6 +278,7 @@ def _det_sq_batch(cands: CandidateSet, xs: np.ndarray, ys: np.ndarray) -> np.nda
     At g <= 2 a point alone gets two monomial columns, since numpy hands a
     one-column product to a matrix-vector kernel whose last bit can differ
     from the batched kernel's; so a point gets the same bits in any batch.
+    At g >= 3 an overflowed entry is exp(2 log|det|) by slogdet, maybe inf.
     """
     table = cands.det_table
     if cands.g <= 2:
@@ -288,8 +290,14 @@ def _det_sq_batch(cands: CandidateSet, xs: np.ndarray, ys: np.ndarray) -> np.nda
         re += im
         return re[:, :xs.shape[0]]
     cs, ds = table
-    det = np.linalg.det(np.matmul(cs, (xs + 1j * ys)[:, None]) + ds)
-    return (det.real ** 2 + det.imag ** 2).T
+    k = np.matmul(cs, (xs + 1j * ys)[:, None]) + ds
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.linalg.det(k)
+        out = det.real ** 2 + det.imag ** 2
+        bad = ~np.isfinite(out)
+        if bad.any():  # the finite entries keep det's bits
+            out[bad] = np.exp(2.0 * np.linalg.slogdet(k[bad])[1])
+    return out.T
 
 
 def det_sq(cands: CandidateSet, omega: np.ndarray) -> np.ndarray:
@@ -371,8 +379,8 @@ def highest_point_step(p: SiegelPoint, cands: CandidateSet = None,
     translation act on (X, Y) directly and make one exact C = 0 element,
     (t(U), S U^{-1}; 0, U^{-1}); only a candidate step runs act_siegel and
     one product (the README's "Exact group cores").  A failed sub-step (the
-    reducer's ReductionError, overflow, lost definiteness) is a
-    SiegelReductionError carrying p.
+    reducer's ReductionError, overflow, lost definiteness, an ill-conditioned
+    action) is a SiegelReductionError carrying p.
     """
     cands = builtin_candidates(p.g) if cands is None else cands
     x, y, u = p.X, p.Y, None
@@ -381,8 +389,8 @@ def highest_point_step(p: SiegelPoint, cands: CandidateSet = None,
     except ReductionError as exc:
         raise SiegelReductionError("highest-point step failed: %s" % exc, best=p) from None
     if cert.iterations > 0:
-        u = cert.transform.entries  # coerced by UnimodularInt
-        a = to_float(u).T.copy()
+        u = cert.transform  # coerced and inverted by UnimodularInt
+        a = to_float(u.entries).T.copy()
         with np.errstate(over="ignore", invalid="ignore"):
             x = (a @ x) @ a.T
             x, y = 0.5 * (x + x.T), cert.reduced
@@ -405,7 +413,7 @@ def highest_point_step(p: SiegelPoint, cands: CandidateSet = None,
         cand = cands.elements[best]
         try:
             cur = act_siegel(cand, cur)
-        except ValueError as exc:
+        except (ValueError, IllConditionedActionError) as exc:
             raise SiegelReductionError("highest-point step failed: %s" % exc, best=p) from None
         gamma = cand if gamma is None else cand * gamma
     return cur, SymplecticInt.identity(p.g) if gamma is None else gamma

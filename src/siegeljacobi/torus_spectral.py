@@ -85,7 +85,13 @@ def phi_omega_inv(z, omega: SiegelPoint) -> TorusPoint:
 # ---------------------------------------------------------------------------
 
 def _c_matrix(idx: FourierIndex, omega: SiegelPoint) -> np.ndarray:
-    return np.linalg.solve(omega.Y.T, (idx.B - idx.A @ omega.X).T).T
+    """C = (B - AX) Y^{-1}, solved once per (index, Omega): the index keeps the
+    last Omega (by identity; points are never mutated) and its C in __dict__."""
+    memo = idx.__dict__.get("_c_memo")
+    if memo is None or memo[0] is not omega:  # memo holds omega, so its id stays
+        memo = omega, np.linalg.solve(omega.Y.T, (idx.B - idx.A @ omega.X).T).T
+        idx.__dict__["_c_memo"] = memo
+    return memo[1]
 
 
 def eval_E_omega(idx: FourierIndex, z, omega: SiegelPoint) -> np.ndarray:
@@ -93,7 +99,7 @@ def eval_E_omega(idx: FourierIndex, z, omega: SiegelPoint) -> np.ndarray:
     ``z``, broadcasting over (..., h, g); values have unit modulus."""
     z = np.asarray(z, dtype=complex)
     c = _c_matrix(idx, omega)
-    phase = np.sum(idx.A * z.real, axis=(-2, -1)) + np.sum(c * z.imag, axis=(-2, -1))
+    phase = (idx.A * z.real).sum(axis=(-2, -1)) + (c * z.imag).sum(axis=(-2, -1))
     return np.exp(2j * np.pi * phase)
 
 

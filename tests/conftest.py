@@ -228,6 +228,15 @@ OVERFLOW_Z_POINT = JacobiPoint.from_z(SiegelPoint.from_omega([[0.1 + 1e-10j]]), 
 #: (X, Y) of a point the decoder accepts whose GL move t(U) X U overflows
 GL_OVERFLOW = (8e307 * np.eye(2), 4.0 * np.array([[1.0, 0.6], [0.6, 1.0]]))
 
+#: (X, Y) of a g = 3 point whose first candidate step fails act_siegel's
+#: condition guard: C Omega + D is near singular at this scale
+ILL_CONDITIONED_STEP = (np.zeros((3, 3)),
+                        1e-120 * (np.eye(3) + 0.3 * (np.ones((3, 3)) - np.eye(3))))
+
+#: a g = 3 member whose |det(C Omega + D)|^2 overflow for the r >= 2
+#: subset inversions: 1e440 and 1e660
+OVERFLOW_DET_Y = 1e110 * np.eye(3)
+
 #: |det|^2 = 0.9999999989999999 sits between the step's old threshold
 #: 1/(1 + 1e-9) and membership's 1 - 1e-9: no step fired, and reduction
 #: stalled on a non-member

@@ -21,8 +21,8 @@ from siegeljacobi.jsonio import (decode_jacobi_point,
 from siegeljacobi.minkowski import is_minkowski_reduced
 from siegeljacobi.siegel import CandidateSet, builtin_candidates, siegel_membership
 from conftest import (DEFINITENESS_LOSS_Y, GL_OVERFLOW, HARD_YS, HUGE_Z_POINT,
-                      OVERFLOW_Z_POINT, SKEWED_YS, STALL_OMEGA, STEP_DEFINITENESS_LOSS,
-                      decode_jacobi_element,
+                      ILL_CONDITIONED_STEP, OVERFLOW_DET_Y, OVERFLOW_Z_POINT, SKEWED_YS,
+                      STALL_OMEGA, STEP_DEFINITENESS_LOSS, decode_jacobi_element,
                       ill_conditioned_ys, is_plus_minus_identity, rand_jacobi_element,
                       rand_jacobi_point, rand_siegel_point, sl2z_reduce_oracle,
                       boundary_equivalent, write_candidates)
@@ -182,6 +182,15 @@ class TestReduceCommand:
         assert code == 3 and out == ""
         assert err == "numeric failure: highest-point step failed: GL move overflowed X\n"
 
+    def test_ill_conditioned_candidate_exits_3(self, tmp_path, capsys):
+        # a candidate step's IllConditionedActionError, now wrapped as a
+        # SiegelReductionError that names the step
+        path = write_json(tmp_path / "p.json",
+                          encode_siegel_point(SiegelPoint(*ILL_CONDITIONED_STEP)))
+        code, out, err = run_cli(capsys, ["reduce", "--siegel", "--point", path])
+        assert code == 3 and out == ""
+        assert err == "numeric failure: highest-point step failed: ill-conditioned action\n"
+
     def test_jacobi_huge_z(self, tmp_path, capsys):
         # lambda = mu = -2^63 used to be reported with exit 0, and the
         # replay of gammaJ gave Z near 1e19
@@ -282,6 +291,15 @@ class TestReduceCommand:
 
 
 class TestMemberCommand:
+    def test_g3_member_with_overflowing_determinants(self, tmp_path, capsys):
+        # |det(C Omega + D)|^2 overflows for some candidates: it used to print
+        # "member": false and exit 0, with numpy's det warnings on stderr
+        path = write_json(tmp_path / "p.json",
+                          encode_siegel_point(SiegelPoint(np.zeros((3, 3)), OVERFLOW_DET_Y)))
+        code, out, err = run_cli(capsys, ["member", "--siegel", "--point", path])
+        assert code == 0 and err == ""
+        assert json.loads(out)["outputs"]["member"] is True
+
     def test_siegel_member(self, tmp_path, capsys):
         path = write_json(tmp_path / "p.json",
                           {"omega": encode_complex(1j * np.eye(2))})

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from siegeljacobi import group_core
-from siegeljacobi.intmat import as_imat, ieye
+from siegeljacobi.intmat import as_imat, ieye, to_float
 from siegeljacobi.group_core import (HeisenbergInt, IllConditionedActionError,
                                      JacobiGroupElement, JacobiPoint,
-                                     SiegelPoint, SymplecticInt,
+                                     SiegelPoint, SymplecticInt, UnimodularInt,
                                      act_jacobi, act_siegel, j_matrix,
                                      jacobi_mul, kappa_fix, symplectic_check)
 from siegeljacobi.minkowski import minkowski_reduce
@@ -127,10 +127,11 @@ class TestGroupLawProperties:
                 s = as_imat(rng.integers(-3, 4, (g, g))) * scale
                 s = s + s.T
                 want = SymplecticInt.translation(s) * SymplecticInt.gl_embed(u)
-                got = SymplecticInt._parabolic_of(u, s.astype(float))
+                got = SymplecticInt._parabolic_of(UnimodularInt(u), s.astype(float))
                 assert got == want and symplectic_check(got.matrix)
                 assert all(type(v) is int for v in got._matrix.flat)
-                assert SymplecticInt._parabolic_of(u, None) == SymplecticInt.gl_embed(u)
+                gl = SymplecticInt._parabolic_of(UnimodularInt(u), None)
+                assert gl == SymplecticInt.gl_embed(u)
                 assert SymplecticInt._parabolic_of(None, s) == SymplecticInt.translation(s)
 
     def test_matrix_is_a_copy(self, rng):
@@ -360,6 +361,29 @@ class TestActJacobi:
             assert np.max(np.abs(lhs.Z - rhs.Z)) < 1e-10
             assert np.max(np.abs(lhs.omega.omega - rhs.omega.omega)) < 1e-10
 
+    def test_hex_equal_to_the_formula_before_float_parts(self, rng):
+        # lam and mu used to be converted by two to_float calls per action
+        for _ in range(60):
+            g, h = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+            p, x = rand_jacobi_point(g, h, rng), rand_jacobi_element(g, h, rng)
+            a, _, c, d = x.m.float_blocks
+            omega = p.omega.omega
+            w = p.Z + to_float(x.heis.lam) @ omega + to_float(x.heis.mu)
+            z = w @ a.T if x.m.cond_bounded else np.linalg.solve((c @ omega + d).T, w.T).T
+            want = JacobiPoint.from_z(act_siegel(x.m, p.omega), z)
+            got = act_jacobi(x, p)
+            for name in ("U", "V"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert got.omega.omega.tobytes() == want.omega.omega.tobytes()
+
+    def test_float_parts(self, rng):
+        for g, h in ((1, 1), (2, 2), (3, 2)):
+            heis = rand_heisenberg(g, h, rng)
+            lam, mu = heis.float_parts
+            assert lam.dtype == mu.dtype == float
+            assert np.array_equal(lam, to_float(heis.lam)) and np.array_equal(mu, to_float(heis.mu))
+            assert heis.float_parts is heis.float_parts
+
 
 class TestValidation:
     def test_siegel_point_requires_posdef(self):
@@ -454,6 +478,18 @@ def test_c_zero_steps_act_as_exact_congruences(rng):
     jp = act_jacobi(JacobiGroupElement(m, HeisenbergInt.identity(2, 1)),
                     JacobiPoint.from_z(p, [[0.3 + 0.1j, 0.2j]]))
     assert np.array_equal(jp.omega.Y, q.Y)
+
+
+def test_action_names_the_non_finite_part():
+    # the result is tested for finiteness in one pass; the message names X
+    # when the real part is not finite (complex arithmetic carries an
+    # overflow of Y into X, as here)
+    for m, p in ((SymplecticInt.inversion(1), SiegelPoint.from_omega([[1e-320j]])),
+                 (SymplecticInt.gl_embed([[1, 2], [0, 1]]),
+                  SiegelPoint(np.zeros((2, 2)), 5e307 * np.eye(2)))):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^X has a non-finite entry$"):
+                act_siegel(m, p)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

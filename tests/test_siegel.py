@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from siegeljacobi import geometry, jacobi_domain, siegel
 from siegeljacobi.cli import main
 from siegeljacobi.geometry import volume_fg_mc
-from siegeljacobi.group_core import JacobiPoint, SiegelPoint, SymplecticInt, act_siegel
+from siegeljacobi.group_core import (IllConditionedActionError, JacobiPoint, SiegelPoint,
+                                     SymplecticInt, act_siegel)
 from siegeljacobi.intmat import as_imat
 from siegeljacobi.jacobi_domain import JacobiCertificate, jacobi_reduce
 from siegeljacobi.jsonio import encode_siegel_point
@@ -23,10 +24,11 @@ from siegeljacobi.siegel import (CandidateSet, _det_coefficients, _det_sq_batch,
                                  heuristic_candidates, highest_point_step,
                                  load_candidates, membership_mask_points,
                                  SiegelReductionError, siegel_membership, siegel_reduce)
-from conftest import (GL_OVERFLOW, SKEWED_YS, STALL_OMEGA, STEP_DEFINITENESS_LOSS,
-                      boundary_equivalent, is_plus_minus_identity, rand_interior_siegel,
-                      rand_jacobi_point, rand_siegel_point, siegel_flags_oracle,
-                      sl2z_reduce_oracle, write_candidates)
+from conftest import (GL_OVERFLOW, ILL_CONDITIONED_STEP, OVERFLOW_DET_Y, SKEWED_YS,
+                      STALL_OMEGA, STEP_DEFINITENESS_LOSS, boundary_equivalent,
+                      is_plus_minus_identity, rand_interior_siegel, rand_jacobi_point,
+                      rand_siegel_point, siegel_flags_oracle, sl2z_reduce_oracle,
+                      write_candidates)
 from test_pinned_certificates import SEED as PINNED_SEED
 
 
@@ -248,12 +250,12 @@ class TestReduce:
     def test_gl_move_coerces_transform_once(self, monkeypatch):
         # UnimodularInt coerces the reducer's exact U, and the GL move embeds
         # those entries as they are instead of coercing them again
-        from siegeljacobi import group_core, minkowski
+        from siegeljacobi import group_core
         builtin_candidates(2)   # loaded (and coerced) before counting
         seen = []
-        for mod in (group_core, minkowski):
-            monkeypatch.setattr(mod, "as_imat",
-                                lambda m, _coerce=mod.as_imat: seen.append(1) or _coerce(m))
+        # UnimodularInt lives in group_core, the one module on this path that coerces
+        monkeypatch.setattr(group_core, "as_imat",
+                            lambda m, _coerce=group_core.as_imat: seen.append(1) or _coerce(m))
         p = SiegelPoint(np.zeros((2, 2)), 4.0 * np.array([[1.0, 0.6], [0.6, 1.0]]))
         _, step = highest_point_step(p)
         assert not step.is_identity() and len(seen) == 1
@@ -316,6 +318,25 @@ class TestReduce:
         with pytest.raises(SiegelReductionError, match="overflowed") as err:
             siegel_reduce(p)
         assert err.value.trace == [float(np.linalg.det(p.Y))]
+
+    def test_ill_conditioned_candidate_is_a_reduction_failure(self):
+        # the candidate step's C Omega + D fails act_siegel's condition guard:
+        # the IllConditionedActionError used to escape bare, without a trace
+        p, cands = SiegelPoint(*ILL_CONDITIONED_STEP), builtin_candidates(3)
+        cand = cands.elements[int(np.argmin(det_sq(cands, p.omega)))]
+        with pytest.raises(IllConditionedActionError):
+            act_siegel(cand, p)
+        with pytest.raises(SiegelReductionError) as err:
+            highest_point_step(p)
+        assert str(err.value) == "highest-point step failed: ill-conditioned action"
+        assert err.value.best is p
+        for reduce in (siegel_reduce, lambda q: jacobi_reduce(JacobiPoint.from_z(q, [[0.0] * 3]))):
+            with pytest.raises(SiegelReductionError) as err:
+                reduce(p)
+            assert type(err.value) is SiegelReductionError
+            assert "ill-conditioned action" in str(err.value)
+            assert err.value.trace == [float(np.linalg.det(p.Y))]
+            assert err.value.best is p
 
 
 class TestOneActionPerStep:
@@ -513,6 +534,24 @@ class TestDeterminantKernel:
                                   + np.asarray(m.D, float))) ** 2
                 for m in cands.elements]
         assert np.allclose(det_sq(cands, p.omega), want, rtol=1e-12)
+
+    def test_g3_overflow_is_taken_from_slogdet(self):
+        # det overflows for the r >= 2 subset inversions (to inf, or to NaN
+        # through its complex sign); those entries come from slogdet, the rest
+        # keep det's bits
+        cands = builtin_candidates(3)
+        omega = 1j * OVERFLOW_DET_Y
+        ks = np.array([m.float_blocks[2] @ omega + m.float_blocks[3] for m in cands.elements])
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = np.linalg.det(ks)
+            plain = det.real ** 2 + det.imag ** 2
+            finite = np.isfinite(plain)
+            want = np.exp(2.0 * np.linalg.slogdet(ks[~finite])[1])
+        assert finite.any() and not finite.all() and np.all(want == np.inf)
+        got = det_sq(cands, omega)   # warnings are errors in this suite
+        assert np.array_equal(got[finite], plain[finite])
+        assert np.array_equal(got[~finite], want)
+        assert siegel_membership(SiegelPoint(np.zeros((3, 3)), OVERFLOW_DET_Y)) == (True, True)
 
     def test_table_built_once(self):
         cands = builtin_candidates(2)

@@ -5,7 +5,7 @@ from siegeljacobi.group_core import JacobiPoint, SiegelPoint
 from siegeljacobi.geometry import laplacian_apply
 from siegeljacobi.jacobi_domain import decompose_in_omega_basis, phi_omega
 from siegeljacobi.torus_spectral import (FourierIndex, QuadratureGridError,
-                                         TorusPoint, character_table,
+                                         TorusPoint, _c_matrix, character_table,
                                          eigenvalue_E, eval_E_omega,
                                          eval_E_torus, frequency_indices,
                                          inner_product, phi_omega_inv,
@@ -195,6 +195,93 @@ class TestCharacters:
         t = phi_omega_inv(canon, om)
         again = phi_omega(t.P, t.Q, om)
         assert np.max(np.abs(again - canon)) < 1e-12
+
+
+def parent_c(idx, om):
+    """C = (B - AX) Y^{-1}, solved afresh: the formula before the memo."""
+    return np.linalg.solve(om.Y.T, (idx.B - idx.A @ om.X).T).T
+
+
+def parent_eval_E_omega(idx, z, om):
+    z = np.asarray(z, dtype=complex)
+    c = parent_c(idx, om)
+    phase = np.sum(idx.A * z.real, axis=(-2, -1)) + np.sum(c * z.imag, axis=(-2, -1))
+    return np.exp(2j * np.pi * phase)
+
+
+def parent_eigenvalue_E(idx, om):
+    c = parent_c(idx, om)
+    return float(-np.pi ** 2 * (np.trace(idx.A @ om.Y @ idx.A.T) + np.trace(c @ om.Y @ c.T)))
+
+
+def hex_of(vals):
+    vals = np.atleast_1d(np.asarray(vals, dtype=complex))
+    return [(float(v.real).hex(), float(v.imag).hex()) for v in vals]
+
+
+class TestCharacterMemo:
+    """Each index keeps C for the last Omega it met, by identity; every value
+    must be that of a fresh index, and of the formulas before the memo."""
+
+    @staticmethod
+    def draw(rng, h=1, g=2):
+        return (FourierIndex(rng.integers(-3, 4, (h, g)), rng.integers(-3, 4, (h, g))),
+                rng.normal(size=(5, h, g)) + 1j * rng.normal(size=(5, h, g)))
+
+    def test_revisited_omega_matches_a_fresh_index(self, rng):
+        for g, h in ((1, 1), (2, 1), (2, 2), (3, 2)):
+            idx, z = self.draw(rng, h, g)
+            om1, om2 = rand_siegel_point(g, rng), rand_siegel_point(g, rng)
+            seen = [(eval_E_omega(idx, z, om), eigenvalue_E(idx, om)) for om in (om1, om2, om1)]
+            for om, (vals, lam) in zip((om1, om2, om1), seen):
+                fresh = FourierIndex(idx.A, idx.B)
+                assert hex_of(vals) == hex_of(eval_E_omega(fresh, z, om))
+                assert lam.hex() == eigenvalue_E(FourierIndex(idx.A, idx.B), om).hex()
+
+    def test_equal_point_built_twice_is_solved_again(self, rng, monkeypatch):
+        # the memo keys on identity: an equal point built anew is a miss
+        idx, z = self.draw(rng)
+        om = rand_siegel_point(2, rng)
+        twin = SiegelPoint(om.X, om.Y)
+        eval_E_omega(idx, z, om)
+        solves = []
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *a, _solve=np.linalg.solve: solves.append(1) or _solve(*a))
+        assert hex_of(eval_E_omega(idx, z, twin)) == hex_of(eval_E_omega(idx, z, om))
+        eval_E_omega(idx, z, om)
+        assert len(solves) == 2
+
+    def test_two_indices_at_one_omega_keep_their_own_c(self, rng):
+        om = rand_siegel_point(2, rng)
+        (i1, z), (i2, _) = self.draw(rng), self.draw(rng)
+        while np.array_equal(i1.A, i2.A) and np.array_equal(i1.B, i2.B):
+            i2, _ = self.draw(rng)
+        v1, v2, v1_again = (eval_E_omega(i, z, om) for i in (i1, i2, i1))
+        assert hex_of(v1) == hex_of(v1_again) == hex_of(parent_eval_E_omega(i1, z, om))
+        assert hex_of(v2) == hex_of(parent_eval_E_omega(i2, z, om))
+        assert not np.array_equal(_c_matrix(i1, om), _c_matrix(i2, om))
+
+    def test_flat_path_between_omega_calls(self, rng):
+        # eval_E_torus builds its own Omega = iI, a new point on every call
+        for g, h in ((1, 1), (2, 1), (2, 2)):
+            idx, z = self.draw(rng, h, g)
+            om = rand_siegel_point(g, rng)
+            t = TorusPoint(rng.random((h, g)), rng.random((h, g)))
+            flat = np.exp(2j * np.pi * (np.sum(idx.A * t.P) + np.sum(idx.B * t.Q)))
+            before = eval_E_omega(idx, z, om)
+            assert eval_E_torus(idx, t) == flat
+            assert hex_of(eval_E_omega(idx, z, om)) == hex_of(before)
+            assert eval_E_torus(idx, t) == flat == eval_E_torus(FourierIndex(idx.A, idx.B), t)
+
+    def test_hex_equal_to_the_formulas_before_the_memo(self, rng):
+        for _ in range(60):
+            g, h = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+            idx, z = self.draw(rng, h, g)
+            om = rand_siegel_point(g, rng)
+            for zz in (z, z[0]):   # a stack and one point
+                want = parent_eval_E_omega(idx, zz, om)
+                assert hex_of(eval_E_omega(idx, zz, om)) == hex_of(want)
+            assert eigenvalue_E(idx, om).hex() == parent_eigenvalue_E(idx, om).hex()
 
 
 class TestInnerProduct:
