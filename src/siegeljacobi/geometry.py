@@ -43,10 +43,10 @@ VOLUME_TARGETS = {1: pi / 3.0, 2: pi ** 3 / 270.0}
 #: a seed yields, and with them every estimate.
 MC_CHUNK = 500_000
 
-#: samples a chunk builds, masks and weighs at a time: cache sized, measured.
-#: On a 2 MiB-L2-per-core Xeon a g = 2 chunk ran equally fast at 4,096 to
-#: 16,384, 10-15 % slower at 2,048 and 32,768, and 25 % slower at 65,536.
-#: No answer depends on it.
+#: samples a chunk writes into entry planes, masks and weighs at a time:
+#: cache sized, measured.  On a 2 MiB-L2-per-core Xeon a g = 2 chunk ran
+#: within 2 % of 8,192 at 6,144 to 16,384, 5 % slower at 4,096 and 7-11 %
+#: slower at 24,576 to 32,768.  No answer depends on it.
 ROW_BLOCK = 8_192
 
 
@@ -394,18 +394,16 @@ def _chunk_g2(rng, n, a, eps, cands):
     n_acc = 0
     for start in range(0, n, ROW_BLOCK):
         block = slice(start, start + ROW_BLOCK)
-        b1, b2 = t1[block], t2[block]
-        y12 = 0.5 * s[block] * b1
-        xs, ys = np.empty((2, len(b1), 2, 2))
-        ys[:, 0, 0] = b1
-        ys[:, 1, 1] = b2
-        ys[:, 0, 1] = ys[:, 1, 0] = y12
-        xb = xd[block]
-        xs[:, 0, 0] = xb[:, 0]
-        xs[:, 1, 1] = xb[:, 1]
-        xs[:, 0, 1] = xs[:, 1, 0] = xb[:, 2]
-        acc = np.flatnonzero(membership_mask_points(xs, ys, cands, eps))
-        b1, b2, y12 = b1[acc], b2[acc], y12[acc]
+        b1 = t1[block]
+        # entry planes, xs[i, j] the x_ij of the block: symmetric, so xs.T
+        # is the block's (m, 2, 2) stack, as a view
+        xs, ys = np.empty((2, 2, 2, b1.size))
+        ys[0, 0], ys[1, 1] = b1, t2[block]
+        np.multiply(0.5 * s[block], b1, out=ys[0, 1])
+        xs[0, 0], xs[1, 1], xs[0, 1] = xd[block].T
+        xs[1, 0], ys[1, 0] = xs[0, 1], ys[0, 1]
+        acc = membership_mask_points(xs.T, ys.T, cands, eps).nonzero()[0]
+        b1, b2, y12 = ys[0, 0][acc], ys[1, 1][acc], ys[0, 1][acc]
         det_y = b1 * b2 - y12 * y12
         q1 = 3.0 * a ** 3 * b1 ** -4
         q2 = 2.0 * b1 ** 2 * b2 ** -3
@@ -425,11 +423,12 @@ def volume_fg_mc(g: int, n_samples: int, seed: int, threads: int = 1,
     over the reduced wedge [0, y11/2].  Samples split into chunks of
     MC_CHUNK seeded by (seed, chunk_index), so results are reproducible and
     independent of ``threads``; chunk sums merge in index order.  A chunk
-    draws all its samples at once, then builds (X, Y), runs the membership
-    mask and weighs the members ROW_BLOCK samples at a time, while they are
-    in cache.  It is the only code that blocks: the mask kernels take each
-    block whole.  Its sums are taken over the whole chunk, and a mask gives
-    a point the same bit in any batch, so the block size changes no bit.
+    draws all its samples at once, then writes them into entry planes, runs
+    the membership mask and weighs the members ROW_BLOCK samples at a time,
+    while they are in cache.  It is the only code that blocks: the mask
+    kernels take each block whole.  Its sums are taken over the whole chunk,
+    and a mask gives a point the same bit in any batch, so the block size
+    changes no bit.
     """
     if g not in (1, 2):
         raise ValueError("Monte Carlo volume supports g in {1, 2}")

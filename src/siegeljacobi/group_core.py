@@ -40,8 +40,9 @@ def _check_symmetric(m: np.ndarray, what: str, eps: float = EPS_SYM) -> np.ndarr
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("%s must be square" % what)
-    if not np.isfinite(m).all():
-        raise ValueError("%s has a non-finite entry" % what)
+    if not np.abs(m).max(initial=0.0) < 2.0 ** 1023:  # then m + t(m), m - t(m) are finite
+        raise ValueError("%s %s" % (what, "overflows when symmetrized" if np.isfinite(m).all()
+                                    else "has a non-finite entry"))
     drift = np.abs(m - m.T).max() if m.size else 0.0
     if drift > eps:
         raise ValueError("%s not symmetric (drift %.3g > %.3g)" % (what, drift, eps))

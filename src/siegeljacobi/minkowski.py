@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .intmat import complete_primitive, ieye, int_det, to_float
+from .intmat import complete_primitive, ieye, to_float
 from .group_core import PosDefMatrix, UnimodularInt, as_pd_array
 
 DEFAULT_BOUND = 1
@@ -76,8 +76,8 @@ def _triu(g: int):
 
 def _form_features(ys: np.ndarray) -> np.ndarray:
     """Entries y_ij (i <= j) of each symmetrized matrix, shape (g(g+1)/2, n)."""
-    iu, ju = _triu(ys.shape[-1])
-    return 0.5 * (ys[:, iu, ju] + ys[:, ju, iu]).T
+    (iu, ju), yt = _triu(ys.shape[-1]), ys.T
+    return 0.5 * (yt[iu, ju] + yt[ju, iu])
 
 
 @lru_cache(maxsize=32)
@@ -113,26 +113,23 @@ def membership_mask(ys: np.ndarray, *, eps=DEFAULT_EPS) -> np.ndarray:
     form test (1e-9 [[1, .6], [.6, 1]] is a member, [[1, .6], [.6, 1]] not).
 
     Every quadratic form a Y t(a) is one entry of a (nvec x g(g+1)/2) @
-    (g(g+1)/2 x n) product.  A stack of one matrix is stacked twice, since
-    numpy hands a one-column product to a matrix-vector kernel whose last
-    bit can differ from the batched kernel's; so a matrix gets the same bits
-    in any batch.  At g = 1 there is no form to compare y_11 with, so
-    0 < y_11 < inf, the positive half-line, is tested directly (the empty
-    minimum is +inf, which an infinite or negative y_11 would pass).
+    (g(g+1)/2 x n) product; a lone matrix is stacked twice, so it gets the
+    bits of any batch (README "Volumes").  At g = 1 there is no form to
+    compare y_11 with, so 0 < y_11 < inf, the positive half-line, is tested
+    directly (the empty minimum is +inf, which an infinite or negative y_11
+    would pass).  Each test reads the entry rows ys[:, i, j], contiguous for
+    views ys = p.T of planes p.
     """
     ys = np.asarray(ys, dtype=float)
     n, g = ys.shape[0], ys.shape[-1]
-    if g == 1:
-        y = ys[:, 0, 0]
-        ok = (0.0 < y) & (y < np.inf)
-    else:
-        ok = np.ones(n, dtype=bool)
-    for k in range(g - 1):
-        ok &= ys[:, k, k + 1] >= -eps
+    rows = ys.T  # rows[j, i] is y_ij of every matrix
+    ok = (0.0 < rows[0, 0]) & (rows[0, 0] < np.inf) if g == 1 else rows[1, 0] >= -eps
+    for k in range(1, g - 1):
+        ok &= rows[k + 1, k] >= -eps
     feats = _form_features(ys if n > 1 else np.concatenate((ys, ys)))
     for k, (_, mono) in enumerate(_column_tables(g)):
         forms = (mono @ feats)[:, :n]
-        ok &= forms.min(axis=0, initial=np.inf) >= ys[:, k, k] - eps
+        ok &= np.minimum.reduce(forms, axis=0, initial=np.inf) >= rows[k, k] - eps
     return ok
 
 
@@ -241,15 +238,13 @@ def minkowski_reduce(y, *, eps: float = DEFAULT_EPS) -> ReductionCertificate:
 def _column_step(g: int, k: int, a: np.ndarray) -> np.ndarray:
     """Unimodular matrix fixing e_1..e_{k-1} whose k-th column is a.
 
-    Requires gcd(a_k, ..., a_g) = 1; the trailing block is the completion of
-    the primitive tail, whose first column is that tail.
+    Requires gcd(a_k, ..., a_g) = 1; the trailing block completes that
+    primitive tail, so the step is unimodular by construction.
     """
     a = [int(x) for x in a]
     step = ieye(g)
     step[k:, k:] = complete_primitive(a[k:])
     step[:k, k] = a[:k]
-    if int_det(step) not in (1, -1):
-        raise ReductionError("column step for k=%d is not unimodular" % k)
     return step
 
 

@@ -123,6 +123,14 @@ class CandidateSet:
         eye = np.eye(3 * self.g - 1)
         return tuple(ij for m, ij in _ENTRY_MONOMIALS[self.g] if tuple(eye[m]) in units)
 
+    @cached_property
+    def _past_units(self) -> "CandidateSet":
+        """The elements whose det_table row is no unit entry's, up to sign."""
+        rows = {tuple(np.eye(3 * self.g - 1)[m]) for m, ij in _ENTRY_MONOMIALS.get(self.g, ())
+                if ij in self._unit_entries}
+        return CandidateSet(self.g, tuple(e for e, r in zip(self.elements, np.abs(self.det_table))
+                                          if tuple(r) not in rows), self.source) if rows else self
+
     @property
     def guarantee(self) -> str:
         """What a membership verdict over this set proves: "exact" when it is
@@ -250,12 +258,13 @@ def _omega_monomials(xs, ys):
     w22, 1] (g = 2), one column per point: shape (nmono, n) each, but two
     equal columns for one point."""
     n, g = xs.shape[0], xs.shape[-1]
+    xs, ys = xs.T, ys.T  # xs[j, i] is x_ij of every point
     fr, fi = np.empty((2, 3 * g - 1, 2 if n == 1 else n))
     if g == 1:
-        fr[0], fi[0] = xs[:, 0, 0], ys[:, 0, 0]
+        fr[0], fi[0] = xs[0, 0], ys[0, 0]
     else:
-        x11, x12, x22 = xs[:, 0, 0], xs[:, 0, 1], xs[:, 1, 1]
-        y11, y12, y22 = ys[:, 0, 0], ys[:, 0, 1], ys[:, 1, 1]
+        x11, x12, x22 = xs[0, 0], xs[1, 0], xs[1, 1]
+        y11, y12, y22 = ys[0, 0], ys[1, 0], ys[1, 1]
         # x11 x22 - x12^2 - y11 y22 + y12^2 and x11 y22 + y11 x22 - 2 x12 y12,
         # in place but left to right, so every bit is that of the expression
         re, im = fr[0], fi[0]
@@ -275,10 +284,9 @@ def _omega_monomials(xs, ys):
 def _det_sq_batch(cands: CandidateSet, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """|det(C Omega + D)|^2 for each candidate (row) at each point (column).
 
-    At g <= 2 a point alone gets two monomial columns, since numpy hands a
-    one-column product to a matrix-vector kernel whose last bit can differ
-    from the batched kernel's; so a point gets the same bits in any batch.
-    At g >= 3 an overflowed entry is exp(2 log|det|) by slogdet, maybe inf.
+    At g <= 2 a lone point gets two monomial columns, so it gets the bits of
+    any batch (README "Volumes"); at g >= 3 an overflowed entry is
+    exp(2 log|det|) by slogdet, maybe inf.
     """
     table = cands.det_table
     if cands.g <= 2:
@@ -290,7 +298,7 @@ def _det_sq_batch(cands: CandidateSet, xs: np.ndarray, ys: np.ndarray) -> np.nda
         re += im
         return re[:, :xs.shape[0]]
     cs, ds = table
-    k = np.matmul(cs, (xs + 1j * ys)[:, None]) + ds
+    k = np.matmul(cs, np.ascontiguousarray(xs + 1j * ys)[:, None]) + ds  # C order, any layout
     with np.errstate(over="ignore", invalid="ignore"):
         det = np.linalg.det(k)
         out = det.real ** 2 + det.imag ** 2
@@ -325,16 +333,17 @@ def membership_mask_points(xs: np.ndarray, ys: np.ndarray,
     slack eps on every inequality: one float, or one per point, shape (n,).
 
     One pass in the README's five stages ("Volumes"), each on the points the
-    one before kept: |w_ij|^2 >= 1 - eps for CandidateSet._unit_entries, one
-    gather, the X box, the Minkowski mask, every row of _det_sq_batch.  The
-    mask is bit for bit that of every test on every point, in any batch (a
-    unit row's product with the monomials is the monomial itself).  The
-    caller sizes the batch.
+    one before kept: |w_ij|^2 >= 1 - eps for CandidateSet._unit_entries, a
+    gather by index, the X box, the Minkowski mask, _det_sq_batch over
+    _past_units.  They read the entry planes xs.T, ys.T: free for views
+    xs = p.T of planes p.  The mask is bit for bit that of every test on
+    every point, in any batch and layout (a unit row's determinant is its
+    monomial exactly).
     """
     cands = cands.certifying
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    n, g = xs.shape[0], xs.shape[-1]
+    xs = np.asarray(xs, dtype=float).T  # xs[j, i] is x_ij of every point
+    ys = np.asarray(ys, dtype=float).T
+    g, n = xs.shape[1:]
     per_point = np.ndim(eps) > 0
     if per_point:
         eps = np.asarray(eps, dtype=float)
@@ -342,23 +351,26 @@ def membership_mask_points(xs: np.ndarray, ys: np.ndarray,
             raise ValueError("eps must be one float or one per point, shape (%d,)" % n)
     ok = live = None
     for i, j in cands._unit_entries:
-        re, im = xs[:, i, j], ys[:, i, j]
+        re, im = xs[j, i], ys[j, i]
         sq = re * re
         sq += im * im
         hit = sq >= 1.0 - eps
         ok = hit if ok is None else ok & hit
     if ok is not None and np.count_nonzero(ok) < n:
-        live = np.flatnonzero(ok)
-        xs, ys = xs[live], ys[live]
+        live = ok.nonzero()[0]
+        xs, ys = xs.take(live, axis=2), ys.take(live, axis=2)
         if per_point:
             eps = eps[live]
-    part = reduce(np.maximum, np.abs(xs.reshape(len(xs), g * g)).T) <= 0.5 + eps
-    part &= membership_mask(ys, eps=eps)
-    kept = np.count_nonzero(part)
+    part = reduce(np.maximum, np.abs(xs).reshape(g * g, -1)) <= 0.5 + eps
+    part &= membership_mask(ys.T, eps=eps)
+    kept, sel = np.count_nonzero(part), slice(None)
+    if 0 < kept < part.size:
+        sel = part.nonzero()[0]
+        xs, ys = xs.take(sel, axis=2), ys.take(sel, axis=2)
     if kept:
-        sel = np.flatnonzero(part) if kept < part.size else slice(None)
-        vals = _det_sq_batch(cands, xs[sel], ys[sel])
-        part[sel] = vals.min(axis=0, initial=np.inf) >= 1.0 - (eps[sel] if per_point else eps)
+        vals = _det_sq_batch(cands._past_units, xs.T, ys.T)
+        least = np.minimum.reduce(vals, axis=0, initial=np.inf)
+        part[sel] = least >= 1.0 - (eps[sel] if per_point else eps)
     if live is None:
         return part
     ok[live] = part

@@ -300,6 +300,14 @@ class TestMemberCommand:
         assert code == 0 and err == ""
         assert json.loads(out)["outputs"]["member"] is True
 
+    def test_siegel_member_overflowing_y_exits_2(self, tmp_path, capsys):
+        # Y = 1e308 I used to be symmetrized to inf I and printed
+        # "member": false with exit 0
+        path = write_json(tmp_path / "p.json", {"omega": encode_complex(1e308j * np.eye(2))})
+        code, out, err = run_cli(capsys, ["member", "--siegel", "--point", path])
+        assert code == 2 and out == ""
+        assert err == "error: Y overflows when symmetrized\n"
+
     def test_siegel_member(self, tmp_path, capsys):
         path = write_json(tmp_path / "p.json",
                           {"omega": encode_complex(1j * np.eye(2))})

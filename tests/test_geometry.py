@@ -736,6 +736,18 @@ class TestVolumes:
         res = volume_fg_mc(2, 200_000, seed=123)
         assert abs(res.estimate - VOLUME_TARGETS[2]) < 4 * res.stderr
 
+    @pytest.mark.parametrize("args, want", [
+        ((2, 500_000, 11), ("0x1.d6f415e2c5b4dp-4", "0x1.2dd3e34d2edf5p-13", 0.583758)),
+        ((2, 500_000, 7177), ("0x1.d72d3eff82639p-4", "0x1.2defe2a44cbfbp-13", 0.583834)),
+        ((1, 200_000, 123), ("0x1.0c62b6ae7d567p+0", "0x1.0d7e9b976925cp-10", 0.838705))])
+    def test_mc_bits_pinned(self, args, want):
+        # every bit of an estimate, recorded before the chunks stored their
+        # samples as entry planes: a change that moved every bit the same
+        # way would still pass TestBlockSize's comparison of the code with
+        # itself
+        res = volume_fg_mc(*args)
+        assert (res.estimate.hex(), res.stderr.hex(), res.acceptance_rate) == want
+
     def test_mc_deterministic_across_threads(self):
         # three chunks, the last one short: two threads run two chunks at
         # once, and the sums must still merge in chunk order

@@ -492,6 +492,20 @@ def test_action_names_the_non_finite_part():
                 act_siegel(m, p)
 
 
+def test_symmetrizing_overflow_rejected():
+    # m + t(m) overflows from |m_ij| = 2^1023 on: Y = 1e308 I used to become
+    # inf I, which membership then called a non-member; m - t(m) overflows
+    # there too, with a RuntimeWarning
+    for x, y, name in ((np.zeros((2, 2)), 1e308 * np.eye(2), "Y"),
+                       (np.full((2, 2), -2.0 ** 1023), np.eye(2), "X"),
+                       (np.array([[0.0, 1.7e308], [-1.7e308, 0.0]]), np.eye(2), "X")):
+        with pytest.raises(ValueError, match="^%s overflows when symmetrized$" % name):
+            SiegelPoint(x, y)
+    top = np.nextafter(2.0 ** 1023, 0.0)  # the largest that pass, bit for bit
+    big = SiegelPoint(np.zeros((2, 2)), top * np.eye(2))
+    assert np.array_equal(big.Y, top * np.eye(2))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_point_rejected(bad):
     from siegeljacobi.group_core import PosDefMatrix

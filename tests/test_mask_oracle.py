@@ -11,8 +11,8 @@ import pytest
 
 from siegeljacobi import geometry, minkowski
 from siegeljacobi.minkowski import DEFAULT_EPS, _column_tables, _form_features
-from siegeljacobi.siegel import (CandidateSet, builtin_candidates, load_candidates,
-                                 membership_mask_points, siegel_reduce)
+from siegeljacobi.siegel import (CandidateSet, _omega_monomials, builtin_candidates,
+                                 load_candidates, membership_mask_points, siegel_reduce)
 from conftest import (gottschling_surface_points, membership_mask_oracle,
                       onto_minkowski_faces, rand_siegel_point, write_candidates)
 
@@ -227,6 +227,50 @@ def test_family_without_the_unit_rows(tmp_path, member_pool, monkeypatch):
         xs, ys = np.concatenate([xs, extra[0]]), np.concatenate([ys, extra[1]])
     accepted = assert_matches_oracle(xs, ys, fam)
     assert 0 < accepted < len(xs)
+
+
+class TestLayouts:
+    """The masks read entry rows, so a pool gets the same mask as C-ordered
+    (n, g, g) stacks and as the transposed views p.T of contiguous (g, g, n)
+    entry planes p, the layout of the Monte Carlo chunks.  Both are
+    read-only: no stage may write into the caller's arrays."""
+
+    @staticmethod
+    def read_only(v, planes):
+        v = np.ascontiguousarray(v.T if planes else v)
+        v.flags.writeable = False
+        return v.T if planes else v
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_stacks_and_planes(self, g, member_pool):
+        pool = member_pool[g]
+        parts = [pool, onto_box_faces(*pool), with_non_finite(*pool)]
+        parts += [onto_minkowski_faces(*pool)] if g > 1 else []
+        parts += [witness_batch()] if g == 2 else []
+        xs, ys = (np.concatenate(v) for v in zip(*parts))
+        (sx, sy), (px, py) = ([self.read_only(v, planes) for v in (xs, ys)]
+                              for planes in (False, True))
+        assert sx.flags.c_contiguous and px.T.flags.c_contiguous
+        cands = builtin_candidates(g)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for eps in (DEFAULT_EPS, -DEFAULT_EPS):
+                got = membership_mask_points(sx, sy, cands, eps)
+                assert np.array_equal(membership_mask_points(px, py, cands, eps), got)
+                assert 0 < got.sum() < len(got)
+                mink = minkowski.membership_mask(sy, eps=eps)
+                assert np.array_equal(minkowski.membership_mask(py, eps=eps), mink)
+                assert 0 < mink.sum() < len(mink)
+        assert all(np.array_equal(v, w, equal_nan=True) for v, w in ((px, xs), (py, ys)))
+
+    def test_entries_above_the_diagonal_are_read(self):
+        # a stack need not be symmetric: the (M.2) sign test and the monomial
+        # w12 read the entry above the diagonal, in either layout
+        xs = np.array([[[0.0, 0.3], [-0.2, 0.0]]] * 2)
+        ys = np.array([[[1.0, -0.1], [0.1, 2.0]], [[1.0, 0.1], [-0.1, 2.0]]])
+        for x, y in ((xs, ys), [self.read_only(v, True) for v in (xs, ys)]):
+            assert minkowski.membership_mask(y).tolist() == [False, True]
+            fr, fi = _omega_monomials(x, y)
+            assert fr[2].tolist() == [0.3, 0.3] and fi[2].tolist() == [-0.1, 0.1]
 
 
 class TestBlockSize:

@@ -587,7 +587,7 @@ def test_control_flow_checks_survive_optimize():
     # `python -O`, which would strip an assert
     code = """
 import numpy as np
-from siegeljacobi import intmat, minkowski, siegel
+from siegeljacobi import group_core, intmat, minkowski, siegel
 intmat._xgcd = lambda a, b: (2, 0, 0)
 minkowski.complete_primitive = lambda tail: 2 * intmat.ieye(len(tail))
 membership, siegel.siegel_membership = siegel.siegel_membership, lambda *a: (False, False)
@@ -598,7 +598,8 @@ def forged_certificate():
     siegel.siegel_reduce(point)
 
 calls = ((lambda: intmat.complete_primitive([1, 1]), ValueError),
-         (lambda: minkowski._column_step(3, 1, [0, 1, 0]), minkowski.ReductionError),
+         (lambda: group_core.UnimodularInt(minkowski._column_step(3, 1, [0, 1, 0])),
+          ValueError),
          (lambda: siegel.siegel_reduce(point), siegel.SiegelReductionError),
          (forged_certificate, siegel.SiegelReductionError))
 for call, exc in calls:
