@@ -8,7 +8,7 @@ Laplacians and volumes (geometry), and the character basis of the torus
 attached to a Siegel point (torus_spectral).  ``sjk`` is the CLI.
 """
 
-from .group_core import (HeisenbergInt, JacobiGroupElement, JacobiPoint,
+from .group_core import (HeisenbergInt, JacobiGroupElement, JacobiPoint, NumericError,
                          PosDefMatrix, SiegelPoint, SymplecticInt, UnimodularInt,
                          act_jacobi, act_siegel, jacobi_mul, symplectic_check)
 from .minkowski import ReductionCertificate, is_minkowski_reduced, minkowski_reduce

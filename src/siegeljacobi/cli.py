@@ -2,8 +2,10 @@
 
 Every command reads single-document JSON (file or stdin), writes a single
 RunReport JSON document to stdout, and keeps diagnostics on stderr.  Exit
-codes: 0 success, 2 parse/usage error, 3 numeric failure.  Reports are
-deterministic for fixed inputs and --seed; only the timing field varies.
+codes: 0 success, 2 usage or input error (a ValueError, also for a flag the
+mode does not read), 3 numeric failure (a NumericError, also for NaN or
+Infinity in the outputs, which JSON cannot hold).  Reports are deterministic
+for fixed inputs and --seed; only the timing field varies.
 main(argv) may be called repeatedly in one process: the parser is built on
 the first call and reused, and each report goes out in a single write.
 """
@@ -21,24 +23,18 @@ import numpy as np
 
 from .geometry import (VOLUME_TARGETS, ZeroVarianceError, laplacian_apply,
                        metric_jacobi, metric_p, metric_siegel, volume_f1, volume_fg_mc)
-from .group_core import (IllConditionedActionError, JacobiPoint, PosDefMatrix,
-                         SiegelPoint, _check_pd, _check_symmetric)
+from .group_core import (JacobiPoint, NumericError, PosDefMatrix, SiegelPoint, _check_pd,
+                         _check_symmetric)
 from .jacobi_domain import in_P_omega, jacobi_membership, jacobi_reduce
 from .jsonio import (decode_complex, decode_jacobi_point, decode_matrix,
                      decode_siegel_point, encode_jacobi_element,
                      encode_jacobi_point, encode_matrix, encode_siegel_point,
                      encode_symplectic, get_field)
-from .minkowski import (DEFAULT_EPS, ReductionError, is_minkowski_reduced,
-                        minkowski_reduce)
-from .siegel import (SiegelReductionError, _decode_candidates, builtin_candidates,
-                     encode_candidates, siegel_membership, siegel_reduce)
-from .torus_spectral import (FourierIndex, QuadratureGridError, _check_grid,
-                             character_table, eigenvalue_E, eval_E_omega,
-                             frequency_indices, torus_grid)
-
-_NUMERIC_ERRORS = (ReductionError, SiegelReductionError,
-                   IllConditionedActionError, QuadratureGridError,
-                   np.linalg.LinAlgError)
+from .minkowski import DEFAULT_EPS, is_minkowski_reduced, minkowski_reduce
+from .siegel import (_decode_candidates, builtin_candidates, encode_candidates,
+                     siegel_membership, siegel_reduce)
+from .torus_spectral import (FourierIndex, _check_grid, character_table, eigenvalue_E,
+                             eval_E_omega, frequency_indices, torus_grid)
 
 
 #: largest spectral-check --max-freq.  The fixed-step finite-difference
@@ -46,6 +42,16 @@ _NUMERIC_ERRORS = (ReductionError, SiegelReductionError,
 #: Omega = iI, g = 1 and 2, reads 6.4e-10 at 10, 3.4e-7 at 50, 5.4e-6 at 100
 #: and 4.3e-2 at 1000, so above 100 the 1e-5 the check promises is lost.
 MAX_FREQ = 100
+
+#: the optional flags each mode of a command reads, with their defaults; a
+#: volume's mode is its method, set by --samples
+_FLAGS = {"reduce": {"--minkowski": {}, "--siegel": {"candidates": None},
+                     "--jacobi": {"candidates": None}},
+          "member": {"--minkowski": {}, "--siegel": {"candidates": None},
+                     "--jacobi": {"candidates": None}, "--p-omega": {"omega": None}},
+          "volume": {"the quadrature volume": {"nodes": 64},
+                     "the monte-carlo volume": {"seed": 0, "threads": 1, "eps": DEFAULT_EPS,
+                                                "candidates": None}}}
 
 
 class _InputError(ValueError):
@@ -75,16 +81,20 @@ def _sha256_json(obj) -> str:
 def _report(args, digest, outputs, tolerances, t0, guarantee=None):
     """Write the RunReport; ``guarantee`` goes beside ``outputs`` on every
     report whose verdict rests on a candidate set."""
-    rep = {
-        "command": " ".join(args),
-        "inputs_digest": digest,
-        "outputs": outputs,
-        "tolerances": tolerances,
-        "timing_s": round(time.perf_counter() - t0, 6),
-    }
+    rep = {"command": " ".join(args), "inputs_digest": digest, "outputs": outputs,
+           "tolerances": tolerances, "timing_s": round(time.perf_counter() - t0, 6)}
     if guarantee is not None:
         rep["guarantee"] = guarantee
-    sys.stdout.write(json.dumps(rep, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(rep, sort_keys=True, allow_nan=False)
+    except ValueError:  # JSON has no NaN or Infinity
+        for key, value in sorted(outputs.items()):
+            try:
+                json.dumps(value, allow_nan=False)
+            except ValueError:
+                raise NumericError("outputs.%s is not finite" % key) from None
+        raise
+    sys.stdout.write(text + "\n")
 
 
 def _candidates(g, path):
@@ -107,23 +117,28 @@ def _decode_pd(obj) -> PosDefMatrix:
     return PosDefMatrix._of(_check_pd(y, "point.Y"))
 
 
-def _refuse_candidates(ns, mode):
-    """--candidates names a Siegel candidate family, which mode never reads."""
-    if ns.candidates is not None:
-        raise _InputError("--candidates does not apply to %s" % mode)
+def _check_flags(ns):
+    """Give each flag that the mode of ``ns`` reads its default when it was not
+    given, and refuse a flag of the command that the mode does not read."""
+    modes = _FLAGS.get(ns.cmd, {})
+    if ns.cmd == "volume":
+        ns.mode = "the %s volume" % ("quadrature" if ns.samples is None else "monte-carlo")
+    for flags in modes.values():
+        for name, default in flags.items():
+            if getattr(ns, name) is None:
+                setattr(ns, name, default)
+            elif name not in modes[ns.mode]:
+                raise _InputError("--%s does not apply to %s" % (name, ns.mode))
 
 
 def _cmd_reduce(ns, argv, t0):
-    if ns.minkowski:
-        _refuse_candidates(ns, "--minkowski")
     obj, digest = _read_json(ns.point)
-    tol = {"eps": ns.eps}
-    if ns.minkowski:
+    if ns.mode == "--minkowski":
         cert = minkowski_reduce(_decode_pd(obj), eps=ns.eps)
         out = {"reduced": encode_matrix(cert.reduced),
                "transform": encode_matrix(cert.transform.entries),
                "iterations": cert.iterations}
-    elif ns.siegel:
+    elif ns.mode == "--siegel":
         p = decode_siegel_point(obj)
         cands = _candidates(p.g, ns.candidates)
         cert = siegel_reduce(p, cands, eps=ns.eps)
@@ -138,24 +153,22 @@ def _cmd_reduce(ns, argv, t0):
         out = {"reduced": encode_jacobi_point(cert.reduced),
                "gammaJ": encode_jacobi_element(cert.gammaJ),
                "on_boundary": cert.on_boundary}
-    _report(argv, digest, out, tol, t0, None if ns.minkowski else cert.guarantee)
+    _report(argv, digest, out, {"eps": ns.eps}, t0,
+            None if ns.mode == "--minkowski" else cert.guarantee)
     return 0
 
 
 def _cmd_member(ns, argv, t0):
-    if ns.minkowski or ns.p_omega:
-        _refuse_candidates(ns, "--minkowski" if ns.minkowski else "--p-omega")
     obj, digest = _read_json(ns.point)
-    tol = {"eps": ns.eps}
     cands = None
-    if ns.minkowski:
+    if ns.mode == "--minkowski":
         out = {"member": bool(is_minkowski_reduced(_decode_pd(obj), eps=ns.eps))}
-    elif ns.siegel:
+    elif ns.mode == "--siegel":
         p = decode_siegel_point(obj)
         cands = _candidates(p.g, ns.candidates)
         member, boundary = siegel_membership(p, cands, eps=ns.eps)
         out = {"member": member, "on_boundary": boundary}
-    elif ns.p_omega:
+    elif ns.mode == "--p-omega":
         if ns.omega is None:
             raise _InputError("--omega FILE is required for --p-omega")
         om_obj, _ = _read_json(ns.omega)
@@ -168,14 +181,8 @@ def _cmd_member(ns, argv, t0):
         cands = _candidates(p.g, ns.candidates)
         member, boundary = jacobi_membership(p, cands, eps=ns.eps)
         out = {"member": member, "on_boundary": boundary}
-    _report(argv, digest, out, tol, t0, None if cands is None else cands.guarantee)
+    _report(argv, digest, out, {"eps": ns.eps}, t0, None if cands is None else cands.guarantee)
     return 0
-
-
-#: the volume flags each method applies, with their defaults
-_VOLUME_FLAGS = {"quadrature": {"nodes": 64},
-                 "monte-carlo": {"seed": 0, "threads": 1, "eps": DEFAULT_EPS,
-                                 "candidates": None}}
 
 
 def _cmd_volume(ns, argv, t0):
@@ -183,12 +190,6 @@ def _cmd_volume(ns, argv, t0):
     if method == "quadrature" and ns.g != 1:
         raise _InputError("deterministic quadrature is only available for --g 1; "
                           "pass --samples for Monte Carlo")
-    for flags_of, flags in _VOLUME_FLAGS.items():
-        for name, default in flags.items():
-            if getattr(ns, name) is None:
-                setattr(ns, name, default)
-            elif flags_of != method:
-                raise _InputError("--%s does not apply to the %s volume" % (name, method))
     tol = {"eps": ns.eps} if method == "monte-carlo" else {}
     target = VOLUME_TARGETS.get(ns.g)
     guarantee = None
@@ -219,6 +220,7 @@ def _cmd_volume(ns, argv, t0):
     return 0
 
 
+@np.errstate(all="ignore")  # an overflow ends as a non-finite output, which _report refuses
 def _cmd_spectral_check(ns, argv, t0):
     h, g = ns.h, ns.g
     # the grid and its table of 3^(2hg) characters, refused before anything is built
@@ -239,15 +241,14 @@ def _cmd_spectral_check(ns, argv, t0):
     gram = table.conj() @ table.T / p.shape[0]
     orth_dev = float(np.max(np.abs(gram - np.eye(len(idxs)))))
 
-    per_dev = 0.0
+    per_devs = []
     for _ in range(100):
         idx = FourierIndex(rng.integers(-2, 3, (h, g)), rng.integers(-2, 3, (h, g)))
         z = rng.normal(size=(h, g)) + 1j * rng.normal(size=(h, g))
         lam = rng.integers(-3, 4, (h, g))
         mu = rng.integers(-3, 4, (h, g))
         shift = z + lam @ omega.omega + mu
-        per_dev = max(per_dev, float(abs(
-            eval_E_omega(idx, shift, omega) - eval_E_omega(idx, z, omega))))
+        per_devs.append(abs(eval_E_omega(idx, shift, omega) - eval_E_omega(idx, z, omega)))
 
     eig_residuals = []
     for _ in range(ns.eigen_checks):
@@ -258,12 +259,10 @@ def _cmd_spectral_check(ns, argv, t0):
         pt = JacobiPoint.from_z(omega, z0)
         val = laplacian_apply("omega", lambda zz: eval_E_omega(idx, zz, omega), pt)
         base = eval_E_omega(idx, z0, omega)
-        if abs(lam) > 1e-12:
-            eig_residuals.append(float(abs(val / base - lam) / abs(lam)))
-        else:
-            eig_residuals.append(float(abs(val / base)))
+        eig_residuals.append(float(abs(val / base - lam) / abs(lam) if abs(lam) > 1e-12
+                                   else abs(val / base)))
     out = {"orthonormality_max_dev": orth_dev,
-           "periodicity_max_dev": per_dev,
+           "periodicity_max_dev": float(np.max(per_devs)),  # NaN propagates
            "eigen_residuals": eig_residuals}
     _report(argv, digest, out, {}, t0)
     return 0
@@ -285,6 +284,7 @@ def _tangent(obj, key, where, decode, shape, symmetric=True):
     return t
 
 
+@np.errstate(all="ignore")  # an overflow ends as a non-finite output, which _report refuses
 def _cmd_metric_eval(ns, argv, t0):
     obj, digest = _read_json(ns.point)
     if ns.kind == "P":
@@ -342,21 +342,19 @@ def _build_parser():
         p.add_argument("--candidates", default=None,
                        help="JSON file overriding the built-in candidate set")
 
-    p = sub.add_parser("reduce", help="reduce a point into its fundamental domain")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--minkowski", action="store_true")
-    mode.add_argument("--siegel", action="store_true")
-    mode.add_argument("--jacobi", action="store_true")
+    def with_modes(cmd, help):
+        p = sub.add_parser(cmd, help=help)
+        group = p.add_mutually_exclusive_group(required=True)
+        for flag in _FLAGS[cmd]:
+            group.add_argument(flag, dest="mode", action="store_const", const=flag)
+        return p
+
+    p = with_modes("reduce", "reduce a point into its fundamental domain")
     p.add_argument("--point", default=None, help="point JSON file (default: stdin)")
     common(p)
     p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("member", help="membership tests with boundary flags")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--minkowski", action="store_true")
-    mode.add_argument("--siegel", action="store_true")
-    mode.add_argument("--jacobi", action="store_true")
-    mode.add_argument("--p-omega", dest="p_omega", action="store_true")
+    p = with_modes("member", "membership tests with boundary flags")
     p.add_argument("--point", default=None)
     p.add_argument("--omega", default=None, help="base point file for --p-omega")
     common(p)
@@ -396,11 +394,12 @@ def main(argv=None) -> int:
     ns = ap.parse_args(argv)
     t0 = time.perf_counter()
     try:
+        _check_flags(ns)
         return ns.func(ns, argv, t0)
-    except _NUMERIC_ERRORS as exc:
+    except NumericError as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
         return 3
-    except (_InputError, ValueError) as exc:
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .group_core import (JacobiGroupElement, JacobiPoint, SiegelPoint,
-                         _blocks_float, _check_posdef, as_pd_array)
+                         _blocks_float, _check_posdef, _lapack, as_pd_array)
 from .intmat import to_float
 from .minkowski import DEFAULT_EPS
 from .siegel import CandidateSet, builtin_candidates, membership_mask_points
@@ -78,7 +78,7 @@ def metric_p(y, t1, t2):
     """
     y = np.asarray(y, dtype=float)
     h1, h2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
-    yi = np.linalg.inv(y)
+    yi = _lapack(np.linalg.inv, "Y", y)
     return _real(_tr_prod(yi @ h1 @ yi, h2))
 
 
@@ -89,7 +89,7 @@ def metric_siegel(p: SiegelPoint, t1, t2):
     tangents gives a float.
     """
     d1, d2 = np.asarray(t1, dtype=complex), np.asarray(t2, dtype=complex)
-    yi = np.linalg.inv(p.Y)
+    yi = _lapack(np.linalg.inv, "Im(Omega)", p.Y)
     return _real(_tr_prod(yi @ d1 @ yi, d2.conj()))
 
 
@@ -101,7 +101,7 @@ def metric_jacobi(p: JacobiPoint, t1, t2):
     """
     do1, dz1, do2, dz2 = (np.asarray(t, dtype=complex) for t in (*t1, *t2))
     y, v = p.omega.Y, p.V
-    yi = np.linalg.inv(y)
+    yi = _lapack(np.linalg.inv, "Im(Omega)", y)
     base = _tr_prod(yi @ do1 @ yi, do2.conj())
     twist = _tr_prod(yi @ v.T @ v @ yi @ do1 @ yi, do2.conj())
     fiber = _tr_prod(yi @ _tp(dz1), dz2.conj())
@@ -121,7 +121,7 @@ def metric_fiber(omega: SiegelPoint, t1, t2):
     """
     d1 = np.asarray(t1, dtype=complex)
     d2 = np.asarray(t2, dtype=complex)
-    yi = np.linalg.inv(omega.Y)
+    yi = _lapack(np.linalg.inv, "Im(Omega)", omega.Y)
     return _real(_tr_prod(yi @ _tp(d1), d2.conj()))
 
 
@@ -272,7 +272,7 @@ def _operator_terms(kind, chart):
         dom, dz = chart.tangents("XY"), chart.tangents("UV")
         gm, scale = metric_jacobi(chart.point, (dom[:, None], dz[:, None]),
                                   (dom[None], dz[None])), 1.0
-    s = scale * np.linalg.inv(gm)
+    s = scale * _lapack(np.linalg.inv, "the metric in the chart", gm)
     first = _cone_first_order(chart) if kind == "P" else {}
     return 0.5 * (s + s.T), first   # inv(G) is symmetric only up to rounding
 
@@ -326,7 +326,7 @@ def laplacian_apply(kind: str, f, point, fd_step: float = DEFAULT_FD_STEP) -> co
     """
     chart = _Chart(kind, point)
     s, first = _operator_terms(kind, chart)
-    lam, q = np.linalg.eigh(s)
+    lam, q = _lapack(np.linalg.eigh, "the operator's coefficients", s)
     first = {i: b for i, b in first.items() if b != 0}
     # one step length along every q_k leaves a rounding error that grows with
     # trace(S); scaling q_k by sqrt|lambda_k| makes it grow with d instead
@@ -438,27 +438,20 @@ def volume_fg_mc(g: int, n_samples: int, seed: int, threads: int = 1,
     a = 0.8
     worker = _chunk_g1 if g == 1 else _chunk_g2
 
-    sizes = []
-    rest = n_samples
-    while rest > 0:
-        sizes.append(min(MC_CHUNK, rest))
-        rest -= sizes[-1]
-
     def run(idx_size):
         idx, size = idx_size
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), idx]))
         return worker(rng, size, a, eps, cands)
 
-    jobs = list(enumerate(sizes))
+    jobs = list(enumerate(min(MC_CHUNK, n_samples - start)
+                          for start in range(0, n_samples, MC_CHUNK)))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, jobs))
     else:
         results = [run(j) for j in jobs]
 
-    sum_w = sum(r[0] for r in results)
-    sum_w2 = sum(r[1] for r in results)
-    n_acc = sum(r[2] for r in results)
+    sum_w, sum_w2, n_acc = (sum(column) for column in zip(*results))
     est = sum_w / n_samples
     var = max(sum_w2 / n_samples - est * est, 0.0)
     if var == 0.0:

@@ -28,8 +28,21 @@ EPS_SYM = 1e-9
 COND_LIMIT = 1e12
 
 
-class IllConditionedActionError(RuntimeError):
+class NumericError(RuntimeError):
+    """A computation failed in floating point on valid input (sjk exit 3)."""
+
+
+class IllConditionedActionError(NumericError):
     """Raised when C*Omega + D is numerically too close to singular."""
+
+
+def _lapack(fn, what: str, *args, **kw):
+    """``fn(*args, **kw)`` for a numpy.linalg ``fn``, whose LinAlgError (an exactly
+    zero LU pivot, possible on a Y Cholesky accepted) is a NumericError."""
+    try:
+        return fn(*args, **kw)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError("%s of %s: %s" % (fn.__name__, what, exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +522,10 @@ def act_siegel(m, p: SiegelPoint) -> SiegelPoint:
         res = (a @ omega + b) @ a.T
     else:
         k = c @ omega + d
-        s = np.linalg.svd(k, compute_uv=False)
+        s = _lapack(np.linalg.svd, "C Omega + D", k, compute_uv=False)
         if not (s[-1] > 0 and s[0] / s[-1] <= COND_LIMIT):
             raise IllConditionedActionError("ill-conditioned action")
-        res = np.linalg.solve(k.T, (a @ omega + b).T).T
+        res = _lapack(np.linalg.solve, "C Omega + D", k.T, (a @ omega + b).T).T
         drift = np.max(np.abs(res - res.T))
         if drift > EPS_SYM * max(1.0, np.max(np.abs(res))):
             raise IllConditionedActionError(

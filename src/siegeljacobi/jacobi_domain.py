@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .group_core import (HeisenbergInt, JacobiGroupElement, JacobiPoint,
-                         SiegelPoint, SymplecticInt, _complex_parts, jacobi_mul)
+                         SiegelPoint, SymplecticInt, _complex_parts, _lapack, jacobi_mul)
 from .minkowski import DEFAULT_EPS
 from .siegel import (CandidateSet, SiegelReductionError, builtin_candidates,
                      siegel_membership, siegel_reduce)
@@ -63,7 +63,7 @@ def decompose_in_omega_basis(w, omega: SiegelPoint) -> OmegaBasisCoords:
     b = V Y^{-1} and a = U - b X; unique because Im(Omega) is invertible.
     """
     u, v = _complex_parts(w)
-    b = np.linalg.solve(omega.Y.T, v.swapaxes(-1, -2)).swapaxes(-1, -2)
+    b = _lapack(np.linalg.solve, "Im(Omega)", omega.Y.T, v.swapaxes(-1, -2)).swapaxes(-1, -2)
     a = u - b @ omega.X
     return OmegaBasisCoords(a, b)
 

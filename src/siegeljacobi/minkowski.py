@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .intmat import complete_primitive, ieye, to_float
-from .group_core import PosDefMatrix, UnimodularInt, as_pd_array
+from .group_core import NumericError, PosDefMatrix, UnimodularInt, as_pd_array
 
 DEFAULT_BOUND = 1
 DEFAULT_EPS = 1e-9
@@ -38,12 +38,12 @@ DEFAULT_EPS = 1e-9
 MAX_ITERS = 32
 
 
-class ReductionError(RuntimeError):
-    """Reduction failed to converge; carries the best iterate seen."""
+class ReductionError(NumericError):
+    """Reduction failed to converge; carries the best iterate and, if any, the det-Im trace."""
 
-    def __init__(self, message, best=None):
+    def __init__(self, message, best=None, trace=None):
         super().__init__(message)
-        self.best = best
+        self.best, self.trace = best, trace
 
 
 @dataclass(frozen=True)

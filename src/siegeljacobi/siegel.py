@@ -33,8 +33,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .group_core import (IllConditionedActionError, PosDefMatrix, SiegelPoint, SymplecticInt,
-                         act_siegel, symplectic_check)
+from .group_core import (NumericError, PosDefMatrix, SiegelPoint, SymplecticInt, act_siegel,
+                         symplectic_check)
 from .intmat import ieye, izeros, to_float
 from .jsonio import decode_symplectic, encode_symplectic, get_field
 from .minkowski import DEFAULT_EPS, ReductionError, membership_mask, minkowski_reduce
@@ -43,13 +43,8 @@ from .minkowski import DEFAULT_EPS, ReductionError, membership_mask, minkowski_r
 MAX_ITERS = 1000
 
 
-class SiegelReductionError(RuntimeError):
+class SiegelReductionError(ReductionError):
     """Reduction failed to certify; carries the best iterate and the det-Im trace."""
-
-    def __init__(self, message, best=None, trace=None):
-        super().__init__(message)
-        self.best = best
-        self.trace = trace
 
 
 @dataclass(frozen=True)
@@ -195,11 +190,8 @@ def _subset_inversion(g: int, subset) -> SymplecticInt:
 
 def heuristic_candidates(g: int) -> CandidateSet:
     """J_g together with every embedded lower-rank inversion."""
-    elems = []
-    for r in range(1, g + 1):
-        for subset in combinations(range(g), r):
-            elems.append(_subset_inversion(g, subset))
-    return CandidateSet(g, tuple(elems), source="heuristic")
+    return CandidateSet(g, tuple(_subset_inversion(g, subset) for r in range(1, g + 1)
+                                 for subset in combinations(range(g), r)), source="heuristic")
 
 
 @lru_cache(maxsize=8)
@@ -425,7 +417,7 @@ def highest_point_step(p: SiegelPoint, cands: CandidateSet = None,
         cand = cands.elements[best]
         try:
             cur = act_siegel(cand, cur)
-        except (ValueError, IllConditionedActionError) as exc:
+        except (ValueError, NumericError) as exc:
             raise SiegelReductionError("highest-point step failed: %s" % exc, best=p) from None
         gamma = cand if gamma is None else cand * gamma
     return cur, SymplecticInt.identity(p.g) if gamma is None else gamma

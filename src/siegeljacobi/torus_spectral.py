@@ -23,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .group_core import SiegelPoint, _check_pair
+from .group_core import NumericError, SiegelPoint, _check_pair, _lapack
 from .intmat import as_imat
 from .jacobi_domain import _split_unit, decompose_in_omega_basis, phi_omega
 
@@ -32,7 +32,7 @@ from .jacobi_domain import _split_unit, decompose_in_omega_basis, phi_omega
 MAX_GRID_ENTRIES = 2 ** 22
 
 
-class QuadratureGridError(ValueError):
+class QuadratureGridError(NumericError):
     """Dense tensor quadrature too large to allocate."""
 
 
@@ -89,7 +89,8 @@ def _c_matrix(idx: FourierIndex, omega: SiegelPoint) -> np.ndarray:
     last Omega (by identity; points are never mutated) and its C in __dict__."""
     memo = idx.__dict__.get("_c_memo")
     if memo is None or memo[0] is not omega:  # memo holds omega, so its id stays
-        memo = omega, np.linalg.solve(omega.Y.T, (idx.B - idx.A @ omega.X).T).T
+        memo = omega, _lapack(np.linalg.solve, "Im(Omega)", omega.Y.T,
+                              (idx.B - idx.A @ omega.X).T).T
         idx.__dict__["_c_memo"] = memo
     return memo[1]
 

@@ -10,16 +10,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from siegeljacobi import siegel
-from siegeljacobi.cli import MAX_FREQ, _build_parser, main
-from siegeljacobi.group_core import JacobiPoint, SiegelPoint, act_jacobi, act_siegel
+from siegeljacobi.cli import MAX_FREQ, _build_parser, _InputError, main
+from siegeljacobi.geometry import ZeroVarianceError
+from siegeljacobi.group_core import (IllConditionedActionError, JacobiPoint, NumericError,
+                                     SiegelPoint, act_jacobi, act_siegel)
 from siegeljacobi.jacobi_domain import in_F_gh
 from siegeljacobi.jsonio import (decode_jacobi_point,
                                  decode_matrix, decode_siegel_point,
                                  decode_symplectic, encode_complex,
                                  encode_jacobi_element, encode_jacobi_point,
                                  encode_matrix, encode_siegel_point)
-from siegeljacobi.minkowski import is_minkowski_reduced
-from siegeljacobi.siegel import CandidateSet, builtin_candidates, siegel_membership
+from siegeljacobi.minkowski import ReductionError, is_minkowski_reduced
+from siegeljacobi.siegel import (CandidateSet, SiegelReductionError, builtin_candidates,
+                                 siegel_membership)
+from siegeljacobi.torus_spectral import QuadratureGridError
 from conftest import (DEFINITENESS_LOSS_Y, GL_OVERFLOW, HARD_YS, HUGE_Z_POINT,
                       ILL_CONDITIONED_STEP, OVERFLOW_DET_Y, OVERFLOW_Z_POINT, SKEWED_YS,
                       STALL_OMEGA, STEP_DEFINITENESS_LOSS, decode_jacobi_element,
@@ -631,6 +635,81 @@ class TestUnappliedFlags:
                      ["metric-eval", "--kind", "P", "--point", path]):
             code, out, _ = run_cli(capsys, argv)
             assert code == 0 and json.loads(out)["tolerances"] == {}
+
+
+class TestOmegaFlag:
+    """--omega is read by member --p-omega alone: the other modes ignored it,
+    so even a file that does not exist exited 0."""
+
+    @pytest.mark.parametrize("mode", ["--siegel", "--jacobi", "--minkowski"])
+    def test_refused_where_not_read(self, tmp_path, capsys, mode):
+        om = SiegelPoint.from_omega([[2j]])
+        point = {"--siegel": encode_siegel_point(om),
+                 "--jacobi": encode_jacobi_point(JacobiPoint.from_z(om, [[0.3 + 0.4j]])),
+                 "--minkowski": {"Y": encode_matrix(np.eye(2))}}[mode]
+        args = ["member", mode, "--point", write_json(tmp_path / "p.json", point)]
+        code, _, _ = run_cli(capsys, args)
+        assert code == 0
+        code, out, err = run_cli(capsys, args + ["--omega", str(tmp_path / "none.json")])
+        assert code == 2 and out == ""
+        assert err == "error: --omega does not apply to %s\n" % mode
+
+
+class TestNumericFailures:
+    """sjk exits 3 on a NumericError, the one numeric-failure type, and 2 on
+    a ValueError."""
+
+    def test_exit_code_classes(self):
+        for cls in (IllConditionedActionError, ReductionError, SiegelReductionError,
+                    QuadratureGridError):
+            assert issubclass(cls, NumericError) and not issubclass(cls, ValueError)
+        for cls in (ZeroVarianceError, _InputError):
+            assert issubclass(cls, ValueError) and not issubclass(cls, NumericError)
+
+    @pytest.mark.parametrize("y, h", [(1e-300, 1e10), (1e-310, 1.0)])
+    def test_infinite_metric(self, tmp_path, capsys, y, h):
+        # it printed "value": Infinity, which is not JSON, with exit 0
+        doc = {"Y": encode_matrix(np.array([[y]])), "H1": encode_matrix(np.array([[h]])),
+               "H2": encode_matrix(np.array([[h]]))}
+        code, out, err = run_cli(capsys, ["metric-eval", "--kind", "P", "--point",
+                                          write_json(tmp_path / "m.json", doc)])
+        assert code == 3 and out == ""
+        assert err == "numeric failure: outputs.value is not finite\n"
+
+    def test_nan_spectral_residuals(self, tmp_path, capsys):
+        # Y^-1 overflows: it printed NaN residuals and orthonormality, with
+        # exit 0 and numpy RuntimeWarnings on stderr
+        path = write_json(tmp_path / "o.json", {"omega": encode_complex(np.array([[1e-310j]]))})
+        code, out, err = run_cli(capsys, ["spectral-check", "--omega", path])
+        assert code == 3 and out == ""
+        assert err == "numeric failure: outputs.eigen_residuals is not finite\n"
+
+    @pytest.mark.parametrize("argv, files, want", [
+        (["metric-eval", "--kind", "P"], ["--point"], "inv of Y"),
+        (["metric-eval", "--kind", "siegel"], ["--point"], "inv of Im(Omega)"),
+        (["metric-eval", "--kind", "jacobi"], ["--point"], "inv of Im(Omega)"),
+        (["member", "--jacobi"], ["--point"], "solve of Im(Omega)"),
+        (["member", "--p-omega"], ["--point", "--omega"], "solve of Im(Omega)"),
+        (["spectral-check", "--g", "2"], ["--omega"], "solve of Im(Omega)")])
+    def test_y_singular_to_working_precision(self, tmp_path, capsys, argv, files, want):
+        # Cholesky accepts Y = 0.3 (1 1; 1 1), but an LU pivot of it is 0: the
+        # LinAlgError of inv or solve is a NumericError naming the call
+        y, eye, z = np.full((2, 2), 0.3), np.eye(2), np.zeros((1, 2))
+        om = SiegelPoint(np.zeros((2, 2)), y)
+        jp = encode_jacobi_point(JacobiPoint.from_z(om, z))
+        t = {"dOmega": encode_complex(eye), "dZ": encode_complex(z)}
+        points = {"P": {"Y": encode_matrix(y), "H1": encode_matrix(eye),
+                        "H2": encode_matrix(eye)},
+                  "siegel": dict(encode_siegel_point(om), T1=encode_complex(eye),
+                                 T2=encode_complex(eye)),
+                  "jacobi": dict(jp, T1=t, T2=t), "--jacobi": jp,
+                  "--p-omega": {"Z": encode_complex(z)}}
+        docs = {"--point": points.get(argv[-1]), "--omega": encode_siegel_point(om)}
+        args = argv + [a for flag in files
+                       for a in (flag, write_json(tmp_path / (flag[2:] + ".json"), docs[flag]))]
+        code, out, err = run_cli(capsys, args)
+        assert code == 3 and out == ""
+        assert err.startswith("numeric failure: %s: " % want)
 
 
 class TestMetricEvalCommand:

@@ -1,14 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from siegeljacobi import group_core
 from siegeljacobi.intmat import as_imat, ieye, to_float
+from siegeljacobi.geometry import metric_fiber, metric_jacobi, metric_p, metric_siegel
 from siegeljacobi.group_core import (HeisenbergInt, IllConditionedActionError,
-                                     JacobiGroupElement, JacobiPoint,
+                                     JacobiGroupElement, JacobiPoint, NumericError,
                                      SiegelPoint, SymplecticInt, UnimodularInt,
                                      act_jacobi, act_siegel, j_matrix,
                                      jacobi_mul, kappa_fix, symplectic_check)
+from siegeljacobi.jacobi_domain import decompose_in_omega_basis
+from siegeljacobi.torus_spectral import FourierIndex, eval_E_omega
 from siegeljacobi.minkowski import minkowski_reduce
 from conftest import (SKEWED_YS, rand_heisenberg, rand_jacobi_element, rand_jacobi_point,
                       rand_siegel_point, rand_symplectic, rand_unimodular)
@@ -515,3 +520,46 @@ def test_non_finite_point_rejected(bad):
         SiegelPoint(np.array([[bad, 0.0], [0.0, 0.0]]), np.eye(2))
     with pytest.raises(ValueError, match="PosDefMatrix has a non-finite entry"):
         PosDefMatrix(np.array([[bad]]))
+
+
+class TestLapackFailures:
+    """Every numpy.linalg call a command reaches that Cholesky does not guard
+    turns LAPACK's LinAlgError into a NumericError naming the call."""
+
+    #: exactly singular, yet Cholesky accepts it (the rounded 0.3 / sqrt(0.3)
+    #: squares to less than 0.3), while the LU pivot of inv and solve is 0
+    Y = np.full((2, 2), 0.3)
+
+    def test_the_matrix(self):
+        np.linalg.cholesky(self.Y)
+        p = SiegelPoint(np.zeros((2, 2)), self.Y)  # a point the checks accept
+        assert np.array_equal(p.Y, self.Y)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(self.Y)
+
+    def test_inverses_and_solves_of_y(self):
+        p = SiegelPoint(np.zeros((2, 2)), self.Y)
+        jp = JacobiPoint.from_z(p, np.zeros((1, 2)))
+        t, dz = np.eye(2), np.zeros((1, 2))
+        idx = FourierIndex([[1, 0]], [[0, 1]])
+        for call, what in ((lambda: metric_p(self.Y, t, t), "inv of Y"),
+                           (lambda: metric_siegel(p, t, t), "inv of Im(Omega)"),
+                           (lambda: metric_jacobi(jp, (t, dz), (t, dz)), "inv of Im(Omega)"),
+                           (lambda: metric_fiber(p, dz, dz), "inv of Im(Omega)"),
+                           (lambda: decompose_in_omega_basis(jp.Z, p), "solve of Im(Omega)"),
+                           (lambda: eval_E_omega(idx, jp.Z, p), "solve of Im(Omega)")):
+            with pytest.raises(NumericError, match=r"^%s: " % re.escape(what)):
+                call()
+
+    def test_svd_of_a_nan(self):
+        # every entry of C Omega + D is NaN (inf - inf), on which the SVD
+        # does not converge; it used to escape act_siegel as a LinAlgError
+        a = 10 ** 300
+        m = SymplecticInt(ieye(2), np.zeros((2, 2), dtype=int),
+                          np.array([[a, -a], [-a, a]], dtype=object), ieye(2))
+        w = np.array([[2e10, 1e10], [1e10, 2e10]])
+        p = SiegelPoint(w, w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(m.float_blocks[2] @ p.omega + m.float_blocks[3]).all()
+            with pytest.raises(NumericError, match=r"^svd of C Omega \+ D: "):
+                act_siegel(m, p)

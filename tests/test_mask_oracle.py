@@ -3,8 +3,12 @@
 membership_mask_points rejects on the single-monomial rows first and runs
 the box, Minkowski and determinant tests only on the points that pass;
 membership_mask_oracle (conftest) runs every test on every point.  Each
-case is checked at eps and at -eps, the strict interior.
+case is checked at eps and at -eps, the strict interior.  That oracle calls
+the mask's own kernels, so literal_membership, which shares none, checks
+the verdicts that rounding cannot decide.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -135,6 +139,33 @@ def member_pool():
     return {g: members(g, 12, 100 + g) for g in (1, 2, 3)}
 
 
+def literal_membership(xs, ys, cands, eps):
+    """Each point's verdict and the smallest relative slack of its tests,
+    by code that shares no kernel with the mask: the X box by a literal max,
+    (M.1) for the vectors itertools.product enumerates, (M.2), and
+    |det(C Omega + D)|^2 by np.linalg.det for each certifying element.  As
+    the mask does, it reads (M.2) and Omega on and above the diagonal, and
+    a form a Y t(a) from the whole matrix.  At g = 1 it leaves out y11 > 0,
+    which every point of a pool has."""
+    n, g = xs.shape[0], xs.shape[-1]
+    tests = [(np.full(n, 0.5 + eps), np.array([max(abs(v) for v in x.flat) for x in xs]))]
+    for k in range(g):
+        unit = tuple(int(i == k) for i in range(g))
+        for a in itertools.product((-1, 0, 1), repeat=g):
+            if any(a[k:]) and a != unit and a != tuple(-v for v in unit):
+                av = np.array(a, dtype=float)
+                tests.append((np.einsum("i,nij,j->n", av, ys, av), ys[:, k, k] - eps))
+    tests += [(ys[:, k, k + 1], np.full(n, -eps)) for k in range(g - 1)]
+    w = xs + 1j * ys
+    omega = np.where(np.triu(np.ones((g, g), dtype=bool)), w, np.swapaxes(w, -1, -2))
+    for m in cands.certifying.elements:
+        c, d = (np.array(b, dtype=float) for b in (m.C, m.D))
+        tests.append((np.abs(np.linalg.det(c @ omega + d)) ** 2, np.full(n, 1.0 - eps)))
+    big, small = (np.array(side) for side in zip(*tests))
+    slack = np.abs(big - small) / np.maximum(np.abs(big), np.abs(small))
+    return np.all(big >= small, axis=0), slack.min(axis=0)
+
+
 class TestProposalBatches:
     @pytest.mark.parametrize("g", [1, 2])
     def test_chunks_of_three_seeds(self, g, monkeypatch):
@@ -179,6 +210,42 @@ class TestGenera:
         assert builtin_candidates(3).certifying._unit_entries == ()
         assert builtin_candidates(2).certifying._unit_entries == ((0, 0), (1, 1))
         assert builtin_candidates(1).certifying._unit_entries == ((0, 0),)
+
+
+class TestIndependentOracle:
+    """membership_mask_points agrees with literal_membership wherever the
+    smallest relative slack exceeds 1e-9.  At g = 2 the pool also holds its
+    points with the entries below the diagonal negated, so that a test
+    reading the wrong side of the diagonal flips verdicts."""
+
+    @staticmethod
+    def pool(g, member_pool, monkeypatch):
+        mx, my = member_pool[g]
+        if g == 3:
+            rng = np.random.default_rng(5)
+            pts = [rand_siegel_point(3, rng, x_scale=0.3, floor=0.6) for _ in range(300)]
+            return (np.concatenate([mx, np.stack([p.X for p in pts])]),
+                    np.concatenate([my, np.stack([p.Y for p in pts])]))
+        (px, py), = proposal_batches(g, (123,), 20_000, monkeypatch)
+        xs, ys = np.concatenate([mx, px]), np.concatenate([my, py])
+        if g == 2:
+            below = np.tril(np.ones((2, 2), dtype=bool), -1)
+            xs, ys = (np.concatenate([v, np.where(below, -v, v)]) for v in (xs, ys))
+        return xs, ys
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_agrees(self, g, member_pool, monkeypatch):
+        xs, ys = self.pool(g, member_pool, monkeypatch)
+        cands = builtin_candidates(g)
+        for eps in (DEFAULT_EPS, -DEFAULT_EPS):
+            want, slack = literal_membership(xs, ys, cands, eps)
+            kept = slack > 1e-9
+            got = membership_mask_points(xs, ys, cands, eps)
+            assert np.array_equal(got[kept], want[kept]), np.flatnonzero(got[kept] != want[kept])
+            assert kept.sum() >= 0.9 * len(xs)
+            assert 0 < want[kept].sum() < kept.sum()
+            if eps > 0:  # the reduced points lead the pool
+                assert want[:len(member_pool[g][0])].all()
 
 
 class TestFaces:

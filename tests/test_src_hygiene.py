@@ -1,5 +1,6 @@
 """Guards against what deleting library code tends to leave behind: imports
-no longer used, and private helpers no longer called.  Read with ast only.
+no longer used, and private helpers no longer called; and against an
+exception class that sjk's exit-code map misses.  Read with ast only.
 
 Also the line counter that tracks the size of src/ by kind:
 
@@ -12,6 +13,7 @@ comment, else blank; read with ast and tokenize only.
 """
 
 import ast
+import builtins
 import io
 import tokenize
 from pathlib import Path
@@ -103,6 +105,32 @@ def test_every_private_name_is_read():
                 if not any(private in names for _, other, names in reads if other is not stmt):
                     unread.append("%s.%s" % (name, private))
     assert unread == []
+
+
+#: the two bases sjk maps to an exit code: ValueError to 2, NumericError to 3
+EXIT_BASES = {"ValueError", "NumericError"}
+
+
+def test_every_exception_class_has_an_exit_code():
+    # a failure class outside both bases would leave sjk as a traceback
+    bases = {node.name: [ast.unparse(b).split(".")[-1] for b in node.bases]
+             for tree in MODULES.values() for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)}
+
+    def roots(name):
+        """The classes outside src/ (or in EXIT_BASES) that ``name`` derives from."""
+        if name in EXIT_BASES or name not in bases:
+            return {name}
+        return set().union(*map(roots, bases[name]))
+
+    raised = EXIT_BASES | {n for n, v in vars(builtins).items()
+                                if isinstance(v, type) and issubclass(v, BaseException)}
+    exceptions = {name: roots(name) for name in bases
+                  if name != "NumericError" and roots(name) & raised}
+    assert {"IllConditionedActionError", "ReductionError", "SiegelReductionError",
+            "QuadratureGridError", "ZeroVarianceError", "_InputError"} <= set(exceptions)
+    assert {name: r for name, r in exceptions.items() if not r <= EXIT_BASES} == {}
+    assert bases["NumericError"] == ["RuntimeError"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
