@@ -1,19 +1,11 @@
 """Invariant metrics, Laplacians and volume computations.
 
-Metrics are evaluated from their polarized closed forms (trace polynomials),
-for one pair of tangents or for stacks of them.  Tangents are plain arrays: a
-real symmetric H on the cone, a complex symmetric dOmega on the Siegel space
-and a pair (dOmega, dZ) on the Siegel-Jacobi space; symmetry is the caller's
-to ensure (``sjk metric-eval`` checks the tangents it reads).  Laplacians are
-applied to user-supplied functions by central second differences along the
-principal directions of each operator's coefficient matrix S, frozen at the
-point, with Richardson extrapolation over step and step/2.  Every operator's
-S is scale x inv(G), with G the matrix of its invariant metric in the real
-chart from one stacked metric call: the Siegel, fiber and Siegel-Jacobi
-operators are Laplace-Beltrami operators of Kaehler metrics, and the cone
-operator adds a first-order term.  Volumes of the g = 1 and g = 2 fundamental
-domains come from deterministic quadrature and importance-sampled Monte Carlo
-respectively.
+Metrics are evaluated from their polarized closed forms, for one pair of
+tangents or for stacks of them.  Tangents are plain arrays: a real symmetric
+H on the cone, a complex symmetric dOmega on the Siegel space and a pair
+(dOmega, dZ) on the Siegel-Jacobi space; symmetry is the caller's to
+ensure.  README "Invariant metrics and Laplacians" and "Volumes" describe
+the Laplacian stencil and the volume methods.
 """
 
 from __future__ import annotations
@@ -311,18 +303,12 @@ def laplacian_apply(kind: str, f, point, fd_step: float = DEFAULT_FD_STEP) -> co
       operator at fixed Omega (no factor 4, as printed);    f(z)
 
     Each operator is sum S_ij d_i d_j + sum b_i d_i in the real chart, with
-    coefficients frozen at the point.  The second-order part is applied along
-    the eigenvectors q_k of its symmetric coefficient matrix S = Q Lambda tQ:
-    with w_k = sqrt|lambda_k| q_k it is
-    sum sign(lambda_k) (f(p + h w_k) - 2 f(p) + f(p - h w_k)) / h^2.  For
-    every kind S = scale x inv(G), scale 1/4 for "omega" and 1 otherwise,
-    where G is the matrix of the invariant metric in the chart from one
-    stacked metric call; so ``fd_step`` h is a length in that metric (half of
-    one for "omega").  Only the cone operator has first-order terms, applied
-    as coordinate central differences of step h.  The step and half-step
-    values are Richardson-extrapolated, giving O(step^4) truncation error;
-    a chart of dimension d costs 4d + 1 evaluations per call, f(p) once, and
-    the stencil is checked before ``f`` runs (``_Chart.evaluator``).
+    coefficients frozen at the point.  With S = Q Lambda tQ and
+    w_k = sqrt|lambda_k| q_k, the second-order part is
+    sum sign(lambda_k) (f(p + h w_k) - 2 f(p) + f(p - h w_k)) / h^2, so
+    ``fd_step`` h is a length in the invariant metric (README "Invariant
+    metrics and Laplacians").  Step and half-step values are
+    Richardson-extrapolated, an O(step^4) truncation error.
     """
     chart = _Chart(kind, point)
     s, first = _operator_terms(kind, chart)
@@ -417,18 +403,11 @@ def volume_fg_mc(g: int, n_samples: int, seed: int, threads: int = 1,
     """Importance-sampled Monte Carlo volume of the g = 1 or 2 domain.
 
     X is uniform over the unit box; Y uses a Pareto-tail proposal matched to
-    the invariant density (no truncation, so no tail bias): for g = 1 the
-    density a/y^2 on [a, inf) with a = 0.8, for g = 2 the diagonal gets
-    Pareto tails with exponents (3, 2) and the off-diagonal entry is uniform
-    over the reduced wedge [0, y11/2].  Samples split into chunks of
-    MC_CHUNK seeded by (seed, chunk_index), so results are reproducible and
-    independent of ``threads``; chunk sums merge in index order.  A chunk
-    draws all its samples at once, then writes them into entry planes, runs
-    the membership mask and weighs the members ROW_BLOCK samples at a time,
-    while they are in cache.  It is the only code that blocks: the mask
-    kernels take each block whole.  Its sums are taken over the whole chunk,
-    and a mask gives a point the same bit in any batch, so the block size
-    changes no bit.
+    the invariant density: for g = 1 the density a/y^2 on [a, inf) with
+    a = 0.8, for g = 2 Pareto tails with exponents (3, 2) on the diagonal and
+    the off-diagonal entry uniform over [0, y11/2].  Chunks of MC_CHUNK are
+    seeded by (seed, chunk_index) (README "Volumes"); a chunk runs the mask
+    ROW_BLOCK samples at a time, which changes no bit.
     """
     if g not in (1, 2):
         raise ValueError("Monte Carlo volume supports g in {1, 2}")

@@ -508,14 +508,10 @@ def _blocks_float(m):
 
 
 def act_siegel(m, p: SiegelPoint) -> SiegelPoint:
-    """Moebius action Omega -> (A Omega + B)(C Omega + D)^{-1}.
-
-    A cond_bounded element has C = 0 and D^{-1} = t(A) exactly, so it acts
-    as the congruence (A Omega + B) t(A): no SVD, solve or drift check.
-    Every other element has C Omega + D guarded by an SVD, and its solved
-    result must be symmetric to EPS_SYM.  The result is re-symmetrized,
-    then checked for finite entries and a positive-definite Im only.
-    """
+    """Moebius action Omega -> (A Omega + B)(C Omega + D)^{-1}, guarded as
+    README "Exact group cores" says: a cond_bounded element acts as the
+    congruence (A Omega + B) t(A), every other one through an SVD-checked
+    solve whose result must be symmetric to EPS_SYM."""
     a, b, c, d = _blocks_float(m)
     omega = p.omega
     if isinstance(m, SymplecticInt) and m.cond_bounded:

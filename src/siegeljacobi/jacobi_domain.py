@@ -2,14 +2,10 @@
 
 Over a reduced Omega, the fiber cell is the parallelepiped P_Omega spanned by
 the lattice basis {E_kj, E_kj Omega} with coefficients in [0, 1]; Z is on a
-face when it is inside at slack eps and not at -eps.  Reduction of
-(Omega~, Z~) first reduces Omega~, then moves Z~ by the Heisenberg part so
-the basis coefficients land in [0, 1).
-
-Interior points come in pairs under the central involution
+face when it is inside at slack eps and not at -eps (README "Jacobi
+reduction").  Interior points come in pairs under the central involution
 (Omega, Z) -> (Omega, (1-a) + (1-b)Omega) induced by -I with lambda = mu =
--1; the reducer always returns the lexicographically smaller coefficient
-vector of the pair, so its output is a canonical representative.
+-1; the reducer returns the lexicographically smaller coefficient vector.
 """
 
 from __future__ import annotations
@@ -116,13 +112,10 @@ def _split_unit(x: np.ndarray):
 
 def jacobi_reduce(p: JacobiPoint, cands: CandidateSet = None,
                   eps: float = DEFAULT_EPS) -> JacobiCertificate:
-    """Reduce (Omega~, Z~) into the fundamental domain.
-
-    Steps: reduce the base point, carry Z through the cocycle, split off the
-    integer part of the basis coefficients into the Heisenberg component,
-    then pick the canonical representative of the central pair.  The
-    certificate element maps the reduced point back onto the input.  A Z
-    the cocycle carries beyond float range raises SiegelReductionError.
+    """Reduce (Omega~, Z~) into the fundamental domain (README "Jacobi
+    reduction"); the certificate element maps the reduced point back onto
+    the input.  A Z the cocycle carries beyond float range raises
+    SiegelReductionError.
     """
     cands = builtin_candidates(p.g) if cands is None else cands
     scert = siegel_reduce(p.omega, cands, eps)

@@ -6,23 +6,15 @@ The reduced domain is cut out by the inequalities
                               (a_k, ..., a_g) != 0,
     (M.2)  y_{k,k+1} >= 0,
 
-with slack eps on each.  The reduced cone asks (M.1) of every integer a
-with gcd(a_k, ..., a_g) = 1; Minkowski (J. reine angew. Math. 129 (1905)
-220-274) showed that for g <= 4 the a with entries in {0, +-1} imply all
-the others (survey: van der Waerden, Acta Math. 96 (1956) 265-309).  So the
-box max|a_i| <= DEFAULT_BOUND = 1 is exact for g <= 4 and carries no
-exactness promise beyond.  The form of +-e_k is y_kk at every Y, so it is
-left out, and membership with slack -eps is the strict interior.  The
-reducer is a greedy successive-minima pass: LLL pre-reduction first, which
-brings Y close enough to reduced that the {0, +-1} vectors serve as column
-steps in practice, then column k is assigned the shortest of them with a
-nonzero tail, completed to a unimodular transform, and signs are fixed for
-(M.2).  LLL factors Y once; only the column passes form t(U) Y U.  All
-transforms are exact integer matrices.
+with slack eps on each; the box DEFAULT_BOUND = 1 is exact for g <= 4
+(README "Minkowski reduction").  The reducer is LLL pre-reduction, then
+greedy passes assigning column k the shortest of these a, completed to an
+exact unimodular transform, and a sign fix for (M.2).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -80,15 +72,18 @@ def _form_features(ys: np.ndarray) -> np.ndarray:
     return 0.5 * (yt[iu, ju] + yt[ju, iu])
 
 
+class _Tables(tuple):
+    """(vectors, monomials) per column, with the monomials' nonzero terms."""
+
+
 @lru_cache(maxsize=32)
 def _column_tables(g: int):
     """Per column k: the (M.1) vectors a, entries in {0, +-1} and tail
     (a_k, ..., a_g) nonzero, in lexicographic order, and their monomials
     a_i a_j (doubled for i < j), shape (nvec, g(g+1)/2), so that
-    monomials @ _form_features(ys) is every a Y t(a) at once.
-
-    a and -a give the same form, so only the lexicographically smaller of
-    the two (first nonzero entry negative) is kept, and -e_k is left out.
+    monomials @ _form_features(ys) is every a Y t(a) at once; .terms[k]
+    holds each vector's nonzero (coefficient, feature index) pairs.  Of a
+    and -a only the one with first nonzero entry negative is kept.
     """
     vecs, tails = _candidate_arrays(g, DEFAULT_BOUND)
     lead = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
@@ -98,26 +93,68 @@ def _column_tables(g: int):
         cand = vecs[tails[:, k] & (lead < 0) & np.any(vecs != -np.eye(g)[k], axis=1)]
         cand = cand[np.lexsort(cand.T[::-1])]
         out.append((cand, np.where(iu == ju, 1.0, 2.0) * cand[:, iu] * cand[:, ju]))
-    return tuple(out)
+    tables = _Tables(out)
+    tables.terms = tuple(tuple(tuple((c, i) for i, c in enumerate(row) if c)
+                               for row in mono.tolist()) for _, mono in out)
+    return tables
+
+
+#: sum |features| up to this keeps every term and partial sum of a form finite
+_SAFE_FEATURES = sys.float_info.max / 4
+
+
+def _features(rows):
+    """_form_features of the matrix with these rows, as a list; None where a
+    form could overflow, since the matmul's fused multiply-adds round an
+    overflowing term otherwise."""
+    g = len(rows)
+    feats = [0.5 * (rows[j][i] + rows[i][j]) for i in range(g) for j in range(i, g)]
+    return feats if sum(map(abs, feats)) <= _SAFE_FEATURES else None
+
+
+def _forms(terms, feats):
+    """Each a Y t(a) of one column, summed left to right from 0.0 in the
+    monomials' order, as the matmul sums it: every term is exact."""
+    for vec in terms:
+        total = 0.0
+        for c, i in vec:
+            total += c * feats[i]
+        yield total
+
+
+def _reduced(y: np.ndarray, eps) -> bool:
+    """membership_mask's verdict on one matrix, on Python floats, or the
+    mask's own where a form could overflow."""
+    rows, g = y.tolist(), len(y)
+    if g == 1:  # no form: the mask compares the empty minimum, +inf
+        return 0.0 < rows[0][0] < np.inf and np.inf >= rows[0][0] - eps
+    if not all(rows[k][k + 1] >= -eps for k in range(g - 1)):
+        return False
+    feats = _features(rows)
+    if feats is None:
+        return bool(membership_mask(y[None], eps=eps)[0])
+    for k, terms in enumerate(_column_tables(g).terms):
+        floor = rows[k][k] - eps
+        if not all(form >= floor for form in _forms(terms, feats)):  # NaN fails
+            return False
+    return True
 
 
 def is_minkowski_reduced(y, *, eps: float = DEFAULT_EPS) -> bool:
-    """Membership test for the reduced domain, with slack eps on every inequality."""
-    return bool(membership_mask(as_pd_array(y)[None], eps=eps)[0])
+    """Membership test for the reduced domain, with slack eps on every
+    inequality: membership_mask's verdict, form by form (README "Volumes")."""
+    return _reduced(as_pd_array(y), eps)
 
 
 def membership_mask(ys: np.ndarray, *, eps=DEFAULT_EPS) -> np.ndarray:
     """Minkowski membership over a stack of matrices (n, g, g), in one pass,
     with slack eps: one float, or one per matrix, shape (n,).  The slack is
-    absolute, not scaled with Y: a Y whose entries are near eps passes every
-    form test (1e-9 [[1, .6], [.6, 1]] is a member, [[1, .6], [.6, 1]] not).
+    absolute: 1e-9 [[1, .6], [.6, 1]] is a member, [[1, .6], [.6, 1]] not.
 
-    Every quadratic form a Y t(a) is one entry of a (nvec x g(g+1)/2) @
-    (g(g+1)/2 x n) product; a lone matrix is stacked twice, so it gets the
-    bits of any batch (README "Volumes").  At g = 1 there is no form to
-    compare y_11 with, so 0 < y_11 < inf, the positive half-line, is tested
-    directly (the empty minimum is +inf, which an infinite or negative y_11
-    would pass).  Each test reads the entry rows ys[:, i, j], contiguous for
+    Every form a Y t(a) is one entry of a (nvec x g(g+1)/2) @ (g(g+1)/2 x n)
+    product, a lone matrix stacked twice to get any batch's bits;
+    is_minkowski_reduced gives the same verdict term by term (README
+    "Volumes").  Each test reads the entry rows ys[:, i, j], contiguous for
     views ys = p.T of planes p.
     """
     ys = np.asarray(ys, dtype=float)
@@ -134,14 +171,10 @@ def membership_mask(ys: np.ndarray, *, eps=DEFAULT_EPS) -> np.ndarray:
 
 
 def _lll_transform(y: np.ndarray):
-    """LLL (delta = 0.99, at most 10,000 steps) on the quadratic form y;
-    returns exact integer U with Y[U] quasi-reduced.
-
-    Y = L t(L) is factored once: mu_{i,j} = L[i,j]/L[j,j] and the squared
-    Gram-Schmidt norms b_i = L[i,i]^2 are then updated in plain floats on
-    each size reduction and swap (Cohen, GTM 138, Alg. 2.6.3), with no Gram
-    matrix re-formed.  A norm b <= 0 after a swap is a ReductionError.
-    """
+    """LLL (delta = 0.99, at most 10,000 steps) on the quadratic form y:
+    exact integer U with Y[U] quasi-reduced, from one Cholesky factor whose
+    mu and squared norms b are updated in floats (README "Minkowski
+    reduction").  A norm b <= 0 after a swap is a ReductionError."""
     g = y.shape[0]
     ell = np.linalg.cholesky(y)
     diag = np.diag(ell)
@@ -186,10 +219,10 @@ def _identity(g: int) -> UnimodularInt:
 def minkowski_reduce(y, *, eps: float = DEFAULT_EPS) -> ReductionCertificate:
     """Reduce Y into the Minkowski domain with an exact unimodular certificate.
 
-    Every positive definite 1 x 1 matrix is reduced, so g = 1 skips the mask."""
+    Every positive definite 1 x 1 matrix is reduced, so g = 1 skips the test."""
     y0 = as_pd_array(y)
     g = y0.shape[0]
-    if g == 1 or membership_mask(y0[None], eps=eps)[0]:
+    if g == 1 or _reduced(y0, eps):
         return ReductionCertificate(y0.copy(), _identity(g), 0)
 
     def gram(u):
@@ -204,18 +237,22 @@ def minkowski_reduce(y, *, eps: float = DEFAULT_EPS) -> ReductionCertificate:
     while passes < MAX_ITERS:
         passes += 1
         changed = False
-        for k, (vecs, mono) in enumerate(tables):
-            quad = (mono @ _form_features(cur[None]))[:, 0]
-            best_val = quad.min()
-            if best_val >= cur[k, k] * (1 - 1e-12):
+        rows = cur.tolist()
+        for k, (vecs, _) in enumerate(tables):
+            quad = _column_forms(tables, k, rows)
+            best_val = min(quad)
+            if best_val >= rows[k][k] * (1 - 1e-12):
                 continue  # e_k already minimal for this column
-            # lexicographically smallest among the near-minimal candidates
-            a = vecs[np.argmax(quad <= best_val * (1 + 1e-12))]
+            # lexicographically smallest among the near-minimal candidates;
+            # none when the forms are NaN, and then vector 0, as np.argmax gives
+            cut = best_val * (1 + 1e-12)
+            a = vecs[next((i for i, form in enumerate(quad) if form <= cut), 0)]
             u = u @ _column_step(g, k, a)
             cur = gram(u)
+            rows = cur.tolist()
             changed = True
-        u = u @ _sign_fix(cur)
-        cur = gram(u)
+        if _sign_fix(u, rows):
+            cur = gram(u)
         # test what is returned: the product's asymmetry can exceed 1e-9, and
         # its definiteness is the reducer's to lose, not the input's
         red = 0.5 * (cur + cur.T)
@@ -235,12 +272,20 @@ def minkowski_reduce(y, *, eps: float = DEFAULT_EPS) -> ReductionCertificate:
     raise ReductionError("minkowski_reduce hit the iteration cap", best=cur)
 
 
-def _column_step(g: int, k: int, a: np.ndarray) -> np.ndarray:
-    """Unimodular matrix fixing e_1..e_{k-1} whose k-th column is a.
+def _column_forms(tables, k: int, rows) -> list:
+    """Column k's forms a Y t(a) of the matrix with these rows, with the
+    mask's bits; where one could overflow, by the mask's product, and all
+    NaN if one is, so that min() is NaN as np.min is."""
+    feats = _features(rows)
+    if feats is not None:
+        return list(_forms(tables.terms[k], feats))
+    quad = (tables[k][1] @ _form_features(np.array((rows, rows))))[:, 0]
+    return [np.nan] * len(quad) if np.isnan(quad).any() else quad.tolist()
 
-    Requires gcd(a_k, ..., a_g) = 1; the trailing block completes that
-    primitive tail, so the step is unimodular by construction.
-    """
+
+def _column_step(g: int, k: int, a: np.ndarray) -> np.ndarray:
+    """Unimodular matrix fixing e_1..e_{k-1} whose k-th column is a; its
+    trailing block completes the primitive tail (a_k, ..., a_g)."""
     a = [int(x) for x in a]
     step = ieye(g)
     step[k:, k:] = complete_primitive(a[k:])
@@ -248,14 +293,15 @@ def _column_step(g: int, k: int, a: np.ndarray) -> np.ndarray:
     return step
 
 
-def _sign_fix(cur: np.ndarray) -> np.ndarray:
-    """Diagonal +-1 matrix enforcing y_{k,k+1} >= 0 after conjugation."""
-    g = cur.shape[0]
-    s = [1] * g
-    for k in range(1, g):
+def _sign_fix(u: np.ndarray, rows) -> bool:
+    """Negate columns of U in place so that y_{k,k+1} >= 0 after
+    conjugation, rows being t(U) Y U; whether any column was negated."""
+    sign, flipped = 1, False
+    for k in range(1, len(rows)):
         # conjugation maps y_{k-1,k} to s_{k-1} s_k y_{k-1,k}
-        s[k] = s[k - 1] if cur[k - 1, k] >= 0 else -s[k - 1]
-    d = ieye(g)
-    for k in range(g):
-        d[k, k] = s[k]
-    return d
+        if not rows[k - 1][k] >= 0:
+            sign = -sign
+        if sign < 0:
+            u[:, k] = -u[:, k]
+            flipped = True
+    return flipped

@@ -2,25 +2,11 @@
 
 A point is reduced when (S.1) no candidate symplectic element raises
 det Im(Omega), (S.2) Im(Omega) is Minkowski reduced, and (S.3) the entries
-of Re(Omega) lie in [-1/2, 1/2].  Condition (S.1) quantifies over the whole
-modular group; it is decided here on a finite candidate set:
-
-* g = 1: the single inversion J_1 (exact, classical),
-* g = 2: a family of 49 bottom-row classes (C, D) with entries in
-  {-1, 0, 1}, shipped as package data.  All 49 pick the highest-point
-  step; membership is decided on the 19 among them whose determinants are
-  Gottschling's (Math. Ann. 138 (1959) 103-124), which with (S.2) and (S.3)
-  cut out F_2 exactly (CandidateSet.certifying),
-* g >= 3: a heuristic set of embedded lower-rank inversions; membership is
-  relative to the provided set only.
-
-CandidateSet.guarantee says which case holds: "exact" or
-"relative-to-family".  A candidate set can be read from a JSON file
-(``--candidates`` in the CLI); a g = 2 set that contains Gottschling's 19
-stays exact.
-
-Every |det(C Omega + D)|^2 comes from one kernel, _det_sq_batch, and every
-membership verdict from one test, membership_mask_points.
+of Re(Omega) lie in [-1/2, 1/2].  (S.1) is decided on a finite candidate
+family, built in or read from JSON (README "Siegel reduction");
+CandidateSet.guarantee says whether that is "exact" or
+"relative-to-family".  Every |det(C Omega + D)|^2 comes from one kernel,
+_det_sq_batch, and every membership verdict from membership_mask_points.
 """
 
 from __future__ import annotations
@@ -210,9 +196,18 @@ def _decode_candidates(obj, source: str) -> CandidateSet:
     g, elements = (get_field(obj, key, "candidates") for key in ("g", "elements"))
     if type(g) is not int or not isinstance(elements, list):
         raise ValueError("candidates: expected an integer g and a list of elements")
-    elems = tuple(decode_symplectic(e, "candidates.elements[%d]" % i)
-                  for i, e in enumerate(elements))
-    return CandidateSet(g, elems, source=source)
+    elems = []
+    for i, e in enumerate(elements):
+        where = "candidates.elements[%d]" % i
+        m = decode_symplectic(e, where)
+        if m.g == 2:
+            try:  # as CandidateSet.det_table converts them
+                np.array(_det_coefficients(m.C, m.D), dtype=float)
+            except OverflowError:
+                raise ValueError("%s: a coefficient of det(C Omega + D) is beyond "
+                                 "the float range" % where) from None
+        elems.append(m)
+    return CandidateSet(g, tuple(elems), source=source)
 
 
 def load_candidates(path) -> CandidateSet:
@@ -325,12 +320,8 @@ def membership_mask_points(xs: np.ndarray, ys: np.ndarray,
     slack eps on every inequality: one float, or one per point, shape (n,).
 
     One pass in the README's five stages ("Volumes"), each on the points the
-    one before kept: |w_ij|^2 >= 1 - eps for CandidateSet._unit_entries, a
-    gather by index, the X box, the Minkowski mask, _det_sq_batch over
-    _past_units.  They read the entry planes xs.T, ys.T: free for views
-    xs = p.T of planes p.  The mask is bit for bit that of every test on
-    every point, in any batch and layout (a unit row's determinant is its
-    monomial exactly).
+    one before kept, reading the entry planes xs.T, ys.T (free for views
+    xs = p.T of planes p); bit for bit every test on every point.
     """
     cands = cands.certifying
     xs = np.asarray(xs, dtype=float).T  # xs[j, i] is x_ij of every point
@@ -380,11 +371,8 @@ def highest_point_step(p: SiegelPoint, cands: CandidateSet = None,
 
     Returns (new_point, gamma_step) with act_siegel(gamma_step, p) = new_point;
     the step is the identity exactly when p is reduced.  The GL move and the
-    translation act on (X, Y) directly and make one exact C = 0 element,
-    (t(U), S U^{-1}; 0, U^{-1}); only a candidate step runs act_siegel and
-    one product (the README's "Exact group cores").  A failed sub-step (the
-    reducer's ReductionError, overflow, lost definiteness, an ill-conditioned
-    action) is a SiegelReductionError carrying p.
+    translation act on (X, Y) directly (README "Exact group cores").  A
+    failed sub-step is a SiegelReductionError carrying p.
     """
     cands = builtin_candidates(p.g) if cands is None else cands
     x, y, u = p.X, p.Y, None
@@ -427,13 +415,11 @@ def siegel_reduce(p: SiegelPoint, cands: CandidateSet = None,
                   eps: float = DEFAULT_EPS) -> SiegelCertificate:
     """Move p into the fundamental domain by the highest-point method.
 
-    The loop stops at a fixed point: after the identity step, or after a
-    step that fired no candidate (its gamma has C = 0).  Such a step leaves
-    a Y the reducer's membership test passed, a centred X and no candidate
-    below threshold, so the next step would be the identity on the same
-    bits; it is not taken, but counted in ``iterations``.  A stall, the cap,
-    a failed step or a bad gamma raises SiegelReductionError with the det-Im
-    trace of the iterates (computed only then)."""
+    The loop stops after a step that fired no candidate (its gamma has
+    C = 0): the next would be the identity (README "Exact group cores"), so
+    it is counted in ``iterations`` but not taken.  A stall, the cap, a
+    failed step or a bad gamma raises SiegelReductionError with the det-Im
+    trace of the iterates."""
     cands = builtin_candidates(p.g) if cands is None else cands
     gamma = SymplecticInt.identity(p.g)
     iterates = [p]

@@ -8,12 +8,9 @@ jacobi_domain.phi_omega(P, Q) = P + Q Omega.  The unit-modulus characters
 
 are L_Omega-periodic, orthonormal for the normalized invariant volume, and
 diagonalize the fiber Laplacian with eigenvalue
--pi^2 tr(A Y tA + C Y tC), C = (B - AX) Y^{-1}.  The eigenvalue is not a
-quoted constant: the test suite validates it against finite differences of
-the operator before anything ships.
-
-All inner products use the tensor-product trapezoid rule on [0,1)^{2hg},
-which is exact for trigonometric polynomials below the Nyquist frequency.
+-pi^2 tr(A Y tA + C Y tC), C = (B - AX) Y^{-1}, validated against finite
+differences by the test suite.  Inner products use the trapezoid rule on
+[0,1)^{2hg}, exact below the Nyquist frequency.
 """
 
 from __future__ import annotations

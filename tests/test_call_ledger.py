@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from siegeljacobi import intmat
+from siegeljacobi import intmat, minkowski, siegel
 from siegeljacobi.geometry import laplacian_apply
 from siegeljacobi.group_core import JacobiPoint, SiegelPoint
 from siegeljacobi.jacobi_domain import jacobi_reduce
@@ -27,6 +27,9 @@ SEED = 20261020
 #: also took the det of each step, which is unimodular by construction
 INT_DET_CALLS = 150
 INT_INV_UNIMODULAR_CALLS = 150
+#: one per final siegel_membership; 384 while minkowski_reduce ran the batch
+#: mask on its input and on each pass's result, as a stack of one
+MEMBERSHIP_MASK_CALLS = 80
 
 
 @pytest.fixture
@@ -106,3 +109,23 @@ def test_exact_integer_kernels_per_reduction(counted):
     calls = counted(intmat, "int_det")
     reduce_all(points)
     assert calls == {"int_inv_unimodular": INT_INV_UNIMODULAR_CALLS, "int_det": INT_DET_CALLS}
+
+
+def test_the_reducer_never_runs_the_batch_mask(counted, monkeypatch):
+    # minkowski_reduce tests one matrix term by term, so only the final
+    # membership test of each reduction reaches membership_mask
+    points = reduction_inputs()
+    reduce_all(points)
+    calls = counted(minkowski, "membership_mask")
+    inside = []
+
+    def reducer(y, real=minkowski.minkowski_reduce, **kw):
+        before = calls["membership_mask"]
+        cert = real(y, **kw)
+        inside.append(calls["membership_mask"] - before)
+        return cert
+
+    monkeypatch.setattr(siegel, "minkowski_reduce", reducer)
+    reduce_all(points)
+    assert calls == {"membership_mask": MEMBERSHIP_MASK_CALLS}
+    assert len(inside) > len(points) and not any(inside)

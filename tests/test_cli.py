@@ -13,7 +13,7 @@ from siegeljacobi import siegel
 from siegeljacobi.cli import MAX_FREQ, _build_parser, _InputError, main
 from siegeljacobi.geometry import ZeroVarianceError
 from siegeljacobi.group_core import (IllConditionedActionError, JacobiPoint, NumericError,
-                                     SiegelPoint, act_jacobi, act_siegel)
+                                     SiegelPoint, SymplecticInt, act_jacobi, act_siegel)
 from siegeljacobi.jacobi_domain import in_F_gh
 from siegeljacobi.jsonio import (decode_jacobi_point,
                                  decode_matrix, decode_siegel_point,
@@ -758,6 +758,20 @@ class TestCandidateOverride:
         assert code == 2 and out == ""
         assert "--candidates %s: " % cpath in err
         assert "has g=1, the input has g=2" in err
+
+    def test_family_beyond_float_range_is_refused(self, tmp_path, capsys):
+        # C = 10^200 I has det C = 10^400: det_table's float conversion used
+        # to raise OverflowError, which escaped the CLI as a traceback
+        i2 = np.eye(2, dtype=int).astype(object)
+        big = SymplecticInt(i2, 0 * i2, 10 ** 200 * i2, i2)
+        cpath = str(tmp_path / "big.json")
+        write_candidates(CandidateSet(2, (big,)), cpath)
+        path = write_json(tmp_path / "p.json", {"omega": encode_complex(1j * np.eye(2))})
+        code, out, err = run_cli(capsys, ["member", "--siegel", "--point", path,
+                                          "--candidates", cpath])
+        assert code == 2 and out == ""
+        assert "--candidates %s: candidates.elements[0]: " % cpath in err
+        assert "beyond the float range" in err
 
     @pytest.mark.parametrize("content, msg", [(None, "No such file"),
                                               ("{not json", "malformed JSON")])

@@ -5,7 +5,8 @@ from siegeljacobi import group_core, minkowski, siegel
 from siegeljacobi.group_core import PosDefMatrix, SiegelPoint
 from siegeljacobi.intmat import ieye, int_det, as_imat, to_float
 from siegeljacobi.minkowski import (DEFAULT_EPS, ReductionError, UnimodularInt,
-                                    _candidate_arrays, _column_tables, _lll_transform,
+                                    _candidate_arrays, _column_forms, _column_tables,
+                                    _features, _form_features, _lll_transform,
                                     is_minkowski_reduced, membership_mask,
                                     minkowski_reduce)
 from conftest import (DEFINITENESS_LOSS_Y, HARD_YS, SKEWED_YS, ill_conditioned_ys,
@@ -111,6 +112,67 @@ class TestMembership:
             want = self.box3_mask(ys, eps)
             assert membership_mask(ys, eps=eps).tolist() == want
             assert 0 < sum(want) < len(want) or eps < 0
+
+
+class TestSingleMatrixVerdict:
+    """is_minkowski_reduced sums each (M.1) form term by term on Python
+    floats and leaves to the mask a matrix where a form could overflow; its
+    verdict is membership_mask's on the matrix alone, bit for bit."""
+
+    @staticmethod
+    def matrices(g, rng, n=120):
+        """Reduced matrices rounded to a 1/8 grid, so that some lie on a face,
+        and symmetric 1/8-grid matrices, most not positive definite; the same
+        with y_12 one ulp off, so not symmetric; and all of them scaled by
+        10^U(-150, 150) and by 10^U(306, 308.5), where forms overflow to
+        +-inf or NaN and entries can be infinite; last, 1e308 (1, +-1; +-1, 1)
+        in the leading block, whose forms are +inf, -inf and NaN."""
+        near = np.stack([minkowski_reduce(rand_pd(g, rng)).reduced for _ in range(n)])
+        near = np.round(12 * near / near[:, :1, :1]) / 8  # y_11 = 1.5
+        wild = rng.integers(-10, 11, size=(n, g, g)) / 8
+        wild = np.triu(wild) + np.triu(wild, 1).transpose(0, 2, 1)
+        wild[:, range(g), range(g)] = rng.integers(4, 13, size=(n, g)) / 8
+        ys = np.concatenate((near, wild))
+        skew = ys.copy()
+        skew[:, 0, 1] = np.nextafter(skew[:, 0, 1], rng.choice([-np.inf, np.inf], 2 * n))
+        ys = np.concatenate((ys, skew))
+        edges = np.stack((np.eye(g), np.eye(g))) * 1e308
+        edges[:, 0, 1] = edges[:, 1, 0] = (1e308, -1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.concatenate([ys] + [ys * 10.0 ** rng.uniform(lo, hi, (4 * n, 1, 1))
+                                          for lo, hi in ((-150, 150), (306, 308.5))]
+                                  + [edges])
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_verdict_is_the_masks(self, g, rng):
+        ys = self.matrices(g, rng)
+        verdicts = {}
+        with np.errstate(all="ignore"):  # the mask's overflowing forms
+            for eps in (DEFAULT_EPS, 0.0, -DEFAULT_EPS):
+                want = [bool(membership_mask(y[None], eps=eps)[0]) for y in ys]
+                # unchecked input: the verdict of whatever reaches it
+                assert [is_minkowski_reduced(PosDefMatrix._of(y), eps=eps) for y in ys] == want
+                verdicts[eps] = want[:len(ys) // 3]
+            forms = np.concatenate([mono @ _form_features(ys) for _, mono in _column_tables(g)])
+        assert 0 < sum(verdicts[DEFAULT_EPS]) < len(verdicts[DEFAULT_EPS])
+        # grid matrices on a face are members at eps = 0, not at -eps
+        assert verdicts[0.0] != verdicts[-DEFAULT_EPS]
+        assert np.isposinf(forms).any() and np.isneginf(forms).any() and np.isnan(forms).any()
+        assert 0 < sum(_features(y.tolist()) is None for y in ys) < len(ys)
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_reducer_forms_are_the_masks(self, g, rng):
+        # minkowski_reduce picks each column's vector from these forms
+        tables = _column_tables(g)
+        with np.errstate(all="ignore"):
+            for y in self.matrices(g, rng, n=40):
+                feats = _form_features(np.stack((y, y)))
+                for k, (_, mono) in enumerate(tables):
+                    want = (mono @ feats)[:, 0]
+                    if np.isnan(want).any():
+                        want[:] = np.nan
+                    got = np.array(_column_forms(tables, k, y.tolist()))
+                    assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestReduce:
