@@ -49,7 +49,7 @@ def _lapack(fn, what: str, *args, **kw):
 # points
 # ---------------------------------------------------------------------------
 
-def _check_symmetric(m: np.ndarray, what: str, eps: float = EPS_SYM) -> np.ndarray:
+def _check_symmetric(m: np.ndarray, what: str) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("%s must be square" % what)
@@ -57,8 +57,8 @@ def _check_symmetric(m: np.ndarray, what: str, eps: float = EPS_SYM) -> np.ndarr
         raise ValueError("%s %s" % (what, "overflows when symmetrized" if np.isfinite(m).all()
                                     else "has a non-finite entry"))
     drift = np.abs(m - m.T).max() if m.size else 0.0
-    if drift > eps:
-        raise ValueError("%s not symmetric (drift %.3g > %.3g)" % (what, drift, eps))
+    if drift > EPS_SYM:
+        raise ValueError("%s not symmetric (drift %.3g > %.3g)" % (what, drift, EPS_SYM))
     return 0.5 * (m + m.T)
 
 

@@ -14,9 +14,9 @@ exact unimodular transform, and a sign fix for (M.2).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isfinite
 
 import numpy as np
 
@@ -99,50 +99,46 @@ def _column_tables(g: int):
     return tables
 
 
-#: sum |features| up to this keeps every term and partial sum of a form finite
-_SAFE_FEATURES = sys.float_info.max / 4
-
-
-def _features(rows):
-    """_form_features of the matrix with these rows, as a list; None where a
-    form could overflow, since the matmul's fused multiply-adds round an
-    overflowing term otherwise."""
-    g = len(rows)
+def _column_forms(tables, k: int, rows) -> list:
+    """Column k's forms a Y t(a) of the matrix with these rows, with the
+    mask's bits: summed term by term from 0.0 in the monomials' order, the
+    product's, where every sum is finite (a term c y_ij, c = +-1, +-2, is
+    exact unless it overflows, and then its sum is not); else the mask's
+    product, with no warning, all NaN if one is, as np.min sees them."""
+    g, quad = len(rows), []
     feats = [0.5 * (rows[j][i] + rows[i][j]) for i in range(g) for j in range(i, g)]
-    return feats if sum(map(abs, feats)) <= _SAFE_FEATURES else None
-
-
-def _forms(terms, feats):
-    """Each a Y t(a) of one column, summed left to right from 0.0 in the
-    monomials' order, as the matmul sums it: every term is exact."""
-    for vec in terms:
+    for vec in tables.terms[k]:
         total = 0.0
         for c, i in vec:
             total += c * feats[i]
-        yield total
+        quad.append(total)
+    if all(map(isfinite, quad)):
+        return quad
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = (tables[k][1] @ _form_features(np.array((rows, rows))))[:, 0]
+    return [np.nan] * len(quad) if np.isnan(quad).any() else quad.tolist()
 
 
 def _reduced(y: np.ndarray, eps) -> bool:
-    """membership_mask's verdict on one matrix, on Python floats, or the
-    mask's own where a form could overflow."""
+    """membership_mask's verdict on one matrix, from _column_forms."""
     rows, g = y.tolist(), len(y)
     if g == 1:  # no form: the mask compares the empty minimum, +inf
         return 0.0 < rows[0][0] < np.inf and np.inf >= rows[0][0] - eps
     if not all(rows[k][k + 1] >= -eps for k in range(g - 1)):
         return False
-    feats = _features(rows)
-    if feats is None:
-        return bool(membership_mask(y[None], eps=eps)[0])
-    for k, terms in enumerate(_column_tables(g).terms):
+    tables = _column_tables(g)
+    for k in range(g):
         floor = rows[k][k] - eps
-        if not all(form >= floor for form in _forms(terms, feats)):  # NaN fails
+        if not all(form >= floor for form in _column_forms(tables, k, rows)):  # NaN fails
             return False
     return True
 
 
 def is_minkowski_reduced(y, *, eps: float = DEFAULT_EPS) -> bool:
     """Membership test for the reduced domain, with slack eps on every
-    inequality: membership_mask's verdict, form by form (README "Volumes")."""
+    inequality: membership_mask's verdict, from forms summed term by term
+    where the sums are finite, else from the mask's product, with no
+    warning (_column_forms, README "Volumes")."""
     return _reduced(as_pd_array(y), eps)
 
 
@@ -153,9 +149,9 @@ def membership_mask(ys: np.ndarray, *, eps=DEFAULT_EPS) -> np.ndarray:
 
     Every form a Y t(a) is one entry of a (nvec x g(g+1)/2) @ (g(g+1)/2 x n)
     product, a lone matrix stacked twice to get any batch's bits;
-    is_minkowski_reduced gives the same verdict term by term (README
-    "Volumes").  Each test reads the entry rows ys[:, i, j], contiguous for
-    views ys = p.T of planes p.
+    _column_forms gives a lone matrix's forms these bits without the
+    product where it can (README "Volumes").  Each test reads the entry
+    rows ys[:, i, j], contiguous for views ys = p.T of planes p.
     """
     ys = np.asarray(ys, dtype=float)
     n, g = ys.shape[0], ys.shape[-1]
@@ -270,17 +266,6 @@ def minkowski_reduce(y, *, eps: float = DEFAULT_EPS) -> ReductionCertificate:
             raise ReductionError("minkowski_reduce stalled before membership",
                                  best=cur)
     raise ReductionError("minkowski_reduce hit the iteration cap", best=cur)
-
-
-def _column_forms(tables, k: int, rows) -> list:
-    """Column k's forms a Y t(a) of the matrix with these rows, with the
-    mask's bits; where one could overflow, by the mask's product, and all
-    NaN if one is, so that min() is NaN as np.min is."""
-    feats = _features(rows)
-    if feats is not None:
-        return list(_forms(tables.terms[k], feats))
-    quad = (tables[k][1] @ _form_features(np.array((rows, rows))))[:, 0]
-    return [np.nan] * len(quad) if np.isnan(quad).any() else quad.tolist()
 
 
 def _column_step(g: int, k: int, a: np.ndarray) -> np.ndarray:

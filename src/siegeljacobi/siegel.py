@@ -71,20 +71,24 @@ class CandidateSet:
         return np.array(rows, dtype=float).reshape(n, 3 * g - 1)
 
     @cached_property
+    def _keys(self) -> tuple:
+        """Each element's det_table row up to sign, by which rows are matched (g <= 2)."""
+        return tuple(map(_up_to_sign, self.det_table))
+
+    @cached_property
     def certifying(self) -> "CandidateSet":
         """The sub-family that decides membership.
 
-        At g = 2: the first element whose det_table row is each of
-        GOTTSCHLING_ROWS up to sign, in set order.  Every other element is
-        then redundant for membership.  self when one of the 19 is missing,
-        and at every other g.
+        At g = 2: the first element whose key is each of GOTTSCHLING_ROWS
+        up to sign, in set order.  Every other element is then redundant
+        for membership.  self when one of the 19 is missing, and at every
+        other g.
         """
         if self.g != 2:
             return self
         wanted = {_up_to_sign(r) for r in GOTTSCHLING_ROWS}
         kept = []
-        for m, row in zip(self.elements, self.det_table):
-            key = _up_to_sign(row)
+        for m, key in zip(self.elements, self._keys):
             if key in wanted:
                 wanted.discard(key)
                 kept.append(m)
@@ -98,19 +102,14 @@ class CandidateSet:
         up to sign, so every member has |w_ij|^2 >= 1 - eps; empty at g >= 3.
         det Omega is left out: on the g = 2 Monte Carlo proposal it rejects
         0.4 % of the points beyond w11 and w22, for a dozen array operations."""
-        if self.g >= 3:
-            return ()
-        units = {tuple(row) for row in np.abs(self.det_table)}
-        eye = np.eye(3 * self.g - 1)
-        return tuple(ij for m, ij in _ENTRY_MONOMIALS[self.g] if tuple(eye[m]) in units)
+        return tuple(ij for ij, key in _ENTRY_KEYS.get(self.g, {}).items() if key in self._keys)
 
     @cached_property
     def _past_units(self) -> "CandidateSet":
-        """The elements whose det_table row is no unit entry's, up to sign."""
-        rows = {tuple(np.eye(3 * self.g - 1)[m]) for m, ij in _ENTRY_MONOMIALS.get(self.g, ())
-                if ij in self._unit_entries}
-        return CandidateSet(self.g, tuple(e for e, r in zip(self.elements, np.abs(self.det_table))
-                                          if tuple(r) not in rows), self.source) if rows else self
+        """The elements whose key is no unit entry's."""
+        units = {_ENTRY_KEYS[self.g][ij] for ij in self._unit_entries}
+        return CandidateSet(self.g, tuple(m for m, key in zip(self.elements, self._keys)
+                                          if key not in units), self.source) if units else self
 
     @property
     def guarantee(self) -> str:
@@ -118,7 +117,7 @@ class CandidateSet:
         membership in F_g by a theorem (g = 1 with the inversion, whose row is
         +-w; g = 2 with Gottschling's 19), else "relative-to-family"."""
         if self.g == 1:
-            exact = (1, 0) in {_up_to_sign(r) for r in self.det_table}
+            exact = (1, 0) in self._keys
         else:
             exact = self.g == 2 and self.certifying is not self
         return "exact" if exact else "relative-to-family"
@@ -236,8 +235,9 @@ def _det_coefficients(c, d):
             d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0])
 
 
-#: (index, (i, j)) of each monomial of _omega_monomials that is an entry w_ij
-_ENTRY_MONOMIALS = {1: ((0, (0, 0)),), 2: ((1, (0, 0)), (2, (0, 1)), (3, (1, 1)))}
+#: per g, the key of the entry w_ij of _omega_monomials alone, by (i, j)
+_ENTRY_KEYS = {1: {(0, 0): (1, 0)},
+               2: {(0, 0): (0, 1, 0, 0, 0), (0, 1): (0, 0, 1, 0, 0), (1, 1): (0, 0, 0, 1, 0)}}
 
 
 def _omega_monomials(xs, ys):

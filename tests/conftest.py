@@ -243,28 +243,41 @@ OVERFLOW_DET_Y = 1e110 * np.eye(3)
 STALL_OMEGA = 0.9999999995j
 
 
+def minkowski_floors(ys, eps):
+    """The floors the Minkowski inequalities hold at with slack eps, for
+    matrices ys (..., g, g): y_kk - eps for column k's (M.1) forms a Y t(a),
+    shape (..., g), and -eps for (M.2)'s y_{k,k+1}, shape (..., g - 1).
+    The test oracles take their Minkowski slack rule from here alone."""
+    g = ys.shape[-1]
+    diag = ys[..., range(g), range(g)]
+    return diag - eps, np.full(diag[..., 1:].shape, -eps)
+
+
 def siegel_flags_oracle(p: SiegelPoint, cands=None, eps=DEFAULT_EPS):
     """(member, on_boundary) from the inequalities one at a time: a member
     is on the boundary when some |det(C Omega + D)|^2 is within eps of 1,
-    some |x_ij| within eps of 1/2, some (M.1) form a Y t(a) with a != +-e_k
-    within eps of y_kk, or some y_{k,k+1} within eps of 0.  The (M.1) forms
-    run over the box max|a_i| <= 3, not the library's {0, +-1} vectors."""
+    some |x_ij| within eps of 1/2, or some (M.1) form a Y t(a) with
+    a != +-e_k, or some y_{k,k+1}, is at most its minkowski_floors at -eps.
+    The (M.1) forms run over the box max|a_i| <= 3, not the library's
+    {0, +-1} vectors."""
     dets = det_sq((builtin_candidates(p.g) if cands is None else cands).certifying,
                   p.omega)
     x, y, g = p.X, p.Y, p.g
     vecs, tails = _candidate_arrays(g, 3)
     unit = np.abs(vecs).sum(axis=1) == 1
-    m1 = []
+    m1, column = [], []
     for k in range(g):
         a = vecs[tails[:, k] & ~(unit & (vecs[:, k] != 0))]
-        m1.append(np.einsum("ni,ij,nj->n", a, y, a) - y[k, k])
-    m1 = np.concatenate(m1)
+        m1.append(np.einsum("ni,ij,nj->n", a, y, a))
+        column.append(np.full(len(a), k))
+    m1, column = np.concatenate(m1), np.concatenate(column)
     m2 = y[np.arange(g - 1), np.arange(1, g)]
+    (lo1, lo2), (hi1, hi2) = minkowski_floors(y, eps), minkowski_floors(y, -eps)
     member = bool(np.all(dets >= 1.0 - eps) and np.max(np.abs(x)) <= 0.5 + eps
-                  and np.all(m1 >= -eps) and np.all(m2 >= -eps))
-    slack = np.concatenate([np.abs(dets - 1.0), np.abs(np.abs(x.ravel()) - 0.5),
-                            np.abs(m1), np.abs(m2)])
-    return member, member and bool(np.min(slack) <= eps)
+                  and np.all(m1 >= lo1[column]) and np.all(m2 >= lo2))
+    near = (np.any(np.abs(dets - 1.0) <= eps) or np.any(np.abs(np.abs(x) - 0.5) <= eps)
+            or np.any(m1 <= hi1[column]) or np.any(m2 <= hi2))
+    return member, member and bool(near)
 
 
 def onto_minkowski_faces(xs, ys):

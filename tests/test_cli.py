@@ -304,6 +304,21 @@ class TestMemberCommand:
         assert code == 0 and err == ""
         assert json.loads(out)["outputs"]["member"] is True
 
+    def test_minkowski_forms_beyond_float_range(self, tmp_path, capsys):
+        # y11 + 2 y12 + y22 overflows although every entry is finite, and
+        # neither command may print numpy's "overflow encountered in matmul"
+        y = np.array([[8e307, 3e307], [3e307, 8.5e307]])
+        path = write_json(tmp_path / "y.json", {"Y": encode_matrix(y)})
+        code, out, err = run_cli(capsys, ["member", "--minkowski", "--point", path])
+        assert code == 0 and err == ""
+        assert json.loads(out)["outputs"]["member"] is True
+        code, out, err = run_cli(capsys, ["reduce", "--minkowski", "--point", path])
+        assert code == 0 and err == ""
+        rep = json.loads(out)["outputs"]
+        assert rep["iterations"] == 0
+        assert decode_matrix(rep["transform"]).tolist() == [[1, 0], [0, 1]]
+        assert np.array_equal(decode_matrix(rep["reduced"]), y)
+
     def test_siegel_member_overflowing_y_exits_2(self, tmp_path, capsys):
         # Y = 1e308 I used to be symmetrized to inf I and printed
         # "member": false with exit 0

@@ -17,7 +17,7 @@ from siegeljacobi import geometry, minkowski
 from siegeljacobi.minkowski import DEFAULT_EPS, _column_tables, _form_features
 from siegeljacobi.siegel import (CandidateSet, _omega_monomials, builtin_candidates,
                                  load_candidates, membership_mask_points, siegel_reduce)
-from conftest import (gottschling_surface_points, membership_mask_oracle,
+from conftest import (gottschling_surface_points, membership_mask_oracle, minkowski_floors,
                       onto_minkowski_faces, rand_siegel_point, write_candidates)
 
 
@@ -149,13 +149,14 @@ def literal_membership(xs, ys, cands, eps):
     which every point of a pool has."""
     n, g = xs.shape[0], xs.shape[-1]
     tests = [(np.full(n, 0.5 + eps), np.array([max(abs(v) for v in x.flat) for x in xs]))]
+    m1, m2 = minkowski_floors(ys, eps)
     for k in range(g):
         unit = tuple(int(i == k) for i in range(g))
         for a in itertools.product((-1, 0, 1), repeat=g):
             if any(a[k:]) and a != unit and a != tuple(-v for v in unit):
                 av = np.array(a, dtype=float)
-                tests.append((np.einsum("i,nij,j->n", av, ys, av), ys[:, k, k] - eps))
-    tests += [(ys[:, k, k + 1], np.full(n, -eps)) for k in range(g - 1)]
+                tests.append((np.einsum("i,nij,j->n", av, ys, av), m1[:, k]))
+    tests += [(ys[:, k, k + 1], m2[:, k]) for k in range(g - 1)]
     w = xs + 1j * ys
     omega = np.where(np.triu(np.ones((g, g), dtype=bool)), w, np.swapaxes(w, -1, -2))
     for m in cands.certifying.elements:

@@ -6,11 +6,12 @@ from siegeljacobi.group_core import PosDefMatrix, SiegelPoint
 from siegeljacobi.intmat import ieye, int_det, as_imat, to_float
 from siegeljacobi.minkowski import (DEFAULT_EPS, ReductionError, UnimodularInt,
                                     _candidate_arrays, _column_forms, _column_tables,
-                                    _features, _form_features, _lll_transform,
+                                    _form_features, _lll_transform,
                                     is_minkowski_reduced, membership_mask,
                                     minkowski_reduce)
 from conftest import (DEFINITENESS_LOSS_Y, HARD_YS, SKEWED_YS, ill_conditioned_ys,
-                      onto_minkowski_faces, rand_pd, rand_siegel_point, rand_unimodular)
+                      minkowski_floors, onto_minkowski_faces, rand_pd, rand_siegel_point,
+                      rand_unimodular)
 
 
 def brute_force_reduce_2x2(y, span=3):
@@ -86,8 +87,9 @@ class TestMembership:
         want = []
         for y in ys:
             quad = np.einsum("nv,vw,nw->n", vecs, y, vecs)
-            want.append(all(quad[tails[:, k]].min() >= y[k, k] - eps for k in range(g))
-                        and all(y[k, k + 1] >= -eps for k in range(g - 1)))
+            m1, m2 = minkowski_floors(y, eps)
+            want.append(all(quad[tails[:, k]].min() >= m1[k] for k in range(g))
+                        and all(y[k, k + 1] >= m2[k] for k in range(g - 1)))
         return want
 
     def test_mask_matches_direct_forms(self, rng):
@@ -115,9 +117,11 @@ class TestMembership:
 
 
 class TestSingleMatrixVerdict:
-    """is_minkowski_reduced sums each (M.1) form term by term on Python
-    floats and leaves to the mask a matrix where a form could overflow; its
-    verdict is membership_mask's on the matrix alone, bit for bit."""
+    """is_minkowski_reduced takes each (M.1) form from _column_forms, the
+    reducer's evaluator: a term-by-term sum on Python floats where that is
+    finite, else the mask's two-column product.  Its verdict is
+    membership_mask's on the matrix alone, bit for bit, and neither it nor
+    the reducer calls the mask."""
 
     @staticmethod
     def matrices(g, rng, n=120):
@@ -144,7 +148,7 @@ class TestSingleMatrixVerdict:
                                   + [edges])
 
     @pytest.mark.parametrize("g", [2, 3, 4])
-    def test_verdict_is_the_masks(self, g, rng):
+    def test_verdict_is_the_masks(self, g, rng, monkeypatch):
         ys = self.matrices(g, rng)
         verdicts = {}
         with np.errstate(all="ignore"):  # the mask's overflowing forms
@@ -158,7 +162,37 @@ class TestSingleMatrixVerdict:
         # grid matrices on a face are members at eps = 0, not at -eps
         assert verdicts[0.0] != verdicts[-DEFAULT_EPS]
         assert np.isposinf(forms).any() and np.isneginf(forms).any() and np.isnan(forms).any()
-        assert 0 < sum(_features(y.tolist()) is None for y in ys) < len(ys)
+        # the product decides some of them, not all: it alone builds features as an array
+        products = []
+        monkeypatch.setattr(minkowski, "_form_features",
+                            lambda ys, f=_form_features: products.append(1) or f(ys))
+
+        def takes_the_product(y):
+            before = len(products)
+            is_minkowski_reduced(PosDefMatrix._of(y))
+            return len(products) > before
+
+        assert 0 < sum(map(takes_the_product, ys)) < len(ys)
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_no_mask_call_near_overflow(self, g, rng, monkeypatch):
+        # the matrices scaled by 10^U(306, 308.5), and the 1e308 blocks: forms
+        # beyond float range, where only the guarded product can decide
+        ys = self.matrices(g, rng)
+        ys = ys[np.abs(ys).max(axis=(1, 2)) >= 1e305]
+        calls = []
+        monkeypatch.setattr(minkowski, "membership_mask",
+                            lambda *a, _f=minkowski.membership_mask, **k:
+                            calls.append(1) or _f(*a, **k))
+        reduced = 0
+        for y in ys:
+            is_minkowski_reduced(PosDefMatrix._of(y))
+            try:
+                minkowski_reduce(PosDefMatrix(y))
+                reduced += 1
+            except (ValueError, ReductionError):  # refused, or a named failure
+                pass
+        assert calls == [] and reduced > 50
 
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_reducer_forms_are_the_masks(self, g, rng):

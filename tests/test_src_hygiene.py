@@ -4,17 +4,21 @@ exception class that sjk's exit-code map misses.  Read with ast only.
 
 Also the line counter that tracks the size of src/ by kind:
 
-    python tests/test_src_hygiene.py
+    python tests/test_src_hygiene.py [REV]
 
-prints each module's code, docstring, comment and blank lines.  A line is
-code when a token other than a comment sits on it outside any docstring,
-else docstring when a docstring spans it, else comment when it holds a
-comment, else blank; read with ast and tokenize only.
+prints each module's code, docstring, comment and blank lines; given a git
+revision REV, it prints them at REV (read with git show) and in the working
+tree, and the difference.  A line is code when a token other than a comment
+sits on it outside any docstring, else docstring when a docstring spans it,
+else comment when it holds a comment, else blank; read with ast and
+tokenize only.  Only the command line runs git.
 """
 
 import ast
 import builtins
 import io
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -142,14 +146,37 @@ def test_line_kinds_add_up_to_wc(path):
     assert counts["code"] > 0
 
 
+def kinds_at(rev: str) -> dict:
+    """line_kinds of each module of src/ at git revision ``rev``, by name."""
+    def git(*args):
+        done = subprocess.run(("git",) + args, cwd=SRC, capture_output=True, text=True)
+        if done.returncode:
+            sys.exit(done.stderr.strip())
+        return done.stdout
+
+    paths = git("ls-tree", "--name-only", "--full-tree", rev,
+                git("rev-parse", "--show-prefix").strip()).split()
+    return {Path(path).stem: line_kinds(git("show", "%s:%s" % (rev, path)))
+            for path in paths if path.endswith(".py")}
+
+
+def _print_row(name, label, counts):
+    print("%-16s %-10s %6d %9d %7d %5d %5d" % ((name, label[:10]) + tuple(counts)
+                                                + (sum(counts),)))
+
+
 if __name__ == "__main__":
-    total = dict.fromkeys(KINDS, 0)
-    print("%-16s %6s %9s %7s %5s %5s" % (("module",) + KINDS + ("lines",)))
-    for path in sorted(SRC.glob("*.py")):
-        counts = line_kinds(path.read_text())
-        for kind in KINDS:
-            total[kind] += counts[kind]
-        print("%-16s %6d %9d %7d %5d %5d" % ((path.stem,) + tuple(counts.values())
-                                             + (sum(counts.values()),)))
-    print("%-16s %6d %9d %7d %5d %5d" % (("total",) + tuple(total.values())
-                                         + (sum(total.values()),)))
+    sides = [("tree", {path.stem: line_kinds(path.read_text())
+                       for path in sorted(SRC.glob("*.py"))})]
+    if len(sys.argv) > 1:
+        sides.insert(0, (sys.argv[1], kinds_at(sys.argv[1])))
+    for kinds in (k for _, k in sides):
+        kinds["total"] = {kind: sum(c[kind] for c in kinds.values()) for kind in KINDS}
+    print("%-16s %-10s %6s %9s %7s %5s %5s" % (("module", "at") + KINDS + ("lines",)))
+    names = sorted(set().union(*(k for _, k in sides)) - {"total"}) + ["total"]
+    for name in names:
+        rows = [[kinds.get(name, {}).get(kind, 0) for kind in KINDS] for _, kinds in sides]
+        for i, ((label, _), counts) in enumerate(zip(sides, rows)):
+            _print_row("" if i else name, label, counts)
+        if len(rows) == 2:
+            _print_row("", "diff", [new - old for old, new in zip(*rows)])
