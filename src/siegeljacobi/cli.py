@@ -1,13 +1,7 @@
 """Command-line interface: reduction, membership, volumes, spectral checks.
 
-Every command reads single-document JSON (file or stdin), writes a single
-RunReport JSON document to stdout, and keeps diagnostics on stderr.  Exit
-codes: 0 success, 2 usage or input error (a ValueError, also for a flag the
-mode does not read), 3 numeric failure (a NumericError, also for NaN or
-Infinity in the outputs, which JSON cannot hold).  Reports are deterministic
-for fixed inputs and --seed; only the timing field varies.
-main(argv) may be called repeatedly in one process: the parser is built on
-the first call and reused, and each report goes out in a single write.
+Reports, exit codes (2 for a ValueError, 3 for a NumericError) and the
+in-process main(argv): README "CLI".
 """
 
 from __future__ import annotations

@@ -302,13 +302,10 @@ def laplacian_apply(kind: str, f, point, fd_step: float = DEFAULT_FD_STEP) -> co
     * ``"omega"``  tr(Im(Omega) d/dZ t(d/dZbar)), the fiber
       operator at fixed Omega (no factor 4, as printed);    f(z)
 
-    Each operator is sum S_ij d_i d_j + sum b_i d_i in the real chart, with
-    coefficients frozen at the point.  With S = Q Lambda tQ and
-    w_k = sqrt|lambda_k| q_k, the second-order part is
-    sum sign(lambda_k) (f(p + h w_k) - 2 f(p) + f(p - h w_k)) / h^2, so
-    ``fd_step`` h is a length in the invariant metric (README "Invariant
-    metrics and Laplacians").  Step and half-step values are
-    Richardson-extrapolated, an O(step^4) truncation error.
+    Central second differences along the eigenvectors w_k = sqrt|lambda_k| q_k
+    of the coefficients S = Q Lambda tQ, so ``fd_step`` is a length in the
+    invariant metric, Richardson-extrapolated (README "Invariant metrics
+    and Laplacians").
     """
     chart = _Chart(kind, point)
     s, first = _operator_terms(kind, chart)

@@ -1,11 +1,9 @@
 """Fundamental domain for the discrete Jacobi group on the Siegel-Jacobi space.
 
 Over a reduced Omega, the fiber cell is the parallelepiped P_Omega spanned by
-the lattice basis {E_kj, E_kj Omega} with coefficients in [0, 1]; Z is on a
-face when it is inside at slack eps and not at -eps (README "Jacobi
-reduction").  Interior points come in pairs under the central involution
-(Omega, Z) -> (Omega, (1-a) + (1-b)Omega) induced by -I with lambda = mu =
--1; the reducer returns the lexicographically smaller coefficient vector.
+the lattice basis {E_kj, E_kj Omega} with coefficients in [0, 1]; of the
+two points -I relates, the reducer returns the one with the lexicographically
+smaller coefficient vector (README "Jacobi reduction").
 """
 
 from __future__ import annotations

@@ -1,14 +1,5 @@
-"""JSON encoding of matrices, points and group elements.
-
-One encoding is used everywhere:
-
-* real matrix        {"rows": r, "cols": c, "data": [row-major numbers]}
-* complex matrix     {"re": <matrix>, "im": <matrix>}
-* symplectic element {"A": ..., "B": ..., "C": ..., "D": ...}
-* Jacobi element     adds {"lambda": ..., "mu": ..., "kappa": ...}
-* Siegel point       {"omega": <complex matrix>}
-* Jacobi point       {"omega": <complex matrix>, "Z": <complex matrix>}
-"""
+"""JSON encoding of matrices, points and group elements, one encoding
+everywhere (README "CLI")."""
 
 from __future__ import annotations
 

@@ -6,17 +6,17 @@ The reduced domain is cut out by the inequalities
                               (a_k, ..., a_g) != 0,
     (M.2)  y_{k,k+1} >= 0,
 
-with slack eps on each; the box DEFAULT_BOUND = 1 is exact for g <= 4
-(README "Minkowski reduction").  The reducer is LLL pre-reduction, then
-greedy passes assigning column k the shortest of these a, completed to an
-exact unimodular transform, and a sign fix for (M.2).
+with slack eps on each; the box DEFAULT_BOUND = 1 is exact for g <= 4.
+The reducer is LLL, then greedy passes assigning column k the shortest of
+these a, and a sign fix for (M.2); at g = 2 on Python scalars (README
+"Minkowski reduction").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isfinite
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -101,17 +101,22 @@ def _column_tables(g: int):
 
 def _column_forms(tables, k: int, rows) -> list:
     """Column k's forms a Y t(a) of the matrix with these rows, with the
-    mask's bits: summed term by term from 0.0 in the monomials' order, the
-    product's, where every sum is finite (a term c y_ij, c = +-1, +-2, is
-    exact unless it overflows, and then its sum is not); else the mask's
-    product, with no warning, all NaN if one is, as np.min sees them."""
-    g, quad = len(rows), []
-    feats = [0.5 * (rows[j][i] + rows[i][j]) for i in range(g) for j in range(i, g)]
-    for vec in tables.terms[k]:
-        total = 0.0
-        for c, i in vec:
-            total += c * feats[i]
-        quad.append(total)
+    mask's bits: summed term by term from 0.0 in the monomials' order where
+    every sum is finite, else the mask's product, with no warning, all NaN
+    if one is, as np.min sees them (README "Volumes")."""
+    g = len(rows)
+    if g == 2:  # the sums of tables.terms, unrolled: (-1, -1), (-1, 1), (0, -1)
+        f0, f2 = 0.5 * (rows[0][0] + rows[0][0]), 0.5 * (rows[1][1] + rows[1][1])
+        f1 = 0.5 * (rows[1][0] + rows[0][1])
+        quad = [0.0 + f0 + 2.0 * f1 + f2, 0.0 + f0 + -2.0 * f1 + f2, 0.0 + f2][:3 - k]
+    else:
+        feats = [0.5 * (rows[j][i] + rows[i][j]) for i in range(g) for j in range(i, g)]
+        quad = []
+        for vec in tables.terms[k]:
+            total = 0.0
+            for c, i in vec:
+                total += c * feats[i]
+            quad.append(total)
     if all(map(isfinite, quad)):
         return quad
     with np.errstate(over="ignore", invalid="ignore"):
@@ -119,27 +124,22 @@ def _column_forms(tables, k: int, rows) -> list:
     return [np.nan] * len(quad) if np.isnan(quad).any() else quad.tolist()
 
 
-def _reduced(y: np.ndarray, eps) -> bool:
-    """membership_mask's verdict on one matrix, from _column_forms."""
-    rows, g = y.tolist(), len(y)
+def _reduced(rows, eps) -> bool:
+    """membership_mask's verdict on the matrix with these rows."""
+    g = len(rows)
     if g == 1:  # no form: the mask compares the empty minimum, +inf
         return 0.0 < rows[0][0] < np.inf and np.inf >= rows[0][0] - eps
     if not all(rows[k][k + 1] >= -eps for k in range(g - 1)):
         return False
     tables = _column_tables(g)
-    for k in range(g):
-        floor = rows[k][k] - eps
-        if not all(form >= floor for form in _column_forms(tables, k, rows)):  # NaN fails
-            return False
-    return True
+    # a NaN form makes every form of its column NaN, and then this fails
+    return all(min(_column_forms(tables, k, rows)) >= rows[k][k] - eps for k in range(g))
 
 
 def is_minkowski_reduced(y, *, eps: float = DEFAULT_EPS) -> bool:
     """Membership test for the reduced domain, with slack eps on every
-    inequality: membership_mask's verdict, from forms summed term by term
-    where the sums are finite, else from the mask's product, with no
-    warning (_column_forms, README "Volumes")."""
-    return _reduced(as_pd_array(y), eps)
+    inequality: membership_mask's verdict, from _column_forms."""
+    return _reduced(as_pd_array(y).tolist(), eps)
 
 
 def membership_mask(ys: np.ndarray, *, eps=DEFAULT_EPS) -> np.ndarray:
@@ -147,11 +147,9 @@ def membership_mask(ys: np.ndarray, *, eps=DEFAULT_EPS) -> np.ndarray:
     with slack eps: one float, or one per matrix, shape (n,).  The slack is
     absolute: 1e-9 [[1, .6], [.6, 1]] is a member, [[1, .6], [.6, 1]] not.
 
-    Every form a Y t(a) is one entry of a (nvec x g(g+1)/2) @ (g(g+1)/2 x n)
-    product, a lone matrix stacked twice to get any batch's bits;
-    _column_forms gives a lone matrix's forms these bits without the
-    product where it can (README "Volumes").  Each test reads the entry
-    rows ys[:, i, j], contiguous for views ys = p.T of planes p.
+    Every form a Y t(a) is one entry of one product, a lone matrix stacked
+    twice to get any batch's bits (README "Volumes").  Each test reads the
+    entry rows ys[:, i, j], contiguous for views ys = p.T of planes p.
     """
     ys = np.asarray(ys, dtype=float)
     n, g = ys.shape[0], ys.shape[-1]
@@ -166,11 +164,12 @@ def membership_mask(ys: np.ndarray, *, eps=DEFAULT_EPS) -> np.ndarray:
     return ok
 
 
-def _lll_transform(y: np.ndarray):
+def _lll_transform(y: np.ndarray) -> list:
     """LLL (delta = 0.99, at most 10,000 steps) on the quadratic form y:
-    exact integer U with Y[U] quasi-reduced, from one Cholesky factor whose
-    mu and squared norms b are updated in floats (README "Minkowski
-    reduction").  A norm b <= 0 after a swap is a ReductionError."""
+    the rows of an exact integer U with Y[U] quasi-reduced, from one
+    Cholesky factor whose mu and squared norms b are updated in floats
+    (README "Minkowski reduction").  A norm b <= 0 after a swap is a
+    ReductionError."""
     g = y.shape[0]
     ell = np.linalg.cholesky(y)
     diag = np.diag(ell)
@@ -201,7 +200,45 @@ def _lll_transform(y: np.ndarray):
             mu[i][k] = mu[i][k - 1] - m * t
             mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
         k = max(k - 1, 1)
-    return np.array(cols, dtype=object).T.copy()
+    return [list(row) for row in zip(*cols)]
+
+
+def _cholesky2(rows):
+    """np.linalg.cholesky of a 2 x 2 matrix's lower triangle, bit for bit,
+    as OpenBLAS's unblocked potf2 computes it: (l00, l10, l11), or LinAlgError where
+    numpy raises one (README "Minkowski reduction")."""
+    (y00, _), (y10, y11) = rows
+    if y00 <= 0:  # NaN passes, as in LAPACK
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    l00 = sqrt(y00)
+    r = 1 / l00
+    l10 = y10 * r if r else 0.0  # the column is scaled by 1/l00; by 0 it is zeroed
+    d = y11 - l10 * l10
+    if d <= 0:
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    return l00, l10, sqrt(d)
+
+
+def _gauss_transform(rows) -> list:
+    """_lll_transform of a 2 x 2 matrix on Python scalars, from _cholesky2:
+    Gauss reduction with its swap rule, rounding and ratio-first updates."""
+    l00, l10, l11 = _cholesky2(rows)
+    m, b0, b1 = l10 / l00, l00 * l00, l11 * l11
+    c0, c1 = [1, 0], [0, 1]  # the columns of U
+    for _ in range(10000):
+        q = int(round(m))
+        if q != 0:
+            c1 = [c1[0] - q * c0[0], c1[1] - q * c0[1]]
+            m -= q
+        if b1 >= (0.99 - m * m) * b0:
+            break
+        c0, c1 = c1, c0
+        big = b1 + m * m * b0
+        m = m * (b0 / big)
+        b0, b1 = big, b0 * (b1 / big)
+        if not min(b0, b1) > 0:
+            raise ReductionError("minkowski_reduce lost definiteness in LLL")
+    return [[c0[0], c1[0]], [c0[1], c1[1]]]
 
 
 @lru_cache(maxsize=8)
@@ -218,14 +255,22 @@ def minkowski_reduce(y, *, eps: float = DEFAULT_EPS) -> ReductionCertificate:
     Every positive definite 1 x 1 matrix is reduced, so g = 1 skips the test."""
     y0 = as_pd_array(y)
     g = y0.shape[0]
-    if g == 1 or _reduced(y0, eps):
+    if g == 1 or _reduced(y0.tolist(), eps):
         return ReductionCertificate(y0.copy(), _identity(g), 0)
+    return _reduce(y0, eps, scalar=g == 2)
 
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite t(U) Y U is named below
+def _reduce(y0: np.ndarray, eps, scalar: bool) -> ReductionCertificate:
+    """minkowski_reduce past its early exit: LLL, then column passes.  With
+    scalar (g = 2), LLL and the definiteness test of the result run on
+    Python floats, through _cholesky2, with the bits LAPACK gives."""
     def gram(u):
         uf = to_float(u)  # one float copy each time U changes
         return uf.T @ y0 @ uf
 
-    u = _lll_transform(y0)
+    g = y0.shape[0]
+    u = _gauss_transform(y0.tolist()) if scalar else _lll_transform(y0)
     cur = gram(u)
     tables = _column_tables(g)
 
@@ -243,7 +288,8 @@ def minkowski_reduce(y, *, eps: float = DEFAULT_EPS) -> ReductionCertificate:
             # none when the forms are NaN, and then vector 0, as np.argmax gives
             cut = best_val * (1 + 1e-12)
             a = vecs[next((i for i, form in enumerate(quad) if form <= cut), 0)]
-            u = u @ _column_step(g, k, a)
+            cols = _column_step(g, k, a).T.tolist()
+            u = [[sum(x * c for x, c in zip(row, col)) for col in cols] for row in u]
             cur = gram(u)
             rows = cur.tolist()
             changed = True
@@ -252,9 +298,10 @@ def minkowski_reduce(y, *, eps: float = DEFAULT_EPS) -> ReductionCertificate:
         # test what is returned: the product's asymmetry can exceed 1e-9, and
         # its definiteness is the reducer's to lose, not the input's
         red = 0.5 * (cur + cur.T)
+        rows = red.tolist()
         try:
-            np.linalg.cholesky(red)
-            lost = not np.isfinite(red).all()
+            _cholesky2(rows) if scalar else np.linalg.cholesky(red)
+            lost = not all(isfinite(v) for row in rows for v in row)
         except np.linalg.LinAlgError:
             lost = True
         if lost:
@@ -278,15 +325,17 @@ def _column_step(g: int, k: int, a: np.ndarray) -> np.ndarray:
     return step
 
 
-def _sign_fix(u: np.ndarray, rows) -> bool:
-    """Negate columns of U in place so that y_{k,k+1} >= 0 after
-    conjugation, rows being t(U) Y U; whether any column was negated."""
+def _sign_fix(u: list, rows) -> bool:
+    """Negate columns of U, given by its rows, in place so that
+    y_{k,k+1} >= 0 after conjugation, rows being t(U) Y U; whether any
+    column was negated."""
     sign, flipped = 1, False
     for k in range(1, len(rows)):
         # conjugation maps y_{k-1,k} to s_{k-1} s_k y_{k-1,k}
         if not rows[k - 1][k] >= 0:
             sign = -sign
         if sign < 0:
-            u[:, k] = -u[:, k]
+            for row in u:
+                row[k] = -row[k]
             flipped = True
     return flipped

@@ -24,8 +24,9 @@ SEED = 20261020
 #: over the 80 reductions of reduction_inputs(); before UnimodularInt kept
 #: its inverse, int_det ran 308 times: its own det check came on top of the
 #: one in each int_inv_unimodular call.  158 while minkowski._column_step
-#: also took the det of each step, which is unimodular by construction
-INT_DET_CALLS = 150
+#: also took the det of each step, which is unimodular by construction;
+#: 150 while int_inv_unimodular took a 2 x 2 det by Bareiss elimination
+INT_DET_CALLS = 55
 INT_INV_UNIMODULAR_CALLS = 150
 #: one per final siegel_membership; 384 while minkowski_reduce ran the batch
 #: mask on its input and on each pass's result, as a stack of one

@@ -319,6 +319,17 @@ class TestMemberCommand:
         assert decode_matrix(rep["transform"]).tolist() == [[1, 0], [0, 1]]
         assert np.array_equal(decode_matrix(rep["reduced"]), y)
 
+    def test_minkowski_gram_beyond_float_range_exits_3(self, tmp_path, capsys):
+        # t(U) Y U overflows in a column pass: the failure is named, and
+        # numpy's "overflow encountered in matmul" and "invalid value
+        # encountered in matmul" used to be printed before it
+        y = np.array([[6.551664182657515e307, 6.877994287735079e307],
+                      [6.877994287735079e307, 7.420997077294653e307]])
+        path = write_json(tmp_path / "y.json", {"Y": encode_matrix(y)})
+        code, out, err = run_cli(capsys, ["reduce", "--minkowski", "--point", path])
+        assert code == 3 and out == ""
+        assert err == "numeric failure: minkowski_reduce lost definiteness in a column pass\n"
+
     def test_siegel_member_overflowing_y_exits_2(self, tmp_path, capsys):
         # Y = 1e308 I used to be symmetrized to inf I and printed
         # "member": false with exit 0

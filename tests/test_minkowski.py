@@ -433,6 +433,20 @@ def cholesky_calls(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def scalar_factors(monkeypatch):
+    """The rows minkowski._cholesky2, the g = 2 reducer's factorisation on
+    Python floats, is called on, in call order."""
+    seen = []
+
+    def counted(rows, f=minkowski._cholesky2):
+        seen.append(rows)
+        return f(rows)
+
+    monkeypatch.setattr(minkowski, "_cholesky2", counted)
+    return seen
+
+
 class TestHardInputs:
     """Past cond 1/u a few accepted Y do not reduce.  Each failure is a
     named ReductionError, also when the reducer's own result loses
@@ -458,7 +472,7 @@ class TestOneFactorisation:
     act_siegel builds for a candidate step."""
 
     @pytest.mark.parametrize("g", [2, 3, 4])
-    def test_reducer(self, g, cholesky_calls):
+    def test_reducer(self, g, cholesky_calls, scalar_factors):
         rng = np.random.default_rng(30 + g)
         fired = 0
         for _ in range(40):
@@ -468,9 +482,14 @@ class TestOneFactorisation:
             _lll_transform(y.entries)
             assert len(cholesky_calls) == 1
             cholesky_calls.clear()
+            scalar_factors.clear()
             cert = minkowski_reduce(y)
             fired += cert.iterations > 0
-            assert len(cholesky_calls) == (1 + cert.iterations if cert.iterations else 0)
+            # g = 2 factors on Python scalars and makes no LAPACK call
+            used, unused = ((scalar_factors, cholesky_calls) if g == 2
+                            else (cholesky_calls, scalar_factors))
+            assert len(used) == (1 + cert.iterations if cert.iterations else 0)
+            assert unused == []
         assert fired > 20
 
     def test_highest_point_step(self, cholesky_calls, monkeypatch):
@@ -543,13 +562,17 @@ class TestValidateOnce:
     than the input validator."""
 
     def test_step_hands_y_over_unchecked(self, rng, pd_checks, cholesky_calls,
-                                         monkeypatch):
+                                         scalar_factors, monkeypatch):
         calls = []
 
         def spy(y, **kw):
-            checks_before = len(cholesky_calls)
+            # g = 2 factors on Python scalars and makes no LAPACK call
+            factors = scalar_factors if len(y.entries) == 2 else cholesky_calls
+            checks_before, lapack_before = len(factors), len(cholesky_calls)
             cert = minkowski_reduce(y, **kw)
-            calls.append((y, cert, cholesky_calls[checks_before:]))
+            if len(y.entries) == 2:
+                assert len(cholesky_calls) == lapack_before
+            calls.append((y, cert, factors[checks_before:]))
             return cert
 
         monkeypatch.setattr(siegel, "minkowski_reduce", spy)
@@ -597,3 +620,158 @@ class TestValidateOnce:
         for f in (minkowski_reduce, is_minkowski_reduced):
             with pytest.raises(ValueError, match="^" + msg):
                 f(np.array(y))
+
+
+def float_bits(values):
+    """Each float's exact bits as text (the sign of zero included), NaN as one value."""
+    return tuple("nan" if v != v else float(v).hex() for v in values)
+
+
+def reduction_outcome(reduce):
+    """All that a reduction returns, or the text and best iterate it raises."""
+    try:
+        cert = reduce()
+    except ReductionError as exc:
+        return str(exc), np.asarray(exc.best).tobytes()
+    t = cert.transform
+    return cert.reduced.tobytes(), t.entries.tolist(), t.inverse_entries.tolist(), cert.iterations
+
+
+class TestScalarG2:
+    """At g = 2 minkowski_reduce runs LLL and the definiteness test of its
+    result on Python floats, from _cholesky2; _cholesky2 must give the bits
+    of the LAPACK factorisation numpy calls, so that a different LAPACK
+    build fails here instead of moving U, and the general path, kept for
+    g >= 3, must give the same certificate at g = 2."""
+
+    SPECIALS = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-320, 1e308, np.inf, -np.inf, np.nan)
+
+    @staticmethod
+    def factor_sets(rng, n=1500):
+        """Symmetric 2 x 2 matrices: positive definite and indefinite ones
+        scaled by 10^U(-150, 150) and to 10^U(307, 308.25), near-singular
+        ones on both sides of the cone's boundary, and every matrix over
+        SPECIALS (NaN, infinities, signed zeros, subnormals)."""
+        sets = {"scaled": [], "near 1e308": [], "near-singular": []}
+        for _ in range(n):
+            a, s = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
+            for y in (a @ a.T + 0.05 * np.eye(2), s + s.T):
+                sets["scaled"].append(y * 10 ** rng.uniform(-150, 150))
+                sets["near 1e308"].append(y / np.abs(y).max() * 10 ** rng.uniform(307, 308.25))
+            v = rng.normal(size=2)
+            sets["near-singular"].append((np.outer(v, v) + 10 ** rng.uniform(-17, -13) * s)
+                                         * 10 ** rng.uniform(-100, 100))
+        sets["specials"] = [np.array([[a, b], [b, c]]) for a in TestScalarG2.SPECIALS
+                            for b in TestScalarG2.SPECIALS for c in TestScalarG2.SPECIALS]
+        return {name: [np.triu(y) + np.triu(y, 1).T for y in ys] for name, ys in sets.items()}
+
+    def test_cholesky2_is_lapacks(self, rng):
+        def factor(f, y):
+            try:
+                return float_bits(f(y))
+            except np.linalg.LinAlgError:
+                return None
+
+        def lapack(y):
+            ell = np.linalg.cholesky(y)
+            return ell[0, 0], ell[1, 0], ell[1, 1]
+
+        for name, ys in self.factor_sets(rng).items():
+            verdicts = []
+            for y in ys:
+                want = factor(lapack, y)
+                assert factor(minkowski._cholesky2, y.tolist()) == want, (name, y.tolist())
+                verdicts.append(want is None)
+            assert 0 < sum(verdicts) < len(verdicts), name  # raises and accepts
+        # LAPACK passes a NaN pivot, and scales a column by 1/inf = 0 to zeros
+        assert minkowski._cholesky2([[np.nan, 0.0], [1.0, 1.0]])[2] != 1.0
+        assert float_bits(minkowski._cholesky2([[np.inf, 0.0], [-1.0, 4.0]])) == \
+            float_bits((np.inf, 0.0, 2.0))
+
+    def test_forms_are_the_term_sums(self, rng):
+        # the unrolled g = 2 forms add tables.terms in their order, from 0.0
+        tables = _column_tables(2)
+        values = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 3e-320, 1e300, -1e300]
+        for _ in range(3000):
+            if rng.random() < 0.5:
+                rows = rng.choice(values, (2, 2)).tolist()
+            else:
+                rows = (rng.normal(size=(2, 2)) * 10 ** rng.uniform(-300, 300, (2, 2))).tolist()
+            feats = [0.5 * (rows[j][i] + rows[i][j]) for i in range(2) for j in range(i, 2)]
+            for k in range(2):
+                want = []
+                for vec in tables.terms[k]:
+                    total = 0.0
+                    for c, i in vec:
+                        total += c * feats[i]
+                    want.append(total)
+                if all(map(np.isfinite, want)):
+                    assert float_bits(_column_forms(tables, k, rows)) == float_bits(want)
+
+    @staticmethod
+    def reducer_sets(rng, n=1200):
+        """Seeded 2 x 2 Y: drawn like reduce_mixed's; skewed by a unimodular
+        word and scaled by 10^U(-150, 150); near-ties of LLL's swap test
+        b1 < (0.99 - m^2) b0; scaled to 10^U(300, 308.2); and of cond up to
+        1e18, which fire every column step and every ReductionError."""
+        sets = {name: [] for name in ("mixed", "skewed", "ties", "huge", "ill-conditioned")}
+        for _ in range(n):
+            a = rng.normal(size=(2, 2))
+            sets["mixed"].append(np.exp(rng.uniform(np.log(0.01), 0.0)) * rand_pd(2, rng))
+            w = rand_unimodular(2, rng, steps=4)
+            sets["skewed"].append(w.T @ (a @ a.T + 0.05 * np.eye(2)) @ w
+                                  * 10 ** rng.uniform(-150, 150))
+            m = rng.uniform(-0.5, 0.5)
+            b1 = (0.99 - m * m) * (1 + rng.choice([-1, 1]) * 10 ** rng.uniform(-16, -11))
+            w = rand_unimodular(2, rng, steps=3, span=1)
+            sets["ties"].append(w.T @ np.array([[1.0, m], [m, b1 + m * m]]) @ w
+                                * 10 ** rng.uniform(-3, 3))
+            y = rand_pd(2, rng, floor=0.1)
+            sets["huge"].append(y / np.abs(y).max() * 10 ** rng.uniform(300, 308.2))
+            q = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+            w = rand_unimodular(2, rng, steps=8, span=3).astype(float)
+            sets["ill-conditioned"].append(w.T @ (q * 10.0 ** rng.uniform(-9, 9, 2)) @ q.T @ w)
+        return {name: [np.triu(y) + np.triu(y, 1).T for y in ys] for name, ys in sets.items()}
+
+    #: built Y whose column passes take every (M.1) vector: after an identity
+    #: LLL, mu = +-1/2 ties (-1, +-1) with (0, -1) in column 0 and the first
+    #: is taken, mu just inside +-1/2 takes (0, -1); column 1 then takes
+    #: (-1, +-1) in each
+    BUILT_YS = [np.array([[1.0, m], [m, 0.995]]) for m in (0.5, -0.5, 0.4999999, -0.4999999)]
+
+    def test_same_certificate_as_the_general_path(self, rng, monkeypatch):
+        steps, branch = set(), []
+
+        def step(g, k, a, f=minkowski._column_step):
+            if branch:
+                steps.add((k, tuple(int(x) for x in a)))
+            return f(g, k, a)
+
+        monkeypatch.setattr(minkowski, "_column_step", step)
+        outcomes = set()
+        sets = self.reducer_sets(rng)
+        sets["built"] = self.BUILT_YS
+        for name, ys in sets.items():
+            moved = 0
+            for y in ys:
+                try:
+                    y = PosDefMatrix(y)
+                except ValueError:  # refused before either path runs
+                    continue
+                for eps in (DEFAULT_EPS, 0.0):
+                    if is_minkowski_reduced(y, eps=eps):  # the shared early exit
+                        continue
+                    branch.append(True)
+                    got = reduction_outcome(lambda: minkowski_reduce(y, eps=eps))
+                    branch.clear()
+                    want = reduction_outcome(
+                        lambda: minkowski._reduce(y.entries, eps, scalar=False))
+                    assert got == want, (name, eps, y.entries.tolist())
+                    moved += 1
+                    outcomes.add(got[0] if len(got) == 2 else "reduced")
+            assert moved > len(ys) // 4, name
+        # every column step of the branch, and every failure it can name here
+        assert steps == {(0, (-1, -1)), (0, (-1, 1)), (0, (0, -1)), (1, (-1, -1)), (1, (-1, 1))}
+        assert outcomes == {"reduced", "minkowski_reduce lost definiteness in a column pass",
+                            "minkowski_reduce stalled before membership",
+                            "minkowski_reduce hit the iteration cap"}
