@@ -81,25 +81,24 @@ def int_det(a: np.ndarray) -> int:
 
 def int_inv_unimodular(a: np.ndarray) -> np.ndarray:
     """Exact inverse of a matrix with determinant d = +-1: d times the
-    adjugate, over Python-int lists; in closed form up to 3 x 3, and d up
-    to 2 x 2."""
+    adjugate, over Python-int lists; cofactors in closed form up to 3 x 3,
+    and d up to 2 x 2."""
     a = np.asarray(a, dtype=object)
     n, r = a.shape[0], a.tolist()
-    if a.shape == (n, n) and n in (1, 2):
-        d = int(r[0][0] if n == 1 else r[0][0] * r[1][1] - r[0][1] * r[1][0])
-    else:
-        d = int_det(a)
-    if d not in (1, -1):
-        raise ValueError("matrix is not unimodular (det=%s)" % d)
-    if n in (1, 2):
-        return np.array([[d]] if n == 1 else [[d * r[1][1], -d * r[0][1]],
-                                               [-d * r[1][0], d * r[0][0]]], dtype=object)
     def cofactor(j, i):  # of entry (j, i), its sign included
         if n == 3:  # cyclic indices carry the sign
             j1, j2, i1, i2 = (j + 1) % 3, (j + 2) % 3, (i + 1) % 3, (i + 2) % 3
             return r[j1][i1] * r[j2][i2] - r[j1][i2] * r[j2][i1]
         return (-1) ** (i + j) * int_det([row[:i] + row[i + 1:] for row in r[:j] + r[j + 1:]])
-    return np.array([[d * cofactor(j, i) for j in range(n)] for i in range(n)], dtype=object)
+    if a.shape in ((1, 1), (2, 2)):
+        d = int(r[0][0] if n == 1 else r[0][0] * r[1][1] - r[0][1] * r[1][0])
+        inv = [[d]] if n == 1 else [[d * r[1][1], -d * r[0][1]], [-d * r[1][0], d * r[0][0]]]
+    else:
+        d = int_det(a)
+        inv = [[d * cofactor(j, i) for j in range(n)] for i in range(n)]
+    if d not in (1, -1):
+        raise ValueError("matrix is not unimodular (det=%s)" % d)
+    return np.array(inv, dtype=object)
 
 
 def complete_primitive(v) -> np.ndarray:

@@ -101,11 +101,12 @@ def _column_tables(g: int):
 
 def _column_forms(tables, k: int, rows) -> list:
     """Column k's forms a Y t(a) of the matrix with these rows, with the
-    mask's bits: summed term by term from 0.0 in the monomials' order where
-    every sum is finite, else the mask's product, with no warning, all NaN
-    if one is, as np.min sees them (README "Volumes")."""
+    mask's bits: summed term by term from 0.0 in the monomials' order, the
+    product's, where every sum is finite (a term c y_ij, c = +-1, +-2, is
+    exact unless it overflows, and then its sum is not); else the mask's
+    product, with no warning, all NaN if one is, as np.min sees them."""
     g = len(rows)
-    if g == 2:  # the sums of tables.terms, unrolled: (-1, -1), (-1, 1), (0, -1)
+    if g == 2:  # tables.terms' sums written out for speed: (-1, -1), (-1, 1), (0, -1)
         f0, f2 = 0.5 * (rows[0][0] + rows[0][0]), 0.5 * (rows[1][1] + rows[1][1])
         f1 = 0.5 * (rows[1][0] + rows[0][1])
         quad = [0.0 + f0 + 2.0 * f1 + f2, 0.0 + f0 + -2.0 * f1 + f2, 0.0 + f2][:3 - k]
@@ -203,26 +204,25 @@ def _lll_transform(y: np.ndarray) -> list:
     return [list(row) for row in zip(*cols)]
 
 
-def _cholesky2(rows):
-    """np.linalg.cholesky of a 2 x 2 matrix's lower triangle, bit for bit,
-    as OpenBLAS's unblocked potf2 computes it: (l00, l10, l11), or LinAlgError where
-    numpy raises one (README "Minkowski reduction")."""
+def _cholesky2(rows) -> list:
+    """The rows of np.linalg.cholesky of a finite 2 x 2 matrix, bit for bit,
+    as OpenBLAS's unblocked potf2 computes them, or its LinAlgError (README
+    "Minkowski reduction")."""
     (y00, _), (y10, y11) = rows
-    if y00 <= 0:  # NaN passes, as in LAPACK
+    if not y00 > 0:
         raise np.linalg.LinAlgError("Matrix is not positive definite")
     l00 = sqrt(y00)
-    r = 1 / l00
-    l10 = y10 * r if r else 0.0  # the column is scaled by 1/l00; by 0 it is zeroed
+    l10 = y10 * (1 / l00)  # potf2 scales the column by a reciprocal
     d = y11 - l10 * l10
-    if d <= 0:
+    if not d > 0:
         raise np.linalg.LinAlgError("Matrix is not positive definite")
-    return l00, l10, sqrt(d)
+    return [[l00, 0.0], [l10, sqrt(d)]]
 
 
 def _gauss_transform(rows) -> list:
     """_lll_transform of a 2 x 2 matrix on Python scalars, from _cholesky2:
     Gauss reduction with its swap rule, rounding and ratio-first updates."""
-    l00, l10, l11 = _cholesky2(rows)
+    (l00, _), (l10, l11) = _cholesky2(rows)
     m, b0, b1 = l10 / l00, l00 * l00, l11 * l11
     c0, c1 = [1, 0], [0, 1]  # the columns of U
     for _ in range(10000):
@@ -299,11 +299,12 @@ def _reduce(y0: np.ndarray, eps, scalar: bool) -> ReductionCertificate:
         # its definiteness is the reducer's to lose, not the input's
         red = 0.5 * (cur + cur.T)
         rows = red.tolist()
-        try:
-            _cholesky2(rows) if scalar else np.linalg.cholesky(red)
-            lost = not all(isfinite(v) for row in rows for v in row)
-        except np.linalg.LinAlgError:
-            lost = True
+        lost = not all(isfinite(v) for row in rows for v in row)
+        if not lost:  # _cholesky2 is LAPACK's on finite rows only
+            try:
+                _cholesky2(rows) if scalar else np.linalg.cholesky(red)
+            except np.linalg.LinAlgError:
+                lost = True
         if lost:
             raise ReductionError("minkowski_reduce lost definiteness in a column pass",
                                  best=cur)
